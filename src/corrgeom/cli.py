@@ -20,24 +20,24 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .correlation import correlation_matrix
-from .errors import CorrGeomError
+from .errors import CorrGeomError, TooFewPointsError
 from .events import (
     MEASURE_KINDS,
     MeasureSeries,
     compare_event_sets,
     detect_minima,
     sliding_measures,
+    window_correlations,
 )
-from .metric import PROJECTIVE, SPHERICAL, distance_matrix, verify_metric_axioms
-from .series import TimeSeriesSet, WindowSpec, read_timeseries_csv, write_timeseries_csv
+from .metric import PROJECTIVE, SPHERICAL, angular_distances, verify_metric_axioms
+from .series import TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
 from .testkit import SyntheticSpec, simulate
 
 log = logging.getLogger("corrgeom")
 
 CONFIG_SCHEMA_VERSION = 1
-FORMATS = ("csv", "json", "svg")
+FORMATS = ("svg",)
 
 
 @dataclass
@@ -54,7 +54,7 @@ class RunConfig:
     min_separation: int | None = None  # defaults to window when unset
     match_window: int | None = None  # defaults to window when unset
     out: str = "corrgeom_out"
-    formats: tuple[str, ...] = ("csv", "json")
+    formats: tuple[str, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -206,13 +206,9 @@ def _manifest(config: RunConfig, data: TimeSeriesSet, n_windows: int) -> dict:
     }
 
 
-def _compute_measures(config: RunConfig, data: TimeSeriesSet) -> list[MeasureSeries]:
-    return sliding_measures(data, config.window, config.stride, config.measures)
-
-
 def cmd_analyze(config: RunConfig) -> int:
     data = _read_input(config)
-    series_list = _compute_measures(config, data)
+    series_list = sliding_measures(data, config.window, config.stride, config.measures)
     tracker = _OutputTracker(Path(config.out))
     try:
         for s in series_list:
@@ -234,7 +230,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def cmd_events(config: RunConfig) -> int:
     data = _read_input(config)
-    series_list = _compute_measures(config, data)
+    series_list = sliding_measures(data, config.window, config.stride, config.measures)
     event_lists = {
         s.kind: detect_minima(s, config.min_prominence, config.separation)
         for s in series_list
@@ -268,7 +264,12 @@ def cmd_events(config: RunConfig) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
+    """Check the metric axioms once per kind (spherical, projective) on every
+    window that has no constant series, through analyze's window path. Each
+    failing matrix prints a VIOLATION line on stderr and makes the exit 1."""
     data = _read_input(config)
+    if len(data) < 2:
+        raise TooFewPointsError("validate needs at least 2 series")
     count = (data.length - config.window) // config.stride + 1
     if count < 1:
         raise CorrGeomError(
@@ -278,23 +279,18 @@ def cmd_validate(config: RunConfig) -> int:
     worst = None
     failures = 0
     checked = 0
-    for m in range(count):
-        w = WindowSpec(m * config.stride, config.window, config.stride)
-        try:
-            corr = correlation_matrix(data, w)
-        except CorrGeomError:
-            continue  # constant window: nothing to validate
+    for m, _, rho in window_correlations(data, config.window, config.stride):
+        tick = data.tick(m * config.stride)
         for kind in (SPHERICAL, PROJECTIVE):
-            dm = distance_matrix(corr, kind)
-            report = verify_metric_axioms(dm)
+            report = verify_metric_axioms(angular_distances(rho, kind))
             checked += 1
             if report.min_triangle_margin < worst_margin:
                 worst_margin = report.min_triangle_margin
-                worst = (data.tick(w.t), kind, report.worst_triple)
+                worst = (tick, kind, report.worst_triple)
             if not report.passed:
                 failures += 1
                 print(
-                    f"VIOLATION window@{data.tick(w.t)} {kind}: {report.summary()}",
+                    f"VIOLATION window@{tick} {kind}: {report.summary()}",
                     file=sys.stderr,
                 )
     status = "pass" if failures == 0 else "FAIL"
@@ -363,7 +359,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--match-window", type=int, dest="match_window",
                         help="tick window for matching events across measures (default: window)")
     parser.add_argument("--out", help="output directory (default corrgeom_out)")
-    parser.add_argument("--format", help="comma-separated outputs: csv,json,svg")
+    parser.add_argument("--format", help="extra outputs besides the CSV and JSON files: svg")
     parser.add_argument("--seed", type=int, help="seed echoed into the manifest")
 
 

@@ -15,15 +15,13 @@ segments.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .correlation import correlation_from_units, CorrelationMatrix
+from .correlation import CorrelationMatrix, correlation_from_units
 from .errors import (
     HemisphereError,
     HullRankError,
@@ -108,6 +106,19 @@ class MeasureSeries:
             writer.writerow([int(t), "" if g else repr(float(v)), int(g)])
 
 
+def window_correlations(
+    ts_set: TimeSeriesSet, window: int, stride: int = 1
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The one window path of every command: (m, unit vectors (n, K), correlations
+    (n, n)) per window from sample m * stride, skipping any with a constant series."""
+    for m in range((ts_set.length - window) // stride + 1):
+        try:
+            units = windowed_unit_matrix(ts_set, WindowSpec(m * stride, window, stride))
+        except ZeroVarianceError:
+            continue
+        yield m, units, correlation_from_units(units)
+
+
 def sliding_measures(
     ts_set: TimeSeriesSet,
     window: int,
@@ -139,24 +150,15 @@ def sliding_measures(
         raise TooFewPointsError("triangle and hull measures need at least 3 series")
 
     count = (ts_set.length - window) // stride + 1
-    timestamps = np.array(
-        [ts_set.tick(m * stride) for m in range(count)], dtype=int
-    )
+    timestamps = ts_set.start + ts_set.step * stride * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}
-    gaps = {kind: np.zeros(count, dtype=bool) for kind in kinds}
+    gaps = {kind: np.ones(count, dtype=bool) for kind in kinds}  # until evaluated
 
-    for m in range(count):
-        t = m * stride
-        try:
-            units = windowed_unit_matrix(ts_set, WindowSpec(t, window, stride))
-        except ZeroVarianceError:
-            for kind in kinds:
-                gaps[kind][m] = True
-            continue
-        dm = None
+    for m, units, rho in window_correlations(ts_set, window, stride):
+        for kind in kinds:
+            gaps[kind][m] = False
         if KIND_DIAMETER in kinds or KIND_MAX_TRIANGLE in kinds:
-            corr = CorrelationMatrix(ts_set.ids, correlation_from_units(units))
-            dm = distance_matrix(corr, PROJECTIVE)
+            dm = distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
         if KIND_DIAMETER in kinds:
             values[KIND_DIAMETER][m] = diameter(dm).value
         if KIND_MAX_TRIANGLE in kinds:
@@ -255,6 +257,7 @@ def detect_minima(
     if len(series) < 3:
         raise ValueError("minima detection needs at least 3 points")
 
+    from scipy.signal import find_peaks  # imported here, so importing corrgeom loads no scipy
     candidates = []
     for lo, hi in series.segments():
         if hi - lo < 3:

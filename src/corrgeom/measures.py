@@ -22,7 +22,6 @@ concrete configurations.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -36,11 +35,8 @@ from .errors import (
     NonEmbeddableError,
     TooFewPointsError,
 )
-from .metric import DistanceMatrix, ProjectivePointSet, hemisphere_witness
+from .metric import TRIANGLE_TOL, DistanceMatrix, ProjectivePointSet, hemisphere_witness
 
-log = logging.getLogger(__name__)
-
-TRIANGLE_TOL = 1e-9
 EXACT_SPHERICAL = "exact_spherical"
 CHORDAL_CAYLEY_MENGER = "chordal_cayley_menger"
 
@@ -178,13 +174,9 @@ def diameter(source) -> MeasureResult:
     n = m.shape[0]
     if n < 2:
         raise TooFewPointsError("diameter needs at least 2 points")
-    best = -math.inf
-    witness = (0, 1)
-    for i, j in itertools.combinations(range(n), 2):
-        if m[i, j] > best:
-            best = float(m[i, j])
-            witness = (i, j)
-    return MeasureResult(best, witness, EXACT_SPHERICAL, 1)
+    upper = np.where(np.tri(n, dtype=bool), -np.inf, m)  # pairs i < j only
+    i, j = divmod(int(np.argmax(upper)), n)  # first maximum in row-major, i.e. lexicographic, order
+    return MeasureResult(float(m[i, j]), (i, j), EXACT_SPHERICAL, 1)
 
 
 def cayley_menger_volume(dists) -> float:
@@ -227,6 +219,9 @@ def max_simplex_volume(source, dimension: int) -> MeasureResult:
     >= 3 substitutes the chordal Cayley-Menger volume (chord = 2 sin(angle/2))
     and flags the method accordingly. Enumeration is exhaustive, and ties
     break to the lexicographically smallest vertex subset.
+
+    Dimension 2 applies spherical_triangle_area's rules to all triples as
+    arrays and raises its error for the first triple with invalid sides.
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
@@ -239,14 +234,23 @@ def max_simplex_volume(source, dimension: int) -> MeasureResult:
     if dimension == 1:
         return diameter(m)
     if dimension == 2:
-        best = -math.inf
-        witness = (0, 1, 2)
-        for i, j, k in itertools.combinations(range(n), 3):
-            area = spherical_triangle_area(m[i, j], m[i, k], m[j, k])
-            if area > best:
-                best = area
-                witness = (i, j, k)
-        return MeasureResult(best, witness, EXACT_SPHERICAL, 2)
+        upper = ~np.tri(n, dtype=bool)
+        i, j, k = np.nonzero(upper[:, :, None] & upper[None, :, :])  # lexicographic
+        sides = np.stack([m[i, j], m[i, k], m[j, k]], axis=1)
+        a, b, c = np.sort(sides, axis=1).T
+        margin = a + b - c
+        # False exactly where _validate_sides raises: NaN compares false, and
+        # an infinite side fails the margin or the perimeter test.
+        ok = (sides >= -TRIANGLE_TOL).all(axis=1) & (margin >= -TRIANGLE_TOL)
+        ok &= (a + b + c) - 2 * math.pi <= TRIANGLE_TOL
+        if not ok.all():
+            _validate_sides(*sides[np.argmin(ok)])
+        s = (a + b + c) / 2
+        prod = np.tan(s / 2) * np.tan((s - a) / 2) * np.tan((s - b) / 2) * np.tan((s - c) / 2)
+        area = np.where(np.isfinite(prod), 4 * np.arctan(np.sqrt(prod.clip(0.0))), 2 * math.pi)
+        area[margin <= TRIANGLE_TOL] = 0.0
+        best = int(np.argmax(area))
+        return MeasureResult(float(area[best]), (i[best], j[best], k[best]), EXACT_SPHERICAL, 2)
     chords = 2.0 * np.sin(m / 2.0)
     best = -math.inf
     witness = tuple(range(dimension + 1))

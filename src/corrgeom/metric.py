@@ -17,9 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .correlation import CorrelationMatrix
+from .correlation import CorrelationMatrix, correlation_from_units
 from .errors import AngleDomainError, MetricViolationError
 from .series import CenteredUnitVector
 
@@ -122,20 +121,18 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     worst: tuple[int, int, int] | None = None
     found: dict[tuple[int, int, int], float] = {}
     if n >= 3:
-        # margins[i, j, k] = d(i,j) + d(j,k) - d(i,k) over all ordered triples
-        margins = m[:, :, None] + m[None, :, :] - m[:, None, :]
+        # margins[i, j, k] = d(i,j) + d(j,k) - d(i,k) over triples of distinct points
+        margins = m[:, :, None] + m[None, :, :]
+        margins -= m[:, None, :]
         idx = np.arange(n)
-        same = (
-            (idx[:, None, None] == idx[None, :, None])
-            | (idx[None, :, None] == idx[None, None, :])
-            | (idx[:, None, None] == idx[None, None, :])
-        )
-        margins = np.where(same, np.inf, margins)
+        margins[idx, idx, :] = np.inf
+        margins[:, idx, idx] = np.inf
+        margins[idx, :, idx] = np.inf
         flat = int(np.argmin(margins))
         i, j, k = np.unravel_index(flat, margins.shape)
         min_margin = float(margins[i, j, k])
         worst = tuple(sorted((int(i), int(j), int(k))))
-        bad = np.argwhere(margins < -tolerance)
+        bad = np.argwhere(margins < -tolerance) if not min_margin >= -tolerance else ()
         for i, j, k in bad:
             key = tuple(sorted((int(i), int(j), int(k))))
             val = float(margins[i, j, k])
@@ -215,19 +212,22 @@ class DistanceMatrix:
         return None
 
 
-def distance_matrix(corr: CorrelationMatrix, kind: str = PROJECTIVE) -> DistanceMatrix:
-    """Angular distance matrix from a correlation matrix.
-
-    Spherical entries are arccos(rho); projective entries arccos(|rho|).
-    """
+def angular_distances(rho: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
+    """Angular distances from correlations, with an exactly zero diagonal:
+    arccos(rho) for spherical, arccos(|rho|) for projective."""
     if kind == SPHERICAL:
-        entries = np.arccos(corr.values)
+        entries = np.arccos(rho)
     elif kind == PROJECTIVE:
-        entries = np.arccos(np.abs(corr.values))
+        entries = np.arccos(np.abs(rho))
     else:
         raise ValueError(f"kind must be {SPHERICAL!r} or {PROJECTIVE!r}")
     np.fill_diagonal(entries, 0.0)
-    return DistanceMatrix(corr.ids, entries, kind)
+    return entries
+
+
+def distance_matrix(corr: CorrelationMatrix, kind: str = PROJECTIVE) -> DistanceMatrix:
+    """Validated angular distance matrix from a correlation matrix."""
+    return DistanceMatrix(corr.ids, angular_distances(corr.values, kind), kind)
 
 
 def _unit_rows(points, ids) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -286,6 +286,7 @@ def hemisphere_witness(points: np.ndarray) -> np.ndarray | None:
     c_obj = np.zeros(r + 1)
     c_obj[-1] = -1.0
     bounds = [(-1.0, 1.0)] * r + [(None, None)]
+    from scipy.optimize import linprog  # imported here: only this fallback needs scipy
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         return None
@@ -331,11 +332,7 @@ class ProjectivePointSet:
 
     def pairwise_angles(self) -> np.ndarray:
         """Great-circle distances arccos(p_i . p_j) between representatives."""
-        gram = np.clip(self.points @ self.points.T, -1.0, 1.0)
-        gram = np.triu(gram) + np.triu(gram, 1).T
-        ang = np.arccos(gram)
-        np.fill_diagonal(ang, 0.0)
-        return ang
+        return angular_distances(correlation_from_units(self.points), SPHERICAL)
 
 
 def sign_lift(points, ids: Sequence[str] | None = None) -> ProjectivePointSet:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import csv
 import datetime
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -39,6 +38,19 @@ def _as_readonly_floats(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _check_unit_rows(rows: np.ndarray, ids) -> None:
+    """Raise ValueError naming the first of the (n, K) rows that breaks a
+    centered-unit-vector invariant: zero sum or unit norm."""
+    bad_sum = np.abs(rows.sum(axis=1)) > SUM_TOL * rows.shape[1]
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(bad_sum | (np.abs(norms - 1.0) > NORM_TOL))
+    if bad.size:
+        i = bad[0]
+        if bad_sum[i]:
+            raise ValueError(f"components of {ids[i]!r} do not sum to zero within {SUM_TOL}*K")
+        raise ValueError(f"components of {ids[i]!r} are not unit length (norm {norms[i]})")
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,7 @@ class TimeSeriesSet:
                     f"{(first.start, first.step, len(first))}"
                 )
         object.__setattr__(self, "series", series)
+        object.__setattr__(self, "_matrix", _as_readonly_floats([s.values for s in series]))
 
     def __len__(self) -> int:
         return len(self.series)
@@ -132,8 +145,8 @@ class TimeSeriesSet:
         raise KeyError(sid)
 
     def matrix(self) -> np.ndarray:
-        """Values stacked as an (n_series, length) array."""
-        return np.vstack([s.values for s in self.series])
+        """Values stacked as a read-only (n_series, length) array, built once."""
+        return self._matrix
 
     def tick(self, index: int) -> int:
         return self.series[0].tick(index)
@@ -176,23 +189,8 @@ class CenteredUnitVector:
 
     def __post_init__(self):
         arr = _as_readonly_floats(self.components)
-        k = arr.size
-        if abs(float(arr.sum())) > SUM_TOL * k:
-            raise ValueError(
-                f"components of {self.source_id!r} do not sum to zero within "
-                f"{SUM_TOL}*K"
-            )
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"components of {self.source_id!r} are not unit length "
-                f"(norm {norm})"
-            )
+        _check_unit_rows(arr.reshape(1, -1), (self.source_id,))
         object.__setattr__(self, "components", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.components.size
 
 
 def align(series: Iterable[TimeSeries]) -> TimeSeriesSet:
@@ -235,31 +233,36 @@ def align(series: Iterable[TimeSeries]) -> TimeSeriesSet:
     return TimeSeriesSet(tuple(out))
 
 
-def window_vector(s: TimeSeries, w: WindowSpec) -> CenteredUnitVector:
-    """Center the windowed samples on their mean and scale to unit norm.
-
-    The second centering pass removes the rounding residue the first leaves
-    behind for large offsets, so the zero-sum invariant holds even for series
-    riding on a huge baseline. Raises ZeroVarianceError for a constant window.
-    """
-    w.check_fits(len(s))
-    seg = s.values[w.t : w.t + w.size]
-    dev = seg - seg.mean()
-    dev = dev - dev.mean()
-    norm = float(np.linalg.norm(dev))
-    if norm == 0.0:
+def _window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
+    """Centre each row of an (n, length) array twice over window w, the second
+    pass removing the first's rounding residue for large offsets, and scale it
+    to unit norm. Raises ZeroVarianceError naming the first constant row."""
+    w.check_fits(values.shape[1])
+    seg = values[:, w.t : w.t + w.size]
+    dev = seg - seg.mean(axis=1, keepdims=True)
+    dev -= dev.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(dev, axis=1)
+    if not norms.all():
         raise ZeroVarianceError(
-            f"series {s.id!r} is constant on window [{w.t}, {w.t + w.size})"
+            f"series {ids[np.argmin(norms)]!r} is constant on window [{w.t}, {w.t + w.size})"
         )
-    return CenteredUnitVector(dev / norm, s.id, s.tick(w.t))
+    return dev / norms[:, None]
+
+
+def window_vector(s: TimeSeries, w: WindowSpec) -> CenteredUnitVector:
+    """One series' window as a CenteredUnitVector, centred and scaled as in
+    windowed_unit_matrix. Raises ZeroVarianceError for a constant window."""
+    unit = _window_units(s.values[None, :], (s.id,), w)[0]
+    return CenteredUnitVector(unit, s.id, s.tick(w.t))
 
 
 def windowed_unit_matrix(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
-    """Unit vectors for every series over one window, stacked (n, K).
-
-    Each vector is computed once; all pairwise work downstream reuses them.
-    """
-    return np.vstack([window_vector(s, w).components for s in ts_set.series])
+    """Centered unit vectors of all series over one window, stacked (n, K) and
+    checked against the CenteredUnitVector invariants in one array operation.
+    Raises ZeroVarianceError naming the first series constant on the window."""
+    units = _window_units(ts_set.matrix(), ts_set.ids, w)
+    _check_unit_rows(units, ts_set.ids)
+    return units
 
 
 # ---------------------------------------------------------------------------

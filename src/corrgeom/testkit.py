@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTriangleError
 from .measures import _edge_normals, _validate_sides, embed_in_span, spherical_convex_hull_area
-from .metric import ProjectivePointSet
+from .metric import TRIANGLE_TOL, ProjectivePointSet
 from .series import TimeSeries, TimeSeriesSet
-
-TRIANGLE_TOL = 1e-9
 
 
 def girard_area(a: float, b: float, c: float) -> float:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgeom import (
     CHORDAL_CAYLEY_MENGER,
@@ -73,6 +75,12 @@ class TestDiameter:
         out = diameter(m)
         assert out.value == math.pi / 2
         assert out.witness == (0, 1)  # lexicographically smallest on ties
+
+    def test_tie_away_from_first_pair_takes_smallest(self):
+        m = np.full((4, 4), 0.25)
+        m[1, 3] = m[3, 1] = m[2, 3] = m[3, 2] = 1.0
+        np.fill_diagonal(m, 0.0)
+        assert diameter(m).witness == (1, 3)
 
     def test_listed_entries(self):
         m = np.zeros((3, 3))
@@ -384,3 +392,50 @@ class TestSandwich:
     def test_only_dimension_two(self):
         with pytest.raises(ValueError):
             sandwich_check(np.eye(3), dimension=3)
+
+
+def assert_max_triangle_matches_scalar(d):
+    """max_simplex_volume(d, 2) against the scalar L'Huilier area on every
+    triple: the same maximum within 1e-12, or the same InvalidTriangleError."""
+    try:
+        want = max(
+            spherical_triangle_area(d[i, j], d[i, k], d[j, k])
+            for i, j, k in itertools.combinations(range(d.shape[0]), 3)
+        )
+    except InvalidTriangleError as exc:
+        with pytest.raises(InvalidTriangleError) as got:
+            max_simplex_volume(d, 2)
+        assert str(got.value) == str(exc)
+    else:
+        assert abs(max_simplex_volume(d, 2).value - want) <= 1e-12
+
+
+unit_rows = st.lists(
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda v: sum(x * x for x in v) > 1e-6
+    ),
+    min_size=3,
+    max_size=8,
+)
+
+
+class TestMaxTriangleMatchesScalar:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=unit_rows, repeats=st.lists(st.integers(0, 7), max_size=3))
+    def test_point_clouds(self, rows, repeats):
+        pts = np.array(rows)
+        # Coincident points: repeat some rows verbatim.
+        pts = np.vstack([pts, pts[[r % len(pts) for r in repeats]]])
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        assert_max_triangle_matches_scalar(angles_of(pts))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 6),
+        entries=st.lists(st.floats(-0.01, 3.5), min_size=15, max_size=15),
+    )
+    def test_arbitrary_sides(self, n, entries):
+        d = np.zeros((n, n))
+        iu = np.triu_indices(n, 1)
+        d[iu] = entries[: len(iu[0])]
+        assert_max_triangle_matches_scalar(d + d.T)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corrgeom import (
+    CenteredUnitVector,
     DuplicateIdError,
     EmptyOverlapError,
     IngestError,
@@ -15,6 +16,7 @@ from corrgeom import (
     align,
     read_timeseries_csv,
     window_vector,
+    windowed_unit_matrix,
     write_timeseries_csv,
 )
 
@@ -159,6 +161,33 @@ class TestWindowVector:
         v = window_vector(ts("x", vals), w)
         vneg = window_vector(ts("x", -vals), w)
         assert np.array_equal(vneg.components, -v.components)
+
+
+class TestWindowedUnitMatrix:
+    def test_rows_match_window_vector(self):
+        rng = np.random.default_rng(17)
+        data = TimeSeriesSet(
+            tuple(ts(f"s{i}", rng.normal(size=40) * 10.0**i + 1e8 * i) for i in range(5))
+        )
+        w = WindowSpec(7, 21)
+        units = windowed_unit_matrix(data, w)
+        for row, s in zip(units, data.series):
+            assert np.array_equal(row, window_vector(s, w).components)
+
+    def test_names_first_constant_series(self):
+        data = TimeSeriesSet(
+            (ts("a", [1.0, 2.0, 4.0, 3.0]), ts("b", [5.0, 5.0, 5.0, 1.0]), ts("c", [2.0] * 4))
+        )
+        with pytest.raises(ZeroVarianceError, match=r"series 'b' is constant on window \[0, 3\)"):
+            windowed_unit_matrix(data, WindowSpec(0, 3))
+        with pytest.raises(ZeroVarianceError, match="'c'"):
+            windowed_unit_matrix(data, WindowSpec(1, 3))
+
+    def test_centered_unit_vector_invariants(self):
+        with pytest.raises(ValueError, match="'x' do not sum to zero"):
+            CenteredUnitVector(np.array([0.6, 0.8]), "x", 0)
+        with pytest.raises(ValueError, match="'x' are not unit length"):
+            CenteredUnitVector(np.array([-0.5, 0.5]), "x", 0)
 
 
 class TestCsv:
