@@ -62,8 +62,12 @@ class RunConfig:
             raise ValueError("window must be >= 2")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.min_prominence < 0:
+        if not self.min_prominence >= 0:  # also rejects NaN
             raise ValueError("min-prominence must be >= 0")
+        if self.min_separation is not None and self.min_separation < 0:
+            raise ValueError("min-separation must be >= 0")
+        if self.match_window is not None and self.match_window < 0:
+            raise ValueError("match-window must be >= 0")
         if not self.measures:
             raise ValueError("at least one measure kind is required")
         for kind in self.measures:
@@ -259,6 +263,7 @@ def cmd_events(config: RunConfig) -> int:
         tracker.discard_all()
         raise
     for path in tracker.written:
+        log.info("wrote %s", path)
         print(path)
     return 0
 

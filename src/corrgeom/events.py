@@ -239,6 +239,41 @@ class EventList:
         }
 
 
+def _prominent_peaks(
+    x: np.ndarray, min_prominence: float
+) -> list[tuple[int, int, float, int, int]]:
+    """(peak, left edge, prominence, left base, right base) of each peak of ``x``
+    with prominence >= ``min_prominence``, in index order: what
+    ``scipy.signal.find_peaks(x, prominence=min_prominence,
+    plateau_size=(None, None))`` returns, with the same float arithmetic.
+
+    A peak is a maximal run of equal values above both neighbouring runs; a
+    run at either end of ``x`` is none. The run's midpoint is the peak. From
+    it each side is walked while ``x <= x[peak]``; the side's base is the
+    lowest point reached, the one closest to the peak among equal lows.
+    """
+    if x.size < 3:
+        return []
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # first index of each run
+    ends = np.r_[starts[1:], x.size] - 1
+    run = x[starts]
+    tops = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
+    out = []
+    for left_edge, right_edge in zip(starts[tops].tolist(), ends[tops].tolist()):
+        peak = (left_edge + right_edge) // 2
+        height = x[peak]
+        higher = np.flatnonzero(x[:peak] > height)
+        lo = int(higher[-1]) + 1 if higher.size else 0
+        higher = np.flatnonzero(x[peak:] > height)
+        hi = peak + int(higher[0]) if higher.size else x.size
+        left_base = peak - int(np.argmin(x[lo : peak + 1][::-1]))
+        right_base = peak + int(np.argmin(x[peak:hi]))
+        prominence = float(height - max(x[left_base], x[right_base]))
+        if prominence >= min_prominence:
+            out.append((peak, left_edge, prominence, left_base, right_base))
+    return out
+
+
 def detect_minima(
     series: MeasureSeries, min_prominence: float, min_separation: int
 ) -> EventList:
@@ -250,38 +285,26 @@ def detect_minima(
     ties going to the earlier timestamp. Gaps split the series; no candidate
     is ever detected across or at a gap boundary. An empty result is valid.
     """
-    if min_prominence < 0.0:
+    if not min_prominence >= 0.0:  # also rejects NaN
         raise ValueError("min_prominence must be >= 0")
     if min_separation < 0:
         raise ValueError("min_separation must be >= 0")
     if len(series) < 3:
         raise ValueError("minima detection needs at least 3 points")
 
-    from scipy.signal import find_peaks  # imported here, so importing corrgeom loads no scipy
     candidates = []
     for lo, hi in series.segments():
-        if hi - lo < 3:
-            continue
         vals = series.values[lo:hi]
         ts = series.timestamps[lo:hi]
-        peaks, props = find_peaks(
-            -vals, prominence=min_prominence, plateau_size=(None, None)
-        )
-        for p, left_edge, prom, lb, rb in zip(
-            peaks,
-            props["left_edges"],
-            props["prominences"],
-            props["left_bases"],
-            props["right_bases"],
-        ):
-            i = int(left_edge)  # leftmost point of a plateau
+        for _, i, prom, lb, rb in _prominent_peaks(-vals, min_prominence):
+            # i is the leftmost point of a plateau; its midpoint gave the bases
             candidates.append(
                 Event(
                     timestamp=int(ts[i]),
                     value=float(vals[i]),
-                    prominence=float(prom),
-                    left_base=int(ts[int(lb)]),
-                    right_base=int(ts[int(rb)]),
+                    prominence=prom,
+                    left_base=int(ts[lb]),
+                    right_base=int(ts[rb]),
                 )
             )
 
@@ -342,6 +365,8 @@ def compare_event_sets(a: EventList, b: EventList, match_window: int) -> Compari
     increasing timestamp gap (earlier pairs first on ties); every event
     matches at most once.
     """
+    if match_window < 0:
+        raise ValueError("match_window must be >= 0")
     ta = a.timestamps()
     tb = b.timestamps()
     pairs = [

@@ -1,15 +1,32 @@
 """The command-line entry point, called through cli.main(argv)."""
 
+import json
+import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import corrgeom
 from corrgeom import TimeSeries, TimeSeriesSet, cli, write_timeseries_csv
 from corrgeom.testkit import coupling_benchmark, simulate
+
+
+def benchmark_csv(tmp_path):
+    path = tmp_path / "input.csv"
+    write_timeseries_csv(simulate(coupling_benchmark(0)), path)
+    return str(path)
+
+
+def run_python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this corrgeom."""
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def write_csv(tmp_path, columns):
@@ -48,10 +65,8 @@ def test_format_accepts_only_svg(tmp_path, capsys):
 
 
 def test_events_outputs_are_byte_identical(tmp_path, capsys):
-    path = tmp_path / "input.csv"
-    write_timeseries_csv(simulate(coupling_benchmark(0)), path)
     out = tmp_path / "out"
-    argv = ["events", "--input", str(path), "--out", str(out), "--format", "svg"]
+    argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(out), "--format", "svg"]
     runs = []
     for _ in range(2):
         assert cli.main(argv) == 0
@@ -68,7 +83,59 @@ def test_events_outputs_are_byte_identical(tmp_path, capsys):
 
 def test_import_loads_no_scipy():
     code = "import sys, corrgeom.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert run_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--match-window", "-5"), ("--min-separation", "-5"), ("--min-prominence", "nan")],
+)
+def test_bad_detector_settings_exit_2_before_any_window(tmp_path, capsys, monkeypatch, flag, value):
+    def fail(*args):
+        raise AssertionError("windows computed")
+
+    monkeypatch.setattr(cli, "sliding_measures", fail)
+    argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(tmp_path / "out"), flag, value]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_events_logs_each_written_file(tmp_path, caplog):
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="corrgeom"):
+        assert cli.main(["events", "--input", benchmark_csv(tmp_path), "--out", str(out)]) == 0
+    written = [r.getMessage() for r in caplog.records if r.name == "corrgeom"]
+    assert written == [
+        f"wrote {out / name}"
+        for name in (
+            "events_diameter.json",
+            "events_max_triangle_area.json",
+            "comparison.json",
+            "manifest.json",
+        )
+    ]
+
+
+def test_failed_run_removes_its_partial_output(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise ValueError("render failed")
+
+    monkeypatch.setattr(cli, "render_measures_svg", fail)
+    out = tmp_path / "out"
+    argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(out), "--format", "svg"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: render failed\n"
+    assert list(out.iterdir()) == []
+
+
+def test_events_run_loads_no_scipy(tmp_path):
+    out = tmp_path / "out"
+    code = (
+        "import json, sys\n"
+        "from corrgeom import cli\n"
+        f"assert cli.main(['events', '--input', {benchmark_csv(tmp_path)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    assert json.loads(run_python(code).splitlines()[-1]) == []
+    assert (out / "events_diameter.json").exists()

@@ -1,25 +1,34 @@
-"""sliding_measures against a per-window reference on the scalar route."""
+"""The events layer: sliding_measures against a per-window reference on the
+scalar route, detect_minima and its prominence routine against
+scipy.signal.find_peaks, and compare_event_sets."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from corrgeom import (
     KIND_DIAMETER,
     KIND_MAX_TRIANGLE,
     CorrelationMatrix,
+    Event,
+    EventList,
     MeasureSeries,
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
     ZeroVarianceError,
+    compare_event_sets,
     detect_minima,
     distance_matrix,
     sliding_measures,
     spherical_triangle_area,
     window_vector,
 )
+from corrgeom.events import _prominent_peaks
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,
     BENCHMARK_MIN_SEPARATION,
@@ -96,3 +105,118 @@ def test_sliding_measures_match_scalar_route(data, n_gaps):
         for e, r in zip(found, expected):
             assert e.value == pytest.approx(r.value, abs=1e-12)
             assert e.prominence == pytest.approx(r.prominence, abs=1e-12)
+
+
+def measure(values, gaps=()):
+    """A diameter series stamped 100, 110, ...; gap entries become 0.0."""
+    values = np.array(values, dtype=float)
+    gap = np.zeros(values.size, dtype=bool)
+    gap[list(gaps)] = True
+    values[gap] = 0.0
+    return MeasureSeries(KIND_DIAMETER, 21, 1, 100 + 10 * np.arange(values.size), values, gap)
+
+
+def summary(events):
+    return [(e.timestamp, e.value, e.prominence, e.left_base, e.right_base) for e in events]
+
+
+def test_plateau_reports_leftmost_point_with_midpoint_bases():
+    # Minima at index 1, the plateau 3..6 (midpoint 4) and index 8.
+    values = [3, 1, 3, 0, 0, 0, 0, 2, 1, 3]
+    found = detect_minima(measure(values), 1.0, 0).events
+    assert summary(found) == [
+        (110, 1.0, 2.0, 100, 120),
+        (130, 0.0, 3.0, 120, 190),  # among equal highs at 100 and 120, 120 is closer
+        (180, 1.0, 1.0, 170, 190),  # prominence equal to the threshold is kept
+    ]
+    peaks, props = find_peaks(-np.array(values, float), prominence=1.0, plateau_size=(None, None))
+    assert peaks.tolist() == [1, 4, 8]
+    assert props["left_edges"].tolist() == [1, 3, 8]
+    assert [e.prominence for e in found] == props["prominences"].tolist()
+    just_above = np.nextafter(1.0, 2.0)
+    assert detect_minima(measure(values), just_above, 0).timestamps() == [110, 130]
+
+
+def test_no_minimum_at_or_across_a_gap():
+    # The gap's 0.0 placeholder would be the deepest point; 0.5 and 0.2 sit at
+    # segment edges. Only the interior minimum at index 7 counts.
+    values = [2, 1, 0.5, 9, 0.2, 1, 2, 1, 2]
+    assert summary(detect_minima(measure(values, gaps=[3]), 0.0, 0).events) == [
+        (170, 1.0, 1.0, 160, 180)
+    ]
+
+
+def test_segments_shorter_than_three_points_are_skipped():
+    values = [5, 9, 1, 0, 9, 2, 1, 2]
+    assert detect_minima(measure(values, gaps=[1, 4]), 0.0, 0).timestamps() == [160]
+    assert len(detect_minima(measure(values, gaps=[1, 4, 6]), 0.0, 0)) == 0
+
+
+def test_separation_keeps_the_deeper_minimum_then_the_earlier():
+    # The two minima lie 20 ticks apart.
+    assert detect_minima(measure([2, 1, 2, 1, 2]), 0.0, 21).timestamps() == [110]
+    assert detect_minima(measure([2, 1, 2, 0.5, 2]), 0.0, 21).timestamps() == [130]
+    assert detect_minima(measure([2, 1, 2, 1, 2]), 0.0, 20).timestamps() == [110, 130]
+
+
+@pytest.mark.parametrize("min_prominence", [-1.0, float("nan")])
+def test_detect_minima_rejects_a_bad_prominence(min_prominence):
+    with pytest.raises(ValueError, match="min_prominence must be >= 0"):
+        detect_minima(measure([2, 1, 2]), min_prominence, 0)
+
+
+def assert_same_as_find_peaks(x, min_prominence):
+    x = np.array(x, dtype=float)
+    peaks, props = find_peaks(x, prominence=min_prominence, plateau_size=(None, None))
+    got = _prominent_peaks(x, min_prominence)
+    columns = [np.array(c) for c in zip(*got)] if got else [np.array([], int)] * 5
+    want = [peaks, props["left_edges"], props["prominences"], props["left_bases"], props["right_bases"]]
+    for column, expected in zip(columns, want):
+        assert column.astype(expected.dtype).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.floats(-1e6, 1e6), max_size=60),
+    min_prominence=st.floats(0.0, 2e6),
+)
+def test_prominent_peaks_equal_find_peaks_on_floats(x, min_prominence):
+    assert_same_as_find_peaks(x, min_prominence)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.integers(-3, 3), max_size=60),
+    min_prominence=st.sampled_from([0.0, 1.0, 2.0, 2.5, 6.0]),
+)
+def test_prominent_peaks_equal_find_peaks_on_plateaus_and_ties(x, min_prominence):
+    assert_same_as_find_peaks(x, min_prominence)
+
+
+def events(kind, *timestamps):
+    return EventList(kind, 21, 1, 0.0, 0, tuple(Event(t, 0.0, 1.0, t, t) for t in timestamps))
+
+
+def test_compare_matches_greedily_by_smallest_gap():
+    # 100-103 (gap 3) loses to 104-103 (gap 1); 100 then takes 97 (gap 3).
+    report = compare_event_sets(events("a", 100, 104, 200), events("b", 97, 103, 150), 5)
+    assert report.matched == ((100, 97), (104, 103))
+    assert report.a_only == (200,)
+    assert report.b_only == (150,)
+    assert (report.count_a, report.count_b) == (3, 3)
+
+
+def test_compare_takes_the_earlier_pair_on_ties_and_matches_each_event_once():
+    # 105 is 5 from both 100 and 110: the earlier pair wins, 110 stays unmatched.
+    report = compare_event_sets(events("a", 100, 110), events("b", 105), 5)
+    assert report.matched == ((100, 105),)
+    assert report.a_only == (110,)
+    assert report.b_only == ()
+    report = compare_event_sets(events("a", 105), events("b", 100, 110), 5)
+    assert report.matched == ((105, 100),)
+    assert report.b_only == (110,)
+
+
+def test_compare_rejects_a_negative_match_window():
+    with pytest.raises(ValueError, match="match_window must be >= 0"):
+        compare_event_sets(events("a", 100), events("b", 100), -1)
