@@ -2,8 +2,8 @@
 
 Sliding windows map each series to a unit vector; Pearson correlations are
 cosines of angles between those vectors; the spread of the resulting point
-cloud (diameter, best triangle area, geodesic hull area) measures how
-phase-locked the set is, with minima over time marking locked states.
+cloud (diameter, best triangle area) measures how phase-locked the set is,
+with minima over time marking locked states.
 """
 
 from .correlation import (
@@ -22,8 +22,6 @@ from .errors import (
     DimensionMismatchError,
     DuplicateIdError,
     EmptyOverlapError,
-    HemisphereError,
-    HullRankError,
     IngestError,
     InvalidTriangleError,
     MetricViolationError,
@@ -34,7 +32,6 @@ from .errors import (
 )
 from .events import (
     KIND_DIAMETER,
-    KIND_HULL,
     KIND_MAX_TRIANGLE,
     MEASURE_KINDS,
     ComparisonReport,
@@ -48,15 +45,10 @@ from .events import (
 from .measures import (
     CHORDAL_CAYLEY_MENGER,
     EXACT_SPHERICAL,
-    HullResult,
     MeasureResult,
-    SandwichReport,
     cayley_menger_volume,
     diameter,
-    embed_in_span,
     max_simplex_volume,
-    sandwich_check,
-    spherical_convex_hull_area,
     spherical_triangle_area,
 )
 from .metric import (
@@ -68,13 +60,10 @@ from .metric import (
     SPHERICAL,
     DistanceMatrix,
     MetricReport,
-    ProjectivePointSet,
     classify_correlation,
     correlation_angle,
     distance_matrix,
-    hemisphere_witness,
     projective_angle,
-    sign_lift,
     verify_metric_axioms,
 )
 from .series import (

@@ -144,23 +144,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 class _OutputTracker:
-    """Removes files written so far when a run fails partway."""
+    """Writes a run's outputs under temporary names in the out directory and
+    renames them into place only once all are written, so a run that fails
+    partway leaves the directory's earlier files untouched."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.written: list[Path] = []
 
+    @staticmethod
+    def _temporary(path: Path) -> Path:
+        return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
     def write_text(self, name: str, text: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
-        path.write_text(text)
+        self._temporary(path).write_text(text)
         self.written.append(path)
         return path
+
+    def commit(self) -> None:
+        for path in self.written:
+            self._temporary(path).replace(path)
 
     def discard_all(self) -> None:
         for path in self.written:
             try:
-                path.unlink()
+                self._temporary(path).unlink()
             except OSError:
                 pass
 
@@ -223,6 +233,7 @@ def cmd_analyze(config: RunConfig) -> int:
         tracker.write_text(
             "manifest.json", _json_text(_manifest(config, data, len(series_list[0])))
         )
+        tracker.commit()
     except Exception:
         tracker.discard_all()
         raise
@@ -259,6 +270,7 @@ def cmd_events(config: RunConfig) -> int:
         tracker.write_text(
             "manifest.json", _json_text(_manifest(config, data, len(series_list[0])))
         )
+        tracker.commit()
     except Exception:
         tracker.discard_all()
         raise
@@ -284,7 +296,7 @@ def cmd_validate(config: RunConfig) -> int:
     worst = None
     failures = 0
     checked = 0
-    for m, _, rho in window_correlations(data, config.window, config.stride):
+    for m, rho in window_correlations(data, config.window, config.stride):
         tick = data.tick(m * config.stride)
         for kind in (SPHERICAL, PROJECTIVE):
             report = verify_metric_axioms(angular_distances(rho, kind))

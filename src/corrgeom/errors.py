@@ -45,15 +45,5 @@ class NonEmbeddableError(CorrGeomError):
     """Pairwise distances admit no Euclidean embedding of the requested dimension."""
 
 
-class HemisphereError(CorrGeomError):
-    """Point set does not fit inside one open hemisphere, so its geodesic hull
-    is undefined under the gnomonic construction."""
-
-
-class HullRankError(CorrGeomError):
-    """Hull points span more than three dimensions; they lie on no common
-    2-sphere and have no two-dimensional hull area."""
-
-
 class WindowTooLongError(CorrGeomError):
     """The summation window exceeds the series length."""

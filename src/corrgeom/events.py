@@ -1,19 +1,19 @@
 """Sliding spread measures over time and detection of their minima.
 
 A window of K samples starting at sample t maps each series to a point on
-the sphere; the spread measures of that point cloud (diameter, best triangle
-area, hull area) become time series stamped at the window start. Minima of
+the sphere; the spread measures of that point cloud (diameter and best
+triangle area) become time series stamped at the window start. Minima of
 those series mark phase-locked intervals: times where every series moves
 together.
 
-Windows that cannot be evaluated (a constant series, or a point set with no
-hemisphere/2-sphere structure for the hull) become explicit gap markers,
-never fabricated values, and minima are only detected within gap-free
-segments.
+Windows that cannot be evaluated (a constant series) become explicit gap
+markers, never fabricated values, and minima are only detected within
+gap-free segments.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,21 +22,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .correlation import CorrelationMatrix, correlation_from_units
-from .errors import (
-    HemisphereError,
-    HullRankError,
-    TooFewPointsError,
-    WindowTooLongError,
-    ZeroVarianceError,
-)
-from .measures import diameter, max_simplex_volume, spherical_convex_hull_area
-from .metric import PROJECTIVE, distance_matrix, sign_lift
+from .errors import TooFewPointsError, WindowTooLongError, ZeroVarianceError
+from .measures import diameter, max_simplex_volume
+from .metric import PROJECTIVE, distance_matrix
 from .series import TimeSeriesSet, WindowSpec, windowed_unit_matrix
 
 KIND_DIAMETER = "diameter"
 KIND_MAX_TRIANGLE = "max_triangle_area"
-KIND_HULL = "hull_area"
-MEASURE_KINDS = (KIND_DIAMETER, KIND_MAX_TRIANGLE, KIND_HULL)
+MEASURE_KINDS = (KIND_DIAMETER, KIND_MAX_TRIANGLE)
 
 
 @dataclass(frozen=True)
@@ -108,15 +101,15 @@ class MeasureSeries:
 
 def window_correlations(
     ts_set: TimeSeriesSet, window: int, stride: int = 1
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The one window path of every command: (m, unit vectors (n, K), correlations
-    (n, n)) per window from sample m * stride, skipping any with a constant series."""
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The one window path of every command: (m, correlations (n, n)) per
+    window from sample m * stride, skipping any with a constant series."""
     for m in range((ts_set.length - window) // stride + 1):
         try:
             units = windowed_unit_matrix(ts_set, WindowSpec(m * stride, window, stride))
         except ZeroVarianceError:
             continue
-        yield m, units, correlation_from_units(units)
+        yield m, correlation_from_units(units)
 
 
 def sliding_measures(
@@ -130,8 +123,7 @@ def sliding_measures(
     The window starting at sample t covers samples [t, t + window) and is
     stamped at the tick of sample t. Produces floor((length - window) /
     stride) + 1 points per requested kind. A constant series gaps the window
-    for every kind; hull failures (no open hemisphere, or points spanning
-    more than three dimensions) gap only the hull series.
+    for every kind.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -146,29 +138,22 @@ def sliding_measures(
     n = len(ts_set)
     if n < 2:
         raise TooFewPointsError("sliding measures need at least 2 series")
-    if n < 3 and (KIND_MAX_TRIANGLE in kinds or KIND_HULL in kinds):
-        raise TooFewPointsError("triangle and hull measures need at least 3 series")
+    if n < 3 and KIND_MAX_TRIANGLE in kinds:
+        raise TooFewPointsError("the triangle measure needs at least 3 series")
 
     count = (ts_set.length - window) // stride + 1
     timestamps = ts_set.start + ts_set.step * stride * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = {kind: np.ones(count, dtype=bool) for kind in kinds}  # until evaluated
 
-    for m, units, rho in window_correlations(ts_set, window, stride):
+    for m, rho in window_correlations(ts_set, window, stride):
         for kind in kinds:
             gaps[kind][m] = False
-        if KIND_DIAMETER in kinds or KIND_MAX_TRIANGLE in kinds:
-            dm = distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
+        dm = distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
         if KIND_DIAMETER in kinds:
             values[KIND_DIAMETER][m] = diameter(dm).value
         if KIND_MAX_TRIANGLE in kinds:
             values[KIND_MAX_TRIANGLE][m] = max_simplex_volume(dm, 2).value
-        if KIND_HULL in kinds:
-            try:
-                lifted = sign_lift(units, ts_set.ids)
-                values[KIND_HULL][m] = spherical_convex_hull_area(lifted).area
-            except (HemisphereError, HullRankError):
-                gaps[KIND_HULL][m] = True
 
     return [
         MeasureSeries(kind, window, stride, timestamps, values[kind], gaps[kind])
@@ -309,12 +294,20 @@ def detect_minima(
             )
 
     # Deeper minima claim their neighborhood first; earlier timestamp wins ties.
+    # Kept timestamps stay sorted, so only the two neighbours of a candidate
+    # can be too close.
     candidates.sort(key=lambda e: (e.value, e.timestamp))
+    kept_ts: list[int] = []
     kept: list[Event] = []
     for cand in candidates:
-        if all(abs(cand.timestamp - k.timestamp) >= min_separation for k in kept):
-            kept.append(cand)
-    kept.sort(key=lambda e: e.timestamp)
+        t = cand.timestamp
+        i = bisect.bisect_left(kept_ts, t)
+        if i > 0 and t - kept_ts[i - 1] < min_separation:
+            continue
+        if i < len(kept_ts) and kept_ts[i] - t < min_separation:
+            continue
+        kept_ts.insert(i, t)
+        kept.insert(i, cand)
     return EventList(
         measure_kind=series.kind,
         window=series.window,

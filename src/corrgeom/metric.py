@@ -1,4 +1,4 @@
-"""Correlation angles, angular distance matrices, and sign lifting.
+"""Correlation angles and angular distance matrices.
 
 The correlation angle between two series is arccos(rho): the great-circle
 distance between their centered unit vectors on the sphere. The projective
@@ -14,20 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .correlation import CorrelationMatrix, correlation_from_units
+from .correlation import CorrelationMatrix
 from .errors import AngleDomainError, MetricViolationError
-from .series import CenteredUnitVector
 
 # Triangle-inequality slack. arccos amplifies dot-product rounding near +-1
 # like 1/sqrt(eps), so 1e-9 covers windows up to ~1e6 samples in doubles.
 TRIANGLE_TOL = 1e-9
-
-# A point this close to orthogonal with the sign reference keeps its sign.
-ORTHO_TIE_TOL = 1e-12
 
 SPHERICAL = "spherical"
 PROJECTIVE = "projective"
@@ -228,127 +223,3 @@ def angular_distances(rho: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
 def distance_matrix(corr: CorrelationMatrix, kind: str = PROJECTIVE) -> DistanceMatrix:
     """Validated angular distance matrix from a correlation matrix."""
     return DistanceMatrix(corr.ids, angular_distances(corr.values, kind), kind)
-
-
-def _unit_rows(points, ids) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(points, np.ndarray):
-        arr = np.array(points, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array of row vectors")
-        if ids is None:
-            ids = tuple(f"p{i}" for i in range(arr.shape[0]))
-    else:
-        pts = list(points)
-        if pts and isinstance(pts[0], CenteredUnitVector):
-            arr = np.vstack([p.components for p in pts]) if pts else np.empty((0, 0))
-            if ids is None:
-                ids = tuple(p.source_id for p in pts)
-        else:
-            arr = np.array(pts, dtype=float)
-            if ids is None:
-                ids = tuple(f"p{i}" for i in range(arr.shape[0]))
-    if arr.shape[0] == 0:
-        raise ValueError("need at least one point")
-    norms = np.linalg.norm(arr, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
-        raise ValueError("points must be unit vectors (norm within 1e-9 of 1)")
-    ids = tuple(ids)
-    if len(ids) != arr.shape[0]:
-        raise ValueError("ids and points disagree in length")
-    return arr, ids
-
-
-def hemisphere_witness(points: np.ndarray) -> np.ndarray | None:
-    """A unit vector u with u . p > 0 for every point, or None.
-
-    Tries the normalized centroid first; when that fails, solves the convex
-    feasibility problem max m s.t. P u >= m, |u_i| <= 1 in the span of the
-    points. A strictly positive optimum certifies the open hemisphere.
-    """
-    pts = np.asarray(points, dtype=float)
-    centroid = pts.sum(axis=0)
-    norm = float(np.linalg.norm(centroid))
-    if norm > 0.0:
-        c = centroid / norm
-        if float((pts @ c).min()) > ORTHO_TIE_TOL:
-            return c
-    # Work in the span so the LP stays small for high-dimensional windows.
-    _, sing, vt = np.linalg.svd(pts, full_matrices=False)
-    rank = int((sing > sing.max(initial=0.0) * max(pts.shape) * np.finfo(float).eps).sum())
-    if rank == 0:
-        return None
-    basis = vt[:rank]
-    q = pts @ basis.T  # (n, rank)
-    # Variables x = (u, m); minimize -m subject to m - q_i . u <= 0.
-    n, r = q.shape
-    a_ub = np.hstack([-q, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    c_obj = np.zeros(r + 1)
-    c_obj[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * r + [(None, None)]
-    from scipy.optimize import linprog  # imported here: only this fallback needs scipy
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    u = res.x[:r]
-    unorm = float(np.linalg.norm(u))
-    if unorm == 0.0 or float(res.x[-1]) / unorm <= ORTHO_TIE_TOL:
-        return None
-    witness = basis.T @ (u / unorm)
-    if float((pts @ witness).min()) <= 0.0:
-        return None
-    return witness
-
-
-@dataclass(frozen=True)
-class ProjectivePointSet:
-    """Unit-vector representatives of projective points, with a hemisphere
-    certificate. ``points`` is an (n, dim) array; ``witness`` is a unit
-    vector with positive dot against every point when one exists."""
-
-    ids: tuple[str, ...]
-    points: np.ndarray
-    reference_id: str
-    in_open_hemisphere: bool
-    witness: np.ndarray | None
-
-    def __post_init__(self):
-        arr = np.array(self.points, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "points", arr)
-        object.__setattr__(self, "ids", tuple(self.ids))
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @classmethod
-    def from_vectors(cls, points, ids: Sequence[str] | None = None) -> "ProjectivePointSet":
-        """Wrap unit vectors as-is (no sign canonicalization), computing the
-        hemisphere certificate. Use sign_lift for projective data."""
-        arr, ids = _unit_rows(points, ids)
-        witness = hemisphere_witness(arr)
-        return cls(ids, arr, ids[0], witness is not None, witness)
-
-    def pairwise_angles(self) -> np.ndarray:
-        """Great-circle distances arccos(p_i . p_j) between representatives."""
-        return angular_distances(correlation_from_units(self.points), SPHERICAL)
-
-
-def sign_lift(points, ids: Sequence[str] | None = None) -> ProjectivePointSet:
-    """Choose sphere representatives of projective points deterministically.
-
-    The first point is the reference; every other point is negated if its dot
-    with the reference is negative. Points orthogonal to the reference within
-    1e-12 keep their original sign, so the result is order-independent for
-    ties. Pairwise projective distances are unchanged by lifting. The result
-    records whether the lifted set fits in an open hemisphere; hull
-    construction requires that flag.
-    """
-    arr, ids = _unit_rows(points, ids)
-    ref = arr[0]
-    dots = arr @ ref
-    flip = dots < -ORTHO_TIE_TOL
-    lifted = np.where(flip[:, None], -arr, arr)
-    witness = hemisphere_witness(lifted)
-    return ProjectivePointSet(ids, lifted, ids[0], witness is not None, witness)

@@ -2,12 +2,12 @@
 
 Nothing in the core library imports this module; it exists to cross-check
 the geometry by other routes (vertex-angle triangle areas, Gram-matrix
-simplex volumes, Monte Carlo containment sampling) and to manufacture time
-series with planted coupling episodes for end-to-end detection tests.
+simplex volumes) and to manufacture time series with planted coupling
+episodes for end-to-end detection tests.
 
 All randomness comes from numpy's default PCG64 generator seeded explicitly,
-so every estimate and every synthetic dataset is reproducible within this
-build for a fixed seed.
+so every synthetic dataset is reproducible within this build for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _edge_normals, _validate_sides, embed_in_span, spherical_convex_hull_area
-from .metric import TRIANGLE_TOL, ProjectivePointSet
+from .measures import _validate_sides
+from .metric import TRIANGLE_TOL
 from .series import TimeSeries, TimeSeriesSet
 
 
@@ -70,78 +70,6 @@ def gram_simplex_volume(dists) -> float:
     if diag.size < d:
         return 0.0
     return float(np.prod(diag)) / math.factorial(d)
-
-
-@dataclass(frozen=True)
-class OracleEstimate:
-    """A sampled estimate with its binomial standard error."""
-
-    value: float
-    standard_error: float
-    samples: int
-    rng_seed: int
-
-    def __post_init__(self):
-        if self.standard_error < 0.0:
-            raise ValueError("standard error must be nonnegative")
-
-    def within(self, exact: float, sigmas: float = 3.0) -> bool:
-        return abs(exact - self.value) <= sigmas * self.standard_error
-
-
-def _orthonormal_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    seed = np.eye(3)[int(np.argmin(np.abs(axis)))]
-    e1 = seed - (seed @ axis) * axis
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(axis, e1)
-
-
-def monte_carlo_hull_area(points, samples: int = 1_000_000, seed: int = 0) -> OracleEstimate:
-    """Estimate the geodesic hull area by containment sampling.
-
-    A sample point is inside when it lies on the interior side of every hull
-    edge's great circle. Sampling is uniform over the smallest spherical cap
-    (around the hull vertices' centroid) that contains the hull, falling back
-    to the full sphere when the cap would reach a quarter turn; the estimate
-    is the domain area times the hit fraction.
-    """
-    hull = spherical_convex_hull_area(points)
-    if hull.degenerate:
-        return OracleEstimate(0.0, 0.0, samples, seed)
-    pset = points if isinstance(points, ProjectivePointSet) else ProjectivePointSet.from_vectors(np.asarray(points, dtype=float))
-    coords = embed_in_span(pset.points)
-    normals = _edge_normals(coords, hull.vertices)
-
-    verts = coords[list(hull.vertices)]
-    axis = verts.sum(axis=0)
-    axis /= np.linalg.norm(axis)
-    max_angle = float(np.arccos(np.clip(verts @ axis, -1.0, 1.0)).max()) + 1e-9
-
-    rng = np.random.default_rng(seed)
-    if max_angle < math.pi / 2:
-        # Caps of radius < pi/2 are geodesically convex, so they contain the
-        # whole hull, not just its vertices.
-        z_min = math.cos(max_angle)
-        domain_area = 2 * math.pi * (1.0 - z_min)
-        z = rng.uniform(z_min, 1.0, samples)
-        phi = rng.uniform(0.0, 2 * math.pi, samples)
-        e1, e2 = _orthonormal_frame(axis)
-        sin_t = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        pts = (
-            z[:, None] * axis[None, :]
-            + (sin_t * np.cos(phi))[:, None] * e1[None, :]
-            + (sin_t * np.sin(phi))[:, None] * e2[None, :]
-        )
-    else:
-        domain_area = 4 * math.pi
-        pts = rng.normal(size=(samples, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-
-    hits = int(((pts @ normals.T) >= 0.0).all(axis=1).sum())
-    p = hits / samples
-    value = domain_area * p
-    stderr = domain_area * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return OracleEstimate(value, stderr, samples, seed)
 
 
 # ---------------------------------------------------------------------------

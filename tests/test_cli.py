@@ -1,5 +1,6 @@
 """The command-line entry point, called through cli.main(argv)."""
 
+import csv
 import json
 import logging
 import os
@@ -13,6 +14,10 @@ import pytest
 import corrgeom
 from corrgeom import TimeSeries, TimeSeriesSet, cli, write_timeseries_csv
 from corrgeom.testkit import coupling_benchmark, simulate
+
+# Stored analyze and events outputs on benchmark_csv, default settings.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_TOL = 1e-12
 
 
 def benchmark_csv(tmp_path):
@@ -129,13 +134,82 @@ def test_failed_run_removes_its_partial_output(tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_events_run_loads_no_scipy(tmp_path):
-    out = tmp_path / "out"
+def scipy_modules_after_run(tmp_path, command):
+    """The scipy modules loaded by one CLI run in a fresh interpreter."""
     code = (
         "import json, sys\n"
         "from corrgeom import cli\n"
-        f"assert cli.main(['events', '--input', {benchmark_csv(tmp_path)!r}, '--out', {str(out)!r}]) == 0\n"
+        f"assert cli.main([{command!r}, '--input', {benchmark_csv(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
-    assert json.loads(run_python(code).splitlines()[-1]) == []
-    assert (out / "events_diameter.json").exists()
+    return json.loads(run_python(code).splitlines()[-1])
+
+
+def test_events_run_loads_no_scipy(tmp_path):
+    assert scipy_modules_after_run(tmp_path, "events") == []
+    assert (tmp_path / "out" / "events_diameter.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_run_loads_no_scipy(tmp_path, command):
+    assert scipy_modules_after_run(tmp_path, command) == []
+    assert (tmp_path / "out" / "manifest.json").exists() == (command == "analyze")
+
+
+def test_failed_run_keeps_the_earlier_runs_files(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(out), "--format", "svg"]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 5
+
+    def fail(*args):
+        raise ValueError("render failed")
+
+    monkeypatch.setattr(cli, "render_measures_svg", fail)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: render failed\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def assert_csv_matches(got, want):
+    """Same header, timestamps and gap flags; floats within GOLDEN_TOL."""
+    got_rows = list(csv.reader(got.open()))
+    want_rows = list(csv.reader(want.open()))
+    assert got_rows[0] == want_rows[0]
+    assert len(got_rows) == len(want_rows)
+    exact = [column in ("timestamp", "gap") for column in want_rows[0]]
+    for g, w in zip(got_rows[1:], want_rows[1:]):
+        assert len(g) == len(w)
+        for x, y, is_exact in zip(g, w, exact):
+            if is_exact or not y:
+                assert x == y
+            else:
+                assert abs(float(x) - float(y)) <= GOLDEN_TOL
+
+
+def assert_json_matches(got, want):
+    """Equal after parsing, except event values and prominences, which may
+    differ by GOLDEN_TOL."""
+    got, want = json.loads(got.read_text()), json.loads(want.read_text())
+    got_events, want_events = got.pop("events", []), want.pop("events", [])
+    assert got == want
+    assert len(got_events) == len(want_events)
+    for g, w in zip(got_events, want_events):
+        assert set(g) == set(w)
+        for key in ("timestamp", "left_base", "right_base"):
+            assert g[key] == w[key]
+        for key in ("value", "prominence"):
+            assert abs(g[key] - w[key]) <= GOLDEN_TOL
+
+
+@pytest.mark.parametrize("command", ["analyze", "events"])
+def test_outputs_match_the_golden_files(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", benchmark_csv(tmp_path), "--out", str(out)]) == 0
+    golden = sorted((GOLDEN / command).iterdir())
+    assert {p.name for p in out.iterdir()} == {p.name for p in golden} | {"manifest.json"}
+    for want in golden:
+        match = assert_csv_matches if want.suffix == ".csv" else assert_json_matches
+        match(out / want.name, want)

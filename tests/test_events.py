@@ -1,6 +1,7 @@
 """The events layer: sliding_measures against a per-window reference on the
-scalar route, detect_minima and its prominence routine against
-scipy.signal.find_peaks, and compare_event_sets."""
+scalar route and under permuting and negating series, detect_minima and its
+prominence routine against scipy.signal.find_peaks and its separation rule
+against a brute-force one, and compare_event_sets."""
 
 import itertools
 
@@ -107,6 +108,36 @@ def test_sliding_measures_match_scalar_route(data, n_gaps):
             assert e.prominence == pytest.approx(r.prominence, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 6),
+    window=st.integers(3, 12),
+    stride=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sliding_measures_ignore_series_order_and_sign(data, n, window, stride, seed):
+    rng = np.random.default_rng(seed)
+    length = window + int(rng.integers(0, 40))
+    columns = rng.normal(size=(n, length))
+    held = int(rng.integers(0, n))
+    start = int(rng.integers(0, length))
+    columns[held, start : start + window + 2] = columns[held, start]  # gaps some windows
+    order = data.draw(st.permutations(range(n)))
+    signs = np.where(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), -1.0, 1.0)
+    original = TimeSeriesSet(tuple(TimeSeries(f"s{i}", 0, 1, c) for i, c in enumerate(columns)))
+    changed = TimeSeriesSet(
+        tuple(TimeSeries(f"s{i}", 0, 1, signs[i] * columns[i]) for i in order)
+    )
+    kinds = (KIND_DIAMETER, KIND_MAX_TRIANGLE)
+    got = sliding_measures(changed, window, stride, kinds)
+    for a, b in zip(sliding_measures(original, window, stride, kinds), got):
+        assert a.kind == b.kind
+        assert np.array_equal(a.timestamps, b.timestamps)
+        assert np.array_equal(a.gaps, b.gaps)
+        assert np.abs(a.values - b.values).max() <= 1e-12
+
+
 def measure(values, gaps=()):
     """A diameter series stamped 100, 110, ...; gap entries become 0.0."""
     values = np.array(values, dtype=float)
@@ -157,6 +188,37 @@ def test_separation_keeps_the_deeper_minimum_then_the_earlier():
     assert detect_minima(measure([2, 1, 2, 1, 2]), 0.0, 21).timestamps() == [110]
     assert detect_minima(measure([2, 1, 2, 0.5, 2]), 0.0, 21).timestamps() == [130]
     assert detect_minima(measure([2, 1, 2, 1, 2]), 0.0, 20).timestamps() == [110, 130]
+
+
+def brute_force_separation(candidates, min_separation):
+    """Timestamps kept when each candidate, deepest and then earliest first,
+    is compared with every event kept before it."""
+    kept = []
+    for e in sorted(candidates, key=lambda e: (e.value, e.timestamp)):
+        if all(abs(e.timestamp - k.timestamp) >= min_separation for k in kept):
+            kept.append(e)
+    return sorted(e.timestamp for e in kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 4), min_size=3, max_size=200),
+    gaps=st.lists(st.integers(0, 199), max_size=5),
+    min_separation=st.integers(0, 50),
+)
+def test_separation_equals_the_brute_force_rule(values, gaps, min_separation):
+    series = MeasureSeries(
+        KIND_DIAMETER,
+        21,
+        1,
+        np.arange(len(values)),
+        [0 if i in gaps else v for i, v in enumerate(values)],
+        [i in gaps for i in range(len(values))],
+    )
+    candidates = detect_minima(series, 0.0, 0).events
+    found = detect_minima(series, 0.0, min_separation).events
+    assert [e.timestamp for e in found] == brute_force_separation(candidates, min_separation)
+    assert set(found) <= set(candidates)
 
 
 @pytest.mark.parametrize("min_prominence", [-1.0, float("nan")])

@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 from corrgeom import (
     CHORDAL_CAYLEY_MENGER,
     EXACT_SPHERICAL,
-    HemisphereError,
-    HullRankError,
+    SPHERICAL,
+    DistanceMatrix,
     InvalidTriangleError,
     NonEmbeddableError,
-    ProjectivePointSet,
     TooFewPointsError,
     cayley_menger_volume,
     diameter,
     max_simplex_volume,
-    sandwich_check,
-    sign_lift,
-    spherical_convex_hull_area,
     spherical_triangle_area,
 )
 from corrgeom.testkit import girard_area, gram_simplex_volume
@@ -28,7 +24,6 @@ from corrgeom.testkit import girard_area, gram_simplex_volume
 # Frozen oracle values (independently computed; see matching oracle tests).
 EQUILATERAL_THIRD_PI_AREA = 0.5512855984325309  # 3*arccos(1/3) - pi
 SQUARE_MAX_TRIANGLE = 0.6796738189082434
-SQUARE_HULL_AREA = 1.3593476378164868
 
 
 def square_config():
@@ -236,95 +231,6 @@ class TestMaxSimplexVolume:
         side = math.sqrt(8.0 / 3.0)  # chord between tetrahedron vertices
         assert out.value == pytest.approx(side**3 / (6 * math.sqrt(2)), abs=1e-12)
 
-    def test_accepts_point_set_with_true_spherical_sides(self):
-        pts = square_config()
-        via_points = max_simplex_volume(ProjectivePointSet.from_vectors(pts), 2)
-        via_matrix = max_simplex_volume(angles_of(pts), 2)
-        assert via_points.value == via_matrix.value
-
-
-class TestHull:
-    def test_three_points_is_their_triangle(self):
-        pts = np.eye(3)
-        hull = spherical_convex_hull_area(pts)
-        d = angles_of(pts)
-        assert hull.area == pytest.approx(math.pi / 2, abs=1e-12)
-        assert set(hull.vertices) == {0, 1, 2}
-        assert hull.triangulation == ((0, 1, 2),) or hull.triangulation == ((0, 2, 1),)
-        assert not hull.degenerate
-        assert hull.interior == ()
-
-    def test_great_circle_points_degenerate(self):
-        angles = np.radians([-40.0, -10.0, 20.0, 50.0])
-        pts = np.column_stack([np.sin(angles), np.zeros(4), np.cos(angles)])
-        hull = spherical_convex_hull_area(pts)
-        assert hull.degenerate
-        assert hull.area == 0.0
-        assert hull.triangulation == ()
-        assert set(hull.vertices) == {0, 3}  # the two extremes
-
-    def test_square_exceeds_best_triangle(self):
-        hull = spherical_convex_hull_area(square_config())
-        assert hull.area == pytest.approx(SQUARE_HULL_AREA, abs=1e-12)
-        assert len(hull.vertices) == 4
-        assert len(hull.triangulation) == 2
-        assert hull.area > SQUARE_MAX_TRIANGLE + 1e-6
-
-    def test_interior_point_discarded(self):
-        pts = np.vstack([square_config(), [0.0, 0.0, 1.0]])
-        hull = spherical_convex_hull_area(pts)
-        assert hull.interior == (4,)
-        assert 4 not in hull.vertices
-        assert hull.area == pytest.approx(SQUARE_HULL_AREA, abs=1e-12)
-
-    def test_too_few_points(self):
-        with pytest.raises(TooFewPointsError):
-            spherical_convex_hull_area(np.eye(3)[:2])
-
-    def test_hemisphere_violation(self):
-        pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        lifted = sign_lift(pts)
-        assert not lifted.in_open_hemisphere
-        with pytest.raises(HemisphereError):
-            spherical_convex_hull_area(lifted)
-
-    def test_rank_above_three_rejected(self):
-        with pytest.raises(HullRankError):
-            spherical_convex_hull_area(np.eye(4))
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(4)
-        pts = cap_points(rng, 7, math.radians(40.0))
-        base = spherical_convex_hull_area(pts)
-        for _ in range(5):
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            if np.linalg.det(q) < 0:
-                q[:, 0] = -q[:, 0]
-            rotated = spherical_convex_hull_area(pts @ q.T)
-            assert rotated.area == pytest.approx(base.area, abs=1e-9)
-            assert set(rotated.vertices) == set(base.vertices)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(5)
-        pts = cap_points(rng, 8, math.radians(35.0))
-        base = spherical_convex_hull_area(pts)
-        for _ in range(5):
-            perm = rng.permutation(8)
-            shuffled = spherical_convex_hull_area(pts[perm])
-            assert shuffled.area == pytest.approx(base.area, abs=1e-12)
-            assert {int(perm[i]) for i in shuffled.vertices} == set(base.vertices)
-
-    def test_area_is_sum_of_triangulation(self):
-        rng = np.random.default_rng(6)
-        pts = cap_points(rng, 9, math.radians(45.0))
-        hull = spherical_convex_hull_area(pts)
-        d = angles_of(pts)
-        total = sum(
-            spherical_triangle_area(d[a, b], d[a, c], d[b, c])
-            for a, b, c in hull.triangulation
-        )
-        assert hull.area == pytest.approx(total, abs=1e-9)
-
     def test_monotonicity_under_added_point(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -337,61 +243,13 @@ class TestHull:
             m_small = max_simplex_volume(angles_of(pts), 2).value
             m_big = max_simplex_volume(angles_of(bigger), 2).value
             assert m_big >= m_small - 1e-12
-            h_small = spherical_convex_hull_area(pts).area
-            h_big = spherical_convex_hull_area(bigger).area
-            assert h_big >= h_small - 1e-9
 
-    def test_centroid_failure_falls_back_to_witness_center(self):
-        # Hemisphere-valid configuration whose centroid faces one point at
-        # more than 90 degrees; the hull must still be produced.
-        rng = np.random.default_rng(8)
-        cluster = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(9, 3))
-        cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
-        theta = math.radians(100.0)
-        outlier = np.array([math.cos(theta), math.sin(theta), 0.0])
-        pts = np.vstack([cluster, outlier])
-        pset = ProjectivePointSet.from_vectors(pts)
-        assert pset.in_open_hemisphere
-        hull = spherical_convex_hull_area(pset)
-        assert 9 in hull.vertices  # the outlier is extreme
-        assert hull.area > 0.0
-
-
-class TestSandwich:
-    def test_three_points_ratio_one(self):
-        rng = np.random.default_rng(9)
-        pts = cap_points(rng, 3, math.radians(40.0))
-        report = sandwich_check(ProjectivePointSet.from_vectors(pts))
-        assert report.passed
-        assert report.ratio == 1.0
-        assert report.bound_factor == 1
-
-    def test_square_ratio_exactly_two(self):
-        report = sandwich_check(ProjectivePointSet.from_vectors(square_config()))
-        assert report.passed
-        assert report.bound_factor == 2
-        assert report.ratio == pytest.approx(2.0, abs=1e-12)
-        assert 1.0 < report.ratio <= 2.0
-
-    def test_cluster_plus_outlier(self):
-        rng = np.random.default_rng(10)
-        cluster = cap_points(rng, 7, math.radians(8.0))
-        outlier = np.array([[math.sin(0.8), 0.0, math.cos(0.8)]])
-        pts = np.vstack([cluster, outlier])
-        report = sandwich_check(ProjectivePointSet.from_vectors(pts))
-        assert report.max_simplex.value <= report.hull.area + 1e-9
-
-    def test_randomized_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            n = int(rng.integers(4, 11))
-            pts = cap_points(rng, n, math.radians(40.0))
-            report = sandwich_check(ProjectivePointSet.from_vectors(pts))
-            assert report.lower_ok and report.upper_ok
-
-    def test_only_dimension_two(self):
-        with pytest.raises(ValueError):
-            sandwich_check(np.eye(3), dimension=3)
+    def test_accepts_point_set_with_true_spherical_sides(self):
+        pts = square_config()
+        ids = tuple(f"p{i}" for i in range(len(pts)))
+        via_points = max_simplex_volume(DistanceMatrix(ids, angles_of(pts), SPHERICAL), 2)
+        via_matrix = max_simplex_volume(angles_of(pts), 2)
+        assert via_points.value == via_matrix.value
 
 
 def assert_max_triangle_matches_scalar(d):

@@ -16,9 +16,7 @@ from corrgeom import (
     correlation_angle,
     correlation_matrix,
     distance_matrix,
-    hemisphere_witness,
     projective_angle,
-    sign_lift,
     verify_metric_axioms,
 )
 from corrgeom.metric import (
@@ -189,82 +187,3 @@ class TestVerifyMetricAxioms:
                 np.fill_diagonal(ang, 0.0)
                 report = verify_metric_axioms(ang)
                 assert report.passed, report.summary()
-
-
-class TestSignLift:
-    def test_antipodal_pair_collapses(self):
-        v = np.array([0.0, 0.6, 0.8])
-        out = sign_lift(np.vstack([v, -v]))
-        assert np.array_equal(out.points[0], v)
-        assert np.array_equal(out.points[1], v)
-
-    def test_orthogonal_basis_unchanged_and_hemisphere_true(self):
-        out = sign_lift(np.eye(3))
-        assert np.array_equal(out.points, np.eye(3))
-        assert out.in_open_hemisphere
-        assert out.witness is not None
-        assert float((out.points @ out.witness).min()) > 0.0
-
-    def test_adversarial_equator_pair_fails_hemisphere(self):
-        # e1 and -e1 are both orthogonal to the reference e3, so neither is
-        # flipped, and no open hemisphere contains both. Regression case for
-        # the tie rule interacting with the hemisphere certificate.
-        pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        out = sign_lift(pts)
-        assert np.array_equal(out.points, pts)
-        assert not out.in_open_hemisphere
-        assert out.witness is None
-
-    def test_reference_dots_nonnegative(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            pts = rng.normal(size=(6, 5))
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            out = sign_lift(pts)
-            assert float((out.points @ out.points[0]).min()) >= -1e-12
-            assert out.reference_id == "p0"
-
-    def test_lift_preserves_projective_distances(self):
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(5, 7))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        before = np.arccos(np.abs(np.clip(pts @ pts.T, -1, 1)))
-        out = sign_lift(pts)
-        after = np.arccos(np.abs(np.clip(out.points @ out.points.T, -1, 1)))
-        assert np.array_equal(before, after)
-
-    def test_ids_from_centered_unit_vectors(self):
-        s = TimeSeriesSet(
-            (
-                TimeSeries("x", 0, 1, [1.0, 2.0, 4.0]),
-                TimeSeries("y", 0, 1, [3.0, 1.0, 2.0]),
-            )
-        )
-        from corrgeom import window_vector
-
-        vecs = [window_vector(series, WindowSpec(0, 3)) for series in s.series]
-        out = sign_lift(vecs)
-        assert out.ids == ("x", "y")
-
-
-class TestHemisphereWitness:
-    def test_lp_fallback_when_centroid_fails(self):
-        # A tight cluster near e1 plus one point 100 degrees away: the
-        # centroid leans into the cluster and faces the outlier at more than
-        # 90 degrees, but a witness between them exists.
-        rng = np.random.default_rng(8)
-        cluster = np.array([1.0, 0.0, 0.0]) + 0.02 * rng.normal(size=(9, 3))
-        cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
-        theta = math.radians(100.0)
-        outlier = np.array([math.cos(theta), math.sin(theta), 0.0])
-        pts = np.vstack([cluster, outlier])
-        centroid = pts.sum(axis=0)
-        centroid /= np.linalg.norm(centroid)
-        assert float((pts @ centroid).min()) <= 0.0  # centroid shortcut fails
-        witness = hemisphere_witness(pts)
-        assert witness is not None
-        assert float((pts @ witness).min()) > 0.0
-
-    def test_no_witness_for_spanning_set(self):
-        pts = np.vstack([np.eye(3), -np.eye(3)])
-        assert hemisphere_witness(pts) is None
