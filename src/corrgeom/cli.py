@@ -19,20 +19,21 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import CorrGeomError, TooFewPointsError
 from .events import (
     MEASURE_KINDS,
     MeasureSeries,
     compare_event_sets,
+    correlation_chunks,
     detect_minima,
     sliding_measures,
-    window_correlations,
 )
-from .metric import PROJECTIVE, SPHERICAL, angular_distances, verify_metric_axioms
+from .metric import PROJECTIVE, SPHERICAL, _axiom_stats, angular_distances, verify_metric_axioms
 from .series import TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
-from .testkit import SyntheticSpec, simulate
 
 log = logging.getLogger("corrgeom")
 
@@ -282,8 +283,9 @@ def cmd_events(config: RunConfig) -> int:
 
 def cmd_validate(config: RunConfig) -> int:
     """Check the metric axioms once per kind (spherical, projective) on every
-    window that has no constant series, through analyze's window path. Each
-    failing matrix prints a VIOLATION line on stderr and makes the exit 1."""
+    window that has no constant series, through analyze's window engine. Each
+    failing matrix prints a VIOLATION line on stderr and makes the exit 1; the
+    worst margin is the first smallest in window order, spherical first."""
     data = _read_input(config)
     if len(data) < 2:
         raise TooFewPointsError("validate needs at least 2 series")
@@ -292,24 +294,32 @@ def cmd_validate(config: RunConfig) -> int:
         raise CorrGeomError(
             f"window {config.window} exceeds series length {data.length}"
         )
+    n = len(data)
     worst_margin = float("inf")
     worst = None
     failures = 0
     checked = 0
-    for m, rho in window_correlations(data, config.window, config.stride):
-        tick = data.tick(m * config.stride)
-        for kind in (SPHERICAL, PROJECTIVE):
-            report = verify_metric_axioms(angular_distances(rho, kind))
-            checked += 1
-            if report.min_triangle_margin < worst_margin:
-                worst_margin = report.min_triangle_margin
-                worst = (tick, kind, report.worst_triple)
-            if not report.passed:
-                failures += 1
-                print(
-                    f"VIOLATION window@{tick} {kind}: {report.summary()}",
-                    file=sys.stderr,
-                )
+    for ms, rho in correlation_chunks(data, config.window, config.stride):
+        # Only one kind's (windows, n, n, n) margins exist at a time.
+        per_kind = [
+            (kind, _axiom_stats(angular_distances(rho, kind))._replace(margins=None))
+            for kind in (SPHERICAL, PROJECTIVE)
+        ]
+        for w, m in enumerate(ms):
+            tick = data.tick(int(m) * config.stride)
+            for kind, stats in per_kind:
+                checked += 1
+                if stats.min_margin[w] < worst_margin:
+                    worst_margin = float(stats.min_margin[w])
+                    triple = sorted(int(i) for i in np.unravel_index(stats.worst[w], (n, n, n)))
+                    worst = (tick, kind, tuple(triple))
+                if not stats.passed[w]:
+                    failures += 1
+                    report = verify_metric_axioms(angular_distances(rho[w], kind))
+                    print(
+                        f"VIOLATION window@{tick} {kind}: {report.summary()}",
+                        file=sys.stderr,
+                    )
     status = "pass" if failures == 0 else "FAIL"
     print(
         f"{status}: checked {checked} distance matrices over {count} windows; "
@@ -332,6 +342,8 @@ def _parse_episodes(text: str) -> tuple[tuple[int, int, float], ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .testkit import SyntheticSpec, simulate
+
     try:
         spec = SyntheticSpec(
             n_series=args.series,
@@ -360,24 +372,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="input CSV (header row; tick/date column first)")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--window", type=int, help="summation window length K (default 21)")
     parser.add_argument("--stride", type=int, help="hop between windows (default 1)")
+    parser.add_argument("--out", help="output directory (default corrgeom_out)")
+    parser.add_argument("--seed", type=int, help="seed echoed into the manifest")
+
+
+def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--measures",
         help=f"comma-separated measure kinds from: {', '.join(MEASURE_KINDS)}",
     )
+    parser.add_argument("--format", help="extra outputs besides the CSV and JSON files: svg")
+
+
+def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-prominence", type=float, dest="min_prominence",
                         help="minimum prominence for a detected minimum")
     parser.add_argument("--min-separation", type=int, dest="min_separation",
                         help="minimum tick separation between events (default: window)")
     parser.add_argument("--match-window", type=int, dest="match_window",
                         help="tick window for matching events across measures (default: window)")
-    parser.add_argument("--out", help="output directory (default corrgeom_out)")
-    parser.add_argument("--format", help="extra outputs besides the CSV and JSON files: svg")
-    parser.add_argument("--seed", type=int, help="seed echoed into the manifest")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,13 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="compute sliding measure series")
-    _add_common_flags(p_analyze)
+    _add_input_flags(p_analyze)
+    _add_measure_flags(p_analyze)
 
     p_events = sub.add_parser("events", help="detect minima and compare measures")
-    _add_common_flags(p_events)
+    _add_input_flags(p_events)
+    _add_measure_flags(p_events)
+    _add_detector_flags(p_events)
 
     p_validate = sub.add_parser("validate", help="verify metric axioms on every window")
-    _add_common_flags(p_validate)
+    _add_input_flags(p_validate)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic series with planted episodes")
     p_sim.add_argument("--series", type=int, default=4, help="number of series")

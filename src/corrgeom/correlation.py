@@ -54,9 +54,10 @@ def pearson_rho(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
 
 
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy built from the upper triangle."""
+    """Exactly symmetric copy of each (n, n) matrix of a stack, built from
+    its upper triangle."""
     upper = np.triu(m)
-    return upper + np.triu(m, 1).T
+    return upper + np.triu(m, 1).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,17 @@ class CorrelationMatrix:
 
 
 def correlation_from_units(units: np.ndarray) -> np.ndarray:
-    """Correlation matrix from stacked centered unit vectors (n, K).
+    """Correlation matrices (..., n, n) from stacked centered unit vectors
+    (..., n, K), one per window of a stack.
 
     Entries are clamped to [-1, 1], the diagonal is exactly 1, and the upper
     triangle is mirrored so the result is exactly symmetric regardless of
     BLAS evaluation order.
     """
-    gram = _mirror_upper(units @ units.T)
+    gram = _mirror_upper(units @ units.swapaxes(-1, -2))
     rho = np.clip(gram, -1.0, 1.0)
-    np.fill_diagonal(rho, 1.0)
+    idx = np.arange(rho.shape[-1])
+    rho[..., idx, idx] = 1.0
     return rho
 
 

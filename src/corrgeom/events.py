@@ -6,6 +6,16 @@ triangle area) become time series stamped at the window start. Minima of
 those series mark phase-locked intervals: times where every series moves
 together.
 
+Every command walks the windows through one engine, ``correlation_chunks``.
+It takes consecutive windows as (windows, n, K) stacks of a sliding-window
+view of the series matrix, in chunks whose largest array holds about
+CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
+distances, the metric-axiom and triangle checks, the measures) runs once per
+chunk on the whole stack. No per-window object is built. A chunk in which a
+check fails is replayed one window at a time through the validated
+single-window constructors, so the first failing window raises the error it
+raises alone, prefixed with ``window@<tick>``.
+
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values, and minima are only detected within
 gap-free segments.
@@ -15,17 +25,30 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import CorrelationMatrix, correlation_from_units
-from .errors import TooFewPointsError, WindowTooLongError, ZeroVarianceError
-from .measures import diameter, max_simplex_volume
-from .metric import PROJECTIVE, distance_matrix
-from .series import TimeSeriesSet, WindowSpec, windowed_unit_matrix
+from .errors import CorrGeomError, TooFewPointsError, WindowTooLongError
+from .measures import _diameters, _triangle_areas, _triangle_sides, _triples, max_simplex_volume
+from .metric import PROJECTIVE, TRIANGLE_TOL, _axiom_stats, angular_distances, distance_matrix
+from .series import (
+    TimeSeriesSet,
+    WindowSpec,
+    _check_unit_rows,
+    _window_units,
+    windowed_unit_matrix,
+)
+
+# Upper bound, in float64 elements, on the largest array of a chunk of
+# windows. Larger chunks were measured slower, and at 2^17 they raised peak
+# RSS by more than the benchmark's 5% bound.
+CHUNK_ELEMENTS = 2**15
 
 KIND_DIAMETER = "diameter"
 KIND_MAX_TRIANGLE = "max_triangle_area"
@@ -99,17 +122,56 @@ class MeasureSeries:
             writer.writerow([int(t), "" if g else repr(float(v)), int(g)])
 
 
-def window_correlations(
-    ts_set: TimeSeriesSet, window: int, stride: int = 1
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The one window path of every command: (m, correlations (n, n)) per
-    window from sample m * stride, skipping any with a constant series."""
-    for m in range((ts_set.length - window) // stride + 1):
+def _windows_per_chunk(n: int, window: int, triangles: bool) -> int:
+    """Windows per chunk: CHUNK_ELEMENTS over the largest per-window array of
+    a chunk (the window rows, the n^3 triangle margins of the axiom check and,
+    for the triangle measure, the sides of every triple), at least 1."""
+    largest = max(n * window, n**3, 3 * math.comb(n, 3) if triangles else 0)
+    return max(1, CHUNK_ELEMENTS // largest)
+
+
+def _raise_first_failure(ts_set, window, stride, ms, check=None) -> NoReturn:
+    """Replay windows ``ms`` one at a time through the single-window route
+    (windowed_unit_matrix, then ``check`` on its units) and re-raise the
+    first failure, prefixed with the window's tick as ``window@<tick>``."""
+    for m in ms:
+        t = int(m) * stride
         try:
-            units = windowed_unit_matrix(ts_set, WindowSpec(m * stride, window, stride))
-        except ZeroVarianceError:
-            continue
-        yield m, correlation_from_units(units)
+            units = windowed_unit_matrix(ts_set, WindowSpec(t, window, stride))
+            if check is not None:
+                check(units)
+        except (CorrGeomError, ValueError) as exc:
+            raise type(exc)(f"window@{ts_set.tick(t)}: {exc}") from exc
+    raise RuntimeError(f"windows {ms[0]}..{ms[-1]} fail as a chunk but pass one at a time")
+
+
+def correlation_chunks(
+    ts_set: TimeSeriesSet, window: int, stride: int = 1, triangles: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one window engine of every command. For each chunk of consecutive
+    windows: the indices m of its windows with no constant series (window m
+    starts at sample m * stride) and their correlation matrices (len(m), n, n).
+
+    A chunk is a (windows, n, K) stack centred, normalised and checked in one
+    array pass; ``triangles`` sizes chunks for the triangle measure. A unit
+    row that fails its check raises through the single-window route.
+    """
+    WindowSpec(0, window, stride)  # rejects a bad window size or stride
+    view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
+    size = _windows_per_chunk(len(ts_set), window, triangles)
+    for lo in range(0, view.shape[1], size):
+        units, norms = _window_units(view[:, lo : lo + size].transpose(1, 0, 2).copy())
+        good = norms.all(axis=-1)
+        ms = good.nonzero()[0] + lo
+        if ms.size < len(units):
+            units = units[good]
+        try:
+            _check_unit_rows(units, ts_set.ids)
+        except ValueError:
+            _raise_first_failure(ts_set, window, stride, ms)
+        rho = correlation_from_units(units)
+        del units  # not held while the caller works on rho
+        yield ms, rho
 
 
 def sliding_measures(
@@ -124,6 +186,11 @@ def sliding_measures(
     stamped at the tick of sample t. Produces floor((length - window) /
     stride) + 1 points per requested kind. A constant series gaps the window
     for every kind.
+
+    Each chunk of windows runs the checks of the single-window route
+    (CorrelationMatrix, distance_matrix, max_simplex_volume) on its stacks;
+    if one fails, the chunk is replayed through that route and the first
+    failing window raises its error, naming the window.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -138,22 +205,39 @@ def sliding_measures(
     n = len(ts_set)
     if n < 2:
         raise TooFewPointsError("sliding measures need at least 2 series")
-    if n < 3 and KIND_MAX_TRIANGLE in kinds:
+    triangles = KIND_MAX_TRIANGLE in kinds
+    if n < 3 and triangles:
         raise TooFewPointsError("the triangle measure needs at least 3 series")
 
     count = (ts_set.length - window) // stride + 1
     timestamps = ts_set.start + ts_set.step * stride * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = {kind: np.ones(count, dtype=bool) for kind in kinds}  # until evaluated
+    triples = _triples(n) if triangles else None
 
-    for m, rho in window_correlations(ts_set, window, stride):
+    def single_window(units):
+        rho = CorrelationMatrix(ts_set.ids, correlation_from_units(units))
+        dm = distance_matrix(rho, PROJECTIVE)
+        if triangles:
+            max_simplex_volume(dm, 2)
+
+    for ms, rho in correlation_chunks(ts_set, window, stride, triangles):
+        # rho passes CorrelationMatrix's checks unless it holds a NaN, which
+        # fails the axiom check as well. Then DistanceMatrix's bound and axioms.
+        dist = angular_distances(rho, PROJECTIVE)
+        ok = ~(dist.max(axis=(1, 2), initial=0.0) > math.pi / 2 + TRIANGLE_TOL)
+        ok &= _axiom_stats(dist).passed
+        if triangles:
+            sides, sides_ok = _triangle_sides(dist, triples)
+            ok &= sides_ok.all(axis=1)
+        if not ok.all():
+            _raise_first_failure(ts_set, window, stride, ms, single_window)
         for kind in kinds:
-            gaps[kind][m] = False
-        dm = distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
+            gaps[kind][ms] = False
         if KIND_DIAMETER in kinds:
-            values[KIND_DIAMETER][m] = diameter(dm).value
-        if KIND_MAX_TRIANGLE in kinds:
-            values[KIND_MAX_TRIANGLE][m] = max_simplex_volume(dm, 2).value
+            values[KIND_DIAMETER][ms] = _diameters(dist)[0]
+        if triangles:
+            values[KIND_MAX_TRIANGLE][ms] = _triangle_areas(sides).max(axis=1)
 
     return [
         MeasureSeries(kind, window, stride, timestamps, values[kind], gaps[kind])

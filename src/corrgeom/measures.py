@@ -124,6 +124,15 @@ def _angular_matrix(source) -> np.ndarray:
     return m
 
 
+def _diameters(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entry above the diagonal of each matrix of an (M, n, n) stack,
+    and its first flat index in row-major, i.e. lexicographic, order."""
+    count, n = m.shape[0], m.shape[-1]
+    upper = np.where(np.tri(n, dtype=bool), -np.inf, m).reshape(count, n * n)  # i < j only
+    flat = upper.argmax(axis=1)
+    return upper[np.arange(count), flat], flat
+
+
 def diameter(source) -> MeasureResult:
     """Largest pairwise angular distance with its witnessing pair.
 
@@ -133,9 +142,39 @@ def diameter(source) -> MeasureResult:
     n = m.shape[0]
     if n < 2:
         raise TooFewPointsError("diameter needs at least 2 points")
-    upper = np.where(np.tri(n, dtype=bool), -np.inf, m)  # pairs i < j only
-    i, j = divmod(int(np.argmax(upper)), n)  # first maximum in row-major, i.e. lexicographic, order
-    return MeasureResult(float(m[i, j]), (i, j), EXACT_SPHERICAL, 1)
+    value, flat = _diameters(m[None])
+    return MeasureResult(float(value[0]), divmod(int(flat[0]), n), EXACT_SPHERICAL, 1)
+
+
+def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (i, j, k) of every triple i < j < k, in lexicographic order."""
+    upper = ~np.tri(n, dtype=bool)
+    return np.nonzero(upper[:, :, None] & upper[None, :, :])
+
+
+def _triangle_sides(m: np.ndarray, triples) -> tuple[np.ndarray, np.ndarray]:
+    """Sides of every triple in each matrix of an (M, n, n) stack, sorted
+    ascending (M, T, 3), and whether each triple passes _validate_sides.
+
+    The mask is False exactly where _validate_sides raises: NaN compares
+    false, and an infinite side fails the margin or the perimeter test.
+    """
+    i, j, k = triples
+    sides = np.sort(np.stack([m[:, i, j], m[:, i, k], m[:, j, k]], axis=-1), axis=-1)
+    a, b, c = np.moveaxis(sides, -1, 0)
+    ok = (sides >= -TRIANGLE_TOL).all(axis=-1) & (a + b - c >= -TRIANGLE_TOL)
+    ok &= (a + b + c) - 2 * math.pi <= TRIANGLE_TOL
+    return sides, ok
+
+
+def _triangle_areas(sides: np.ndarray) -> np.ndarray:
+    """spherical_triangle_area of every row of sorted valid sides (..., 3)."""
+    a, b, c = np.moveaxis(sides, -1, 0)
+    s = (a + b + c) / 2
+    prod = np.tan(s / 2) * np.tan((s - a) / 2) * np.tan((s - b) / 2) * np.tan((s - c) / 2)
+    area = np.where(np.isfinite(prod), 4 * np.arctan(np.sqrt(prod.clip(0.0))), 2 * math.pi)
+    area[a + b - c <= TRIANGLE_TOL] = 0.0
+    return area
 
 
 def cayley_menger_volume(dists) -> float:
@@ -193,23 +232,16 @@ def max_simplex_volume(source, dimension: int) -> MeasureResult:
     if dimension == 1:
         return diameter(m)
     if dimension == 2:
-        upper = ~np.tri(n, dtype=bool)
-        i, j, k = np.nonzero(upper[:, :, None] & upper[None, :, :])  # lexicographic
-        sides = np.stack([m[i, j], m[i, k], m[j, k]], axis=1)
-        a, b, c = np.sort(sides, axis=1).T
-        margin = a + b - c
-        # False exactly where _validate_sides raises: NaN compares false, and
-        # an infinite side fails the margin or the perimeter test.
-        ok = (sides >= -TRIANGLE_TOL).all(axis=1) & (margin >= -TRIANGLE_TOL)
-        ok &= (a + b + c) - 2 * math.pi <= TRIANGLE_TOL
+        triples = _triples(n)
+        sides, ok = _triangle_sides(m[None], triples)
         if not ok.all():
-            _validate_sides(*sides[np.argmin(ok)])
-        s = (a + b + c) / 2
-        prod = np.tan(s / 2) * np.tan((s - a) / 2) * np.tan((s - b) / 2) * np.tan((s - c) / 2)
-        area = np.where(np.isfinite(prod), 4 * np.arctan(np.sqrt(prod.clip(0.0))), 2 * math.pi)
-        area[margin <= TRIANGLE_TOL] = 0.0
+            i, j, k = (int(idx[np.argmin(ok[0])]) for idx in triples)
+            _validate_sides(m[i, j], m[i, k], m[j, k])
+        area = _triangle_areas(sides[0])
         best = int(np.argmax(area))
-        return MeasureResult(float(area[best]), (i[best], j[best], k[best]), EXACT_SPHERICAL, 2)
+        return MeasureResult(
+            float(area[best]), tuple(idx[best] for idx in triples), EXACT_SPHERICAL, 2
+        )
     chords = 2.0 * np.sin(m / 2.0)
     best = -math.inf
     witness = tuple(range(dimension + 1))

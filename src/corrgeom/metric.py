@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +99,48 @@ class MetricReport:
         )
 
 
+class _AxiomStats(NamedTuple):
+    """verify_metric_axioms' figures for each matrix of an (M, n, n) stack."""
+
+    passed: np.ndarray
+    symmetry: np.ndarray
+    diagonal: np.ndarray
+    min_entry: np.ndarray
+    min_margin: np.ndarray  # inf when n < 3
+    worst: np.ndarray  # first flat index of min_margin into a matrix's (n, n, n) margins
+    margins: np.ndarray | None  # (M, n, n, n), inf on repeated indices; None when n < 3
+
+
+def _axiom_stats(m: np.ndarray, tolerance: float = TRIANGLE_TOL) -> _AxiomStats:
+    """Symmetry error, diagonal error, minimum entry and minimum triangle
+    margin of every matrix of an (M, n, n) stack, and whether each passes.
+
+    margins[:, i, j, k] = d(i,j) + d(j,k) - d(i,k) over triples of distinct
+    points. A matrix passes when each error is within tolerance and no margin
+    is below -tolerance; a NaN anywhere fails.
+    """
+    count, n = m.shape[0], m.shape[-1]
+    symmetry = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    diagonal = np.abs(m.diagonal(0, 1, 2)).max(axis=1, initial=0.0)
+    min_entry = m.min(axis=(1, 2), initial=0.0)
+    if n < 3:
+        min_margin, worst, margins = np.full(count, math.inf), np.zeros(count, dtype=int), None
+    else:
+        margins = m[:, :, :, None] + m[:, None, :, :]
+        margins -= m[:, :, None, :]
+        idx = np.arange(n)
+        margins[:, idx, idx, :] = np.inf
+        margins[:, :, idx, idx] = np.inf
+        margins[:, idx, :, idx] = np.inf
+        flat = margins.reshape(count, n**3)
+        worst = flat.argmin(axis=1)
+        min_margin = flat[np.arange(count), worst]
+    passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
+        np.minimum(min_entry, min_margin) >= -tolerance
+    )
+    return _AxiomStats(passed, symmetry, diagonal, min_entry, min_margin, worst, margins)
+
+
 def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricReport:
     """Check nonnegativity, zero diagonal, symmetry, and every triangle.
 
@@ -108,25 +151,13 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    sym_err = float(np.abs(m - m.T).max(initial=0.0))
-    diag_err = float(np.abs(np.diagonal(m)).max(initial=0.0))
-    min_entry = float(m.min(initial=0.0))
-
-    min_margin = math.inf
+    stats = _axiom_stats(m[None], tolerance)
+    min_margin = float(stats.min_margin[0])
     worst: tuple[int, int, int] | None = None
     found: dict[tuple[int, int, int], float] = {}
-    if n >= 3:
-        # margins[i, j, k] = d(i,j) + d(j,k) - d(i,k) over triples of distinct points
-        margins = m[:, :, None] + m[None, :, :]
-        margins -= m[:, None, :]
-        idx = np.arange(n)
-        margins[idx, idx, :] = np.inf
-        margins[:, idx, idx] = np.inf
-        margins[idx, :, idx] = np.inf
-        flat = int(np.argmin(margins))
-        i, j, k = np.unravel_index(flat, margins.shape)
-        min_margin = float(margins[i, j, k])
-        worst = tuple(sorted((int(i), int(j), int(k))))
+    if stats.margins is not None:
+        margins = stats.margins[0]
+        worst = tuple(sorted(int(x) for x in np.unravel_index(stats.worst[0], margins.shape)))
         bad = np.argwhere(margins < -tolerance) if not min_margin >= -tolerance else ()
         for i, j, k in bad:
             key = tuple(sorted((int(i), int(j), int(k))))
@@ -137,19 +168,13 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     violations = tuple(
         TriangleViolation(*key, margin=found[key]) for key in sorted(found)
     )
-    passed = (
-        sym_err <= tolerance
-        and diag_err <= tolerance
-        and min_entry >= -tolerance
-        and not violations
-    )
     return MetricReport(
         n=n,
         tolerance=tolerance,
-        passed=passed,
-        max_symmetry_error=sym_err,
-        max_diagonal_error=diag_err,
-        min_entry=min_entry,
+        passed=bool(stats.passed[0]),
+        max_symmetry_error=float(stats.symmetry[0]),
+        max_diagonal_error=float(stats.diagonal[0]),
+        min_entry=float(stats.min_entry[0]),
         min_triangle_margin=min_margin,
         worst_triple=worst,
         violations=violations,
@@ -208,15 +233,16 @@ class DistanceMatrix:
 
 
 def angular_distances(rho: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
-    """Angular distances from correlations, with an exactly zero diagonal:
-    arccos(rho) for spherical, arccos(|rho|) for projective."""
+    """Angular distances from correlations (..., n, n), with exactly zero
+    diagonals: arccos(rho) for spherical, arccos(|rho|) for projective."""
     if kind == SPHERICAL:
         entries = np.arccos(rho)
     elif kind == PROJECTIVE:
         entries = np.arccos(np.abs(rho))
     else:
         raise ValueError(f"kind must be {SPHERICAL!r} or {PROJECTIVE!r}")
-    np.fill_diagonal(entries, 0.0)
+    idx = np.arange(entries.shape[-1])
+    entries[..., idx, idx] = 0.0
     return entries
 
 

@@ -41,16 +41,17 @@ def _as_readonly_floats(values) -> np.ndarray:
 
 
 def _check_unit_rows(rows: np.ndarray, ids) -> None:
-    """Raise ValueError naming the first of the (n, K) rows that breaks a
-    centered-unit-vector invariant: zero sum or unit norm."""
-    bad_sum = np.abs(rows.sum(axis=1)) > SUM_TOL * rows.shape[1]
-    norms = np.linalg.norm(rows, axis=1)
+    """Raise ValueError naming the first row of an (..., n, K) stack that
+    breaks a centered-unit-vector invariant: zero sum or unit norm."""
+    bad_sum = np.abs(rows.sum(axis=-1)) > SUM_TOL * rows.shape[-1]
+    norms = np.linalg.norm(rows, axis=-1)
     bad = np.flatnonzero(bad_sum | (np.abs(norms - 1.0) > NORM_TOL))
     if bad.size:
         i = bad[0]
-        if bad_sum[i]:
-            raise ValueError(f"components of {ids[i]!r} do not sum to zero within {SUM_TOL}*K")
-        raise ValueError(f"components of {ids[i]!r} are not unit length (norm {norms[i]})")
+        sid = ids[i % len(ids)]
+        if bad_sum.flat[i]:
+            raise ValueError(f"components of {sid!r} do not sum to zero within {SUM_TOL}*K")
+        raise ValueError(f"components of {sid!r} are not unit length (norm {norms.flat[i]})")
 
 
 @dataclass(frozen=True)
@@ -233,26 +234,34 @@ def align(series: Iterable[TimeSeries]) -> TimeSeriesSet:
     return TimeSeriesSet(tuple(out))
 
 
-def _window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
-    """Centre each row of an (n, length) array twice over window w, the second
-    pass removing the first's rounding residue for large offsets, and scale it
-    to unit norm. Raises ZeroVarianceError naming the first constant row."""
+def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre each row of a writable (..., n, K) stack of windows in place,
+    twice, the second pass removing the first's rounding residue for large
+    offsets, and scale it to unit norm. Returns the stack and the norms; a row
+    of zero norm (a constant series) is left unscaled."""
+    seg -= seg.mean(axis=-1, keepdims=True)
+    seg -= seg.mean(axis=-1, keepdims=True)
+    norms = np.linalg.norm(seg, axis=-1)
+    seg /= np.where(norms == 0.0, 1.0, norms)[..., None]
+    return seg, norms
+
+
+def _one_window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
+    """_window_units for the rows of an (n, length) array over window w.
+    Raises ZeroVarianceError naming the first constant row."""
     w.check_fits(values.shape[1])
-    seg = values[:, w.t : w.t + w.size]
-    dev = seg - seg.mean(axis=1, keepdims=True)
-    dev -= dev.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(dev, axis=1)
+    units, norms = _window_units(values[:, w.t : w.t + w.size].copy())
     if not norms.all():
         raise ZeroVarianceError(
             f"series {ids[np.argmin(norms)]!r} is constant on window [{w.t}, {w.t + w.size})"
         )
-    return dev / norms[:, None]
+    return units
 
 
 def window_vector(s: TimeSeries, w: WindowSpec) -> CenteredUnitVector:
     """One series' window as a CenteredUnitVector, centred and scaled as in
     windowed_unit_matrix. Raises ZeroVarianceError for a constant window."""
-    unit = _window_units(s.values[None, :], (s.id,), w)[0]
+    unit = _one_window_units(s.values[None, :], (s.id,), w)[0]
     return CenteredUnitVector(unit, s.id, s.tick(w.t))
 
 
@@ -260,7 +269,7 @@ def windowed_unit_matrix(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
     """Centered unit vectors of all series over one window, stacked (n, K) and
     checked against the CenteredUnitVector invariants in one array operation.
     Raises ZeroVarianceError naming the first series constant on the window."""
-    units = _window_units(ts_set.matrix(), ts_set.ids, w)
+    units = _one_window_units(ts_set.matrix(), ts_set.ids, w)
     _check_unit_rows(units, ts_set.ids)
     return units
 

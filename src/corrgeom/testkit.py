@@ -1,9 +1,9 @@
 """Independent oracles and a synthetic phase-locking generator.
 
-Nothing in the core library imports this module; it exists to cross-check
-the geometry by other routes (vertex-angle triangle areas, Gram-matrix
-simplex volumes) and to manufacture time series with planted coupling
-episodes for end-to-end detection tests.
+Only the CLI's simulate command imports this module, and only when it runs.
+It exists to cross-check the geometry by other routes (vertex-angle triangle
+areas, Gram-matrix simplex volumes) and to manufacture time series with
+planted coupling episodes for end-to-end detection tests.
 
 All randomness comes from numpy's default PCG64 generator seeded explicitly,
 so every synthetic dataset is reproducible within this build for a fixed

@@ -13,9 +13,10 @@ import pytest
 
 import corrgeom
 from corrgeom import TimeSeries, TimeSeriesSet, cli, write_timeseries_csv
-from corrgeom.testkit import coupling_benchmark, simulate
+from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
 
-# Stored analyze and events outputs on benchmark_csv, default settings.
+# Stored analyze and events outputs on benchmark_csv, default settings, and
+# validate outputs on benchmark_csv and near_copies_csv at K=21.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_TOL = 1e-12
 
@@ -41,16 +42,95 @@ def write_csv(tmp_path, columns):
     return str(path)
 
 
-def test_validate_reports_metric_violations(tmp_path, capsys):
-    # Four near-copies of one series: correlations within ~1e-16 of 1, where
-    # arccos amplifies rounding past the triangle tolerance.
+def near_copies_csv(tmp_path):
+    """Four near-copies of one series: correlations within ~1e-16 of 1, where
+    arccos amplifies rounding past the triangle tolerance from window 1 on."""
     x = np.sin(np.arange(60) / 3)
     rng = np.random.default_rng(0)
-    path = write_csv(tmp_path, [x + 1e-8 * rng.normal(size=60) for _ in range(4)])
+    return write_csv(tmp_path, [x + 1e-8 * rng.normal(size=60) for _ in range(4)])
+
+
+def test_validate_reports_metric_violations(tmp_path, capsys):
+    path = near_copies_csv(tmp_path)
     assert cli.main(["validate", "--input", path, "--window", "21"]) == 1
     out, err = capsys.readouterr()
     assert "VIOLATION window@" in err
     assert out.startswith("FAIL: checked 80 distance matrices over 40 windows")
+
+
+@pytest.mark.parametrize(
+    "name, write_input, code",
+    [
+        pytest.param("benchmark", benchmark_csv, 0, id="benchmark"),
+        pytest.param("near_copies", near_copies_csv, 1, id="near_copies"),
+    ],
+)
+def test_validate_matches_the_golden_files(tmp_path, capsys, name, write_input, code):
+    argv = ["validate", "--input", write_input(tmp_path), "--window", "21"]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / "validate" / f"{name}.stdout").read_text()
+    violations = GOLDEN / "validate" / f"{name}.violations"
+    want = violations.read_text().splitlines() if violations.exists() else []
+    assert [line.split(":")[0] for line in err.splitlines()] == want
+
+
+@pytest.mark.parametrize("command", ["analyze", "events"])
+def test_a_metric_failure_names_its_window(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--input", near_copies_csv(tmp_path), "--window", "21", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: window@1: distance matrix fails the metric axioms (FAIL: n=4 "
+        "min_triangle_margin=-1.490e-08 symmetry=0.000e+00 diag=0.000e+00 "
+        "min_entry=0.000e+00 violations=4)\n"
+    )
+    assert not out.exists()
+
+
+def test_a_unit_row_failure_names_its_window(tmp_path, capsys):
+    # Deviations near 1e-160 square to subnormals, so the computed norm is off
+    # by more than NORM_TOL and the scaled rows fail the unit-norm check.
+    rng = np.random.default_rng(0)
+    path = write_csv(tmp_path, [1e-160 * rng.normal(size=40) for _ in range(3)])
+    argv = ["analyze", "--input", path, "--window", "21", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: window@0: components of 's0' are not unit length")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("validate", "--measures", "diameter"),
+        ("validate", "--min-prominence", "3"),
+        ("validate", "--min-separation", "5"),
+        ("validate", "--match-window", "5"),
+        ("validate", "--format", "svg"),
+        ("analyze", "--min-prominence", "3"),
+        ("analyze", "--min-separation", "5"),
+        ("analyze", "--match-window", "5"),
+    ],
+)
+def test_a_flag_the_command_does_not_use_exits_2(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, "--input", benchmark_csv(tmp_path), "--out", str(out), flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_writes_the_generated_series(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--series", "3", "--length", "80", "--episodes", "10:40:0.9",
+            "--seed", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"{out}\n{out.with_suffix('.truth.json')}\n"
+    want = simulate(SyntheticSpec(3, 80, ((10, 40, 0.9),), 0.1, 4))
+    assert np.array_equal(corrgeom.read_timeseries_csv(out).matrix(), want.matrix())
 
 
 def test_validate_rejects_a_single_series(tmp_path, capsys):
@@ -135,12 +215,14 @@ def test_failed_run_removes_its_partial_output(tmp_path, capsys, monkeypatch):
 
 
 def scipy_modules_after_run(tmp_path, command):
-    """The scipy modules loaded by one CLI run in a fresh interpreter."""
+    """The scipy modules, and corrgeom.testkit, loaded by one CLI run in a
+    fresh interpreter."""
     code = (
         "import json, sys\n"
         "from corrgeom import cli\n"
         f"assert cli.main([{command!r}, '--input', {benchmark_csv(tmp_path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('scipy') or m == 'corrgeom.testkit')))\n"
     )
     return json.loads(run_python(code).splitlines()[-1])
 

@@ -18,6 +18,7 @@ from corrgeom import (
     Event,
     EventList,
     MeasureSeries,
+    MetricViolationError,
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
@@ -78,15 +79,30 @@ def held_input():
 
 
 # (input, windows gapped): the held series gaps the 30 - 21 + 1 windows inside it.
-INPUTS = [
-    pytest.param(simulate(coupling_benchmark(seed)), 0, id=f"benchmark{seed}")
-    for seed in range(3)
-]
-INPUTS.append(pytest.param(held_input(), 10, id="held"))
+INPUTS = [(f"benchmark{seed}", simulate(coupling_benchmark(seed)), 0) for seed in range(3)]
+INPUTS.append(("held", held_input(), 10))
+
+# events.CHUNK_ELEMENTS settings: the default, one window per chunk, and 7
+# windows per chunk on the held input (n=6, K=21: 6**3 elements per window),
+# whose chunk boundary at window 105 splits the gap run 100..109.
+CHUNKS = [(None, ""), (1, "-chunk1"), (7 * 6**3, "-chunk7")]
 
 
-@pytest.mark.parametrize("data, n_gaps", INPUTS)
-def test_sliding_measures_match_scalar_route(data, n_gaps):
+def set_chunk_elements(monkeypatch, chunk_elements):
+    if chunk_elements is not None:
+        monkeypatch.setattr("corrgeom.events.CHUNK_ELEMENTS", chunk_elements)
+
+
+@pytest.mark.parametrize(
+    "data, n_gaps, chunk_elements",
+    [
+        pytest.param(data, n_gaps, chunk, id=name + suffix)
+        for name, data, n_gaps in INPUTS
+        for chunk, suffix in CHUNKS
+    ],
+)
+def test_sliding_measures_match_scalar_route(monkeypatch, data, n_gaps, chunk_elements):
+    set_chunk_elements(monkeypatch, chunk_elements)
     window = BENCHMARK_WINDOW
     gaps, want = reference_measures(data, window)
     assert gaps.sum() == n_gaps
@@ -106,6 +122,20 @@ def test_sliding_measures_match_scalar_route(data, n_gaps):
         for e, r in zip(found, expected):
             assert e.value == pytest.approx(r.value, abs=1e-12)
             assert e.prominence == pytest.approx(r.prominence, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk_elements", [None, 1])
+def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elements):
+    # Near-copies of one series: window 0 passes, window 1 (tick 102) breaks
+    # the triangle inequality by more than the tolerance.
+    set_chunk_elements(monkeypatch, chunk_elements)
+    x = np.sin(np.arange(60) / 3)
+    rng = np.random.default_rng(0)
+    data = TimeSeriesSet(
+        tuple(TimeSeries(f"s{i}", 100, 2, x + 1e-8 * rng.normal(size=60)) for i in range(4))
+    )
+    with pytest.raises(MetricViolationError, match=r"^window@102: distance matrix fails"):
+        sliding_measures(data, BENCHMARK_WINDOW, kinds=(KIND_DIAMETER,))
 
 
 @settings(max_examples=60, deadline=None)
