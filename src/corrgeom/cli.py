@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 validation failure, 2 usage or input error.
 Outputs are deterministic: the same input and configuration produce
 byte-identical CSV and JSON files. The log level comes from the
 CORRGEOM_LOG_LEVEL environment variable; everything else is flags or the
---config file (flags win).
+--config file (flags win), whose keys are limited to the settings the
+subcommand has flags for.
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ class RunConfig:
         }
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, known: set[str]) -> dict:
+    """The settings of a JSON config file; a key outside ``known`` (the
+    settings the subcommand has flags for) is an error."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -114,7 +117,6 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(
             f"config schema_version {version} not supported (expected {CONFIG_SCHEMA_VERSION})"
         )
-    known = {f.name for f in fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -127,7 +129,9 @@ def _load_config_file(path: str) -> dict:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     settings: dict = {}
     if getattr(args, "config", None):
-        settings.update(_load_config_file(args.config))
+        flags = {"formats" if dest == "format" else dest for dest in vars(args)}
+        known = {f.name for f in fields(RunConfig)} & flags
+        settings.update(_load_config_file(args.config, known))
     overrides = {
         "input": getattr(args, "input", None),
         "window": getattr(args, "window", None),
@@ -300,10 +304,8 @@ def cmd_validate(config: RunConfig) -> int:
     failures = 0
     checked = 0
     for ms, rho in correlation_chunks(data, config.window, config.stride):
-        # Only one kind's (windows, n, n, n) margins exist at a time.
         per_kind = [
-            (kind, _axiom_stats(angular_distances(rho, kind))._replace(margins=None))
-            for kind in (SPHERICAL, PROJECTIVE)
+            (kind, _axiom_stats(angular_distances(rho, kind))) for kind in (SPHERICAL, PROJECTIVE)
         ]
         for w, m in enumerate(ms):
             tick = data.tick(int(m) * config.stride)
@@ -378,10 +380,10 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", type=int, help="summation window length K (default 21)")
     parser.add_argument("--stride", type=int, help="hop between windows (default 1)")
     parser.add_argument("--out", help="output directory (default corrgeom_out)")
-    parser.add_argument("--seed", type=int, help="seed echoed into the manifest")
 
 
 def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, help="seed echoed into the manifest")
     parser.add_argument(
         "--measures",
         help=f"comma-separated measure kinds from: {', '.join(MEASURE_KINDS)}",

@@ -11,10 +11,13 @@ It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
 CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
 distances, the metric-axiom and triangle checks, the measures) runs once per
-chunk on the whole stack. No per-window object is built. A chunk in which a
-check fails is replayed one window at a time through the validated
-single-window constructors, so the first failing window raises the error it
-raises alone, prefixed with ``window@<tick>``.
+chunk on the whole stack. The axiom check reduces its triangle margins in
+(windows, n, n) slabs rather than building n^3 of them per window, so without
+the triangle measure wide inputs (n = 64, K = 101) still hold several windows
+per chunk. No per-window
+object is built. A chunk in which a check fails is replayed one window at a
+time through the validated single-window constructors, so the first failing
+window raises the error it raises alone, prefixed with ``window@<tick>``.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values, and minima are only detected within
@@ -46,7 +49,9 @@ from .series import (
 )
 
 # Upper bound, in float64 elements, on the largest array of a chunk of
-# windows. Larger chunks were measured slower, and at 2^17 they raised peak
+# windows: the (windows, n, K) window rows, the (windows, n, n) matrices and
+# triangle-margin slabs, and for the triangle measure the sides of every
+# triple. Larger chunks were measured slower, and at 2^17 they raised peak
 # RSS by more than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
 
@@ -124,9 +129,10 @@ class MeasureSeries:
 
 def _windows_per_chunk(n: int, window: int, triangles: bool) -> int:
     """Windows per chunk: CHUNK_ELEMENTS over the largest per-window array of
-    a chunk (the window rows, the n^3 triangle margins of the axiom check and,
-    for the triangle measure, the sides of every triple), at least 1."""
-    largest = max(n * window, n**3, 3 * math.comb(n, 3) if triangles else 0)
+    a chunk (the window rows, the n^2 matrices and triangle-margin slabs of
+    the axiom check and, for the triangle measure, the sides of every triple),
+    at least 1."""
+    largest = max(n * window, n**2, 3 * math.comb(n, 3) if triangles else 0)
     return max(1, CHUNK_ELEMENTS // largest)
 
 

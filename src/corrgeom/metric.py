@@ -107,38 +107,80 @@ class _AxiomStats(NamedTuple):
     diagonal: np.ndarray
     min_entry: np.ndarray
     min_margin: np.ndarray  # inf when n < 3
-    worst: np.ndarray  # first flat index of min_margin into a matrix's (n, n, n) margins
-    margins: np.ndarray | None  # (M, n, n, n), inf on repeated indices; None when n < 3
+    worst: np.ndarray  # first flat index (i*n + j)*n + k of min_margin in (i, j, k) order
+
+
+def _triangle_margins(m: np.ndarray) -> np.ndarray:
+    """margins[:, i, j, k] = d(i,j) + d(j,k) - d(i,k) of an (M, n, n) stack,
+    inf wherever two of i, j, k coincide: an (M, n, n, n) array."""
+    margins = m[:, :, :, None] + m[:, None, :, :]
+    margins -= m[:, :, None, :]
+    idx = np.arange(m.shape[-1])
+    margins[:, idx, idx, :] = np.inf
+    margins[:, :, idx, idx] = np.inf
+    margins[:, idx, :, idx] = np.inf
+    return margins
+
+
+def _min_triangle_margins(m: np.ndarray, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum and first flat argmin of _triangle_margins(m) per matrix,
+    reduced over one (M, n, n - lo) slab of first index i at a time, with k
+    from lo = i + 1 when ``half`` (m exactly symmetric), from 0 otherwise."""
+    count, n = m.shape[0], m.shape[-1]
+    stop = n - 1 if half else n
+    values = np.empty((stop, count))
+    args = np.empty((stop, count), dtype=int)
+    buffer = np.empty(count * n * n)
+    rows = np.arange(count)
+    for i in range(stop):
+        lo = i + 1 if half else 0
+        width = n - lo
+        slab = buffer[: count * n * width].reshape(count, n, width)
+        np.add(m[:, i, :, None], m[:, :, lo:], out=slab)  # slab[:, j, k - lo]
+        np.subtract(slab, m[:, i, None, lo:], out=slab)
+        flat = slab.reshape(count, n * width)
+        flat[:, i * width : (i + 1) * width] = np.inf  # j == i
+        flat[:, lo * width :: width + 1] = np.inf  # j == k
+        if not half:
+            flat[:, i::n] = np.inf  # k == i
+        args[i] = flat.argmin(axis=1)
+        values[i] = flat[rows, args[i]]
+    # argmin keeps the first minimum and counts a NaN as smallest, within a
+    # slab and across them, as it does over the whole (n, n, n) array.
+    first = values.argmin(axis=0)
+    arg = args[first, rows]
+    lo = first + 1 if half else 0
+    width = n - lo
+    worst = (first * n + arg // width) * n + lo + arg % width
+    min_margin = values[first, rows]
+    if half:
+        # Every margin +inf: the first is (0, 0, 0), which the scan skips.
+        worst[min_margin == np.inf] = 0
+    return min_margin, worst
 
 
 def _axiom_stats(m: np.ndarray, tolerance: float = TRIANGLE_TOL) -> _AxiomStats:
     """Symmetry error, diagonal error, minimum entry and minimum triangle
     margin of every matrix of an (M, n, n) stack, and whether each passes.
 
-    margins[:, i, j, k] = d(i,j) + d(j,k) - d(i,k) over triples of distinct
-    points. A matrix passes when each error is within tolerance and no margin
-    is below -tolerance; a NaN anywhere fails.
+    The margins are those of _triangle_margins, reduced without building it.
+    On a stack with no symmetry error the margin of (i, j, k) equals that of
+    (k, j, i) bit for bit, so only k > i is scanned. A matrix passes when each
+    error is within tolerance and no margin is below -tolerance; a NaN
+    anywhere fails.
     """
     count, n = m.shape[0], m.shape[-1]
     symmetry = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     diagonal = np.abs(m.diagonal(0, 1, 2)).max(axis=1, initial=0.0)
     min_entry = m.min(axis=(1, 2), initial=0.0)
     if n < 3:
-        min_margin, worst, margins = np.full(count, math.inf), np.zeros(count, dtype=int), None
+        min_margin, worst = np.full(count, math.inf), np.zeros(count, dtype=int)
     else:
-        margins = m[:, :, :, None] + m[:, None, :, :]
-        margins -= m[:, :, None, :]
-        idx = np.arange(n)
-        margins[:, idx, idx, :] = np.inf
-        margins[:, :, idx, idx] = np.inf
-        margins[:, idx, :, idx] = np.inf
-        flat = margins.reshape(count, n**3)
-        worst = flat.argmin(axis=1)
-        min_margin = flat[np.arange(count), worst]
+        min_margin, worst = _min_triangle_margins(m, half=not symmetry.any())
     passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
         np.minimum(min_entry, min_margin) >= -tolerance
     )
-    return _AxiomStats(passed, symmetry, diagonal, min_entry, min_margin, worst, margins)
+    return _AxiomStats(passed, symmetry, diagonal, min_entry, min_margin, worst)
 
 
 def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricReport:
@@ -146,6 +188,8 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
 
     Violations are report content, not errors; the worst triple and its
     margin (d_ij + d_jk - d_ik, negative when violated) are always reported.
+    Only a matrix with a margin below -tolerance (or a NaN one) has its n^3
+    margins built, to list every violated triple.
     """
     m = matrix.values if isinstance(matrix, DistanceMatrix) else np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -155,15 +199,15 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     min_margin = float(stats.min_margin[0])
     worst: tuple[int, int, int] | None = None
     found: dict[tuple[int, int, int], float] = {}
-    if stats.margins is not None:
-        margins = stats.margins[0]
-        worst = tuple(sorted(int(x) for x in np.unravel_index(stats.worst[0], margins.shape)))
-        bad = np.argwhere(margins < -tolerance) if not min_margin >= -tolerance else ()
-        for i, j, k in bad:
-            key = tuple(sorted((int(i), int(j), int(k))))
-            val = float(margins[i, j, k])
-            if key not in found or val < found[key]:
-                found[key] = val
+    if n >= 3:
+        worst = tuple(sorted(int(x) for x in np.unravel_index(stats.worst[0], (n, n, n))))
+        if not min_margin >= -tolerance:
+            margins = _triangle_margins(m[None])[0]
+            for i, j, k in np.argwhere(margins < -tolerance):
+                key = tuple(sorted((int(i), int(j), int(k))))
+                val = float(margins[i, j, k])
+                if key not in found or val < found[key]:
+                    found[key] = val
 
     violations = tuple(
         TriangleViolation(*key, margin=found[key]) for key in sorted(found)

@@ -42,13 +42,16 @@ def _as_readonly_floats(values) -> np.ndarray:
 
 def _check_unit_rows(rows: np.ndarray, ids) -> None:
     """Raise ValueError naming the first row of an (..., n, K) stack that
-    breaks a centered-unit-vector invariant: zero sum or unit norm."""
-    bad_sum = np.abs(rows.sum(axis=-1)) > SUM_TOL * rows.shape[-1]
+    breaks a centered-unit-vector invariant: finite components, zero sum and
+    unit norm. Each bound is tested as "not within", so that a NaN fails it."""
+    bad_sum = ~(np.abs(rows.sum(axis=-1)) <= SUM_TOL * rows.shape[-1])
     norms = np.linalg.norm(rows, axis=-1)
-    bad = np.flatnonzero(bad_sum | (np.abs(norms - 1.0) > NORM_TOL))
+    bad = np.flatnonzero(bad_sum | ~(np.abs(norms - 1.0) <= NORM_TOL))
     if bad.size:
         i = bad[0]
         sid = ids[i % len(ids)]
+        if not np.isfinite(rows.reshape(-1, rows.shape[-1])[i]).all():
+            raise ValueError(f"components of {sid!r} are not finite")
         if bad_sum.flat[i]:
             raise ValueError(f"components of {sid!r} do not sum to zero within {SUM_TOL}*K")
         raise ValueError(f"components of {sid!r} are not unit length (norm {norms.flat[i]})")

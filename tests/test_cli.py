@@ -100,6 +100,19 @@ def test_a_unit_row_failure_names_its_window(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_non_finite_unit_row_names_its_window(tmp_path, capsys):
+    # The window sums of a +-1e308 series overflow, so its centred row is NaN.
+    rng = np.random.default_rng(0)
+    columns = [rng.normal(size=40) for _ in range(3)]
+    columns[1] = 1e308 * np.sign(rng.normal(size=40))
+    path = write_csv(tmp_path, columns)
+    argv = ["analyze", "--input", path, "--window", "21", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: window@0: components of 's1' are not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -108,6 +121,7 @@ def test_a_unit_row_failure_names_its_window(tmp_path, capsys):
         ("validate", "--min-separation", "5"),
         ("validate", "--match-window", "5"),
         ("validate", "--format", "svg"),
+        ("validate", "--seed", "4"),
         ("analyze", "--min-prominence", "3"),
         ("analyze", "--min-separation", "5"),
         ("analyze", "--match-window", "5"),
@@ -121,6 +135,54 @@ def test_a_flag_the_command_does_not_use_exits_2(tmp_path, capsys, command, flag
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("validate", {"measures": ["diameter"]}),
+        ("validate", {"seed": 4}),
+        ("validate", {"formats": ["svg"]}),
+        ("analyze", {"min_prominence": 3}),
+        ("analyze", {"match_window": 5}),
+    ],
+    ids=["validate-measures", "validate-seed", "validate-formats", "analyze-min_prominence",
+         "analyze-match_window"],
+)
+def test_a_config_key_the_command_does_not_use_exits_2(tmp_path, capsys, command, settings):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"window": 21, **settings}))
+    out = tmp_path / "out"
+    argv = [command, "--input", benchmark_csv(tmp_path), "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys: {sorted(settings)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("validate", {"window": 21, "stride": 2}),
+        ("analyze", {"measures": ["diameter"], "seed": 4}),
+        ("events", {"measures": ["diameter"], "min_prominence": 0.1, "match_window": 5}),
+    ],
+    ids=["validate", "analyze", "events"],
+)
+def test_a_config_key_the_command_has_a_flag_for_is_used(tmp_path, capsys, command, settings):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    argv = [command, "--input", benchmark_csv(tmp_path), "--out", str(out)]
+    flags = []
+    for key, value in settings.items():
+        value = ",".join(value) if isinstance(value, list) else str(value)
+        flags += ["--" + key.replace("_", "-"), value]
+    runs = []
+    for extra in (["--config", str(config)], flags, []):
+        assert cli.main([*argv, *extra]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1] != runs[2]
 
 
 def test_simulate_writes_the_generated_series(tmp_path, capsys):

@@ -30,7 +30,7 @@ from corrgeom import (
     spherical_triangle_area,
     window_vector,
 )
-from corrgeom.events import _prominent_peaks
+from corrgeom.events import CHUNK_ELEMENTS, _prominent_peaks, _windows_per_chunk
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,
     BENCHMARK_MIN_SEPARATION,
@@ -83,9 +83,18 @@ INPUTS = [(f"benchmark{seed}", simulate(coupling_benchmark(seed)), 0) for seed i
 INPUTS.append(("held", held_input(), 10))
 
 # events.CHUNK_ELEMENTS settings: the default, one window per chunk, and 7
-# windows per chunk on the held input (n=6, K=21: 6**3 elements per window),
-# whose chunk boundary at window 105 splits the gap run 100..109.
-CHUNKS = [(None, ""), (1, "-chunk1"), (7 * 6**3, "-chunk7")]
+# windows per chunk on the held input (n=6, K=21: its largest per-window
+# array is the 6 * 21 window rows), whose chunk boundary at window 105 splits
+# the gap run 100..109.
+CHUNKS = [(None, ""), (1, "-chunk1"), (7 * 6 * 21, "-chunk7")]
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_wide_windows_share_a_chunk(n):
+    # n^2 slabs, not n^3 margins: at K=101 the n x K window rows are largest.
+    size = _windows_per_chunk(n, 101, False)
+    assert size > 1
+    assert size * max(n * 101, n * n) <= CHUNK_ELEMENTS
 
 
 def set_chunk_elements(monkeypatch, chunk_elements):

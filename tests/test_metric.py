@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgeom import (
     AngleDomainError,
@@ -26,6 +28,8 @@ from corrgeom.metric import (
     CLASS_UNCORRELATED,
     PROJECTIVE,
     SPHERICAL,
+    TRIANGLE_TOL,
+    _axiom_stats,
 )
 
 
@@ -187,3 +191,113 @@ class TestVerifyMetricAxioms:
                 np.fill_diagonal(ang, 0.0)
                 report = verify_metric_axioms(ang)
                 assert report.passed, report.summary()
+
+
+def reference_axiom_stats(m, tolerance=TRIANGLE_TOL):
+    """The n^3 form of metric._axiom_stats: every triangle margin of the
+    (M, n, n) stack in one (M, n, n, n) array and its first flat argmin.
+    Returns the _AxiomStats fields and the margins (None when n < 3)."""
+    count, n = m.shape[0], m.shape[-1]
+    symmetry = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    diagonal = np.abs(m.diagonal(0, 1, 2)).max(axis=1, initial=0.0)
+    min_entry = m.min(axis=(1, 2), initial=0.0)
+    if n < 3:
+        min_margin, worst, margins = np.full(count, math.inf), np.zeros(count, dtype=int), None
+    else:
+        margins = m[:, :, :, None] + m[:, None, :, :]
+        margins -= m[:, :, None, :]
+        idx = np.arange(n)
+        margins[:, idx, idx, :] = np.inf
+        margins[:, :, idx, idx] = np.inf
+        margins[:, idx, :, idx] = np.inf
+        flat = margins.reshape(count, n**3)
+        worst = flat.argmin(axis=1)
+        min_margin = flat[np.arange(count), worst]
+    passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
+        np.minimum(min_entry, min_margin) >= -tolerance
+    )
+    return (passed, symmetry, diagonal, min_entry, min_margin, worst), margins
+
+
+def reference_report(m, tolerance=TRIANGLE_TOL):
+    """(summary, worst triple, violations) of one matrix from the n^3 margins."""
+    (passed, symmetry, diagonal, min_entry, min_margin, worst), margins = reference_axiom_stats(
+        m[None], tolerance
+    )
+    triple, found = None, {}
+    if margins is not None:
+        triple = tuple(sorted(int(x) for x in np.unravel_index(worst[0], margins.shape[1:])))
+        if not min_margin[0] >= -tolerance:
+            for i, j, k in np.argwhere(margins[0] < -tolerance):
+                key = tuple(sorted((int(i), int(j), int(k))))
+                val = float(margins[0, i, j, k])
+                if key not in found or val < found[key]:
+                    found[key] = val
+    state = "pass" if passed[0] else "FAIL"
+    summary = (
+        f"{state}: n={m.shape[0]} min_triangle_margin={min_margin[0]:.3e} "
+        f"symmetry={symmetry[0]:.3e} diag={diagonal[0]:.3e} "
+        f"min_entry={min_entry[0]:.3e} violations={len(found)}"
+    )
+    return summary, triple, [(*key, found[key]) for key in sorted(found)]
+
+
+def symmetric_stack(rng, count, n, integers=False):
+    """(count, n, n) stack mirrored from its upper triangle, as the engine's
+    are, with a zero diagonal: exactly symmetric. Small integers (0..3) are
+    rich in tied margins."""
+    upper = rng.integers(0, 4, (count, n, n)).astype(float) if integers else (
+        rng.uniform(0.0, math.pi / 2, (count, n, n))
+    )
+    upper = np.triu(upper, 1)
+    return upper + upper.transpose(0, 2, 1)
+
+
+def perturbed(rng, m, scale):
+    """m with every entry moved by up to ``scale``: symmetry and diagonal
+    errors, so the full scan runs."""
+    return m + rng.uniform(-scale, scale, m.shape)
+
+
+def with_specials(rng, m):
+    """m with up to three entries set to NaN or +-inf."""
+    if m.size:
+        at = rng.integers(0, m.size, rng.integers(1, 4))
+        m.flat[at] = rng.choice([np.nan, np.inf, -np.inf], at.size)
+    return m
+
+
+STACKS = {
+    "random": lambda rng, count, n: symmetric_stack(rng, count, n),
+    "small-integer": lambda rng, count, n: symmetric_stack(rng, count, n, integers=True),
+    "symmetry-error": lambda rng, count, n: perturbed(rng, symmetric_stack(rng, count, n), 1e-12),
+    "integer-asymmetric": lambda rng, count, n: np.round(
+        perturbed(rng, symmetric_stack(rng, count, n, integers=True), 1.0)
+    ),
+    "nan": lambda rng, count, n: with_specials(rng, symmetric_stack(rng, count, n, integers=True)),
+    "n3": lambda rng, count, n: symmetric_stack(rng, count, 3),
+    # Off the diagonal in [0.95, 1.33] * 1e308: every margin overflows to +inf.
+    "overflow": lambda rng, count, n: (
+        (1 + symmetric_stack(rng, count, n) / 4) * (1 - np.eye(n)) * 0.95e308
+    ),
+    "empty": lambda rng, count, n: symmetric_stack(rng, 0, n),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+@pytest.mark.parametrize("name", list(STACKS))
+def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name):
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 4), n=st.integers(0, 9))
+    def check(seed, count, n):
+        m = STACKS[name](np.random.default_rng(seed), count, n)
+        got = _axiom_stats(m)
+        want, _ = reference_axiom_stats(m)
+        for field, a, b in zip(got._fields, got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        for matrix in m:
+            report = verify_metric_axioms(matrix)
+            violations = [(v.i, v.j, v.k, v.margin) for v in report.violations]
+            assert (report.summary(), report.worst_triple, violations) == reference_report(matrix)
+
+    check()
