@@ -11,13 +11,23 @@ It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
 CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
 distances, the metric-axiom and triangle checks, the measures) runs once per
-chunk on the whole stack. The axiom check reduces its triangle margins in
-(windows, n, n) slabs rather than building n^3 of them per window, so without
-the triangle measure wide inputs (n = 64, K = 101) still hold several windows
-per chunk. No per-window
-object is built. A chunk in which a check fails is replayed one window at a
-time through the validated single-window constructors, so the first failing
-window raises the error it raises alone, prefixed with ``window@<tick>``.
+chunk on the whole stack. No per-window object is built. A chunk in which a
+check fails is replayed one window at a time through the validated
+single-window constructors, so the first failing window raises the error it
+raises alone, prefixed with ``window@<tick>``.
+
+The triangle-margin scan of the axiom check costs n^3 per window, and
+``sliding_measures`` skips it wherever it can only pass. The projective
+angle is a metric, so a computed margin falls below zero only by rounding,
+and metric._margin_error_bound proves from the window's own numbers how far:
+about 3 * (2 * NORM_TOL + K * u) / sqrt(1 - r^2), with r the window's
+largest off-diagonal |rho| and u the unit roundoff. A window whose bound is
+within TRIANGLE_TOL passes the scan for certain and is not scanned; every
+other check still runs on it. Windows with |rho| near 1, such as
+near-copies of one series, are scanned as before. ``validate`` scans every
+window, since the margins are its output. Where the scan does run, it
+reduces the margins in (windows, n, n) slabs rather than building n^3 of
+them per window.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values, and minima are only detected within
@@ -39,7 +49,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .correlation import CorrelationMatrix, correlation_from_units
 from .errors import CorrGeomError, TooFewPointsError, WindowTooLongError
 from .measures import _diameters, _triangle_areas, _triangle_sides, _triples, max_simplex_volume
-from .metric import PROJECTIVE, TRIANGLE_TOL, _axiom_stats, angular_distances, distance_matrix
+from .metric import (
+    PROJECTIVE,
+    TRIANGLE_TOL,
+    _axiom_stats,
+    _margin_error_bound,
+    angular_distances,
+    distance_matrix,
+)
 from .series import (
     TimeSeriesSet,
     WindowSpec,
@@ -48,11 +65,13 @@ from .series import (
     windowed_unit_matrix,
 )
 
-# Upper bound, in float64 elements, on the largest array of a chunk of
+# Target size, in float64 elements, of the largest array of a chunk of
 # windows: the (windows, n, K) window rows, the (windows, n, n) matrices and
 # triangle-margin slabs, and for the triangle measure the sides of every
-# triple. Larger chunks were measured slower, and at 2^17 they raised peak
-# RSS by more than the benchmark's 5% bound.
+# triple. A chunk holds at least one window, so a window whose own largest
+# array is bigger exceeds it: with the triangle measure from n = 42 on, whose
+# 3 * C(n, 3) sides pass 2^15. Larger chunks were measured slower, and at
+# 2^17 they raised peak RSS by more than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
 
 KIND_DIAMETER = "diameter"
@@ -131,7 +150,9 @@ def _windows_per_chunk(n: int, window: int, triangles: bool) -> int:
     """Windows per chunk: CHUNK_ELEMENTS over the largest per-window array of
     a chunk (the window rows, the n^2 matrices and triangle-margin slabs of
     the axiom check and, for the triangle measure, the sides of every triple),
-    at least 1."""
+    at least 1. At 1 the chunk's arrays are one window's, whatever their size:
+    with the triangle measure that is the case from n = 34 on, and from
+    n = 42 those sides exceed CHUNK_ELEMENTS."""
     largest = max(n * window, n**2, 3 * math.comb(n, 3) if triangles else 0)
     return max(1, CHUNK_ELEMENTS // largest)
 
@@ -166,16 +187,19 @@ def correlation_chunks(
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
     size = _windows_per_chunk(len(ts_set), window, triangles)
     for lo in range(0, view.shape[1], size):
-        units, norms = _window_units(view[:, lo : lo + size].transpose(1, 0, 2).copy())
-        good = norms.all(axis=-1)
-        ms = good.nonzero()[0] + lo
-        if ms.size < len(units):
-            units = units[good]
-        try:
-            _check_unit_rows(units, ts_set.ids)
-        except ValueError:
-            _raise_first_failure(ts_set, window, stride, ms)
-        rho = correlation_from_units(units)
+        # Sums that overflow leave a non-finite row, which the check names;
+        # numpy's warnings about them would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            units, norms = _window_units(view[:, lo : lo + size].transpose(1, 0, 2).copy())
+            good = norms.all(axis=-1)
+            ms = good.nonzero()[0] + lo
+            if ms.size < len(units):
+                units = units[good]
+            try:
+                _check_unit_rows(units, ts_set.ids)
+            except ValueError:
+                _raise_first_failure(ts_set, window, stride, ms)
+            rho = correlation_from_units(units)
         del units  # not held while the caller works on rho
         yield ms, rho
 
@@ -194,9 +218,11 @@ def sliding_measures(
     for every kind.
 
     Each chunk of windows runs the checks of the single-window route
-    (CorrelationMatrix, distance_matrix, max_simplex_volume) on its stacks;
-    if one fails, the chunk is replayed through that route and the first
-    failing window raises its error, naming the window.
+    (CorrelationMatrix, distance_matrix, max_simplex_volume) on its stacks,
+    the triangle-margin scan only on windows that metric._margin_error_bound
+    does not prove to pass it; if one fails, the chunk is replayed through
+    that route and the first failing window raises its error, naming the
+    window.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -229,10 +255,11 @@ def sliding_measures(
 
     for ms, rho in correlation_chunks(ts_set, window, stride, triangles):
         # rho passes CorrelationMatrix's checks unless it holds a NaN, which
-        # fails the axiom check as well. Then DistanceMatrix's bound and axioms.
+        # fails the axiom check as well. Then DistanceMatrix's bound and axioms,
+        # with no triangle scan where the error bound already proves a pass.
         dist = angular_distances(rho, PROJECTIVE)
         ok = ~(dist.max(axis=(1, 2), initial=0.0) > math.pi / 2 + TRIANGLE_TOL)
-        ok &= _axiom_stats(dist).passed
+        ok &= _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
         if triangles:
             sides, sides_ok = _triangle_sides(dist, triples)
             ok &= sides_ok.all(axis=1)

@@ -156,15 +156,23 @@ def _triangle_sides(m: np.ndarray, triples) -> tuple[np.ndarray, np.ndarray]:
     """Sides of every triple in each matrix of an (M, n, n) stack, sorted
     ascending (M, T, 3), and whether each triple passes _validate_sides.
 
-    The mask is False exactly where _validate_sides raises: NaN compares
-    false, and an infinite side fails the margin or the perimeter test.
+    The sides are sorted by a three-element min/max network, which gives
+    np.sort's order wherever no side is NaN. A NaN side propagates through
+    np.minimum and np.maximum to a NaN smallest side, so the mask is False
+    exactly where _validate_sides raises: NaN compares false, and an
+    infinite side fails the margin or the perimeter test.
     """
     i, j, k = triples
-    sides = np.sort(np.stack([m[:, i, j], m[:, i, k], m[:, j, k]], axis=-1), axis=-1)
-    a, b, c = np.moveaxis(sides, -1, 0)
-    ok = (sides >= -TRIANGLE_TOL).all(axis=-1) & (a + b - c >= -TRIANGLE_TOL)
+    x, y, z = m[:, i, j], m[:, i, k], m[:, j, k]
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y, out=x)
+    c = np.maximum(hi, z)
+    mid = np.minimum(hi, z, out=z)
+    a = np.minimum(lo, mid)
+    b = np.maximum(lo, mid, out=lo)
+    ok = (a >= -TRIANGLE_TOL) & (a + b - c >= -TRIANGLE_TOL)
     ok &= (a + b + c) - 2 * math.pi <= TRIANGLE_TOL
-    return sides, ok
+    return np.stack([a, b, c], axis=-1), ok
 
 
 def _triangle_areas(sides: np.ndarray) -> np.ndarray:

@@ -20,10 +20,20 @@ import numpy as np
 
 from .correlation import CorrelationMatrix
 from .errors import AngleDomainError, MetricViolationError
+from .series import NORM_TOL
 
 # Triangle-inequality slack. arccos amplifies dot-product rounding near +-1
 # like 1/sqrt(eps), so 1e-9 covers windows up to ~1e6 samples in doubles.
 TRIANGLE_TOL = 1e-9
+
+# Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0**-53
+# Allowance for the absolute error of one np.arccos result in [0, pi/2]: 16
+# ulps at pi/2. The SVML arccos numpy uses on AVX-512 machines is specified
+# within 4 ulps and glibc's acos within 1; against 120-bit mpmath, numpy 2.4
+# on an AVX-512 Xeon erred by at most 0.79 ulp over 20,000 arguments. The
+# rest covers the rounding of _margin_error_bound's own evaluation.
+ARCCOS_ERROR = 2.0**-48
 
 SPHERICAL = "spherical"
 PROJECTIVE = "projective"
@@ -106,7 +116,7 @@ class _AxiomStats(NamedTuple):
     symmetry: np.ndarray
     diagonal: np.ndarray
     min_entry: np.ndarray
-    min_margin: np.ndarray  # inf when n < 3
+    min_margin: np.ndarray  # inf when n < 3; -margin_error where not scanned
     worst: np.ndarray  # first flat index (i*n + j)*n + k of min_margin in (i, j, k) order
 
 
@@ -159,7 +169,66 @@ def _min_triangle_margins(m: np.ndarray, half: bool) -> tuple[np.ndarray, np.nda
     return min_margin, worst
 
 
-def _axiom_stats(m: np.ndarray, tolerance: float = TRIANGLE_TOL) -> _AxiomStats:
+def _margin_error_bound(rho: np.ndarray, window: int) -> np.ndarray:
+    """A proven bound, per matrix of an (M, n, n) stack of correlations from
+    correlation_from_units, on how far below zero a triangle margin of
+    angular_distances(rho, PROJECTIVE) can fall: every margin that
+    _axiom_stats computes from those distances is >= -bound; inf where none
+    is proven.
+
+    The premises: rho[i, j] is the dot product of rows x_i, x_j of length K =
+    ``window`` that passed series._check_unit_rows, computed in float64 in any
+    summation order, then clipped to [-1, 1]. u is the unit roundoff and
+    gamma_k = k*u / (1 - k*u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1).
+
+    1. Norms. The check computed each norm N = ||x|| (1 + t), |t| <= gamma_(K+1)
+       (K squares, K - 1 sums, one square root), and found |N - 1| <= eta0 =
+       NORM_TOL. So |||x|| - 1| <= eta = (eta0 + gamma_(K+1)) / (1 - gamma_(K+1)).
+    2. Correlations. Let c = x_i.x_j / (||x_i|| ||x_j||), the exact cosine of the
+       two computed rows. The computed dot product is within gamma_K ||x_i||
+       ||x_j|| <= gamma_K (1 + eta)^2 of x_i.x_j, which is within (1 + eta)^2 - 1
+       of c, and clipping to [-1, 1] moves no entry away from c. So
+       |rho - c| <= eps_rho = gamma_K (1 + eta)^2 + 2 eta + eta^2, and the
+       same holds for |rho| against |c|.
+    3. Distances. Let r be the matrix's largest off-diagonal |rho|. Both |rho|
+       and |c| lie in [0, r + eps_rho]; where r + eps_rho < 1, arccos has slope
+       at most 1 / sqrt(1 - (r + eps_rho)^2) there, so arccos|rho| is within
+       eps_rho / sqrt(1 - (r + eps_rho)^2) of the projective angle
+       theta = arccos|c|. np.arccos adds at most ARCCOS_ERROR, so each computed
+       distance d is within eps_d = eps_rho / sqrt(1 - (r + eps_rho)^2) +
+       ARCCOS_ERROR of theta. The diagonal is exactly 0 in both.
+    4. Margins. theta is a metric on lines through the origin (the angle
+       between x and +-y, minimised over the sign), so theta_ij + theta_jk -
+       theta_ik >= 0 for the computed rows. Hence d_ij + d_jk - d_ik >= -3 eps_d,
+       and its two roundings, on sums of at most pi, add at most (2 + u) u pi.
+
+    bound = 3 eps_d + (2 + u) u pi where r + eps_rho < 1, else inf. The bound
+    is itself rounded, with a relative error of a few u; ARCCOS_ERROR's slack
+    covers that wherever the bound is small enough to be used. Near-copies,
+    whose |rho| is within ~1e-16 of 1, get no finite bound.
+    """
+    n = rho.shape[-1]
+    off = ~np.eye(n, dtype=bool)
+    r = np.maximum(
+        rho.max(axis=(1, 2), where=off, initial=0.0),
+        -rho.min(axis=(1, 2), where=off, initial=0.0),
+    )
+    u = UNIT_ROUNDOFF
+    gamma, gamma1 = (k * u / (1 - k * u) for k in (window, window + 1))
+    eta = (NORM_TOL + gamma1) / (1 - gamma1)
+    eps_rho = gamma * (1 + eta) ** 2 + 2 * eta + eta**2
+    s = r + eps_rho
+    bound = np.full(s.shape, math.inf)
+    proven = s < 1.0  # False for a NaN
+    eps_d = eps_rho / np.sqrt((1.0 - s[proven]) * (1.0 + s[proven])) + ARCCOS_ERROR
+    bound[proven] = 3 * eps_d + (2 + u) * u * math.pi
+    return bound
+
+
+def _axiom_stats(
+    m: np.ndarray, tolerance: float = TRIANGLE_TOL, margin_error: np.ndarray | None = None
+) -> _AxiomStats:
     """Symmetry error, diagonal error, minimum entry and minimum triangle
     margin of every matrix of an (M, n, n) stack, and whether each passes.
 
@@ -168,6 +237,12 @@ def _axiom_stats(m: np.ndarray, tolerance: float = TRIANGLE_TOL) -> _AxiomStats:
     (k, j, i) bit for bit, so only k > i is scanned. A matrix passes when each
     error is within tolerance and no margin is below -tolerance; a NaN
     anywhere fails.
+
+    ``margin_error``, from _margin_error_bound, proves per matrix that no
+    margin is below -margin_error. A matrix where that is within tolerance is
+    not scanned: it passes the triangle test, its min_margin reads
+    -margin_error (a lower bound, not the minimum) and its worst reads 0. The
+    other checks run on every matrix.
     """
     count, n = m.shape[0], m.shape[-1]
     symmetry = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
@@ -175,8 +250,16 @@ def _axiom_stats(m: np.ndarray, tolerance: float = TRIANGLE_TOL) -> _AxiomStats:
     min_entry = m.min(axis=(1, 2), initial=0.0)
     if n < 3:
         min_margin, worst = np.full(count, math.inf), np.zeros(count, dtype=int)
-    else:
+    elif margin_error is None:
         min_margin, worst = _min_triangle_margins(m, half=not symmetry.any())
+    else:
+        min_margin, worst = -margin_error, np.zeros(count, dtype=int)
+        scan = ~(margin_error <= tolerance)
+        if scan.any():
+            sub = m if scan.all() else m[scan]
+            min_margin[scan], worst[scan] = _min_triangle_margins(
+                sub, half=not symmetry[scan].any()
+            )
     passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
         np.minimum(min_entry, min_margin) >= -tolerance
     )

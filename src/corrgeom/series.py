@@ -373,7 +373,7 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
             raise DuplicateIdError(f"duplicate column name {name!r}")
         seen.add(name)
     tick_cells: list[str] = []
-    columns: list[list[float]] = [[] for _ in names]
+    rows: list[list[float]] = []
     for rownum, row in enumerate(reader, start=1):
         if len(row) != len(header):
             raise IngestError(
@@ -382,11 +382,21 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
         if not row[0].strip():
             raise IngestError(f"missing tick at data row {rownum}")
         tick_cells.append(row[0])
-        for j, cell in enumerate(row[1:]):
-            columns[j].append(_parse_value(cell, rownum, names[j]))
+        # float() strips the same whitespace as str.strip() and rejects ",",
+        # so a row it parses to finite values is one _parse_value accepts,
+        # with the same values. Any other row goes through _parse_value, which
+        # raises the row's first error.
+        try:
+            values = list(map(float, row[1:]))
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            values = [_parse_value(cell, rownum, names[j]) for j, cell in enumerate(row[1:])]
+        rows.append(values)
     if not tick_cells:
         raise IngestError("no data rows")
     start, step = _parse_tick_column(tick_cells)
+    columns = np.array(rows).T
     return TimeSeriesSet(
         tuple(TimeSeries(name, start, step, col) for name, col in zip(names, columns))
     )

@@ -100,17 +100,34 @@ def test_a_unit_row_failure_names_its_window(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_a_non_finite_unit_row_names_its_window(tmp_path, capsys):
-    # The window sums of a +-1e308 series overflow, so its centred row is NaN.
+def huge_values_csv(tmp_path):
+    """Three 40-sample series, one of them +-1e308: its window sums overflow,
+    so its centred row is not finite."""
     rng = np.random.default_rng(0)
     columns = [rng.normal(size=40) for _ in range(3)]
     columns[1] = 1e308 * np.sign(rng.normal(size=40))
-    path = write_csv(tmp_path, columns)
-    argv = ["analyze", "--input", path, "--window", "21", "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == 2
+    return write_csv(tmp_path, columns)
+
+
+def test_a_non_finite_unit_row_names_its_window(tmp_path, capsys):
+    argv = ["analyze", "--input", huge_values_csv(tmp_path), "--window", "21"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: window@0: components of 's1' are not finite\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "events", "validate"])
+def test_overflowing_sums_print_the_error_and_no_numpy_warning(tmp_path, command):
+    argv = [command, "--input", huge_values_csv(tmp_path), "--window", "21"]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "corrgeom.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: window@0: components of 's1' are not finite\n"
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from corrgeom import (
     window_vector,
 )
 from corrgeom.events import CHUNK_ELEMENTS, _prominent_peaks, _windows_per_chunk
+from corrgeom.metric import TRIANGLE_TOL, _margin_error_bound
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,
     BENCHMARK_MIN_SEPARATION,
@@ -131,6 +132,31 @@ def test_sliding_measures_match_scalar_route(monkeypatch, data, n_gaps, chunk_el
         for e, r in zip(found, expected):
             assert e.value == pytest.approx(r.value, abs=1e-12)
             assert e.prominence == pytest.approx(r.prominence, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "data", [data for _, data, _ in INPUTS], ids=[name for name, _, _ in INPUTS]
+)
+def test_windows_cleared_by_the_error_bound_give_the_scanned_measures(monkeypatch, data):
+    # Every window of these inputs is cleared, so none is scanned; with the
+    # bound forced to clear nothing, every window is scanned.
+    errors = []
+
+    def recorded(rho, window):
+        errors.append(_margin_error_bound(rho, window))
+        return errors[-1]
+
+    monkeypatch.setattr("corrgeom.events._margin_error_bound", recorded)
+    cleared = sliding_measures(data, BENCHMARK_WINDOW)
+    assert (np.concatenate(errors) <= TRIANGLE_TOL).all()
+    monkeypatch.setattr(
+        "corrgeom.events._margin_error_bound", lambda rho, window: np.full(len(rho), np.inf)
+    )
+    for a, b in zip(cleared, sliding_measures(data, BENCHMARK_WINDOW), strict=True):
+        assert a.kind == b.kind
+        assert a.timestamps.tobytes() == b.timestamps.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.gaps.tobytes() == b.gaps.tobytes()
 
 
 @pytest.mark.parametrize("chunk_elements", [None, 1])

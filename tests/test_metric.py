@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from corrgeom import (
@@ -21,6 +21,7 @@ from corrgeom import (
     projective_angle,
     verify_metric_axioms,
 )
+from corrgeom.correlation import correlation_from_units
 from corrgeom.metric import (
     CLASS_INTERMEDIATE,
     CLASS_MAX_NEGATIVE,
@@ -30,7 +31,10 @@ from corrgeom.metric import (
     SPHERICAL,
     TRIANGLE_TOL,
     _axiom_stats,
+    _margin_error_bound,
+    angular_distances,
 )
+from corrgeom.series import NORM_TOL, _check_unit_rows
 
 
 def random_corr(rng, n, k=20):
@@ -301,3 +305,93 @@ def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name):
             assert (report.summary(), report.worst_triple, violations) == reference_report(matrix)
 
     check()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+@pytest.mark.parametrize("name", list(STACKS))
+def test_axiom_stats_scan_only_the_matrices_not_cleared(name):
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 4), n=st.integers(0, 9))
+    def check(seed, count, n):
+        rng = np.random.default_rng(seed)
+        m = STACKS[name](rng, count, n)
+        margin_error = rng.choice([0.0, TRIANGLE_TOL, 2 * TRIANGLE_TOL, np.inf, np.nan], len(m))
+        got = _axiom_stats(m, margin_error=margin_error)
+        (_, symmetry, diagonal, min_entry, min_margin, worst), _ = reference_axiom_stats(m)
+        if m.shape[-1] >= 3:
+            cleared = margin_error <= TRIANGLE_TOL
+            min_margin = np.where(cleared, -margin_error, min_margin)
+            worst = np.where(cleared, 0, worst)
+        passed = (np.maximum(symmetry, diagonal) <= TRIANGLE_TOL) & (
+            np.minimum(min_entry, min_margin) >= -TRIANGLE_TOL
+        )
+        want = (passed, symmetry, diagonal, min_entry, min_margin, worst)
+        for field, a, b in zip(got._fields, got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    check()
+
+
+def unit_rows(rng, n, window, gap, on_circle, all_longer):
+    """n centred rows of length ``window`` whose norms sit 0.9 * NORM_TOL from 1,
+    as far as _check_unit_rows lets them, in random order and with random
+    signs. ``on_circle`` of them lie on one great circle, neighbours ``gap``
+    to 4 * ``gap`` apart, so every triple among them in circle order has a
+    true projective margin of ~0, and the largest |rho| is at least
+    cos(gap); the rest are random. ``all_longer`` makes every norm
+    1 + 0.9 * NORM_TOL, which shrinks each distance and so pushes the
+    margins of those triples below 0."""
+    dim = min(n + 1, window - 1)  # the centred subspace has dimension K - 1
+    basis = rng.normal(size=(dim, window))
+    basis -= basis.mean(axis=1, keepdims=True)
+    basis = np.linalg.qr(basis.T)[0].T  # orthonormal rows, each still centred
+    steps = gap * rng.uniform(1.0, 4.0, on_circle)
+    steps[:2] = 0.0, gap
+    angles = np.cumsum(steps)
+    circle = np.cos(angles)[:, None] * basis[0] + np.sin(angles)[:, None] * basis[1]
+    rows = np.vstack([circle, rng.normal(size=(n - on_circle, dim)) @ basis])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    stretch = np.ones(n) if all_longer else rng.choice([-1.0, 1.0], n)
+    rows *= (rng.choice([-1.0, 1.0], n) * (1 + 0.9 * NORM_TOL * stretch))[:, None]
+    return rows[rng.permutation(n)]
+
+
+# The geodesic gap spans the edge of what the bound clears, near 1e-2 rad
+# (|rho| ~ 0.99995) for every window length drawn.
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 8),
+    window=st.integers(3, 4000),
+    log_gap=st.floats(-3.0, -1.0),
+    on_circle=st.integers(3, 8),
+    all_longer=st.booleans(),
+)
+def test_a_cleared_window_passes_within_its_error_bound(
+    seed, n, window, log_gap, on_circle, all_longer
+):
+    rng = np.random.default_rng(seed)
+    units = unit_rows(rng, n, window, 10.0**log_gap, min(on_circle, n), all_longer)
+    _check_unit_rows(units, [f"s{i}" for i in range(n)])  # the bound's premise
+    rho = correlation_from_units(units[None])
+    error = _margin_error_bound(rho, window)[0]
+    stats = _axiom_stats(angular_distances(rho, PROJECTIVE))
+    if error <= TRIANGLE_TOL:
+        target(float(-stats.min_margin[0] / error))
+        assert stats.passed[0]
+        assert stats.min_margin[0] >= -error
+
+
+def test_the_bound_clears_what_it_can_prove_and_no_near_copy():
+    # Geodesic neighbours at 0.1 rad clear with room to spare, at 1e-3 rad
+    # they do not, and rows with |rho| rounded to 1 get no finite bound.
+    rng = np.random.default_rng(3)
+    for gap, cleared in ((1e-1, True), (1e-3, False)):
+        rho = correlation_from_units(unit_rows(rng, 6, 101, gap, 6, True)[None])
+        error = _margin_error_bound(rho, 101)[0]
+        assert (error <= TRIANGLE_TOL) == cleared
+        stats = _axiom_stats(angular_distances(rho, PROJECTIVE))
+        assert stats.min_margin[0] < 0.0  # the longer norms do push margins below 0
+    rho = np.ones((2, 3, 3))
+    rho[1, 0, 1] = rho[1, 1, 0] = np.nan
+    assert np.isinf(_margin_error_bound(rho, 21)).all()

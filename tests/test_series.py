@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -19,6 +20,7 @@ from corrgeom import (
     windowed_unit_matrix,
     write_timeseries_csv,
 )
+from corrgeom.series import _parse_value
 
 
 def ts(sid, values, start=0, step=1):
@@ -251,3 +253,34 @@ class TestCsv:
     def test_no_data_rows_rejected(self):
         with pytest.raises(IngestError, match="no data rows"):
             read_timeseries_csv(io.StringIO("tick,a\n"))
+
+
+# Cells the row-at-a-time parse of read_timeseries_csv accepts, and cells it
+# hands to _parse_value for the error.
+CELLS = [
+    " 1.5", "2.25 ", "\t-3\t", "\u00a04.5\u2003", "1e-3", "-2.5E+10", "1_000.25", "+7",
+    "-0", ".5", "5.", "1e-320", "",  "  ", "1,5", "oops", "0x10", "1__0", "nan", "-inf",
+    "1e400", "Infinity",
+]
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_a_cell_parses_exactly_as_parse_value_does(cell):
+    # Column b, the second cell of data row 2, after cells that parse.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["tick", "a", "b"], [0, 1, 2], [1, 3, cell]])
+    try:
+        want = _parse_value(cell, 2, "b")
+    except IngestError as exc:
+        with pytest.raises(IngestError) as got:
+            read_timeseries_csv(io.StringIO(buf.getvalue()))
+        assert str(got.value) == str(exc)
+    else:
+        got = read_timeseries_csv(io.StringIO(buf.getvalue())).get("b").values[1]
+        assert np.float64(want).tobytes() == got.tobytes()
+
+
+def test_the_first_bad_cell_of_a_row_raises():
+    text = "tick,a,b,c\n0,1,2,3\n1,inf,oops,\n"
+    with pytest.raises(IngestError, match=r"^non-finite value 'inf' at data row 2, column 'a'$"):
+        read_timeseries_csv(io.StringIO(text))
