@@ -288,8 +288,11 @@ def cmd_events(config: RunConfig) -> int:
 def cmd_validate(config: RunConfig) -> int:
     """Check the metric axioms once per kind (spherical, projective) on every
     window that has no constant series, through analyze's window engine. Each
-    failing matrix prints a VIOLATION line on stderr and makes the exit 1; the
-    worst margin is the first smallest in window order, spherical first."""
+    chunk's distances are checked as one (2M, n, n) stack, its M spherical
+    matrices then its M projective ones, so the triangle-margin scan runs once
+    per chunk. Each failing matrix prints a VIOLATION line on stderr and makes
+    the exit 1; the worst margin is the first smallest in window order,
+    spherical first."""
     data = _read_input(config)
     if len(data) < 2:
         raise TooFewPointsError("validate needs at least 2 series")
@@ -299,23 +302,22 @@ def cmd_validate(config: RunConfig) -> int:
             f"window {config.window} exceeds series length {data.length}"
         )
     n = len(data)
+    kinds = (SPHERICAL, PROJECTIVE)
     worst_margin = float("inf")
     worst = None
     failures = 0
     checked = 0
     for ms, rho in correlation_chunks(data, config.window, config.stride):
-        per_kind = [
-            (kind, _axiom_stats(angular_distances(rho, kind))) for kind in (SPHERICAL, PROJECTIVE)
-        ]
+        stats = _axiom_stats(np.concatenate([angular_distances(rho, kind) for kind in kinds]))
         for w, m in enumerate(ms):
             tick = data.tick(int(m) * config.stride)
-            for kind, stats in per_kind:
+            for at, kind in zip((w, len(ms) + w), kinds):
                 checked += 1
-                if stats.min_margin[w] < worst_margin:
-                    worst_margin = float(stats.min_margin[w])
-                    triple = sorted(int(i) for i in np.unravel_index(stats.worst[w], (n, n, n)))
+                if stats.min_margin[at] < worst_margin:
+                    worst_margin = float(stats.min_margin[at])
+                    triple = sorted(int(i) for i in np.unravel_index(stats.worst[at], (n, n, n)))
                     worst = (tick, kind, tuple(triple))
-                if not stats.passed[w]:
+                if not stats.passed[at]:
                     failures += 1
                     report = verify_metric_axioms(angular_distances(rho[w], kind))
                     print(

@@ -56,8 +56,10 @@ def pearson_rho(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy of each (n, n) matrix of a stack, built from
     its upper triangle."""
-    upper = np.triu(m)
-    return upper + np.triu(m, 1).swapaxes(-1, -2)
+    out = m.copy()
+    np.copyto(out, m.swapaxes(-1, -2), where=np.tri(m.shape[-1], k=-1, dtype=bool))
+    out += 0.0  # -0.0 to +0.0, as adding the two triangles did
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ largest off-diagonal |rho| and u the unit roundoff. A window whose bound is
 within TRIANGLE_TOL passes the scan for certain and is not scanned; every
 other check still runs on it. Windows with |rho| near 1, such as
 near-copies of one series, are scanned as before. ``validate`` scans every
-window, since the margins are its output. Where the scan does run, it
+window, since the margins are its output, and scans both kinds of a chunk
+in one stack, spherical then projective. Where the scan does run, it
 reduces the margins in (windows, n, n) slabs rather than building n^3 of
 them per window.
 
@@ -70,7 +71,8 @@ from .series import (
 # triangle-margin slabs, and for the triangle measure the sides of every
 # triple. A chunk holds at least one window, so a window whose own largest
 # array is bigger exceeds it: with the triangle measure from n = 42 on, whose
-# 3 * C(n, 3) sides pass 2^15. Larger chunks were measured slower, and at
+# 3 * C(n, 3) sides pass 2^15. validate's slabs hold both kinds, so where
+# n > K they reach twice the target. Larger chunks were measured slower, and at
 # 2^17 they raised peak RSS by more than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
 

@@ -135,9 +135,20 @@ def _triangle_margins(m: np.ndarray) -> np.ndarray:
 def _min_triangle_margins(m: np.ndarray, half: bool) -> tuple[np.ndarray, np.ndarray]:
     """Minimum and first flat argmin of _triangle_margins(m) per matrix,
     reduced over one (M, n, n - lo) slab of first index i at a time, with k
-    from lo = i + 1 when ``half`` (m exactly symmetric), from 0 otherwise."""
+    from lo = i + 1 when ``half`` (m exactly symmetric), from 0 otherwise.
+
+    Much of the cost is per slab rather than per matrix, so one tall stack
+    scans faster than several short ones: ``validate`` scans both kinds of a
+    chunk at once. An exactly symmetric stack is finite, since a NaN or inf
+    entry makes m - m^T NaN. So on the half path a copy with a +inf diagonal
+    gives every margin with j == i or j == k the +inf that the full path
+    writes as a mask: inf + x - y, with x and y finite."""
     count, n = m.shape[0], m.shape[-1]
     stop = n - 1 if half else n
+    if half:
+        m = m.copy()
+        idx = np.arange(n)
+        m[:, idx, idx] = np.inf
     values = np.empty((stop, count))
     args = np.empty((stop, count), dtype=int)
     buffer = np.empty(count * n * n)
@@ -149,9 +160,9 @@ def _min_triangle_margins(m: np.ndarray, half: bool) -> tuple[np.ndarray, np.nda
         np.add(m[:, i, :, None], m[:, :, lo:], out=slab)  # slab[:, j, k - lo]
         np.subtract(slab, m[:, i, None, lo:], out=slab)
         flat = slab.reshape(count, n * width)
-        flat[:, i * width : (i + 1) * width] = np.inf  # j == i
-        flat[:, lo * width :: width + 1] = np.inf  # j == k
         if not half:
+            flat[:, i * n : (i + 1) * n] = np.inf  # j == i
+            flat[:, :: n + 1] = np.inf  # j == k
             flat[:, i::n] = np.inf  # k == i
         args[i] = flat.argmin(axis=1)
         values[i] = flat[rows, args[i]]

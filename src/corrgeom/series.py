@@ -352,12 +352,44 @@ def _parse_tick_column(cells: list[str]) -> tuple[int, int]:
     return 0, 1
 
 
+def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] | None:
+    """The tick cells and the (ncol - 1, rows) values of a CSV's data lines,
+    ``lines[1:]``, parsed in one np.loadtxt call; None for a file that the
+    row-at-a-time parse might read differently or reject.
+
+    Without quotes or carriage returns, each line is one record whose cells
+    are its comma-separated fields. np.loadtxt accepts a subset of what
+    float() accepts, with the same values, so a body it parses to finite
+    values with ncol cells per line and no blank tick is one the row loop
+    reads the same. Any other file goes through the row loop, which raises
+    its first error."""
+    text = "".join(lines)
+    body = lines[1:]
+    if not body or '"' in text or "\r" in text:
+        return None
+    if any(line.count(",") != ncol - 1 for line in body):
+        return None
+    ticks = [line[: line.index(",")] for line in body]
+    if not all(tick.strip() for tick in ticks):
+        return None
+    try:
+        values = np.loadtxt(
+            body, delimiter=",", comments=None, usecols=range(1, ncol), ndmin=2
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return ticks, values.T
+
+
 def read_timeseries_csv(source) -> TimeSeriesSet:
     """Read a TimeSeriesSet from a CSV path or open text file."""
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as fh:
             return read_timeseries_csv(fh)
-    reader = csv.reader(source)
+    lines = list(source)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -372,6 +404,16 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
         if name in seen:
             raise DuplicateIdError(f"duplicate column name {name!r}")
         seen.add(name)
+    tick_cells, columns = _loadtxt_body(lines, len(header)) or _read_rows(reader, header, names)
+    start, step = _parse_tick_column(tick_cells)
+    return TimeSeriesSet(
+        tuple(TimeSeries(name, start, step, col) for name, col in zip(names, columns))
+    )
+
+
+def _read_rows(reader, header: list[str], names: list[str]) -> tuple[list[str], np.ndarray]:
+    """The tick cells and the (ncol - 1, rows) values of the data rows left in
+    ``reader``, one row at a time; raises IngestError at the first bad row."""
     tick_cells: list[str] = []
     rows: list[list[float]] = []
     for rownum, row in enumerate(reader, start=1):
@@ -395,11 +437,7 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
         rows.append(values)
     if not tick_cells:
         raise IngestError("no data rows")
-    start, step = _parse_tick_column(tick_cells)
-    columns = np.array(rows).T
-    return TimeSeriesSet(
-        tuple(TimeSeries(name, start, step, col) for name, col in zip(names, columns))
-    )
+    return tick_cells, np.array(rows).T
 
 
 def write_timeseries_csv(ts_set: TimeSeriesSet, dest, tick_header: str = "tick") -> None:

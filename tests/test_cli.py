@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,17 @@ import numpy as np
 import pytest
 
 import corrgeom
-from corrgeom import TimeSeries, TimeSeriesSet, cli, write_timeseries_csv
+from corrgeom import (
+    TimeSeries,
+    TimeSeriesSet,
+    WindowSpec,
+    cli,
+    correlation_matrix,
+    verify_metric_axioms,
+    write_timeseries_csv,
+)
+from corrgeom.events import _windows_per_chunk
+from corrgeom.metric import PROJECTIVE, SPHERICAL, angular_distances
 from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
 
 # Stored analyze and events outputs on benchmark_csv, default settings, and
@@ -374,3 +385,50 @@ def test_outputs_match_the_golden_files(tmp_path, capsys, command):
     for want in golden:
         match = assert_csv_matches if want.suffix == ".csv" else assert_json_matches
         match(out / want.name, want)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1)], ids=["copies", "negated"])
+def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys, signs):
+    # Eight series, four of them near-copies of one sine, times ``signs``, over
+    # samples [40, 120) and [400, 480): their windows fail the triangle check
+    # in both kinds, in the first and the last of three chunks. With no sign
+    # flipped, both kinds tie on the worst margin and spherical is reported;
+    # with two flipped, every failing triple has a negative correlation, so the
+    # kinds' margins differ and the report must name the right one.
+    length, window = 500, 21
+    rng = np.random.default_rng(3)
+    columns = rng.normal(size=(8, length))
+    t = np.arange(length)
+    for lo, hi in ((40, 120), (400, 480)):
+        copies = np.sin(t[lo:hi] / 3) + 1e-8 * rng.normal(size=(4, hi - lo))
+        columns[:4, lo:hi] = np.array(signs)[:, None] * copies
+    path = write_csv(tmp_path, columns)
+    data = corrgeom.read_timeseries_csv(path)
+    count = length - window + 1
+    size = _windows_per_chunk(8, window, triangles=False)
+    assert count > 2 * size
+
+    margins, worst_margin, worst, violations, failing = {}, math.inf, None, [], set()
+    for m in range(count):
+        rho = correlation_matrix(data, WindowSpec(m, window)).values
+        for kind in (SPHERICAL, PROJECTIVE):
+            report = verify_metric_axioms(angular_distances(rho, kind))
+            margins[m, kind] = report.min_triangle_margin
+            if report.min_triangle_margin < worst_margin:
+                worst_margin, worst = report.min_triangle_margin, (m, kind, report.worst_triple)
+            if not report.passed:
+                failing.add((m // size, kind))
+                violations.append(f"VIOLATION window@{m} {kind}: {report.summary()}\n")
+    assert failing == {(c, k) for c in (0, 2) for k in (SPHERICAL, PROJECTIVE)}
+    if min(signs) > 0:
+        assert worst[1] == SPHERICAL and margins[worst[0], PROJECTIVE] == worst_margin
+    else:
+        assert margins[worst[0], SPHERICAL] != margins[worst[0], PROJECTIVE]
+
+    assert cli.main(["validate", "--input", path, "--window", str(window)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "".join(violations)
+    assert out == (
+        f"FAIL: checked {2 * count} distance matrices over {count} windows; "
+        f"worst triangle margin {worst_margin:.6e} at {worst}\n"
+    )

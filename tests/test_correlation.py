@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgeom import (
     CorrelationMatrix,
@@ -18,6 +20,7 @@ from corrgeom import (
     window_vector,
     windowed_covariance,
 )
+from corrgeom.correlation import _mirror_upper
 
 
 def ts(sid, values):
@@ -224,3 +227,17 @@ class TestCovarianceMatrix:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ValueError, match="positive semidefinite"):
             CovarianceMatrix(("a", "b"), bad)
+
+
+SPECIAL_VALUES = [0.0, -0.0, 1.5, -2.0, math.nan, math.inf, -math.inf, 1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), count=st.integers(0, 4), n=st.integers(0, 9))
+def test_mirror_upper_equals_the_sum_of_two_triangles_byte_for_byte(data, count, n):
+    entries = data.draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=count * n * n,
+                                 max_size=count * n * n))
+    m = np.array(entries, dtype=float).reshape(count, n, n)
+    want = np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)
+    got = _mirror_upper(m)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

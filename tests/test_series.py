@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgeom import (
     CenteredUnitVector,
@@ -20,6 +22,7 @@ from corrgeom import (
     windowed_unit_matrix,
     write_timeseries_csv,
 )
+from corrgeom import series
 from corrgeom.series import _parse_value
 
 
@@ -264,8 +267,7 @@ CELLS = [
 ]
 
 
-@pytest.mark.parametrize("cell", CELLS)
-def test_a_cell_parses_exactly_as_parse_value_does(cell):
+def assert_cell_reads_as_parse_value(cell):
     # Column b, the second cell of data row 2, after cells that parse.
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([["tick", "a", "b"], [0, 1, 2], [1, 3, cell]])
@@ -278,6 +280,67 @@ def test_a_cell_parses_exactly_as_parse_value_does(cell):
     else:
         got = read_timeseries_csv(io.StringIO(buf.getvalue())).get("b").values[1]
         assert np.float64(want).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_a_cell_parses_exactly_as_parse_value_does(cell):
+    assert_cell_reads_as_parse_value(cell)
+
+
+def read_by_rows(monkeypatch):
+    """Send every file through the row-at-a-time parse."""
+    monkeypatch.setattr(series, "_loadtxt_body", lambda lines, ncol: None)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_a_cell_parses_the_same_through_the_row_loop(cell, monkeypatch):
+    read_by_rows(monkeypatch)
+    assert_cell_reads_as_parse_value(cell)
+
+
+# Digits, signs, points, exponents, underscores, ASCII and Unicode spaces and
+# digits, and the words float() reads as non-finite.
+CELL_TOKENS = list("0123456789+-.eE_ \t\v\f\u00a0\u2003\u3000\u0663\uff11") + [
+    "nan", "inf", "Infinity",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(tokens=st.lists(st.sampled_from(CELL_TOKENS), max_size=8))
+def test_what_the_loadtxt_parse_accepts_float_reads_the_same(tokens):
+    cell = "".join(tokens)
+    parsed = series._loadtxt_body(["tick,a\n", f"0,{cell}\n"], 2)
+    if parsed is not None:
+        assert parsed[0] == ["0"]
+        assert np.float64(float(cell)).tobytes() == parsed[1][0, 0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        pytest.param("tick,a,b\n0,1,2\n\n1,3,4\n", "data row 2 has 0 cells, expected 3",
+                     id="blank-line"),
+        pytest.param('tick,a,b\n0,"1.5",2\n1,3,4\n', [[1.5, 3.0], [2.0, 4.0]], id="quoted-cell"),
+        pytest.param('tick,"a",b\n0,1,2\n1,3,4\n', [[1.0, 3.0], [2.0, 4.0]], id="quoted-name"),
+        pytest.param("tick,a,b\r\n0,1,2\r\n1,3,4\r\n", [[1.0, 3.0], [2.0, 4.0]], id="crlf"),
+        pytest.param("tick,a,b\n0,1,2,5\n1,3,4\n", "data row 1 has 4 cells, expected 3",
+                     id="extra-column"),
+        pytest.param("tick,a,b\n0,1,2\n1,3,4,\n", "data row 2 has 4 cells, expected 3",
+                     id="trailing-comma"),
+        pytest.param("tick,a,b\n0,1,2\n \t,3,4\n", "missing tick at data row 2", id="blank-tick"),
+        pytest.param("tick,a,b\n0,1,2\n1,3,4", [[1.0, 3.0], [2.0, 4.0]], id="no-final-newline"),
+    ],
+)
+def test_a_file_reads_the_same_on_both_paths(text, want, monkeypatch):
+    def read():
+        try:
+            return read_timeseries_csv(io.StringIO(text, newline="")).matrix().tolist()
+        except IngestError as exc:
+            return str(exc)
+
+    assert read() == want
+    read_by_rows(monkeypatch)
+    assert read() == want
 
 
 def test_the_first_bad_cell_of_a_row_raises():
