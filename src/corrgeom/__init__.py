@@ -8,13 +8,9 @@ with minima over time marking locked states.
 
 from .correlation import (
     CorrelationMatrix,
-    CovarianceMatrix,
     correlation_from_units,
     correlation_matrix,
-    covariance_matrix,
     pearson_rho,
-    twisted_dot,
-    windowed_covariance,
 )
 from .errors import (
     AngleDomainError,
@@ -25,7 +21,6 @@ from .errors import (
     IngestError,
     InvalidTriangleError,
     MetricViolationError,
-    NonEmbeddableError,
     TooFewPointsError,
     WindowTooLongError,
     ZeroVarianceError,
@@ -43,24 +38,16 @@ from .events import (
     sliding_measures,
 )
 from .measures import (
-    CHORDAL_CAYLEY_MENGER,
-    EXACT_SPHERICAL,
     MeasureResult,
-    cayley_menger_volume,
     diameter,
     max_simplex_volume,
     spherical_triangle_area,
 )
 from .metric import (
-    CLASS_INTERMEDIATE,
-    CLASS_MAX_NEGATIVE,
-    CLASS_MAX_POSITIVE,
-    CLASS_UNCORRELATED,
     PROJECTIVE,
     SPHERICAL,
     DistanceMatrix,
     MetricReport,
-    classify_correlation,
     correlation_angle,
     distance_matrix,
     projective_angle,

@@ -1,14 +1,14 @@
-"""Covariance and Pearson correlation kernels, abstract and windowed.
+"""Pearson correlation as the covariance inner product of centred unit vectors.
 
 The windowed covariance of two series over a window of K samples is
 
-    cov(a, b) = (1/K) * sum_l (a(l) - mean_a) * (b(l) - mean_b)
+    cov(a, b) = (1/K) * sum_l (a(l) - mean_a) * (b(l) - mean_b),
 
-and the correlation is the cosine of the angle between the centered unit
-vectors, which is how it is computed here: one unit vector per (series,
-window), shared across all pairs. Covariance is bilinear and symmetric, so a
-covariance matrix A acts as an inner product c^T A d on coefficient vectors,
-realizing the covariance of linear combinations without forming them.
+an inner product on the centred windows. Scaled to unit norm, the windows
+become points on a sphere, and their correlation is the covariance inner
+product of those unit vectors: the cosine of the angle between them. That
+is how it is computed here, as a Gram matrix of one centred unit vector per
+(series, window), shared across all pairs.
 """
 
 from __future__ import annotations
@@ -20,24 +20,12 @@ import numpy as np
 from .errors import DimensionMismatchError, TooFewPointsError
 from .series import TimeSeries, TimeSeriesSet, WindowSpec, window_vector, windowed_unit_matrix
 
-SYMMETRY_TOL = 1e-12
-PSD_TOL = 1e-9
-
 
 def _check_aligned(a: TimeSeries, b: TimeSeries) -> None:
     if (a.start, a.step, len(a)) != (b.start, b.step, len(b)):
         raise ValueError(
             f"series {a.id!r} and {b.id!r} are not aligned; run align() first"
         )
-
-
-def windowed_covariance(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
-    """Population covariance of two aligned series over one window."""
-    _check_aligned(a, b)
-    w.check_fits(len(a))
-    sa = a.values[w.t : w.t + w.size]
-    sb = b.values[w.t : w.t + w.size]
-    return float(np.dot(sa - sa.mean(), sb - sb.mean()) / w.size)
 
 
 def pearson_rho(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
@@ -60,35 +48,6 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     np.copyto(out, m.swapaxes(-1, -2), where=np.tri(m.shape[-1], k=-1, dtype=bool))
     out += 0.0  # -0.0 to +0.0, as adding the two triangles did
     return out
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Symmetric positive-semidefinite matrix of pairwise covariances."""
-
-    ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        n = len(self.ids)
-        if v.shape != (n, n):
-            raise DimensionMismatchError(
-                f"expected a {n}x{n} matrix, got shape {v.shape}"
-            )
-        if np.abs(v - v.T).max(initial=0.0) > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric within 1e-12")
-        if np.diagonal(v).min(initial=0.0) < 0.0:
-            raise ValueError("covariance matrix has a negative diagonal entry")
-        if n > 0 and np.linalg.eigvalsh(v).min() < -PSD_TOL:
-            raise ValueError("covariance matrix is not positive semidefinite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "ids", tuple(self.ids))
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -145,31 +104,3 @@ def correlation_matrix(ts_set: TimeSeriesSet, w: WindowSpec) -> CorrelationMatri
         raise TooFewPointsError("pairwise correlation needs at least 2 series")
     units = windowed_unit_matrix(ts_set, w)
     return CorrelationMatrix(ts_set.ids, correlation_from_units(units))
-
-
-def covariance_matrix(ts_set: TimeSeriesSet, w: WindowSpec) -> CovarianceMatrix:
-    """Pairwise windowed covariances of a set over one window."""
-    w.check_fits(ts_set.length)
-    seg = ts_set.matrix()[:, w.t : w.t + w.size]
-    dev = seg - seg.mean(axis=1, keepdims=True)
-    cov = _mirror_upper(dev @ dev.T / w.size)
-    return CovarianceMatrix(ts_set.ids, cov)
-
-
-def twisted_dot(c, d, a) -> float:
-    """Inner product c^T A d induced by a covariance matrix A.
-
-    By bilinearity this equals the covariance of the linear combinations
-    sum_i c_i X_i and sum_j d_j X_j of the underlying variables.
-    """
-    mat = a.values if isinstance(a, CovarianceMatrix) else np.asarray(a, dtype=float)
-    cv = np.asarray(c, dtype=float)
-    dv = np.asarray(d, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got shape {mat.shape}")
-    if cv.shape != (mat.shape[0],) or dv.shape != (mat.shape[1],):
-        raise DimensionMismatchError(
-            f"coefficient vectors of length {cv.size} and {dv.size} do not "
-            f"match a {mat.shape[0]}x{mat.shape[1]} matrix"
-        )
-    return float(cv @ mat @ dv)

@@ -41,9 +41,5 @@ class InvalidTriangleError(CorrGeomError):
     """Side lengths violate the spherical triangle inequalities."""
 
 
-class NonEmbeddableError(CorrGeomError):
-    """Pairwise distances admit no Euclidean embedding of the requested dimension."""
-
-
 class WindowTooLongError(CorrGeomError):
     """The summation window exceeds the series length."""

@@ -11,10 +11,12 @@ It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
 CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
 distances, the metric-axiom and triangle checks, the measures) runs once per
-chunk on the whole stack. No per-window object is built. A chunk in which a
-check fails is replayed one window at a time through the validated
-single-window constructors, so the first failing window raises the error it
-raises alone, prefixed with ``window@<tick>``.
+chunk on the whole stack. No per-window object is built. Where a check of a
+chunk fails, only the chunk's first failing window is replayed: its own
+arrays from the chunk go through the single-window form of that check
+(series._check_unit_rows on its unit rows, or CorrelationMatrix,
+distance_matrix and max_simplex_volume on its correlations), which raises
+the error the window raises alone, prefixed with ``window@<tick>``.
 
 The triangle-margin scan of the axiom check costs n^3 per window, and
 ``sliding_measures`` skips it wherever it can only pass. The projective
@@ -42,7 +44,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,13 +60,7 @@ from .metric import (
     angular_distances,
     distance_matrix,
 )
-from .series import (
-    TimeSeriesSet,
-    WindowSpec,
-    _check_unit_rows,
-    _window_units,
-    windowed_unit_matrix,
-)
+from .series import TimeSeriesSet, WindowSpec, _check_unit_rows, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
 # windows: the (windows, n, K) window rows, the (windows, n, n) matrices and
@@ -159,19 +155,27 @@ def _windows_per_chunk(n: int, window: int, triangles: bool) -> int:
     return max(1, CHUNK_ELEMENTS // largest)
 
 
-def _raise_first_failure(ts_set, window, stride, ms, check=None) -> NoReturn:
-    """Replay windows ``ms`` one at a time through the single-window route
-    (windowed_unit_matrix, then ``check`` on its units) and re-raise the
-    first failure, prefixed with the window's tick as ``window@<tick>``."""
-    for m in ms:
-        t = int(m) * stride
-        try:
-            units = windowed_unit_matrix(ts_set, WindowSpec(t, window, stride))
-            if check is not None:
-                check(units)
-        except (CorrGeomError, ValueError) as exc:
-            raise type(exc)(f"window@{ts_set.tick(t)}: {exc}") from exc
-    raise RuntimeError(f"windows {ms[0]}..{ms[-1]} fail as a chunk but pass one at a time")
+def _replay(ts_set: TimeSeriesSet, t: int, check, *arrays) -> None:
+    """Run ``check(*arrays)`` on the arrays of the window that starts at
+    sample t, and re-raise its error prefixed with the window's tick as
+    ``window@<tick>``.
+
+    It raises. The callers pass the arrays of a window that a check of its
+    chunk rejected, taken from the chunk itself, and the single-window form
+    of that check, which does the same arithmetic on each window's numbers:
+    _check_unit_rows reduces each row alone, and DistanceMatrix and
+    max_simplex_volume compute one matrix's bound, symmetry, diagonal,
+    entries, triangle margins and sides as the chunk's stacked forms compute
+    them for each matrix. The chunk's one extra step, skipping the margin
+    scan where metric._margin_error_bound proves a pass, skips only margins
+    that the scan finds within tolerance. So a window fails the chunk check
+    exactly where it fails alone, and the first to fail in the chunk is the
+    first to fail window by window.
+    """
+    try:
+        check(*arrays)
+    except (CorrGeomError, ValueError) as exc:
+        raise type(exc)(f"window@{ts_set.tick(t)}: {exc}") from exc
 
 
 def correlation_chunks(
@@ -183,7 +187,7 @@ def correlation_chunks(
 
     A chunk is a (windows, n, K) stack centred, normalised and checked in one
     array pass; ``triangles`` sizes chunks for the triangle measure. A unit
-    row that fails its check raises through the single-window route.
+    row that fails its check raises its error, naming its window.
     """
     WindowSpec(0, window, stride)  # rejects a bad window size or stride
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
@@ -200,7 +204,9 @@ def correlation_chunks(
             try:
                 _check_unit_rows(units, ts_set.ids)
             except ValueError:
-                _raise_first_failure(ts_set, window, stride, ms)
+                for w, m in enumerate(ms.tolist()):
+                    _replay(ts_set, m * stride, _check_unit_rows, units[w], ts_set.ids)
+                raise
             rho = correlation_from_units(units)
         del units  # not held while the caller works on rho
         yield ms, rho
@@ -222,9 +228,9 @@ def sliding_measures(
     Each chunk of windows runs the checks of the single-window route
     (CorrelationMatrix, distance_matrix, max_simplex_volume) on its stacks,
     the triangle-margin scan only on windows that metric._margin_error_bound
-    does not prove to pass it; if one fails, the chunk is replayed through
-    that route and the first failing window raises its error, naming the
-    window.
+    does not prove to pass it. If one fails, the chunk's first failing window
+    goes through that route on its own correlations from the chunk, and
+    raises its error, naming the window.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -249,9 +255,8 @@ def sliding_measures(
     gaps = {kind: np.ones(count, dtype=bool) for kind in kinds}  # until evaluated
     triples = _triples(n) if triangles else None
 
-    def single_window(units):
-        rho = CorrelationMatrix(ts_set.ids, correlation_from_units(units))
-        dm = distance_matrix(rho, PROJECTIVE)
+    def single_window(rho):
+        dm = distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
         if triangles:
             max_simplex_volume(dm, 2)
 
@@ -266,7 +271,8 @@ def sliding_measures(
             sides, sides_ok = _triangle_sides(dist, triples)
             ok &= sides_ok.all(axis=1)
         if not ok.all():
-            _raise_first_failure(ts_set, window, stride, ms, single_window)
+            w = int(np.argmin(ok))
+            _replay(ts_set, int(ms[w]) * stride, single_window, rho[w])
         for kind in kinds:
             gaps[kind][ms] = False
         if KIND_DIAMETER in kinds:

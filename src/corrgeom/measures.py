@@ -1,12 +1,11 @@
 """Spread measures for points on the sphere.
 
 Two measures of how spread out a set of unit vectors is, both driven by
-angular distance:
+angular distance, the paper's M_1 and M_2:
 
 * diameter: the largest pairwise distance;
-* maximal simplex volume: the largest volume over every simplex with
-  vertices in the set (exact spherical excess for triangles, chordal
-  Cayley-Menger volume for dimension >= 3, flagged as such).
+* maximal triangle area: the largest spherical excess over every triangle
+  with vertices in the set.
 
 Small values of either mean the underlying series are jointly highly
 correlated.
@@ -14,44 +13,31 @@ correlated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTriangleError, NonEmbeddableError, TooFewPointsError
+from .errors import InvalidTriangleError, TooFewPointsError
 from .metric import TRIANGLE_TOL, DistanceMatrix
-
-EXACT_SPHERICAL = "exact_spherical"
-CHORDAL_CAYLEY_MENGER = "chordal_cayley_menger"
 
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """One spread measure: value, witnessing vertex indices, method flag.
+    """One spread measure: value and witnessing vertex indices.
 
-    Units: radians for dimension 1, steradians for dimension 2, chordal
-    (Euclidean) volume units for dimension >= 3.
+    Units: radians for dimension 1 (the diameter), steradians for dimension
+    2 (the largest triangle).
     """
 
     value: float
     witness: tuple[int, ...]
-    method: str
     dimension: int
 
     def __post_init__(self):
         if self.value < 0.0:
             raise ValueError("measure values are nonnegative")
         object.__setattr__(self, "witness", tuple(int(i) for i in self.witness))
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": list(self.witness),
-            "method": self.method,
-            "dimension": self.dimension,
-        }
 
 
 def _validate_sides(a: float, b: float, c: float) -> tuple[float, float, float, float]:
@@ -88,9 +74,9 @@ def spherical_triangle_area(a: float, b: float, c: float) -> float:
         tan(E/4) = sqrt( tan(s/2) tan((s-a)/2) tan((s-b)/2) tan((s-c)/2) ),
 
     with s the semiperimeter. Degenerate triangles (triangle inequality tight
-    within 1e-9) return exactly 0; they are legitimate zero-area candidates
-    inside enumerations. Exactly symmetric in its arguments (sides are sorted
-    before evaluation).
+    within TRIANGLE_TOL) return exactly 0; they are legitimate zero-area
+    candidates inside enumerations. Exactly symmetric in its arguments (sides
+    are sorted before evaluation).
     """
     a, b, c, margin = _validate_sides(a, b, c)
     if margin <= TRIANGLE_TOL:
@@ -119,7 +105,8 @@ def _angular_matrix(source) -> np.ndarray:
         raise ValueError(
             f"expected a DistanceMatrix or square distance array, got shape {m.shape}"
         )
-    if np.abs(m - m.T).max(initial=0.0) > 1e-9 or np.abs(np.diagonal(m)).max(initial=0.0) > 1e-9:
+    asymmetry = np.abs(m - m.T).max(initial=0.0)
+    if asymmetry > TRIANGLE_TOL or np.abs(np.diagonal(m)).max(initial=0.0) > TRIANGLE_TOL:
         raise ValueError("distance array must be symmetric with zero diagonal")
     return m
 
@@ -143,7 +130,7 @@ def diameter(source) -> MeasureResult:
     if n < 2:
         raise TooFewPointsError("diameter needs at least 2 points")
     value, flat = _diameters(m[None])
-    return MeasureResult(float(value[0]), divmod(int(flat[0]), n), EXACT_SPHERICAL, 1)
+    return MeasureResult(float(value[0]), divmod(int(flat[0]), n), 1)
 
 
 def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,52 +172,20 @@ def _triangle_areas(sides: np.ndarray) -> np.ndarray:
     return area
 
 
-def cayley_menger_volume(dists) -> float:
-    """Euclidean simplex volume from pairwise distances of d+1 points.
-
-    Standard bordered-determinant formula:
-
-        V^2 = (-1)^(d+1) / (2^d (d!)^2) * det(CM)
-
-    where CM borders the squared-distance matrix with a row and column of
-    ones. V^2 within -1e-12 of zero clamps to 0 (flat simplex); more negative
-    values mean the distances are not embeddable and raise NonEmbeddableError.
-    """
-    m = np.asarray(dists, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        raise ValueError(f"expected a square matrix of >= 2 points, got shape {m.shape}")
-    if np.abs(m - m.T).max() > 1e-9 or np.abs(np.diagonal(m)).max() > 1e-9:
-        raise ValueError("distance matrix must be symmetric with zero diagonal")
-    npts = m.shape[0]
-    d = npts - 1
-    bordered = np.ones((npts + 1, npts + 1))
-    bordered[0, 0] = 0.0
-    bordered[1:, 1:] = m * m
-    det = float(np.linalg.det(bordered))
-    vol2 = (-1.0) ** (d + 1) / (2.0**d * math.factorial(d) ** 2) * det
-    if vol2 < -1e-12:
-        raise NonEmbeddableError(
-            f"squared volume {vol2:.3e} is negative beyond tolerance; the "
-            f"distances do not embed in {d} dimensions"
-        )
-    return math.sqrt(max(vol2, 0.0))
-
-
 def max_simplex_volume(source, dimension: int) -> MeasureResult:
-    """Largest d-simplex volume over all (d+1)-subsets of the points.
+    """Largest d-simplex volume over all (d+1)-subsets of the points, for
+    d = 1 or 2; any other dimension raises ValueError.
 
     Input is a DistanceMatrix or a raw angular distance array. Dimension 1
-    is the geodesic diameter; dimension 2 uses exact spherical excess with
-    the matrix entries as side lengths; dimension >= 3 substitutes the
-    chordal Cayley-Menger volume (chord = 2 sin(angle/2)) and flags the
-    method accordingly. Enumeration is exhaustive, and ties break to the
-    lexicographically smallest vertex subset.
+    is the geodesic diameter; dimension 2 is the exact spherical excess with
+    the matrix entries as side lengths. Enumeration is exhaustive, and ties
+    break to the lexicographically smallest vertex subset.
 
     Dimension 2 applies spherical_triangle_area's rules to all triples as
     arrays and raises its error for the first triple with invalid sides.
     """
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    if dimension not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
     m = _angular_matrix(source)
     n = m.shape[0]
     if n < dimension + 1:
@@ -239,23 +194,11 @@ def max_simplex_volume(source, dimension: int) -> MeasureResult:
         )
     if dimension == 1:
         return diameter(m)
-    if dimension == 2:
-        triples = _triples(n)
-        sides, ok = _triangle_sides(m[None], triples)
-        if not ok.all():
-            i, j, k = (int(idx[np.argmin(ok[0])]) for idx in triples)
-            _validate_sides(m[i, j], m[i, k], m[j, k])
-        area = _triangle_areas(sides[0])
-        best = int(np.argmax(area))
-        return MeasureResult(
-            float(area[best]), tuple(idx[best] for idx in triples), EXACT_SPHERICAL, 2
-        )
-    chords = 2.0 * np.sin(m / 2.0)
-    best = -math.inf
-    witness = tuple(range(dimension + 1))
-    for subset in itertools.combinations(range(n), dimension + 1):
-        vol = cayley_menger_volume(chords[np.ix_(subset, subset)])
-        if vol > best:
-            best = vol
-            witness = subset
-    return MeasureResult(best, witness, CHORDAL_CAYLEY_MENGER, dimension)
+    triples = _triples(n)
+    sides, ok = _triangle_sides(m[None], triples)
+    if not ok.all():
+        i, j, k = (int(idx[np.argmin(ok[0])]) for idx in triples)
+        _validate_sides(m[i, j], m[i, k], m[j, k])
+    area = _triangle_areas(sides[0])
+    best = int(np.argmax(area))
+    return MeasureResult(float(area[best]), tuple(idx[best] for idx in triples), 2)

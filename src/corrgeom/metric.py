@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -38,11 +37,6 @@ ARCCOS_ERROR = 2.0**-48
 SPHERICAL = "spherical"
 PROJECTIVE = "projective"
 
-CLASS_MAX_POSITIVE = "max_positive"
-CLASS_MAX_NEGATIVE = "max_negative"
-CLASS_UNCORRELATED = "uncorrelated"
-CLASS_INTERMEDIATE = "intermediate"
-
 
 def _check_rho(rho: float) -> float:
     rho = float(rho)
@@ -63,19 +57,6 @@ def projective_angle(rho: float) -> float:
     supplement otherwise.
     """
     return math.acos(abs(_check_rho(rho)))
-
-
-def classify_correlation(rho: float, tol: float = 1e-9) -> str:
-    """Classify a correlation as maximally positive/negative, uncorrelated,
-    or intermediate, comparing against the endpoints within ``tol``."""
-    rho = _check_rho(rho)
-    if rho >= 1.0 - tol:
-        return CLASS_MAX_POSITIVE
-    if rho <= -1.0 + tol:
-        return CLASS_MAX_NEGATIVE
-    if abs(rho) <= tol:
-        return CLASS_UNCORRELATED
-    return CLASS_INTERMEDIATE
 
 
 @dataclass(frozen=True)
@@ -357,17 +338,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def to_csv(self, dest=None) -> str | None:
-        """Serialize with id headers and 12 significant digits, for audit."""
-        lines = ["," + ",".join(self.ids)]
-        for sid, row in zip(self.ids, self.values):
-            lines.append(sid + "," + ",".join(f"{x:.12g}" for x in row))
-        text = "\n".join(lines) + "\n"
-        if dest is None:
-            return text
-        Path(dest).write_text(text)
-        return None
 
 
 def angular_distances(rho: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:

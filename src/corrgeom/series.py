@@ -394,6 +394,8 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
         header = next(reader)
     except StopIteration:
         raise IngestError("empty file: header row is mandatory") from None
+    except csv.Error as exc:
+        raise IngestError(f"unreadable CSV in the header row: {exc}") from None
     if len(header) < 2:
         raise IngestError("need a tick column plus at least one series column")
     names = [h.strip() for h in header[1:]]
@@ -416,25 +418,29 @@ def _read_rows(reader, header: list[str], names: list[str]) -> tuple[list[str], 
     ``reader``, one row at a time; raises IngestError at the first bad row."""
     tick_cells: list[str] = []
     rows: list[list[float]] = []
-    for rownum, row in enumerate(reader, start=1):
-        if len(row) != len(header):
-            raise IngestError(
-                f"data row {rownum} has {len(row)} cells, expected {len(header)}"
-            )
-        if not row[0].strip():
-            raise IngestError(f"missing tick at data row {rownum}")
-        tick_cells.append(row[0])
-        # float() strips the same whitespace as str.strip() and rejects ",",
-        # so a row it parses to finite values is one _parse_value accepts,
-        # with the same values. Any other row goes through _parse_value, which
-        # raises the row's first error.
-        try:
-            values = list(map(float, row[1:]))
-        except ValueError:
-            values = None
-        if values is None or not np.isfinite(values).all():
-            values = [_parse_value(cell, rownum, names[j]) for j, cell in enumerate(row[1:])]
-        rows.append(values)
+    rownum = 0
+    try:
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise IngestError(
+                    f"data row {rownum} has {len(row)} cells, expected {len(header)}"
+                )
+            if not row[0].strip():
+                raise IngestError(f"missing tick at data row {rownum}")
+            tick_cells.append(row[0])
+            # float() strips the same whitespace as str.strip() and rejects ",",
+            # so a row it parses to finite values is one _parse_value accepts,
+            # with the same values. Any other row goes through _parse_value, which
+            # raises the row's first error.
+            try:
+                values = list(map(float, row[1:]))
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                values = [_parse_value(cell, rownum, names[j]) for j, cell in enumerate(row[1:])]
+            rows.append(values)
+    except csv.Error as exc:  # the csv module cannot split the next row
+        raise IngestError(f"unreadable CSV at data row {rownum + 1}: {exc}") from None
     if not tick_cells:
         raise IngestError("no data rows")
     return tick_cells, np.array(rows).T

@@ -1,9 +1,9 @@
-"""Independent oracles and a synthetic phase-locking generator.
+"""An independent triangle-area oracle and a synthetic phase-locking generator.
 
 Only the CLI's simulate command imports this module, and only when it runs.
-It exists to cross-check the geometry by other routes (vertex-angle triangle
-areas, Gram-matrix simplex volumes) and to manufacture time series with
-planted coupling episodes for end-to-end detection tests.
+It exists to cross-check the geometry by another route (vertex-angle triangle
+areas) and to manufacture time series with planted coupling episodes for
+end-to-end detection tests.
 
 All randomness comes from numpy's default PCG64 generator seeded explicitly,
 so every synthetic dataset is reproducible within this build for a fixed
@@ -46,30 +46,6 @@ def girard_area(a: float, b: float, c: float) -> float:
         )
         total += math.acos(min(1.0, max(-1.0, cos_angle)))
     return total - math.pi
-
-
-def gram_simplex_volume(dists) -> float:
-    """Euclidean simplex volume by explicit coordinate reconstruction.
-
-    Builds the Gram matrix of edge vectors anchored at vertex 0, embeds via
-    its eigendecomposition, and measures the parallelepiped through a QR
-    factorization. Shares no code path with the Cayley-Menger determinant.
-    """
-    m = np.asarray(dists, dtype=float)
-    npts = m.shape[0]
-    d = npts - 1
-    if d == 0:
-        return 0.0
-    sq = m * m
-    gram = 0.5 * (sq[0, 1:][:, None] + sq[0, 1:][None, :] - sq[1:, 1:])
-    vals, vecs = np.linalg.eigh(gram)
-    vals = np.clip(vals, 0.0, None)
-    coords = vecs * np.sqrt(vals)  # rows: edge vectors from vertex 0
-    r = np.linalg.qr(coords.T, mode="r")
-    diag = np.abs(np.diagonal(r))
-    if diag.size < d:
-        return 0.0
-    return float(np.prod(diag)) / math.factorial(d)
 
 
 # ---------------------------------------------------------------------------

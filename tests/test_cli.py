@@ -109,6 +109,41 @@ def test_a_unit_row_failure_names_its_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: window@0: components of 's0' are not unit length")
     assert not (tmp_path / "out").exists()
+    # 300 normal samples, then 100 at 1e-160 scale: window 300, inside the
+    # chunk, is the first whose samples are all tiny.
+    columns = [np.r_[rng.normal(size=300), 1e-160 * rng.normal(size=100)] for _ in range(3)]
+    argv[2] = write_csv(tmp_path, columns)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: window@300: components of 's0' are not unit length")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            "t,a,b\n0,1,2\n1," + "9" * 140_000 + ",3\n",
+            "unreadable CSV at data row 2",
+            id="long-cell",
+        ),
+        pytest.param(
+            't,a,b\n0,"1",2\n1,' + "x" * 140_000 + ",3\n",
+            "unreadable CSV at data row 2",
+            id="long-cell-and-quotes",
+        ),
+        pytest.param(
+            "t,a," + "b" * 140_000 + "\n0,1,2\n", "unreadable CSV in the header row", id="long-name"
+        ),
+    ],
+)
+def test_a_cell_past_the_csv_field_limit_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    assert cli.main(["validate", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}: field larger than field limit (131072)\n"
 
 
 def huge_values_csv(tmp_path):

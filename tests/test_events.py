@@ -171,6 +171,19 @@ def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elem
     )
     with pytest.raises(MetricViolationError, match=r"^window@102: distance matrix fails"):
         sliding_measures(data, BENCHMARK_WINDOW, kinds=(KIND_DIAMETER,))
+    # Independent noise up to sample 700, near-copies after it: the first
+    # failing window, 701, is the 78th of the third 312-window chunk.
+    t = np.arange(900)
+    late = TimeSeriesSet(
+        tuple(
+            TimeSeries(f"s{i}", 0, 1, np.where(t <= 700, noise, np.sin(t / 3) + 1e-9 * noise))
+            for i, noise in enumerate(np.random.default_rng(0).normal(size=(5, 900)))
+        )
+    )
+    if chunk_elements is None:
+        assert _windows_per_chunk(5, BENCHMARK_WINDOW, False) == 312
+    with pytest.raises(MetricViolationError, match=r"^window@701: distance matrix fails"):
+        sliding_measures(late, BENCHMARK_WINDOW, kinds=(KIND_DIAMETER,))
 
 
 @settings(max_examples=60, deadline=None)

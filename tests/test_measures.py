@@ -7,19 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrgeom import (
-    CHORDAL_CAYLEY_MENGER,
-    EXACT_SPHERICAL,
     SPHERICAL,
     DistanceMatrix,
     InvalidTriangleError,
-    NonEmbeddableError,
     TooFewPointsError,
-    cayley_menger_volume,
     diameter,
     max_simplex_volume,
     spherical_triangle_area,
 )
-from corrgeom.testkit import girard_area, gram_simplex_volume
+from corrgeom.testkit import girard_area
 
 # Frozen oracle values (independently computed; see matching oracle tests).
 EQUILATERAL_THIRD_PI_AREA = 0.5512855984325309  # 3*arccos(1/3) - pi
@@ -85,7 +81,6 @@ class TestDiameter:
         out = diameter(m)
         assert out.value == math.pi / 3
         assert out.witness == (1, 2)
-        assert out.method == EXACT_SPHERICAL
         assert out.dimension == 1
 
     def test_too_few_points(self):
@@ -148,35 +143,6 @@ class TestSphericalTriangleArea:
             count += 1
 
 
-class TestCayleyMenger:
-    def test_equilateral_unit_triangle(self):
-        d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        assert cayley_menger_volume(d) == pytest.approx(math.sqrt(3) / 4, abs=1e-12)
-
-    def test_regular_unit_tetrahedron(self):
-        d = np.ones((4, 4)) - np.eye(4)
-        assert cayley_menger_volume(d) == pytest.approx(math.sqrt(2) / 12, abs=1e-12)
-
-    def test_repeated_point_gives_zero(self):
-        d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        assert cayley_menger_volume(d) == 0.0
-
-    def test_non_embeddable_raises(self):
-        d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-        with pytest.raises(NonEmbeddableError):
-            cayley_menger_volume(d)
-
-    def test_matches_gram_oracle_on_random_embeddable_inputs(self):
-        rng = np.random.default_rng(2)
-        for dim in (2, 3, 4):
-            for _ in range(25):
-                pts = rng.normal(size=(dim + 1, dim))
-                d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-                cm = cayley_menger_volume(d)
-                gram = gram_simplex_volume(d)
-                assert cm == pytest.approx(gram, abs=1e-9)
-
-
 class TestMaxSimplexVolume:
     def test_single_triangle(self):
         pts = np.eye(3)
@@ -219,17 +185,12 @@ class TestMaxSimplexVolume:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
-            max_simplex_volume(np.zeros((3, 3)), 3)
+            max_simplex_volume(np.zeros((2, 2)), 2)
 
-    def test_chordal_tetrahedron(self):
-        pts = np.array(
-            [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-        ) / math.sqrt(3)
-        out = max_simplex_volume(angles_of(pts), 3)
-        assert out.method == CHORDAL_CAYLEY_MENGER
-        assert out.witness == (0, 1, 2, 3)
-        side = math.sqrt(8.0 / 3.0)  # chord between tetrahedron vertices
-        assert out.value == pytest.approx(side**3 / (6 * math.sqrt(2)), abs=1e-12)
+    @pytest.mark.parametrize("dimension", [0, 3])
+    def test_only_the_diameter_and_the_triangle(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be 1 or 2"):
+            max_simplex_volume(np.zeros((5, 5)), dimension)
 
     def test_monotonicity_under_added_point(self):
         rng = np.random.default_rng(7)

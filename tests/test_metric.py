@@ -14,7 +14,6 @@ from corrgeom import (
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
-    classify_correlation,
     correlation_angle,
     correlation_matrix,
     distance_matrix,
@@ -23,10 +22,6 @@ from corrgeom import (
 )
 from corrgeom.correlation import correlation_from_units
 from corrgeom.metric import (
-    CLASS_INTERMEDIATE,
-    CLASS_MAX_NEGATIVE,
-    CLASS_MAX_POSITIVE,
-    CLASS_UNCORRELATED,
     PROJECTIVE,
     SPHERICAL,
     TRIANGLE_TOL,
@@ -72,28 +67,6 @@ class TestAngles:
         rng = np.random.default_rng(0)
         for rho in rng.uniform(-1, 1, 100):
             assert projective_angle(float(rho)) == projective_angle(float(-rho))
-
-
-class TestClassify:
-    def test_endpoints(self):
-        assert classify_correlation(1.0) == CLASS_MAX_POSITIVE
-        assert classify_correlation(-1.0) == CLASS_MAX_NEGATIVE
-        assert classify_correlation(0.0) == CLASS_UNCORRELATED
-        assert classify_correlation(0.5) == CLASS_INTERMEDIATE
-
-    def test_tolerance_band(self):
-        assert classify_correlation(1.0 - 1e-10) == CLASS_MAX_POSITIVE
-        assert classify_correlation(1.0 - 1e-8) == CLASS_INTERMEDIATE
-        assert classify_correlation(5e-10) == CLASS_UNCORRELATED
-        assert classify_correlation(1.0 - 1e-8, tol=1e-7) == CLASS_MAX_POSITIVE
-
-    def test_negation_swaps_only_extremes(self):
-        rng = np.random.default_rng(1)
-        swap = {CLASS_MAX_POSITIVE: CLASS_MAX_NEGATIVE, CLASS_MAX_NEGATIVE: CLASS_MAX_POSITIVE}
-        for rho in list(rng.uniform(-1, 1, 200)) + [1.0, -1.0, 0.0]:
-            before = classify_correlation(float(rho))
-            after = classify_correlation(float(-rho))
-            assert after == swap.get(before, before)
 
 
 class TestDistanceMatrix:
@@ -143,20 +116,6 @@ class TestDistanceMatrix:
         bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
         with pytest.raises(MetricViolationError):
             DistanceMatrix(("a", "b", "c"), bad, SPHERICAL)
-
-    def test_csv_serialization(self):
-        rng = np.random.default_rng(3)
-        dm = distance_matrix(random_corr(rng, 3), PROJECTIVE)
-        text = dm.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == ",s0,s1,s2"
-        assert lines[1].startswith("s0,")
-        cells = lines[1].split(",")[1:]
-        parsed = np.array([float(c) for c in cells])
-        assert np.abs(parsed - dm.values[0]).max() <= 1e-11
-        # 12 significant digits requested
-        assert cells[1] == f"{dm.values[0, 1]:.12g}"
-
 
 class TestVerifyMetricAxioms:
     def test_construction_output_passes(self):
