@@ -10,13 +10,16 @@ Every command walks the windows through one engine, ``correlation_chunks``.
 It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
 CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
-distances, the metric-axiom and triangle checks, the measures) runs once per
-chunk on the whole stack. No per-window object is built. Where a check of a
+distances, the metric-axiom check, the measures) runs once per chunk on
+the whole stack. No per-window object is built. The triangle measure walks
+the triples one first index at a time, so no array holds more than about
+n^2 / 2 of them per window, and it has no check of its own: a window that
+passes the axiom check has valid sides in every triple. Where a check of a
 chunk fails, only the chunk's first failing window is replayed: its own
 arrays from the chunk go through the single-window form of that check
-(series._check_unit_rows on its unit rows, or CorrelationMatrix,
-distance_matrix and max_simplex_volume on its correlations), which raises
-the error the window raises alone, prefixed with ``window@<tick>``.
+(series._check_unit_rows on its unit rows, or CorrelationMatrix and
+distance_matrix on its correlations), which raises the error the window
+raises alone, prefixed with ``window@<tick>``.
 
 The triangle-margin scan of the axiom check costs n^3 per window, and
 ``sliding_measures`` skips it wherever it can only pass. The projective
@@ -51,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import CorrelationMatrix, correlation_from_units
 from .errors import CorrGeomError, TooFewPointsError, WindowTooLongError
-from .measures import _diameters, _triangle_areas, _triangle_sides, _triples, max_simplex_volume
+from .measures import _diameters, _max_triangle_areas
 from .metric import (
     PROJECTIVE,
     TRIANGLE_TOL,
@@ -63,13 +66,13 @@ from .metric import (
 from .series import TimeSeriesSet, WindowSpec, _check_unit_rows, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
-# windows: the (windows, n, K) window rows, the (windows, n, n) matrices and
-# triangle-margin slabs, and for the triangle measure the sides of every
-# triple. A chunk holds at least one window, so a window whose own largest
-# array is bigger exceeds it: with the triangle measure from n = 42 on, whose
-# 3 * C(n, 3) sides pass 2^15. validate's slabs hold both kinds, so where
-# n > K they reach twice the target. Larger chunks were measured slower, and at
-# 2^17 they raised peak RSS by more than the benchmark's 5% bound.
+# windows: the (windows, n, K) window rows or the (windows, n, n) matrices and
+# triangle-margin slabs; the triangle measure's per-first-index arrays are
+# smaller. A chunk holds at least one window, so where one window's rows or
+# matrices pass 2^15 (n * K or n^2 above it) the chunk exceeds the target.
+# validate's slabs hold both kinds, so where n > K they reach twice the
+# target. Larger chunks were measured slower, and at 2^17 they raised peak
+# RSS by more than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
 
 KIND_DIAMETER = "diameter"
@@ -144,15 +147,12 @@ class MeasureSeries:
             writer.writerow([int(t), "" if g else repr(float(v)), int(g)])
 
 
-def _windows_per_chunk(n: int, window: int, triangles: bool) -> int:
+def _windows_per_chunk(n: int, window: int) -> int:
     """Windows per chunk: CHUNK_ELEMENTS over the largest per-window array of
-    a chunk (the window rows, the n^2 matrices and triangle-margin slabs of
-    the axiom check and, for the triangle measure, the sides of every triple),
-    at least 1. At 1 the chunk's arrays are one window's, whatever their size:
-    with the triangle measure that is the case from n = 34 on, and from
-    n = 42 those sides exceed CHUNK_ELEMENTS."""
-    largest = max(n * window, n**2, 3 * math.comb(n, 3) if triangles else 0)
-    return max(1, CHUNK_ELEMENTS // largest)
+    a chunk, the n x K window rows or the n^2 matrices and triangle-margin
+    slabs, at least 1. The triangle measure's arrays, C(n - i - 1, 2) <
+    n^2 / 2 triples per window for first index i, are smaller than both."""
+    return max(1, CHUNK_ELEMENTS // max(n * window, n**2))
 
 
 def _replay(ts_set: TimeSeriesSet, t: int, check, *arrays) -> None:
@@ -163,14 +163,13 @@ def _replay(ts_set: TimeSeriesSet, t: int, check, *arrays) -> None:
     It raises. The callers pass the arrays of a window that a check of its
     chunk rejected, taken from the chunk itself, and the single-window form
     of that check, which does the same arithmetic on each window's numbers:
-    _check_unit_rows reduces each row alone, and DistanceMatrix and
-    max_simplex_volume compute one matrix's bound, symmetry, diagonal,
-    entries, triangle margins and sides as the chunk's stacked forms compute
-    them for each matrix. The chunk's one extra step, skipping the margin
-    scan where metric._margin_error_bound proves a pass, skips only margins
-    that the scan finds within tolerance. So a window fails the chunk check
-    exactly where it fails alone, and the first to fail in the chunk is the
-    first to fail window by window.
+    _check_unit_rows reduces each row alone, and DistanceMatrix computes one
+    matrix's bound, symmetry, diagonal, entries and triangle margins as the
+    chunk's stacked forms compute them for each matrix. The chunk's one extra
+    step, skipping the margin scan where metric._margin_error_bound proves a
+    pass, skips only margins that the scan finds within tolerance. So a
+    window fails the chunk check exactly where it fails alone, and the first
+    to fail in the chunk is the first to fail window by window.
     """
     try:
         check(*arrays)
@@ -179,19 +178,19 @@ def _replay(ts_set: TimeSeriesSet, t: int, check, *arrays) -> None:
 
 
 def correlation_chunks(
-    ts_set: TimeSeriesSet, window: int, stride: int = 1, triangles: bool = False
+    ts_set: TimeSeriesSet, window: int, stride: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one window engine of every command. For each chunk of consecutive
     windows: the indices m of its windows with no constant series (window m
     starts at sample m * stride) and their correlation matrices (len(m), n, n).
 
     A chunk is a (windows, n, K) stack centred, normalised and checked in one
-    array pass; ``triangles`` sizes chunks for the triangle measure. A unit
-    row that fails its check raises its error, naming its window.
+    array pass. A unit row that fails its check raises its error, naming its
+    window.
     """
     WindowSpec(0, window, stride)  # rejects a bad window size or stride
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
-    size = _windows_per_chunk(len(ts_set), window, triangles)
+    size = _windows_per_chunk(len(ts_set), window)
     for lo in range(0, view.shape[1], size):
         # Sums that overflow leave a non-finite row, which the check names;
         # numpy's warnings about them would only repeat it.
@@ -226,11 +225,23 @@ def sliding_measures(
     for every kind.
 
     Each chunk of windows runs the checks of the single-window route
-    (CorrelationMatrix, distance_matrix, max_simplex_volume) on its stacks,
-    the triangle-margin scan only on windows that metric._margin_error_bound
-    does not prove to pass it. If one fails, the chunk's first failing window
-    goes through that route on its own correlations from the chunk, and
-    raises its error, naming the window.
+    (CorrelationMatrix, distance_matrix) on its stacks, the triangle-margin
+    scan only on windows that metric._margin_error_bound does not prove to
+    pass it. If one fails, the chunk's first failing window goes through that
+    route on its own correlations from the chunk, and raises its error,
+    naming the window.
+
+    The triangle measure needs no check of its own: in a window that passes,
+    every triple has sides that measures._validate_sides accepts. With sides
+    a <= b <= c of a triple,
+
+    * a >= -TRIANGLE_TOL is the check of the smallest entry;
+    * a + b - c is bit for bit one of the axiom check's margins, since
+      correlation_from_units makes the stack exactly symmetric and IEEE
+      addition commutes; where the scan is skipped, the error bound proves
+      that same margin;
+    * a + b + c <= 3 pi/2 + 3 TRIANGLE_TOL < 2 pi, by the pi/2 bound;
+    * a NaN entry fails the symmetry check.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -238,6 +249,8 @@ def sliding_measures(
     for kind in kinds:
         if kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {kind!r}; choose from {MEASURE_KINDS}")
+        if kinds.count(kind) > 1:
+            raise ValueError(f"measure kind {kind!r} is given more than once")
     if window > ts_set.length:
         raise WindowTooLongError(
             f"window {window} exceeds series length {ts_set.length}"
@@ -253,23 +266,17 @@ def sliding_measures(
     timestamps = ts_set.start + ts_set.step * stride * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = {kind: np.ones(count, dtype=bool) for kind in kinds}  # until evaluated
-    triples = _triples(n) if triangles else None
 
     def single_window(rho):
-        dm = distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
-        if triangles:
-            max_simplex_volume(dm, 2)
+        distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
 
-    for ms, rho in correlation_chunks(ts_set, window, stride, triangles):
+    for ms, rho in correlation_chunks(ts_set, window, stride):
         # rho passes CorrelationMatrix's checks unless it holds a NaN, which
         # fails the axiom check as well. Then DistanceMatrix's bound and axioms,
         # with no triangle scan where the error bound already proves a pass.
         dist = angular_distances(rho, PROJECTIVE)
         ok = ~(dist.max(axis=(1, 2), initial=0.0) > math.pi / 2 + TRIANGLE_TOL)
         ok &= _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
-        if triangles:
-            sides, sides_ok = _triangle_sides(dist, triples)
-            ok &= sides_ok.all(axis=1)
         if not ok.all():
             w = int(np.argmin(ok))
             _replay(ts_set, int(ms[w]) * stride, single_window, rho[w])
@@ -278,7 +285,7 @@ def sliding_measures(
         if KIND_DIAMETER in kinds:
             values[KIND_DIAMETER][ms] = _diameters(dist)[0]
         if triangles:
-            values[KIND_MAX_TRIANGLE][ms] = _triangle_areas(sides).max(axis=1)
+            values[KIND_MAX_TRIANGLE][ms] = _max_triangle_areas(dist)
 
     return [
         MeasureSeries(kind, window, stride, timestamps, values[kind], gaps[kind])

@@ -133,23 +133,14 @@ def diameter(source) -> MeasureResult:
     return MeasureResult(float(value[0]), divmod(int(flat[0]), n), 1)
 
 
-def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (i, j, k) of every triple i < j < k, in lexicographic order."""
-    upper = ~np.tri(n, dtype=bool)
-    return np.nonzero(upper[:, :, None] & upper[None, :, :])
-
-
-def _triangle_sides(m: np.ndarray, triples) -> tuple[np.ndarray, np.ndarray]:
-    """Sides of every triple in each matrix of an (M, n, n) stack, sorted
-    ascending (M, T, 3), and whether each triple passes _validate_sides.
+def _triangle_sides(m: np.ndarray, i, j, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sides (a, b, c) of the triples (i, j, k) in each matrix of an
+    (M, n, n) stack, sorted ascending, each (M, T).
 
     The sides are sorted by a three-element min/max network, which gives
-    np.sort's order wherever no side is NaN. A NaN side propagates through
-    np.minimum and np.maximum to a NaN smallest side, so the mask is False
-    exactly where _validate_sides raises: NaN compares false, and an
-    infinite side fails the margin or the perimeter test.
+    np.sort's order wherever no side is NaN; a NaN side propagates through
+    np.minimum and np.maximum to a NaN smallest side.
     """
-    i, j, k = triples
     x, y, z = m[:, i, j], m[:, i, k], m[:, j, k]
     lo = np.minimum(x, y)
     hi = np.maximum(x, y, out=x)
@@ -157,19 +148,33 @@ def _triangle_sides(m: np.ndarray, triples) -> tuple[np.ndarray, np.ndarray]:
     mid = np.minimum(hi, z, out=z)
     a = np.minimum(lo, mid)
     b = np.maximum(lo, mid, out=lo)
-    ok = (a >= -TRIANGLE_TOL) & (a + b - c >= -TRIANGLE_TOL)
-    ok &= (a + b + c) - 2 * math.pi <= TRIANGLE_TOL
-    return np.stack([a, b, c], axis=-1), ok
+    return a, b, c
 
 
-def _triangle_areas(sides: np.ndarray) -> np.ndarray:
-    """spherical_triangle_area of every row of sorted valid sides (..., 3)."""
-    a, b, c = np.moveaxis(sides, -1, 0)
+def _triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """spherical_triangle_area of sorted valid sides a <= b <= c, elementwise."""
     s = (a + b + c) / 2
     prod = np.tan(s / 2) * np.tan((s - a) / 2) * np.tan((s - b) / 2) * np.tan((s - c) / 2)
     area = np.where(np.isfinite(prod), 4 * np.arctan(np.sqrt(prod.clip(0.0))), 2 * math.pi)
     area[a + b - c <= TRIANGLE_TOL] = 0.0
     return area
+
+
+def _max_triangle_areas(m: np.ndarray) -> np.ndarray:
+    """Largest triangle area of each matrix of an (M, n, n) stack whose
+    triples all have valid sides, n >= 3.
+
+    The triples i < j < k are taken one first index i at a time, so each
+    array holds M * C(n - i - 1, 2) entries rather than M * C(n, 3); the
+    areas are max_simplex_volume's, by the same arithmetic on the same sides.
+    """
+    n = m.shape[-1]
+    best = np.zeros(m.shape[0])
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - i - 1, 1)
+        area = _triangle_areas(*_triangle_sides(m, i, j + i + 1, k + i + 1))
+        np.maximum(best, area.max(axis=1), out=best)
+    return best
 
 
 def max_simplex_volume(source, dimension: int) -> MeasureResult:
@@ -182,7 +187,10 @@ def max_simplex_volume(source, dimension: int) -> MeasureResult:
     break to the lexicographically smallest vertex subset.
 
     Dimension 2 applies spherical_triangle_area's rules to all triples as
-    arrays and raises its error for the first triple with invalid sides.
+    arrays and raises its error for the first triple with invalid sides. The
+    mask of valid triples is False exactly where _validate_sides raises: a
+    NaN side makes the smallest side NaN, which compares false, and an
+    infinite side fails the margin or the perimeter test.
     """
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
@@ -194,11 +202,14 @@ def max_simplex_volume(source, dimension: int) -> MeasureResult:
         )
     if dimension == 1:
         return diameter(m)
-    triples = _triples(n)
-    sides, ok = _triangle_sides(m[None], triples)
+    upper = ~np.tri(n, dtype=bool)
+    triples = np.nonzero(upper[:, :, None] & upper[None, :, :])  # lexicographic
+    a, b, c = (side[0] for side in _triangle_sides(m[None], *triples))
+    ok = (a >= -TRIANGLE_TOL) & (a + b - c >= -TRIANGLE_TOL)
+    ok &= (a + b + c) - 2 * math.pi <= TRIANGLE_TOL
     if not ok.all():
-        i, j, k = (int(idx[np.argmin(ok[0])]) for idx in triples)
+        i, j, k = (int(idx[np.argmin(ok)]) for idx in triples)
         _validate_sides(m[i, j], m[i, k], m[j, k])
-    area = _triangle_areas(sides[0])
+    area = _triangle_areas(a, b, c)
     best = int(np.argmax(area))
     return MeasureResult(float(area[best]), tuple(idx[best] for idx in triples), 2)

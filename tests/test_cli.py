@@ -258,6 +258,16 @@ def test_simulate_writes_the_generated_series(tmp_path, capsys):
     assert np.array_equal(corrgeom.read_timeseries_csv(out).matrix(), want.matrix())
 
 
+@pytest.mark.parametrize("command", ["analyze", "events"])
+def test_a_repeated_measure_kind_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--input", benchmark_csv(tmp_path), "--measures", "diameter,diameter",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: measure kind 'diameter' is given more than once\n"
+    assert not out.exists()
+
+
 def test_validate_rejects_a_single_series(tmp_path, capsys):
     path = write_csv(tmp_path, [np.sin(np.arange(60) / 3)])
     assert cli.main(["validate", "--input", path, "--window", "21"]) == 2
@@ -382,8 +392,8 @@ def test_failed_run_keeps_the_earlier_runs_files(tmp_path, capsys, monkeypatch):
 
 def assert_csv_matches(got, want):
     """Same header, timestamps and gap flags; floats within GOLDEN_TOL."""
-    got_rows = list(csv.reader(got.open()))
-    want_rows = list(csv.reader(want.open()))
+    got_rows = list(csv.reader(got.read_text().splitlines()))
+    want_rows = list(csv.reader(want.read_text().splitlines()))
     assert got_rows[0] == want_rows[0]
     assert len(got_rows) == len(want_rows)
     exact = [column in ("timestamp", "gap") for column in want_rows[0]]
@@ -440,7 +450,7 @@ def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys,
     path = write_csv(tmp_path, columns)
     data = corrgeom.read_timeseries_csv(path)
     count = length - window + 1
-    size = _windows_per_chunk(8, window, triangles=False)
+    size = _windows_per_chunk(8, window)
     assert count > 2 * size
 
     margins, worst_margin, worst, violations, failing = {}, math.inf, None, [], set()

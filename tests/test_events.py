@@ -4,6 +4,7 @@ prominence routine against scipy.signal.find_peaks and its separation rule
 against a brute-force one, and compare_event_sets."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ CHUNKS = [(None, ""), (1, "-chunk1"), (7 * 6 * 21, "-chunk7")]
 @pytest.mark.parametrize("n", [32, 64])
 def test_wide_windows_share_a_chunk(n):
     # n^2 slabs, not n^3 margins: at K=101 the n x K window rows are largest.
-    size = _windows_per_chunk(n, 101, False)
+    size = _windows_per_chunk(n, 101)
     assert size > 1
     assert size * max(n * 101, n * n) <= CHUNK_ELEMENTS
 
@@ -159,10 +160,30 @@ def test_windows_cleared_by_the_error_bound_give_the_scanned_measures(monkeypatc
         assert a.gaps.tobytes() == b.gaps.tobytes()
 
 
+def test_the_triangle_measure_holds_no_array_of_every_triple():
+    # n = 64, K = 101: five windows a chunk. The sides of all C(64, 3)
+    # triples of a chunk took a ~5 MB peak; one first index at a time, ~1 MB.
+    data = simulate(SyntheticSpec(64, 130, ((30, 90, 0.9),), 0.1, 0))
+    data.matrix()
+    tracemalloc.start()
+    try:
+        sliding_measures(data, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [(KIND_DIAMETER,), (KIND_DIAMETER, KIND_MAX_TRIANGLE), (KIND_MAX_TRIANGLE,)],
+    ids=["diameter", "both", "max_triangle"],
+)
 @pytest.mark.parametrize("chunk_elements", [None, 1])
-def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elements):
+def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elements, kinds):
     # Near-copies of one series: window 0 passes, window 1 (tick 102) breaks
-    # the triangle inequality by more than the tolerance.
+    # the triangle inequality by more than the tolerance. The triangle
+    # measure adds no check of its own, so every kind raises the same error.
     set_chunk_elements(monkeypatch, chunk_elements)
     x = np.sin(np.arange(60) / 3)
     rng = np.random.default_rng(0)
@@ -170,7 +191,7 @@ def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elem
         tuple(TimeSeries(f"s{i}", 100, 2, x + 1e-8 * rng.normal(size=60)) for i in range(4))
     )
     with pytest.raises(MetricViolationError, match=r"^window@102: distance matrix fails"):
-        sliding_measures(data, BENCHMARK_WINDOW, kinds=(KIND_DIAMETER,))
+        sliding_measures(data, BENCHMARK_WINDOW, kinds=kinds)
     # Independent noise up to sample 700, near-copies after it: the first
     # failing window, 701, is the 78th of the third 312-window chunk.
     t = np.arange(900)
@@ -181,9 +202,9 @@ def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elem
         )
     )
     if chunk_elements is None:
-        assert _windows_per_chunk(5, BENCHMARK_WINDOW, False) == 312
+        assert _windows_per_chunk(5, BENCHMARK_WINDOW) == 312
     with pytest.raises(MetricViolationError, match=r"^window@701: distance matrix fails"):
-        sliding_measures(late, BENCHMARK_WINDOW, kinds=(KIND_DIAMETER,))
+        sliding_measures(late, BENCHMARK_WINDOW, kinds=kinds)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,9 @@ from corrgeom import (
     max_simplex_volume,
     spherical_triangle_area,
 )
+from corrgeom.correlation import correlation_from_units
+from corrgeom.measures import _max_triangle_areas
+from corrgeom.metric import PROJECTIVE, angular_distances
 from corrgeom.testkit import girard_area
 
 # Frozen oracle values (independently computed; see matching oracle tests).
@@ -258,3 +261,23 @@ class TestMaxTriangleMatchesScalar:
         iu = np.triu_indices(n, 1)
         d[iu] = entries[: len(iu[0])]
         assert_max_triangle_matches_scalar(d + d.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 6),
+    n=st.integers(3, 12),
+    copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+)
+def test_the_slab_kernel_equals_max_simplex_volume_byte_for_byte(seed, count, n, copies):
+    # Projective distances as the engine computes them, exactly symmetric,
+    # from random unit vectors with some rows repeated verbatim.
+    rng = np.random.default_rng(seed)
+    units = rng.normal(size=(count, n, 5))
+    for src, dst in copies:
+        units[:, dst % n] = units[:, src % n]
+    units /= np.linalg.norm(units, axis=-1, keepdims=True)
+    dist = angular_distances(correlation_from_units(units), PROJECTIVE)
+    want = np.array([max_simplex_volume(d, 2).value for d in dist])
+    assert _max_triangle_areas(dist).tobytes() == want.tobytes()

@@ -17,6 +17,7 @@ from corrgeom import (
     correlation_angle,
     correlation_matrix,
     distance_matrix,
+    max_simplex_volume,
     projective_angle,
     verify_metric_axioms,
 )
@@ -339,6 +340,34 @@ def test_a_cleared_window_passes_within_its_error_bound(
         target(float(-stats.min_margin[0] / error))
         assert stats.passed[0]
         assert stats.min_margin[0] >= -error
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    n=st.integers(3, 8),
+    window=st.integers(3, 400),
+    log_gap=st.floats(-8.0, -1.0),
+    on_circle=st.integers(3, 8),
+    all_longer=st.booleans(),
+)
+def test_a_window_that_passes_the_engine_checks_has_valid_triangles(
+    seed, count, n, window, log_gap, on_circle, all_longer
+):
+    # sliding_measures runs no triangle check of its own: the pi/2 bound and
+    # the axiom check, skipped scan included, must imply every side is valid.
+    rng = np.random.default_rng(seed)
+    gap = 10.0**log_gap
+    units = np.stack(
+        [unit_rows(rng, n, window, gap, min(on_circle, n), all_longer) for _ in range(count)]
+    )
+    rho = correlation_from_units(units)
+    dist = angular_distances(rho, PROJECTIVE)
+    ok = ~(dist.max(axis=(1, 2), initial=0.0) > math.pi / 2 + TRIANGLE_TOL)
+    ok &= _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
+    for w in np.flatnonzero(ok):
+        max_simplex_volume(dist[w], 2)
 
 
 def test_the_bound_clears_what_it_can_prove_and_no_near_copy():
