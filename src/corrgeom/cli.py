@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 validation failure, 2 usage or input error.
 Outputs are deterministic: the same input and configuration produce
 byte-identical CSV and JSON files. The log level comes from the
 CORRGEOM_LOG_LEVEL environment variable; everything else is flags or the
---config file (flags win), whose keys are limited to the settings the
-subcommand has flags for.
+--config file. A config key is a setting the subcommand has a flag for, and
+its value is read as the text of that flag (a list joined with commas), by
+the same parser and its checks; flags given on the command line win.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +46,10 @@ FORMATS = ("svg",)
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one CLI run. Defaults are package conventions,
-    not values from any reference analysis; in particular window=21 is just
-    a sensible starting point and should be tuned to the data."""
+    """Resolved settings for one CLI run; each field is the dest of its flag.
+    Defaults are package conventions, not values from any reference analysis;
+    in particular window=21 is just a sensible starting point and should be
+    tuned to the data. The measure kinds are checked by sliding_measures."""
 
     input: str | None = None
     window: int = 21
@@ -70,13 +73,6 @@ class RunConfig:
             raise ValueError("min-separation must be >= 0")
         if self.match_window is not None and self.match_window < 0:
             raise ValueError("match-window must be >= 0")
-        if not self.measures:
-            raise ValueError("at least one measure kind is required")
-        for kind in self.measures:
-            if kind not in MEASURE_KINDS:
-                raise ValueError(
-                    f"unknown measure {kind!r}; choose from {', '.join(MEASURE_KINDS)}"
-                )
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
@@ -92,22 +88,23 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
-            "input": self.input,
-            "window": self.window,
-            "stride": self.stride,
-            "measures": list(self.measures),
-            "min_prominence": self.min_prominence,
+            **asdict(self),
             "min_separation": self.separation,
             "match_window": self.matching,
-            "out": self.out,
-            "formats": list(self.formats),
-            "seed": self.seed,
         }
 
 
-def _load_config_file(path: str, known: set[str]) -> dict:
-    """The settings of a JSON config file; a key outside ``known`` (the
-    settings the subcommand has flags for) is an error."""
+_SETTINGS = frozenset(f.name for f in fields(RunConfig))
+# The one setting whose flag is not its name with "-" for "_".
+_FLAG_NAMES = {"formats": "--format"}
+
+
+def _config_flags(path: str, known: set[str]) -> list[str]:
+    """The settings of a JSON config file as flag text, ``--window=21``: a
+    list is joined with commas and any other value goes through str(). The
+    ``=`` form keeps a value that starts with "-" from reading as a flag. A
+    key outside ``known`` (the settings the subcommand has flags for) is an
+    error."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -120,32 +117,15 @@ def _load_config_file(path: str, known: set[str]) -> dict:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("measures", "formats"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    return raw
+    return [
+        f"{_FLAG_NAMES.get(key, '--' + key.replace('_', '-'))}="
+        + (",".join(map(str, value)) if isinstance(value, list) else str(value))
+        for key, value in raw.items()
+    ]
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    settings: dict = {}
-    if getattr(args, "config", None):
-        flags = {"formats" if dest == "format" else dest for dest in vars(args)}
-        known = {f.name for f in fields(RunConfig)} & flags
-        settings.update(_load_config_file(args.config, known))
-    overrides = {
-        "input": getattr(args, "input", None),
-        "window": getattr(args, "window", None),
-        "stride": getattr(args, "stride", None),
-        "measures": tuple(args.measures.split(",")) if getattr(args, "measures", None) else None,
-        "min_prominence": getattr(args, "min_prominence", None),
-        "min_separation": getattr(args, "min_separation", None),
-        "match_window": getattr(args, "match_window", None),
-        "out": getattr(args, "out", None),
-        "formats": tuple(args.format.split(",")) if getattr(args, "format", None) else None,
-        "seed": getattr(args, "seed", None),
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**settings)
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None})
 
 
 class _OutputTracker:
@@ -225,19 +205,16 @@ def _manifest(config: RunConfig, data: TimeSeriesSet, n_windows: int) -> dict:
     }
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    data = _read_input(config)
-    series_list = sliding_measures(data, config.window, config.stride, config.measures)
+def _write_outputs(
+    config: RunConfig, data: TimeSeriesSet, n_windows: int, files: dict[str, str]
+) -> int:
+    """Write ``files`` ({name: text}) and manifest.json into the out directory,
+    all or none, then log and print each path."""
+    files = {**files, "manifest.json": _json_text(_manifest(config, data, n_windows))}
     tracker = _OutputTracker(Path(config.out))
     try:
-        for s in series_list:
-            tracker.write_text(f"measure_{s.kind}.csv", _measure_csv_text(s))
-        tracker.write_text("overlay.csv", _overlay_csv_text(series_list))
-        if "svg" in config.formats:
-            tracker.write_text("overlay.svg", render_measures_svg(series_list))
-        tracker.write_text(
-            "manifest.json", _json_text(_manifest(config, data, len(series_list[0])))
-        )
+        for name, text in files.items():
+            tracker.write_text(name, text)
         tracker.commit()
     except Exception:
         tracker.discard_all()
@@ -246,6 +223,16 @@ def cmd_analyze(config: RunConfig) -> int:
         log.info("wrote %s", path)
         print(path)
     return 0
+
+
+def cmd_analyze(config: RunConfig) -> int:
+    data = _read_input(config)
+    series_list = sliding_measures(data, config.window, config.stride, config.measures)
+    files = {f"measure_{s.kind}.csv": _measure_csv_text(s) for s in series_list}
+    files["overlay.csv"] = _overlay_csv_text(series_list)
+    if "svg" in config.formats:
+        files["overlay.svg"] = render_measures_svg(series_list)
+    return _write_outputs(config, data, len(series_list[0]), files)
 
 
 def cmd_events(config: RunConfig) -> int:
@@ -255,34 +242,15 @@ def cmd_events(config: RunConfig) -> int:
         s.kind: detect_minima(s, config.min_prominence, config.separation)
         for s in series_list
     }
-    tracker = _OutputTracker(Path(config.out))
-    try:
-        for kind, ev in event_lists.items():
-            tracker.write_text(f"events_{kind}.json", _json_text(ev.to_dict()))
-        comparisons = []
-        kinds = list(event_lists)
-        for i in range(len(kinds)):
-            for j in range(i + 1, len(kinds)):
-                rep = compare_event_sets(
-                    event_lists[kinds[i]], event_lists[kinds[j]], config.matching
-                )
-                comparisons.append(rep.to_dict())
-        tracker.write_text("comparison.json", _json_text({"comparisons": comparisons}))
-        if "svg" in config.formats:
-            tracker.write_text(
-                "overlay.svg", render_measures_svg(series_list, event_lists)
-            )
-        tracker.write_text(
-            "manifest.json", _json_text(_manifest(config, data, len(series_list[0])))
-        )
-        tracker.commit()
-    except Exception:
-        tracker.discard_all()
-        raise
-    for path in tracker.written:
-        log.info("wrote %s", path)
-        print(path)
-    return 0
+    files = {f"events_{kind}.json": _json_text(ev.to_dict()) for kind, ev in event_lists.items()}
+    comparisons = [
+        compare_event_sets(a, b, config.matching).to_dict()
+        for a, b in combinations(event_lists.values(), 2)
+    ]
+    files["comparison.json"] = _json_text({"comparisons": comparisons})
+    if "svg" in config.formats:
+        files["overlay.svg"] = render_measures_svg(series_list, event_lists)
+    return _write_outputs(config, data, len(series_list[0]), files)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -384,13 +352,20 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory (default corrgeom_out)")
 
 
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else ()
+
+
 def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed echoed into the manifest")
     parser.add_argument(
         "--measures",
-        help=f"comma-separated measure kinds from: {', '.join(MEASURE_KINDS)}",
+        type=_comma_list,
+        help=f"comma-separated measure kinds from: {', '.join(MEASURE_KINDS)} (default: "
+        'all; "" names none, which is an error)',
     )
-    parser.add_argument("--format", help="extra outputs besides the CSV and JSON files: svg")
+    parser.add_argument("--format", dest="formats", type=_comma_list, metavar="FORMAT",
+                        help="extra outputs besides the CSV and JSON files: svg")
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
@@ -438,21 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CORRGEOM_LOG_LEVEL", "WARNING"))
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=os.environ.get("CORRGEOM_LOG_LEVEL", "WARNING"))
         if args.command == "simulate":
             return cmd_simulate(args)
-        config = _resolve_config(args)
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command == "events":
-            return cmd_events(config)
-        if args.command == "validate":
-            return cmd_validate(config)
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        if args.config:
+            # The command-line flags come after the config file's, so they win.
+            flags = _config_flags(args.config, vars(args).keys() & _SETTINGS)
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
+        command = {"analyze": cmd_analyze, "events": cmd_events, "validate": cmd_validate}
+        return command[args.command](_resolve_config(args))
     except (CorrGeomError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

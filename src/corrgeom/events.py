@@ -248,7 +248,7 @@ def sliding_measures(
         raise ValueError("at least one measure kind is required")
     for kind in kinds:
         if kind not in MEASURE_KINDS:
-            raise ValueError(f"unknown measure kind {kind!r}; choose from {MEASURE_KINDS}")
+            raise ValueError(f"unknown measure {kind!r}; choose from {', '.join(MEASURE_KINDS)}")
         if kinds.count(kind) > 1:
             raise ValueError(f"measure kind {kind!r} is given more than once")
     if window > ts_set.length:

@@ -428,17 +428,7 @@ def _read_rows(reader, header: list[str], names: list[str]) -> tuple[list[str], 
             if not row[0].strip():
                 raise IngestError(f"missing tick at data row {rownum}")
             tick_cells.append(row[0])
-            # float() strips the same whitespace as str.strip() and rejects ",",
-            # so a row it parses to finite values is one _parse_value accepts,
-            # with the same values. Any other row goes through _parse_value, which
-            # raises the row's first error.
-            try:
-                values = list(map(float, row[1:]))
-            except ValueError:
-                values = None
-            if values is None or not np.isfinite(values).all():
-                values = [_parse_value(cell, rownum, names[j]) for j, cell in enumerate(row[1:])]
-            rows.append(values)
+            rows.append([_parse_value(cell, rownum, names[j]) for j, cell in enumerate(row[1:])])
     except csv.Error as exc:  # the csv module cannot split the next row
         raise IngestError(f"unreadable CSV at data row {rownum + 1}: {exc}") from None
     if not tick_cells:

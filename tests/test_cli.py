@@ -228,8 +228,10 @@ def test_a_config_key_the_command_does_not_use_exits_2(tmp_path, capsys, command
         ("validate", {"window": 21, "stride": 2}),
         ("analyze", {"measures": ["diameter"], "seed": 4}),
         ("events", {"measures": ["diameter"], "min_prominence": 0.1, "match_window": 5}),
+        ("events", {"min_prominence": 1, "min_separation": 5}),
+        ("analyze", {"measures": "diameter"}),
     ],
-    ids=["validate", "analyze", "events"],
+    ids=["validate", "analyze", "events", "events-int-prominence", "analyze-measures-text"],
 )
 def test_a_config_key_the_command_has_a_flag_for_is_used(tmp_path, capsys, command, settings):
     config = tmp_path / "config.json"
@@ -246,6 +248,48 @@ def test_a_config_key_the_command_has_a_flag_for_is_used(tmp_path, capsys, comma
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
         runs.append((capsys.readouterr().out, files))
     assert runs[0] == runs[1] != runs[2]
+
+
+@pytest.mark.parametrize(
+    "settings, flag",
+    [({"window": 21.5}, "--window"), ({"stride": None}, "--stride"), ({"window": True}, "--window")],
+    ids=["float-window", "null-stride", "true-window"],
+)
+def test_a_config_value_its_flag_rejects_exits_2(tmp_path, capsys, settings, flag):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", benchmark_csv(tmp_path), "--config", str(config), "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: invalid int value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_an_empty_measure_list_exits_2(tmp_path, capsys, source):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"measures": []}))
+    extra = ["--measures", ""] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", benchmark_csv(tmp_path), "--out", str(out), *extra]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: at least one measure kind is required\n"
+    assert not out.exists()
+
+
+def test_an_unknown_log_level_exits_2(tmp_path):
+    # In a child process: pytest's own root handlers make basicConfig a no-op.
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]),
+               CORRGEOM_LOG_LEVEL="info")
+    done = subprocess.run(
+        [sys.executable, "-m", "corrgeom.cli", "validate", "--input", benchmark_csv(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: Unknown level: 'info'\n"
 
 
 def test_simulate_writes_the_generated_series(tmp_path, capsys):
@@ -346,7 +390,7 @@ def test_failed_run_removes_its_partial_output(tmp_path, capsys, monkeypatch):
     argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(out), "--format", "svg"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: render failed\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def scipy_modules_after_run(tmp_path, command):
