@@ -10,7 +10,6 @@ from .correlation import (
     CorrelationMatrix,
     correlation_from_units,
     correlation_matrix,
-    pearson_rho,
 )
 from .errors import (
     AngleDomainError,
@@ -48,19 +47,15 @@ from .metric import (
     SPHERICAL,
     DistanceMatrix,
     MetricReport,
-    correlation_angle,
     distance_matrix,
-    projective_angle,
     verify_metric_axioms,
 )
 from .series import (
-    CenteredUnitVector,
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
     align,
     read_timeseries_csv,
-    window_vector,
     windowed_unit_matrix,
     write_timeseries_csv,
 )

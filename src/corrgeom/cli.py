@@ -6,19 +6,26 @@ byte-identical CSV and JSON files. The log level comes from the
 CORRGEOM_LOG_LEVEL environment variable; everything else is flags or the
 --config file. A config key is a setting the subcommand has a flag for, and
 its value is read as the text of that flag (a list joined with commas), by
-the same parser and its checks; flags given on the command line win.
+the same parser and its checks; a null value leaves the setting unset, and
+flags given on the command line win.
+
+CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
+WARNING (the default), INFO, DEBUG or NOTSET; any other value exits 2 with
+``error: Unknown level: '<value>'``. At INFO, DEBUG or NOTSET, analyze and
+events write one line per output file to stderr, in the order written:
+
+    INFO:corrgeom:wrote <path>
+
+That is the line and the level rule of the standard logging module under
+logging.basicConfig, which the CLI does not import, to keep start-up short.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import json
-import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 from pathlib import Path
 
@@ -35,47 +42,61 @@ from .events import (
     sliding_measures,
 )
 from .metric import PROJECTIVE, SPHERICAL, _axiom_stats, angular_distances, verify_metric_axioms
-from .series import TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
+from .series import Frozen, TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
-
-log = logging.getLogger("corrgeom")
 
 CONFIG_SCHEMA_VERSION = 1
 FORMATS = ("svg",)
 
+# The level names CORRGEOM_LOG_LEVEL accepts, with their logging values. A
+# level of INFO or below writes one line per output file.
+_LOG_LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARN": 30, "WARNING": 30,
+              "INFO": 20, "DEBUG": 10, "NOTSET": 0}
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one CLI run; each field is the dest of its flag.
-    Defaults are package conventions, not values from any reference analysis;
-    in particular window=21 is just a sensible starting point and should be
-    tuned to the data. The measure kinds are checked by sliding_measures."""
 
-    input: str | None = None
-    window: int = 21
-    stride: int = 1
-    measures: tuple[str, ...] = ("diameter", "max_triangle_area")
-    min_prominence: float = 0.05
-    min_separation: int | None = None  # defaults to window when unset
-    match_window: int | None = None  # defaults to window when unset
-    out: str = "corrgeom_out"
-    formats: tuple[str, ...] = ()
-    seed: int = 0
+def _log_level() -> int:
+    name = os.environ.get("CORRGEOM_LOG_LEVEL", "WARNING")
+    if name not in _LOG_LEVELS:
+        raise ValueError(f"Unknown level: {name!r}")
+    return _LOG_LEVELS[name]
 
-    def __post_init__(self):
-        if self.window < 2:
+
+class RunConfig(Frozen):
+    """Resolved settings for one CLI run; each argument is the dest of its
+    flag. Defaults are package conventions, not values from any reference
+    analysis; in particular window=21 is just a sensible starting point and
+    should be tuned to the data. The measure kinds are checked by
+    sliding_measures."""
+
+    def __init__(
+        self,
+        input: str | None = None,
+        window: int = 21,
+        stride: int = 1,
+        measures: tuple[str, ...] = ("diameter", "max_triangle_area"),
+        min_prominence: float = 0.05,
+        min_separation: int | None = None,  # defaults to window when unset
+        match_window: int | None = None,  # defaults to window when unset
+        out: str = "corrgeom_out",
+        formats: tuple[str, ...] = (),
+        seed: int = 0,
+    ):
+        if window < 2:
             raise ValueError("window must be >= 2")
-        if self.stride < 1:
+        if stride < 1:
             raise ValueError("stride must be >= 1")
-        if not self.min_prominence >= 0:  # also rejects NaN
+        if not min_prominence >= 0:  # also rejects NaN
             raise ValueError("min-prominence must be >= 0")
-        if self.min_separation is not None and self.min_separation < 0:
+        if min_separation is not None and min_separation < 0:
             raise ValueError("min-separation must be >= 0")
-        if self.match_window is not None and self.match_window < 0:
+        if match_window is not None and match_window < 0:
             raise ValueError("match-window must be >= 0")
-        for fmt in self.formats:
+        for fmt in formats:
             if fmt not in FORMATS:
                 raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
+        self._set(input=input, window=window, stride=stride, measures=measures,
+                  min_prominence=min_prominence, min_separation=min_separation,
+                  match_window=match_window, out=out, formats=formats, seed=seed)
 
     @property
     def separation(self) -> int:
@@ -88,13 +109,13 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
-            **asdict(self),
+            **vars(self),
             "min_separation": self.separation,
             "match_window": self.matching,
         }
 
 
-_SETTINGS = frozenset(f.name for f in fields(RunConfig))
+_SETTINGS = frozenset(vars(RunConfig()))
 # The one setting whose flag is not its name with "-" for "_".
 _FLAG_NAMES = {"formats": "--format"}
 
@@ -103,12 +124,15 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     """The settings of a JSON config file as flag text, ``--window=21``: a
     list is joined with commas and any other value goes through str(). The
     ``=`` form keeps a value that starts with "-" from reading as a flag. A
-    key outside ``known`` (the settings the subcommand has flags for) is an
-    error."""
+    key whose value is null is left out, as if absent. A key outside
+    ``known`` (the settings the subcommand has flags for) is an error."""
+    import json
+
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
+    raw = {key: value for key, value in raw.items() if value is not None}
     version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(
@@ -190,10 +214,14 @@ def _overlay_csv_text(series_list: list[MeasureSeries]) -> str:
 
 
 def _json_text(payload: dict) -> str:
+    import json  # here and in _config_flags: validate without --config needs no JSON
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _manifest(config: RunConfig, data: TimeSeriesSet, n_windows: int) -> dict:
+    import hashlib  # here, not at the top: validate writes no manifest
+
     digest = hashlib.sha256(Path(config.input).read_bytes()).hexdigest()
     return {
         "library_version": __version__,
@@ -219,8 +247,10 @@ def _write_outputs(
     except Exception:
         tracker.discard_all()
         raise
+    log_info = _log_level() <= _LOG_LEVELS["INFO"]
     for path in tracker.written:
-        log.info("wrote %s", path)
+        if log_info:
+            print(f"INFO:corrgeom:wrote {path}", file=sys.stderr)
         print(path)
     return 0
 
@@ -417,7 +447,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        logging.basicConfig(level=os.environ.get("CORRGEOM_LOG_LEVEL", "WARNING"))
+        _log_level()  # an unknown level name fails before any work
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.config:

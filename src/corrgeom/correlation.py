@@ -13,32 +13,10 @@ is how it is computed here, as a Gram matrix of one centred unit vector per
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, TooFewPointsError
-from .series import TimeSeries, TimeSeriesSet, WindowSpec, window_vector, windowed_unit_matrix
-
-
-def _check_aligned(a: TimeSeries, b: TimeSeries) -> None:
-    if (a.start, a.step, len(a)) != (b.start, b.step, len(b)):
-        raise ValueError(
-            f"series {a.id!r} and {b.id!r} are not aligned; run align() first"
-        )
-
-
-def pearson_rho(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
-    """Pearson correlation over one window, clamped to [-1, 1].
-
-    Computed as the dot product of the two centered unit vectors; clamping
-    guards arccos against the ~1e-16 excursions of floating-point dots.
-    Raises ZeroVarianceError if either window is constant.
-    """
-    _check_aligned(a, b)
-    ua = window_vector(a, w)
-    ub = window_vector(b, w)
-    return float(min(1.0, max(-1.0, float(np.dot(ua.components, ub.components)))))
+from .series import Frozen, TimeSeriesSet, WindowSpec, windowed_unit_matrix
 
 
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
@@ -50,16 +28,12 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(Frozen):
     """Symmetric matrix of Pearson correlations with unit diagonal."""
 
-    ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        n = len(self.ids)
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray):
+        v = np.array(values, dtype=float)
+        n = len(ids)
         if v.shape != (n, n):
             raise DimensionMismatchError(
                 f"expected a {n}x{n} matrix, got shape {v.shape}"
@@ -71,8 +45,7 @@ class CorrelationMatrix:
         if np.abs(v).max() > 1.0:
             raise ValueError("correlation entries must lie in [-1, 1]")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        self._set(ids=tuple(ids), values=v)
 
     @property
     def n(self) -> int:

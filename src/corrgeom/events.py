@@ -45,9 +45,8 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,7 +62,7 @@ from .metric import (
     angular_distances,
     distance_matrix,
 )
-from .series import TimeSeriesSet, WindowSpec, _check_unit_rows, _window_units
+from .series import Frozen, TimeSeriesSet, WindowSpec, _check_unit_rows, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
 # windows: the (windows, n, K) window rows or the (windows, n, n) matrices and
@@ -80,8 +79,7 @@ KIND_MAX_TRIANGLE = "max_triangle_area"
 MEASURE_KINDS = (KIND_DIAMETER, KIND_MAX_TRIANGLE)
 
 
-@dataclass(frozen=True)
-class MeasureSeries:
+class MeasureSeries(Frozen):
     """One spread measure evaluated on sliding windows.
 
     ``timestamps`` are the ticks of each window's first sample, strictly
@@ -89,17 +87,10 @@ class MeasureSeries:
     ``values`` entries are a 0.0 placeholder and must be ignored.
     """
 
-    kind: str
-    window: int
-    stride: int
-    timestamps: np.ndarray
-    values: np.ndarray
-    gaps: np.ndarray
-
-    def __post_init__(self):
-        ts = np.array(self.timestamps, dtype=int)
-        vals = np.array(self.values, dtype=float)
-        gaps = np.array(self.gaps, dtype=bool)
+    def __init__(self, kind: str, window: int, stride: int, timestamps, values, gaps):
+        ts = np.array(timestamps, dtype=int)
+        vals = np.array(values, dtype=float)
+        gaps = np.array(gaps, dtype=bool)
         if not (ts.shape == vals.shape == gaps.shape) or ts.ndim != 1:
             raise ValueError("timestamps, values, and gaps must be 1-d and equal length")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
@@ -113,9 +104,7 @@ class MeasureSeries:
             raise ValueError("gap placeholders must be exactly 0.0")
         for arr in (ts, vals, gaps):
             arr.setflags(write=False)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "gaps", gaps)
+        self._set(kind=kind, window=window, stride=stride, timestamps=ts, values=vals, gaps=gaps)
 
     def __len__(self) -> int:
         return self.timestamps.size
@@ -293,8 +282,7 @@ def sliding_measures(
     ]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A detected minimum: where, how deep, and how hard to escape.
 
     ``prominence`` is the smallest climb that leads out of the minimum's
@@ -309,35 +297,30 @@ class Event:
     right_base: int
 
     def to_dict(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "value": self.value,
-            "prominence": self.prominence,
-            "left_base": self.left_base,
-            "right_base": self.right_base,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class EventList:
+class EventList(Frozen):
     """Detected minima of one measure series, ordered by timestamp, with the
     detector parameters echoed for reproducibility."""
 
-    measure_kind: str
-    window: int
-    stride: int
-    min_prominence: float
-    min_separation: int
-    events: tuple[Event, ...]
-
-    def __post_init__(self):
-        evs = tuple(self.events)
+    def __init__(
+        self,
+        measure_kind: str,
+        window: int,
+        stride: int,
+        min_prominence: float,
+        min_separation: int,
+        events: tuple[Event, ...],
+    ):
+        evs = tuple(events)
         for a, b in zip(evs, evs[1:]):
             if b.timestamp <= a.timestamp:
                 raise ValueError("events must be strictly ordered by timestamp")
-            if b.timestamp - a.timestamp < self.min_separation:
+            if b.timestamp - a.timestamp < min_separation:
                 raise ValueError("events closer than min_separation survived filtering")
-        object.__setattr__(self, "events", evs)
+        self._set(measure_kind=measure_kind, window=window, stride=stride,
+                  min_prominence=min_prominence, min_separation=min_separation, events=evs)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -450,8 +433,7 @@ def detect_minima(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Greedy nearest-timestamp matching of two event lists."""
 
     kind_a: str

@@ -14,30 +14,25 @@ correlated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidTriangleError, TooFewPointsError
 from .metric import TRIANGLE_TOL, DistanceMatrix
+from .series import Frozen
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(Frozen):
     """One spread measure: value and witnessing vertex indices.
 
     Units: radians for dimension 1 (the diameter), steradians for dimension
     2 (the largest triangle).
     """
 
-    value: float
-    witness: tuple[int, ...]
-    dimension: int
-
-    def __post_init__(self):
-        if self.value < 0.0:
+    def __init__(self, value: float, witness: tuple[int, ...], dimension: int):
+        if value < 0.0:
             raise ValueError("measure values are nonnegative")
-        object.__setattr__(self, "witness", tuple(int(i) for i in self.witness))
+        self._set(value=value, witness=tuple(int(i) for i in witness), dimension=dimension)
 
 
 def _validate_sides(a: float, b: float, c: float) -> tuple[float, float, float, float]:

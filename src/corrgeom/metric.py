@@ -12,14 +12,13 @@ numerically on any matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .errors import AngleDomainError, MetricViolationError
-from .series import NORM_TOL
+from .errors import MetricViolationError
+from .series import NORM_TOL, Frozen
 
 # Triangle-inequality slack. arccos amplifies dot-product rounding near +-1
 # like 1/sqrt(eps), so 1e-9 covers windows up to ~1e6 samples in doubles.
@@ -38,37 +37,14 @@ SPHERICAL = "spherical"
 PROJECTIVE = "projective"
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not -1.0 <= rho <= 1.0:
-        raise AngleDomainError(f"correlation must lie in [-1, 1], got {rho}")
-    return rho
-
-
-def correlation_angle(rho: float) -> float:
-    """arccos(rho): angular distance on the sphere, in [0, pi]."""
-    return math.acos(_check_rho(rho))
-
-
-def projective_angle(rho: float) -> float:
-    """arccos(|rho|): angular distance on projective space, in [0, pi/2].
-
-    Equals the correlation angle when that angle is at most pi/2, and its
-    supplement otherwise.
-    """
-    return math.acos(abs(_check_rho(rho)))
-
-
-@dataclass(frozen=True)
-class TriangleViolation:
+class TriangleViolation(NamedTuple):
     i: int
     j: int
     k: int
     margin: float
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Outcome of checking the metric axioms on a square matrix."""
 
     n: int
@@ -300,8 +276,7 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     )
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(Frozen):
     """Symmetric matrix of angular distances in radians with zero diagonal.
 
     ``kind`` is "spherical" (entries in [0, pi]) or "projective" (entries in
@@ -310,21 +285,17 @@ class DistanceMatrix:
     upstream rather than a recoverable condition.
     """
 
-    ids: tuple[str, ...]
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (SPHERICAL, PROJECTIVE):
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray, kind: str):
+        if kind not in (SPHERICAL, PROJECTIVE):
             raise ValueError(f"kind must be {SPHERICAL!r} or {PROJECTIVE!r}")
-        v = np.array(self.values, dtype=float)
-        n = len(self.ids)
+        v = np.array(values, dtype=float)
+        n = len(ids)
         if v.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {v.shape}")
-        bound = math.pi if self.kind == SPHERICAL else math.pi / 2
+        bound = math.pi if kind == SPHERICAL else math.pi / 2
         if v.max(initial=0.0) > bound + TRIANGLE_TOL:
             raise MetricViolationError(
-                f"{self.kind} distances must not exceed {bound}"
+                f"{kind} distances must not exceed {bound}"
             )
         report = verify_metric_axioms(v)
         if not report.passed:
@@ -332,8 +303,7 @@ class DistanceMatrix:
                 f"distance matrix fails the metric axioms ({report.summary()})"
             )
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        self._set(ids=tuple(ids), values=v, kind=kind)
 
     @property
     def n(self) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -57,32 +56,47 @@ def _check_unit_rows(rows: np.ndarray, ids) -> None:
         raise ValueError(f"components of {sid!r} are not unit length (norm {norms.flat[i]})")
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class Frozen:
+    """Base of the package's value classes, read-only once built: __init__
+    sets the fields through _set, and assigning or deleting an attribute
+    afterwards raises AttributeError. Equality is identity; a record that
+    needs value equality is a typing.NamedTuple instead."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
+class TimeSeries(Frozen):
     """A uniformly sampled, finite-valued series on an integer tick grid.
 
     ``start`` is the tick of the first sample and ``step`` the sampling
     period in ticks; sample i sits at tick ``start + i * step``.
     """
 
-    id: str
-    start: int
-    step: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, start: int, step: int, values):
+        if not id:
             raise ValueError("series id must be a nonempty string")
-        if int(self.step) != self.step or self.step <= 0:
-            raise ValueError(f"step must be a positive integer, got {self.step!r}")
-        arr = _as_readonly_floats(self.values)
+        if int(step) != step or step <= 0:
+            raise ValueError(f"step must be a positive integer, got {step!r}")
+        arr = _as_readonly_floats(values)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("values must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"series {self.id!r} contains NaN or Inf")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "step", int(self.step))
+            raise ValueError(f"series {id!r} contains NaN or Inf")
+        self._set(id=id, start=int(start), step=int(step), values=arr)
 
     def __len__(self) -> int:
         return self.values.size
@@ -96,14 +110,11 @@ class TimeSeries:
         return self.start + self.step * index
 
 
-@dataclass(frozen=True)
-class TimeSeriesSet:
+class TimeSeriesSet(Frozen):
     """Several series sharing start, step, and length, with unique ids."""
 
-    series: tuple[TimeSeries, ...]
-
-    def __post_init__(self):
-        series = tuple(self.series)
+    def __init__(self, series: tuple[TimeSeries, ...]):
+        series = tuple(series)
         if not series:
             raise ValueError("a TimeSeriesSet needs at least one series")
         ids = [s.id for s in series]
@@ -120,8 +131,7 @@ class TimeSeriesSet:
                     f"start/step/length {(s.start, s.step, len(s))} vs "
                     f"{(first.start, first.step, len(first))}"
                 )
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "_matrix", _as_readonly_floats([s.values for s in series]))
+        self._set(series=series, _matrix=_as_readonly_floats([s.values for s in series]))
 
     def __len__(self) -> int:
         return len(self.series)
@@ -156,23 +166,19 @@ class TimeSeriesSet:
         return self.series[0].tick(index)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(Frozen):
     """A summation window: ``size`` consecutive samples starting at sample
     index ``t`` (an index into the series, not a tick). ``stride`` is the
     hop between consecutive windows in sliding analyses."""
 
-    t: int
-    size: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"window start index must be >= 0, got {self.t}")
-        if self.size < 2:
-            raise ValueError(f"window size must be >= 2, got {self.size}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+    def __init__(self, t: int, size: int, stride: int = 1):
+        if t < 0:
+            raise ValueError(f"window start index must be >= 0, got {t}")
+        if size < 2:
+            raise ValueError(f"window size must be >= 2, got {size}")
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        self._set(t=t, size=size, stride=stride)
 
     def check_fits(self, length: int) -> None:
         if self.t + self.size > length:
@@ -180,21 +186,6 @@ class WindowSpec:
                 f"window [{self.t}, {self.t + self.size}) does not fit in a "
                 f"series of length {length}"
             )
-
-
-@dataclass(frozen=True)
-class CenteredUnitVector:
-    """A windowed sample vector with the window mean removed and unit
-    Euclidean norm: a point on the sphere S^(K-1)."""
-
-    components: np.ndarray
-    source_id: str
-    window_start: int  # tick of the first sample in the window
-
-    def __post_init__(self):
-        arr = _as_readonly_floats(self.components)
-        _check_unit_rows(arr.reshape(1, -1), (self.source_id,))
-        object.__setattr__(self, "components", arr)
 
 
 def align(series: Iterable[TimeSeries]) -> TimeSeriesSet:
@@ -261,16 +252,9 @@ def _one_window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
     return units
 
 
-def window_vector(s: TimeSeries, w: WindowSpec) -> CenteredUnitVector:
-    """One series' window as a CenteredUnitVector, centred and scaled as in
-    windowed_unit_matrix. Raises ZeroVarianceError for a constant window."""
-    unit = _one_window_units(s.values[None, :], (s.id,), w)[0]
-    return CenteredUnitVector(unit, s.id, s.tick(w.t))
-
-
 def windowed_unit_matrix(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
     """Centered unit vectors of all series over one window, stacked (n, K) and
-    checked against the CenteredUnitVector invariants in one array operation.
+    checked against the centered-unit-vector invariants in one array operation.
     Raises ZeroVarianceError naming the first series constant on the window."""
     units = _one_window_units(ts_set.matrix(), ts_set.ids, w)
     _check_unit_rows(units, ts_set.ids)

@@ -1,9 +1,10 @@
-"""An independent triangle-area oracle and a synthetic phase-locking generator.
+"""Scalar oracles and a synthetic phase-locking generator.
 
 Only the CLI's simulate command imports this module, and only when it runs.
-It exists to cross-check the geometry by another route (vertex-angle triangle
-areas) and to manufacture time series with planted coupling episodes for
-end-to-end detection tests.
+It exists to cross-check the geometry by other routes (one series, one pair
+or one correlation at a time, and vertex-angle triangle areas) and to
+manufacture time series with planted coupling episodes for end-to-end
+detection tests.
 
 All randomness comes from numpy's default PCG64 generator seeded explicitly,
 so every synthetic dataset is reproducible within this build for a fixed
@@ -13,13 +14,77 @@ seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AngleDomainError
 from .measures import _validate_sides
 from .metric import TRIANGLE_TOL
-from .series import TimeSeries, TimeSeriesSet
+from .series import (
+    Frozen,
+    TimeSeries,
+    TimeSeriesSet,
+    WindowSpec,
+    _as_readonly_floats,
+    _check_unit_rows,
+    _one_window_units,
+)
+
+
+class CenteredUnitVector(Frozen):
+    """A windowed sample vector with the window mean removed and unit
+    Euclidean norm: a point on the sphere S^(K-1). ``window_start`` is the
+    tick of the first sample in the window."""
+
+    def __init__(self, components: np.ndarray, source_id: str, window_start: int):
+        arr = _as_readonly_floats(components)
+        _check_unit_rows(arr.reshape(1, -1), (source_id,))
+        self._set(components=arr, source_id=source_id, window_start=window_start)
+
+
+def window_vector(s: TimeSeries, w: WindowSpec) -> CenteredUnitVector:
+    """One series' window as a CenteredUnitVector, centred and scaled as in
+    series.windowed_unit_matrix. Raises ZeroVarianceError for a constant
+    window."""
+    unit = _one_window_units(s.values[None, :], (s.id,), w)[0]
+    return CenteredUnitVector(unit, s.id, s.tick(w.t))
+
+
+def pearson_rho(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
+    """Pearson correlation over one window, clamped to [-1, 1].
+
+    Computed as the dot product of the two centered unit vectors; clamping
+    guards arccos against the ~1e-16 excursions of floating-point dots.
+    Raises ZeroVarianceError if either window is constant.
+    """
+    if (a.start, a.step, len(a)) != (b.start, b.step, len(b)):
+        raise ValueError(
+            f"series {a.id!r} and {b.id!r} are not aligned; run align() first"
+        )
+    ua = window_vector(a, w)
+    ub = window_vector(b, w)
+    return float(min(1.0, max(-1.0, float(np.dot(ua.components, ub.components)))))
+
+
+def _check_rho(rho: float) -> float:
+    rho = float(rho)
+    if not -1.0 <= rho <= 1.0:
+        raise AngleDomainError(f"correlation must lie in [-1, 1], got {rho}")
+    return rho
+
+
+def correlation_angle(rho: float) -> float:
+    """arccos(rho): angular distance on the sphere, in [0, pi]."""
+    return math.acos(_check_rho(rho))
+
+
+def projective_angle(rho: float) -> float:
+    """arccos(|rho|): angular distance on projective space, in [0, pi/2].
+
+    Equals the correlation angle when that angle is at most pi/2, and its
+    supplement otherwise.
+    """
+    return math.acos(abs(_check_rho(rho)))
 
 
 def girard_area(a: float, b: float, c: float) -> float:
@@ -53,8 +118,7 @@ def girard_area(a: float, b: float, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Frozen):
     """Recipe for synthetic series with planted coupling episodes.
 
     Outside episodes every series is an independent slow sinusoid plus
@@ -64,32 +128,35 @@ class SyntheticSpec:
     measure to zero. Episodes are half-open [start, end) index ranges.
     """
 
-    n_series: int
-    length: int
-    episodes: tuple[tuple[int, int, float], ...]
-    noise_sigma: float
-    rng_seed: int
-    driver_period: float = 20.0
-    own_period_range: tuple[float, float] = (60.0, 120.0)
-
-    def __post_init__(self):
-        if self.n_series < 1:
+    def __init__(
+        self,
+        n_series: int,
+        length: int,
+        episodes: tuple[tuple[int, int, float], ...],
+        noise_sigma: float,
+        rng_seed: int,
+        driver_period: float = 20.0,
+        own_period_range: tuple[float, float] = (60.0, 120.0),
+    ):
+        if n_series < 1:
             raise ValueError("need at least one series")
-        if self.length < 1:
+        if length < 1:
             raise ValueError("length must be positive")
-        if not self.noise_sigma > 0.0:
+        if not noise_sigma > 0.0:
             raise ValueError("noise_sigma must be > 0")
-        eps = tuple((int(s), int(e), float(lam)) for s, e, lam in self.episodes)
+        eps = tuple((int(s), int(e), float(lam)) for s, e, lam in episodes)
         prev_end = 0
         for s, e, lam in eps:
-            if not 0 <= s < e <= self.length:
+            if not 0 <= s < e <= length:
                 raise ValueError(f"episode ({s}, {e}) out of range")
             if s < prev_end:
                 raise ValueError("episodes must be sorted and non-overlapping")
             if not 0.0 <= lam <= 1.0:
                 raise ValueError(f"coupling strength {lam} outside [0, 1]")
             prev_end = e
-        object.__setattr__(self, "episodes", eps)
+        self._set(n_series=n_series, length=length, episodes=eps, noise_sigma=noise_sigma,
+                  rng_seed=rng_seed, driver_period=driver_period,
+                  own_period_range=own_period_range)
 
 
 def simulate(spec: SyntheticSpec) -> TimeSeriesSet:

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import logging
 import math
 import os
 import subprocess
@@ -252,8 +251,8 @@ def test_a_config_key_the_command_has_a_flag_for_is_used(tmp_path, capsys, comma
 
 @pytest.mark.parametrize(
     "settings, flag",
-    [({"window": 21.5}, "--window"), ({"stride": None}, "--stride"), ({"window": True}, "--window")],
-    ids=["float-window", "null-stride", "true-window"],
+    [({"window": 21.5}, "--window"), ({"window": True}, "--window")],
+    ids=["float-window", "true-window"],
 )
 def test_a_config_value_its_flag_rejects_exits_2(tmp_path, capsys, settings, flag):
     config = tmp_path / "config.json"
@@ -265,6 +264,39 @@ def test_a_config_value_its_flag_rejects_exits_2(tmp_path, capsys, settings, fla
     assert exit_info.value.code == 2
     assert f"argument {flag}: invalid int value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key", [("analyze", "stride"), ("events", "min_separation"), ("events", "measures")]
+)
+def test_a_null_config_value_leaves_its_setting_unset(tmp_path, capsys, command, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: None}))
+    out = tmp_path / "out"
+    argv = [command, "--input", benchmark_csv(tmp_path), "--out", str(out)]
+    runs = []
+    for extra in (["--config", str(config)], []):
+        assert cli.main([*argv, *extra]) == 0
+        runs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+
+
+def test_a_null_input_in_the_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": None}))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: an --input CSV is required\n"
+    assert not out.exists()
+
+
+def test_a_null_out_in_the_config_writes_to_the_default_directory(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": None}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "--input", benchmark_csv(tmp_path), "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == str(Path("corrgeom_out", "manifest.json"))
+    assert not (tmp_path / "None").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -279,14 +311,19 @@ def test_an_empty_measure_list_exits_2(tmp_path, capsys, source):
     assert not out.exists()
 
 
+def run_cli(argv, level):
+    """A ``python -m corrgeom.cli`` child process with CORRGEOM_LOG_LEVEL set
+    to ``level``, or unset when it is None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+    env.pop("CORRGEOM_LOG_LEVEL", None)
+    if level is not None:
+        env["CORRGEOM_LOG_LEVEL"] = level
+    return subprocess.run([sys.executable, "-m", "corrgeom.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 def test_an_unknown_log_level_exits_2(tmp_path):
-    # In a child process: pytest's own root handlers make basicConfig a no-op.
-    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]),
-               CORRGEOM_LOG_LEVEL="info")
-    done = subprocess.run(
-        [sys.executable, "-m", "corrgeom.cli", "validate", "--input", benchmark_csv(tmp_path)],
-        env=env, capture_output=True, text=True,
-    )
+    done = run_cli(["validate", "--input", benchmark_csv(tmp_path)], "info")
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: Unknown level: 'info'\n"
@@ -365,20 +402,43 @@ def test_bad_detector_settings_exit_2_before_any_window(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
-def test_events_logs_each_written_file(tmp_path, caplog):
+@pytest.mark.parametrize(
+    "level, logged",
+    [("INFO", True), ("DEBUG", True), ("NOTSET", True), ("WARNING", False), ("ERROR", False),
+     (None, False)],
+    ids=["INFO", "DEBUG", "NOTSET", "WARNING", "ERROR", "unset"],
+)
+def test_events_logs_each_written_file_at_info_and_below(tmp_path, level, logged):
+    # The lines logging.basicConfig's handler wrote for log.info("wrote %s", path).
     out = tmp_path / "out"
-    with caplog.at_level(logging.INFO, logger="corrgeom"):
-        assert cli.main(["events", "--input", benchmark_csv(tmp_path), "--out", str(out)]) == 0
-    written = [r.getMessage() for r in caplog.records if r.name == "corrgeom"]
-    assert written == [
-        f"wrote {out / name}"
-        for name in (
-            "events_diameter.json",
-            "events_max_triangle_area.json",
-            "comparison.json",
-            "manifest.json",
-        )
-    ]
+    done = run_cli(["events", "--input", benchmark_csv(tmp_path), "--out", str(out)], level)
+    assert done.returncode == 0
+    names = ("events_diameter.json", "events_max_triangle_area.json", "comparison.json",
+             "manifest.json")
+    assert done.stdout == "".join(f"{out / name}\n" for name in names)
+    want = "".join(f"INFO:corrgeom:wrote {out / name}\n" for name in names)
+    assert done.stderr == (want if logged else "")
+
+
+# Modules that neither `import corrgeom.cli` nor a validate run may load: each
+# adds milliseconds to every call's start-up. Checked by name, not by timing.
+START_UP_FREE = "{'logging', 'hashlib', 'json'}"
+
+
+def test_import_loads_no_logging_hashlib_or_json():
+    code = f"import sys, corrgeom.cli; print(sorted({START_UP_FREE} & set(sys.modules)))"
+    assert run_python(code) == "[]\n"
+
+
+def test_validate_loads_no_logging_hashlib_or_json(tmp_path):
+    code = (
+        "import sys\n"
+        "from corrgeom import cli\n"
+        f"rc = cli.main(['validate', '--input', {benchmark_csv(tmp_path)!r}, '--window', '21',"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        f"print(rc, sorted({START_UP_FREE} & set(sys.modules)))\n"
+    )
+    assert run_python(code).splitlines()[-1] == "0 []"
 
 
 def test_failed_run_removes_its_partial_output(tmp_path, capsys, monkeypatch):

@@ -12,9 +12,9 @@ from corrgeom import (
     WindowSpec,
     ZeroVarianceError,
     correlation_matrix,
-    pearson_rho,
 )
 from corrgeom.correlation import _mirror_upper
+from corrgeom.testkit import pearson_rho
 
 
 def ts(sid, values):

@@ -29,7 +29,6 @@ from corrgeom import (
     distance_matrix,
     sliding_measures,
     spherical_triangle_area,
-    window_vector,
 )
 from corrgeom.events import CHUNK_ELEMENTS, _prominent_peaks, _windows_per_chunk
 from corrgeom.metric import TRIANGLE_TOL, _margin_error_bound
@@ -40,6 +39,7 @@ from corrgeom.testkit import (
     SyntheticSpec,
     coupling_benchmark,
     simulate,
+    window_vector,
 )
 
 

@@ -14,11 +14,9 @@ from corrgeom import (
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
-    correlation_angle,
     correlation_matrix,
     distance_matrix,
     max_simplex_volume,
-    projective_angle,
     verify_metric_axioms,
 )
 from corrgeom.correlation import correlation_from_units
@@ -31,6 +29,7 @@ from corrgeom.metric import (
     angular_distances,
 )
 from corrgeom.series import NORM_TOL, _check_unit_rows
+from corrgeom.testkit import correlation_angle, projective_angle
 
 
 def random_corr(rng, n, k=20):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrgeom import (
-    CenteredUnitVector,
     DuplicateIdError,
     EmptyOverlapError,
     IngestError,
@@ -18,11 +17,11 @@ from corrgeom import (
     ZeroVarianceError,
     align,
     read_timeseries_csv,
-    window_vector,
     windowed_unit_matrix,
     write_timeseries_csv,
 )
-from corrgeom import series
+from corrgeom import cli, series
+from corrgeom.testkit import CenteredUnitVector, window_vector
 from corrgeom.series import _parse_value
 
 
@@ -68,6 +67,28 @@ class TestWindowSpec:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             WindowSpec(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: ts("a", [1.0, 2.0]), "id"),
+        (lambda: TimeSeriesSet((ts("a", [1.0, 2.0]),)), "series"),
+        (lambda: WindowSpec(0, 2), "size"),
+        (cli.RunConfig, "window"),
+    ],
+    ids=["TimeSeries", "TimeSeriesSet", "WindowSpec", "RunConfig"],
+)
+def test_a_value_object_is_read_only(make, field):
+    obj = make()
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.new_field = 1
+    assert getattr(obj, field) is before
 
 
 class TestAlign:
