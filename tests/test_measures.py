@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrgeom import (
@@ -17,7 +17,7 @@ from corrgeom import (
 )
 from corrgeom.correlation import correlation_from_units
 from corrgeom.measures import _max_triangle_areas
-from corrgeom.metric import PROJECTIVE, angular_distances
+from corrgeom.metric import PROJECTIVE, _axiom_stats, _margin_error_bound, angular_distances
 from corrgeom.testkit import girard_area
 
 # Frozen oracle values (independently computed; see matching oracle tests).
@@ -270,6 +270,7 @@ class TestMaxTriangleMatchesScalar:
     n=st.integers(3, 12),
     copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
 )
+@example(seed=5, count=1, n=12, copies=[(0, 1), (0, 8)])
 def test_the_slab_kernel_equals_max_simplex_volume_byte_for_byte(seed, count, n, copies):
     # Projective distances as the engine computes them, exactly symmetric,
     # from random unit vectors with some rows repeated verbatim.
@@ -278,6 +279,17 @@ def test_the_slab_kernel_equals_max_simplex_volume_byte_for_byte(seed, count, n,
     for src, dst in copies:
         units[:, dst % n] = units[:, src % n]
     units /= np.linalg.norm(units, axis=-1, keepdims=True)
-    dist = angular_distances(correlation_from_units(units), PROJECTIVE)
-    want = np.array([max_simplex_volume(d, 2).value for d in dist])
-    assert _max_triangle_areas(dist).tobytes() == want.tobytes()
+    rho = correlation_from_units(units)
+    dist = angular_distances(rho, PROJECTIVE)
+    passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, 5)).passed
+    got = _max_triangle_areas(dist)
+    for w, d in enumerate(dist):
+        try:
+            want = max_simplex_volume(d, 2).value
+        except InvalidTriangleError:
+            # Verbatim copies can round to sides such as (0, 0, 1.5e-8). The
+            # kernel assumes valid sides, so the engine's check must stop
+            # such a window before the kernel sees it.
+            assert not passed[w]
+            continue
+        assert got[w].tobytes() == np.float64(want).tobytes()
