@@ -41,12 +41,27 @@ from .events import (
     detect_minima,
     sliding_measures,
 )
-from .metric import PROJECTIVE, SPHERICAL, _axiom_stats, angular_distances, verify_metric_axioms
+from .metric import (
+    PROJECTIVE,
+    SPHERICAL,
+    _axiom_stats,
+    _worst_triangle,
+    angular_distances,
+    verify_metric_axioms,
+)
 from .series import Frozen, TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
 
 CONFIG_SCHEMA_VERSION = 1
 FORMATS = ("svg",)
+# Windows per triangle-margin scan of validate: consecutive engine chunks are
+# joined until they hold at least this many, 2 * VALIDATE_BATCH matrices with
+# both kinds. The scan's numpy loops are as long as the stack is tall. On the
+# validate_n32 benchmark input (n = 32, K = 101, 700 windows in chunks of 10;
+# 2-vCPU sandbox, medians of 9) the distances and scans of the whole run took
+# 124 ms in stacks of 10 windows, 84 at 20, 61 at 40 and 51 at 80; 80 raised
+# the benchmark's peak RSS by 0.3-0.5 MB and its wall time no further.
+VALIDATE_BATCH = 40
 
 # The level names CORRGEOM_LOG_LEVEL accepts, with their logging values. A
 # level of INFO or below writes one line per output file.
@@ -283,14 +298,32 @@ def cmd_events(config: RunConfig) -> int:
     return _write_outputs(config, data, len(series_list[0]), files)
 
 
+def _batched(chunks, size: int):
+    """The engine's (ms, rho) chunks joined, in order, into runs of at least
+    ``size`` windows; the last run may hold fewer."""
+    held, windows = [], 0
+    for chunk in chunks:
+        held.append(chunk)
+        windows += len(chunk[0])
+        if windows >= size:
+            batch = tuple(np.concatenate(parts) for parts in zip(*held))
+            held, windows = [], 0  # not held while the caller scans the batch
+            yield batch
+    if held:
+        yield tuple(np.concatenate(parts) for parts in zip(*held))
+
+
 def cmd_validate(config: RunConfig) -> int:
     """Check the metric axioms once per kind (spherical, projective) on every
-    window that has no constant series, through analyze's window engine. Each
-    chunk's distances are checked as one (2M, n, n) stack, its M spherical
-    matrices then its M projective ones, so the triangle-margin scan runs once
-    per chunk. Each failing matrix prints a VIOLATION line on stderr and makes
-    the exit 1; the worst margin is the first smallest in window order,
-    spherical first."""
+    window that has no constant series, through analyze's window engine.
+    Consecutive chunks are joined into batches of at least VALIDATE_BATCH
+    windows, and each batch's distances are checked as one (2M, n, n) stack,
+    its M spherical matrices then its M projective ones, so the
+    triangle-margin scan runs once per batch and finds each matrix's minimum
+    margin. Each failing matrix prints a VIOLATION line on stderr and makes
+    the exit 1. The worst margin is the first smallest in window order,
+    spherical first; a copy of its matrix is kept, and its triple is located
+    once, after the last batch."""
     data = _read_input(config)
     if len(data) < 2:
         raise TooFewPointsError("validate needs at least 2 series")
@@ -299,29 +332,32 @@ def cmd_validate(config: RunConfig) -> int:
         raise CorrGeomError(
             f"window {config.window} exceeds series length {data.length}"
         )
-    n = len(data)
     kinds = (SPHERICAL, PROJECTIVE)
     worst_margin = float("inf")
-    worst = None
+    worst = worst_matrix = None
     failures = 0
     checked = 0
-    for ms, rho in correlation_chunks(data, config.window, config.stride):
-        stats = _axiom_stats(np.concatenate([angular_distances(rho, kind) for kind in kinds]))
+    chunks = correlation_chunks(data, config.window, config.stride)
+    for ms, rho in _batched(chunks, VALIDATE_BATCH):
+        dist = np.concatenate([angular_distances(rho, kind) for kind in kinds])
+        del rho  # not held during the scan
+        stats = _axiom_stats(dist)
         for w, m in enumerate(ms):
             tick = data.tick(int(m) * config.stride)
             for at, kind in zip((w, len(ms) + w), kinds):
                 checked += 1
                 if stats.min_margin[at] < worst_margin:
                     worst_margin = float(stats.min_margin[at])
-                    triple = sorted(int(i) for i in np.unravel_index(stats.worst[at], (n, n, n)))
-                    worst = (tick, kind, tuple(triple))
+                    worst, worst_matrix = (tick, kind), dist[at].copy()
                 if not stats.passed[at]:
                     failures += 1
-                    report = verify_metric_axioms(angular_distances(rho[w], kind))
+                    report = verify_metric_axioms(dist[at])
                     print(
                         f"VIOLATION window@{tick} {kind}: {report.summary()}",
                         file=sys.stderr,
                     )
+    if worst is not None:
+        worst += (tuple(sorted(_worst_triangle(worst_matrix)[1])),)
     status = "pass" if failures == 0 else "FAIL"
     print(
         f"{status}: checked {checked} distance matrices over {count} windows; "

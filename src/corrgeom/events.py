@@ -30,10 +30,15 @@ largest off-diagonal |rho| and u the unit roundoff. A window whose bound is
 within TRIANGLE_TOL passes the scan for certain and is not scanned; every
 other check still runs on it. Windows with |rho| near 1, such as
 near-copies of one series, are scanned as before. ``validate`` scans every
-window, since the margins are its output, and scans both kinds of a chunk
-in one stack, spherical then projective. Where the scan does run, it
-reduces the margins in (windows, n, n) slabs rather than building n^3 of
-them per window.
+window, since the margins are its output: it joins consecutive chunks into
+batches of at least cli.VALIDATE_BATCH windows and scans both kinds of a
+batch in one stack, spherical then projective. Where the scan does run, it
+finds only each matrix's minimum margin, never its n^3 margins: it works on
+a copy of the stack with the stack axis innermost, in blocks of about
+metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
+tall and short stacks, such as the 5-window chunks at n = 64, K = 101, scan
+slower per window than tall ones. Which triple holds a minimum is located
+one matrix at a time, only where it is reported.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values, and minima are only detected within
@@ -65,13 +70,14 @@ from .metric import (
 from .series import Frozen, TimeSeriesSet, WindowSpec, _check_unit_rows, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
-# windows: the (windows, n, K) window rows or the (windows, n, n) matrices and
-# triangle-margin slabs; the triangle measure's per-first-index arrays are
-# smaller. A chunk holds at least one window, so where one window's rows or
-# matrices pass 2^15 (n * K or n^2 above it) the chunk exceeds the target.
-# validate's slabs hold both kinds, so where n > K they reach twice the
-# target. Larger chunks were measured slower, and at 2^17 they raised peak
-# RSS by more than the benchmark's 5% bound.
+# windows: the (windows, n, K) window rows or the (windows, n, n) matrices;
+# the triangle measure's per-first-index arrays are smaller, and the
+# triangle-margin scan works in blocks of metric.SCAN_ELEMENTS. A chunk holds
+# at least one window, so where one window's rows or matrices pass 2^15
+# (n * K or n^2 above it) the chunk exceeds the target. validate joins chunks
+# into batches of cli.VALIDATE_BATCH windows and stacks both kinds of a
+# batch, so its stacks are larger. Larger chunks were measured slower, and at
+# 2^17 they raised peak RSS by more than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
 
 KIND_DIAMETER = "diameter"
@@ -138,8 +144,7 @@ class MeasureSeries(Frozen):
 
 def _windows_per_chunk(n: int, window: int) -> int:
     """Windows per chunk: CHUNK_ELEMENTS over the largest per-window array of
-    a chunk, the n x K window rows or the n^2 matrices and triangle-margin
-    slabs, at least 1. The triangle measure's arrays, C(n - i - 1, 2) <
+    a chunk, the n x K window rows or the n^2 matrices, at least 1. The triangle measure's arrays, C(n - i - 1, 2) <
     n^2 / 2 triples per window for first index i, are smaller than both."""
     return max(1, CHUNK_ELEMENTS // max(n * window, n**2))
 

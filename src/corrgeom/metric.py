@@ -33,6 +33,14 @@ UNIT_ROUNDOFF = 2.0**-53
 # rest covers the rounding of _margin_error_bound's own evaluation.
 ARCCOS_ERROR = 2.0**-48
 
+# Float64 elements per block of _min_triangle_margins' sums, (k rows, n, M):
+# the rows of k > i are taken in blocks of about this size, at least one row.
+# Scanning stacks of 80 matrices (K = 101, a common signal, 2-vCPU sandbox,
+# medians of 9), 2^16 beat 2^14, 2^18 and unblocked at n = 64 (105 vs 170,
+# 146 and 138 ms for 200 windows) and n = 96 (316 vs 428, 366 and 402 ms for
+# 150 windows), and was even with them at n = 32.
+SCAN_ELEMENTS = 2**16
+
 SPHERICAL = "spherical"
 PROJECTIVE = "projective"
 
@@ -74,7 +82,6 @@ class _AxiomStats(NamedTuple):
     diagonal: np.ndarray
     min_entry: np.ndarray
     min_margin: np.ndarray  # inf when n < 3; -margin_error where not scanned
-    worst: np.ndarray  # first flat index (i*n + j)*n + k of min_margin in (i, j, k) order
 
 
 def _triangle_margins(m: np.ndarray) -> np.ndarray:
@@ -89,52 +96,86 @@ def _triangle_margins(m: np.ndarray) -> np.ndarray:
     return margins
 
 
-def _min_triangle_margins(m: np.ndarray, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum and first flat argmin of _triangle_margins(m) per matrix,
-    reduced over one (M, n, n - lo) slab of first index i at a time, with k
-    from lo = i + 1 when ``half`` (m exactly symmetric), from 0 otherwise.
+def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
+    """Minimum of _triangle_margins(m) per matrix of an exactly symmetric
+    (M, n, n) stack, n >= 3, bit for bit, without building it.
 
-    Much of the cost is per slab rather than per matrix, so one tall stack
-    scans faster than several short ones: ``validate`` scans both kinds of a
-    chunk at once. An exactly symmetric stack is finite, since a NaN or inf
-    entry makes m - m^T NaN. So on the half path a copy with a +inf diagonal
-    gives every margin with j == i or j == k the +inf that the full path
-    writes as a mask: inf + x - y, with x and y finite."""
+    The scan works on one copy of the stack with the stack axis innermost,
+    s[k, j, r] = m[r, k, j], so every numpy loop runs over all M matrices and
+    a tall stack scans faster per matrix than a short one. For each first
+    index i and each block of k > i it adds s[k] + s[i], that is d_kj + d_ij,
+    takes the minimum over j, and only then subtracts d_ik, once per (i, k):
+
+    * d_kj + d_ij is d_ij + d_jk bit for bit, since the stack is exactly
+      symmetric and IEEE addition commutes. For the same reason the margin of
+      (i, j, k) equals that of (k, j, i), so k > i covers every triple.
+    * An exactly symmetric stack is finite, since a NaN or inf entry makes
+      m - m^T NaN. For finite c, fl(x - c) is monotone in x, so
+      min_j fl(x_j - c) = fl(min_j x_j - c): the hoisted subtraction is exact.
+    * s has a +inf diagonal, so the sums with j == i or j == k are +inf and
+      stay +inf after the subtraction, as _triangle_margins masks them.
+
+    A zero minimum may differ in its sign where entries are -0.0, which
+    angular_distances never writes.
+    """
     count, n = m.shape[0], m.shape[-1]
+    s = m.transpose(1, 2, 0).copy()
+    idx = np.arange(n)
+    s[idx, idx] = np.inf
+    rows = max(1, SCAN_ELEMENTS // (n * count or 1))
+    block = min(rows, n - 1)
+    sums = np.empty((block, n, count))
+    low = np.empty((block, count))
+    best = np.full(count, np.inf)
+    for i in range(n - 1):
+        for lo in range(i + 1, n, block):
+            hi = min(lo + block, n)
+            x, y = sums[: hi - lo], low[: hi - lo]
+            np.add(s[lo:hi], s[i], out=x)  # x[k - lo, j] = d_kj + d_ij
+            np.minimum.reduce(x, axis=1, out=y)
+            y -= s[i, lo:hi]
+            np.minimum(best, y.min(axis=0), out=best)
+    return best
+
+
+def _worst_triangle(m: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """Smallest triangle margin of one (n, n) matrix, n >= 3, and the first
+    (i, j, k) in the flat order of _triangle_margins where it falls; a NaN
+    margin counts as smallest, and where every margin is +inf it is (0, 0, 0).
+
+    The margins are reduced in (n, n - lo) slabs of one first index i at a
+    time. On an exactly symmetric matrix k runs from lo = i + 1: the margins
+    of (i, j, k) and (k, j, i) are equal bit for bit, so the first of a tie
+    has i < k, and a copy with a +inf diagonal makes every margin with j == i
+    or j == k +inf. Otherwise k runs from 0 and the coinciding indices are
+    masked. argmin keeps the first minimum and counts a NaN as smallest,
+    within a slab and across them, as it does over the whole (n, n, n) array.
+    """
+    n = m.shape[0]
+    half = not (m - m.T).any()  # a NaN difference counts as asymmetric
     stop = n - 1 if half else n
     if half:
         m = m.copy()
-        idx = np.arange(n)
-        m[:, idx, idx] = np.inf
-    values = np.empty((stop, count))
-    args = np.empty((stop, count), dtype=int)
-    buffer = np.empty(count * n * n)
-    rows = np.arange(count)
+        np.fill_diagonal(m, np.inf)
+    values = np.empty(stop)
+    args = np.empty(stop, dtype=int)
     for i in range(stop):
         lo = i + 1 if half else 0
-        width = n - lo
-        slab = buffer[: count * n * width].reshape(count, n, width)
-        np.add(m[:, i, :, None], m[:, :, lo:], out=slab)  # slab[:, j, k - lo]
-        np.subtract(slab, m[:, i, None, lo:], out=slab)
-        flat = slab.reshape(count, n * width)
+        slab = m[i, :, None] + m[:, lo:]  # slab[j, k - lo]
+        slab -= m[i, None, lo:]
         if not half:
-            flat[:, i * n : (i + 1) * n] = np.inf  # j == i
-            flat[:, :: n + 1] = np.inf  # j == k
-            flat[:, i::n] = np.inf  # k == i
-        args[i] = flat.argmin(axis=1)
-        values[i] = flat[rows, args[i]]
-    # argmin keeps the first minimum and counts a NaN as smallest, within a
-    # slab and across them, as it does over the whole (n, n, n) array.
-    first = values.argmin(axis=0)
-    arg = args[first, rows]
-    lo = first + 1 if half else 0
-    width = n - lo
-    worst = (first * n + arg // width) * n + lo + arg % width
-    min_margin = values[first, rows]
-    if half:
-        # Every margin +inf: the first is (0, 0, 0), which the scan skips.
-        worst[min_margin == np.inf] = 0
-    return min_margin, worst
+            slab[i] = np.inf  # j == i
+            np.fill_diagonal(slab, np.inf)  # j == k
+            slab[:, i] = np.inf  # k == i
+        args[i] = slab.argmin()
+        values[i] = slab.flat[args[i]]
+    i = int(values.argmin())
+    margin = float(values[i])
+    if margin == math.inf:
+        return margin, (0, 0, 0)
+    lo = i + 1 if half else 0
+    j, k = divmod(int(args[i]), n - lo)
+    return margin, (i, j, lo + k)
 
 
 def _margin_error_bound(rho: np.ndarray, window: int) -> np.ndarray:
@@ -195,43 +236,50 @@ def _margin_error_bound(rho: np.ndarray, window: int) -> np.ndarray:
 
 
 def _axiom_stats(
-    m: np.ndarray, tolerance: float = TRIANGLE_TOL, margin_error: np.ndarray | None = None
+    m: np.ndarray,
+    tolerance: float = TRIANGLE_TOL,
+    margin_error: np.ndarray | None = None,
+    min_margin: np.ndarray | None = None,
 ) -> _AxiomStats:
     """Symmetry error, diagonal error, minimum entry and minimum triangle
     margin of every matrix of an (M, n, n) stack, and whether each passes.
 
-    The margins are those of _triangle_margins, reduced without building it.
-    On a stack with no symmetry error the margin of (i, j, k) equals that of
-    (k, j, i) bit for bit, so only k > i is scanned. A matrix passes when each
-    error is within tolerance and no margin is below -tolerance; a NaN
-    anywhere fails.
+    The margins are those of _triangle_margins, reduced without building it:
+    by _min_triangle_margins on an exactly symmetric stack, the engine's
+    case, and by _worst_triangle one matrix at a time on any other. A matrix
+    passes when each error is within tolerance and no margin is below
+    -tolerance; a NaN anywhere fails.
 
     ``margin_error``, from _margin_error_bound, proves per matrix that no
     margin is below -margin_error. A matrix where that is within tolerance is
-    not scanned: it passes the triangle test, its min_margin reads
-    -margin_error (a lower bound, not the minimum) and its worst reads 0. The
-    other checks run on every matrix.
+    not scanned: it passes the triangle test and its min_margin reads
+    -margin_error (a lower bound, not the minimum). The other checks run on
+    every matrix. ``min_margin``, where the caller has already found the
+    minima, replaces the scan.
     """
     count, n = m.shape[0], m.shape[-1]
-    symmetry = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    asymmetry = m - m.transpose(0, 2, 1)
+    symmetry = np.abs(asymmetry, out=asymmetry).max(axis=(1, 2), initial=0.0)
+    del asymmetry  # not held during the scan
     diagonal = np.abs(m.diagonal(0, 1, 2)).max(axis=1, initial=0.0)
     min_entry = m.min(axis=(1, 2), initial=0.0)
-    if n < 3:
-        min_margin, worst = np.full(count, math.inf), np.zeros(count, dtype=int)
-    elif margin_error is None:
-        min_margin, worst = _min_triangle_margins(m, half=not symmetry.any())
-    else:
-        min_margin, worst = -margin_error, np.zeros(count, dtype=int)
+    if min_margin is None and n < 3:
+        min_margin = np.full(count, math.inf)
+    elif min_margin is None:
+        if margin_error is None:
+            margin_error = np.full(count, math.inf)  # nothing proven: scan every matrix
+        min_margin = -margin_error
         scan = ~(margin_error <= tolerance)
         if scan.any():
             sub = m if scan.all() else m[scan]
-            min_margin[scan], worst[scan] = _min_triangle_margins(
-                sub, half=not symmetry[scan].any()
-            )
+            if symmetry[scan].any():
+                min_margin[scan] = [_worst_triangle(matrix)[0] for matrix in sub]
+            else:
+                min_margin[scan] = _min_triangle_margins(sub)
     passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
         np.minimum(min_entry, min_margin) >= -tolerance
     )
-    return _AxiomStats(passed, symmetry, diagonal, min_entry, min_margin, worst)
+    return _AxiomStats(passed, symmetry, diagonal, min_entry, min_margin)
 
 
 def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricReport:
@@ -246,12 +294,11 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    stats = _axiom_stats(m[None], tolerance)
-    min_margin = float(stats.min_margin[0])
-    worst: tuple[int, int, int] | None = None
+    min_margin, worst = (math.inf, None) if n < 3 else _worst_triangle(m)
+    stats = _axiom_stats(m[None], tolerance, min_margin=np.array([min_margin]))
     found: dict[tuple[int, int, int], float] = {}
-    if n >= 3:
-        worst = tuple(sorted(int(x) for x in np.unravel_index(stats.worst[0], (n, n, n))))
+    if worst is not None:
+        worst = tuple(sorted(worst))
         if not min_margin >= -tolerance:
             margins = _triangle_margins(m[None])[0]
             for i, j, k in np.argwhere(margins < -tolerance):

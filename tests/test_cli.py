@@ -22,6 +22,7 @@ from corrgeom import (
     write_timeseries_csv,
 )
 from corrgeom.events import _windows_per_chunk
+from corrgeom import metric
 from corrgeom.metric import PROJECTIVE, SPHERICAL, angular_distances
 from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
 
@@ -536,6 +537,34 @@ def test_outputs_match_the_golden_files(tmp_path, capsys, command):
         match(out / want.name, want)
 
 
+def validate_reference(data, window, stride=1):
+    """validate's outcome window by window through verify_metric_axioms:
+    the min margin of each (window, kind), the worst margin, its (tick, kind,
+    triple) and (window, kind, VIOLATION line) of each failing matrix, all
+    from the single-window route."""
+    count = (data.length - window) // stride + 1
+    margins, worst_margin, worst, violations = {}, math.inf, None, []
+    for m in range(count):
+        rho = correlation_matrix(data, WindowSpec(m * stride, window)).values
+        tick = data.tick(m * stride)
+        for kind in (SPHERICAL, PROJECTIVE):
+            report = verify_metric_axioms(angular_distances(rho, kind))
+            margins[m, kind] = report.min_triangle_margin
+            if report.min_triangle_margin < worst_margin:
+                worst_margin, worst = report.min_triangle_margin, (tick, kind, report.worst_triple)
+            if not report.passed:
+                line = f"VIOLATION window@{tick} {kind}: {report.summary()}\n"
+                violations.append((m, kind, line))
+    return margins, worst_margin, worst, violations
+
+
+def validate_fail_stdout(count, worst_margin, worst):
+    return (
+        f"FAIL: checked {2 * count} distance matrices over {count} windows; "
+        f"worst triangle margin {worst_margin:.6e} at {worst}\n"
+    )
+
+
 @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1)], ids=["copies", "negated"])
 def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys, signs):
     # Eight series, four of them near-copies of one sine, times ``signs``, over
@@ -557,17 +586,8 @@ def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys,
     size = _windows_per_chunk(8, window)
     assert count > 2 * size
 
-    margins, worst_margin, worst, violations, failing = {}, math.inf, None, [], set()
-    for m in range(count):
-        rho = correlation_matrix(data, WindowSpec(m, window)).values
-        for kind in (SPHERICAL, PROJECTIVE):
-            report = verify_metric_axioms(angular_distances(rho, kind))
-            margins[m, kind] = report.min_triangle_margin
-            if report.min_triangle_margin < worst_margin:
-                worst_margin, worst = report.min_triangle_margin, (m, kind, report.worst_triple)
-            if not report.passed:
-                failing.add((m // size, kind))
-                violations.append(f"VIOLATION window@{m} {kind}: {report.summary()}\n")
+    margins, worst_margin, worst, violations = validate_reference(data, window)
+    failing = {(m // size, kind) for m, kind, _ in violations}
     assert failing == {(c, k) for c in (0, 2) for k in (SPHERICAL, PROJECTIVE)}
     if min(signs) > 0:
         assert worst[1] == SPHERICAL and margins[worst[0], PROJECTIVE] == worst_margin
@@ -576,8 +596,64 @@ def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys,
 
     assert cli.main(["validate", "--input", path, "--window", str(window)]) == 1
     out, err = capsys.readouterr()
-    assert err == "".join(violations)
-    assert out == (
-        f"FAIL: checked {2 * count} distance matrices over {count} windows; "
-        f"worst triangle margin {worst_margin:.6e} at {worst}\n"
-    )
+    assert err == "".join(line for _, _, line in violations)
+    assert out == validate_fail_stdout(count, worst_margin, worst)
+
+
+def test_validate_across_batches_reports_the_earliest_of_tied_windows(tmp_path, capsys):
+    # Sixteen series repeating every 135 samples, so at stride 3 window m + 45
+    # is window m sample for sample, and its margins equal window m's. Four of
+    # them are near-copies of one sine over the first 130 samples of each
+    # period, so windows of every period fail, and the worst margin is tied
+    # between windows 45 apart: in different batches of VALIDATE_BATCH = 40
+    # windows, and the last batch is partial.
+    n, window, stride, period, count = 16, 101, 3, 135, 130
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(n, period))
+    base[:4, :130] = np.sin(np.arange(130) / 3) + 1e-8 * rng.normal(size=(4, 130))
+    length = window + stride * (count - 1)
+    path = write_csv(tmp_path, base[:, np.arange(length) % period])
+    data = corrgeom.read_timeseries_csv(path)
+    size = _windows_per_chunk(n, window)
+    batch = size * -(-cli.VALIDATE_BATCH // size)  # windows per batch: whole chunks
+    assert size < cli.VALIDATE_BATCH and count % batch != 0
+
+    margins, worst_margin, worst, violations = validate_reference(data, window, stride)
+    tied = [m for m in range(count) if margins[m, SPHERICAL] == worst_margin]
+    assert len({m // batch for m in tied}) > 1 and worst[0] == data.tick(tied[0] * stride)
+    assert len({m // batch for m, _, _ in violations}) > 1
+
+    argv = ["validate", "--input", path, "--window", str(window), "--stride", str(stride)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "".join(line for _, _, line in violations)
+    assert out == validate_fail_stdout(count, worst_margin, worst)
+
+
+def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkeypatch):
+    # n = 32, K = 101: the engine's chunks hold 10 windows, so 200 windows are
+    # 20 chunks and 5 batches. The locator runs once, on the worst matrix.
+    n, window, length = 32, 101, 300
+    path = tmp_path / "input.csv"
+    write_timeseries_csv(simulate(SyntheticSpec(n, length, (), 0.1, 11)), path)
+    argv = ["validate", "--input", str(path), "--window", str(window)]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr()
+
+    calls = {"scan": 0, "locate": 0}
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(metric, "_min_triangle_margins", counted("scan", metric._min_triangle_margins))
+    locate = counted("locate", metric._worst_triangle)
+    monkeypatch.setattr(metric, "_worst_triangle", locate)
+    monkeypatch.setattr(cli, "_worst_triangle", locate)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    count = length - window + 1
+    assert _windows_per_chunk(n, window) == 10 and cli.VALIDATE_BATCH == 40
+    assert calls == {"scan": -(-count // 40), "locate": 1}

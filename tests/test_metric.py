@@ -19,6 +19,7 @@ from corrgeom import (
     max_simplex_volume,
     verify_metric_axioms,
 )
+from corrgeom import metric
 from corrgeom.correlation import correlation_from_units
 from corrgeom.metric import (
     PROJECTIVE,
@@ -26,6 +27,7 @@ from corrgeom.metric import (
     TRIANGLE_TOL,
     _axiom_stats,
     _margin_error_bound,
+    _worst_triangle,
     angular_distances,
 )
 from corrgeom.series import NORM_TOL, _check_unit_rows
@@ -158,8 +160,9 @@ class TestVerifyMetricAxioms:
 
 def reference_axiom_stats(m, tolerance=TRIANGLE_TOL):
     """The n^3 form of metric._axiom_stats: every triangle margin of the
-    (M, n, n) stack in one (M, n, n, n) array and its first flat argmin.
-    Returns the _AxiomStats fields and the margins (None when n < 3)."""
+    (M, n, n) stack in one (M, n, n, n) array. Returns the _AxiomStats
+    fields, the first flat argmin of each matrix's margins and the margins
+    (None when n < 3)."""
     count, n = m.shape[0], m.shape[-1]
     symmetry = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     diagonal = np.abs(m.diagonal(0, 1, 2)).max(axis=1, initial=0.0)
@@ -179,12 +182,12 @@ def reference_axiom_stats(m, tolerance=TRIANGLE_TOL):
     passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
         np.minimum(min_entry, min_margin) >= -tolerance
     )
-    return (passed, symmetry, diagonal, min_entry, min_margin, worst), margins
+    return (passed, symmetry, diagonal, min_entry, min_margin), worst, margins
 
 
 def reference_report(m, tolerance=TRIANGLE_TOL):
     """(summary, worst triple, violations) of one matrix from the n^3 margins."""
-    (passed, symmetry, diagonal, min_entry, min_margin, worst), margins = reference_axiom_stats(
+    (passed, symmetry, diagonal, min_entry, min_margin), worst, margins = reference_axiom_stats(
         m[None], tolerance
     )
     triple, found = None, {}
@@ -203,6 +206,12 @@ def reference_report(m, tolerance=TRIANGLE_TOL):
         f"min_entry={min_entry[0]:.3e} violations={len(found)}"
     )
     return summary, triple, [(*key, found[key]) for key in sorted(found)]
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for field, a, b in zip(got._fields, got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 def symmetric_stack(rng, count, n, integers=False):
@@ -247,18 +256,31 @@ STACKS = {
 }
 
 
+# Stack heights: a few matrices, and the tall stacks validate scans at once.
+COUNTS = st.integers(0, 4) | st.integers(40, 100)
+# Blocks of k rows in the bulk scan: one row, a few rows of a short (50) or a
+# tall (2000) stack, and all of them.
+SCAN_SIZES = st.sampled_from([1, 50, 2000, metric.SCAN_ELEMENTS])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
 @pytest.mark.parametrize("name", list(STACKS))
-def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name):
+def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name, monkeypatch):
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 4), n=st.integers(0, 9))
-    def check(seed, count, n):
+    @given(seed=st.integers(0, 2**32 - 1), count=COUNTS, n=st.integers(0, 9), scan=SCAN_SIZES)
+    def check(seed, count, n, scan):
+        monkeypatch.setattr(metric, "SCAN_ELEMENTS", scan)
         m = STACKS[name](np.random.default_rng(seed), count, n)
-        got = _axiom_stats(m)
-        want, _ = reference_axiom_stats(m)
-        for field, a, b in zip(got._fields, got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-        for matrix in m:
+        want, worst, _ = reference_axiom_stats(m)
+        assert_same_arrays(_axiom_stats(m), want)
+        n = m.shape[-1]
+        if n >= 3:
+            # The locator: the first smallest margin in flat order, NaN first.
+            for matrix, margin, at in zip(m, want[-1], worst):
+                got_margin, triple = _worst_triangle(matrix)
+                assert np.float64(got_margin).tobytes() == margin.tobytes()
+                assert triple == tuple(int(x) for x in np.unravel_index(at, (n, n, n)))
+        for matrix in m[:4]:
             report = verify_metric_axioms(matrix)
             violations = [(v.i, v.j, v.k, v.margin) for v in report.violations]
             assert (report.summary(), report.worst_triple, violations) == reference_report(matrix)
@@ -268,25 +290,22 @@ def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
 @pytest.mark.parametrize("name", list(STACKS))
-def test_axiom_stats_scan_only_the_matrices_not_cleared(name):
+def test_axiom_stats_scan_only_the_matrices_not_cleared(name, monkeypatch):
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 4), n=st.integers(0, 9))
-    def check(seed, count, n):
+    @given(seed=st.integers(0, 2**32 - 1), count=COUNTS, n=st.integers(0, 9), scan=SCAN_SIZES)
+    def check(seed, count, n, scan):
+        monkeypatch.setattr(metric, "SCAN_ELEMENTS", scan)
         rng = np.random.default_rng(seed)
         m = STACKS[name](rng, count, n)
         margin_error = rng.choice([0.0, TRIANGLE_TOL, 2 * TRIANGLE_TOL, np.inf, np.nan], len(m))
         got = _axiom_stats(m, margin_error=margin_error)
-        (_, symmetry, diagonal, min_entry, min_margin, worst), _ = reference_axiom_stats(m)
+        (_, symmetry, diagonal, min_entry, min_margin), _, _ = reference_axiom_stats(m)
         if m.shape[-1] >= 3:
-            cleared = margin_error <= TRIANGLE_TOL
-            min_margin = np.where(cleared, -margin_error, min_margin)
-            worst = np.where(cleared, 0, worst)
+            min_margin = np.where(margin_error <= TRIANGLE_TOL, -margin_error, min_margin)
         passed = (np.maximum(symmetry, diagonal) <= TRIANGLE_TOL) & (
             np.minimum(min_entry, min_margin) >= -TRIANGLE_TOL
         )
-        want = (passed, symmetry, diagonal, min_entry, min_margin, worst)
-        for field, a, b in zip(got._fields, got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert_same_arrays(got, (passed, symmetry, diagonal, min_entry, min_margin))
 
     check()
 
