@@ -45,7 +45,6 @@ from .metric import (
     PROJECTIVE,
     SPHERICAL,
     _axiom_stats,
-    _worst_triangle,
     angular_distances,
     verify_metric_axioms,
 )
@@ -323,10 +322,11 @@ def cmd_validate(config: RunConfig) -> int:
     margin. Each failing matrix prints a VIOLATION line on stderr and makes
     the exit 1. The worst margin is the first smallest in window order,
     spherical first; a copy of its matrix is kept, and its triple is located
-    once, after the last batch."""
+    once, after the last batch. Fewer than 3 series have no triangle to
+    check, and exit 2."""
     data = _read_input(config)
-    if len(data) < 2:
-        raise TooFewPointsError("validate needs at least 2 series")
+    if len(data) < 3:
+        raise TooFewPointsError("validate needs at least 3 series")
     count = (data.length - config.window) // config.stride + 1
     if count < 1:
         raise CorrGeomError(
@@ -357,7 +357,7 @@ def cmd_validate(config: RunConfig) -> int:
                         file=sys.stderr,
                     )
     if worst is not None:
-        worst += (tuple(sorted(_worst_triangle(worst_matrix)[1])),)
+        worst += (verify_metric_axioms(worst_matrix).worst_triple,)
     status = "pass" if failures == 0 else "FAIL"
     print(
         f"{status}: checked {checked} distance matrices over {count} windows; "

@@ -14,12 +14,10 @@ distances, the metric-axiom check, the measures) runs once per chunk on
 the whole stack. No per-window object is built. The triangle measure walks
 the triples one first index at a time, so no array holds more than about
 n^2 / 2 of them per window, and it has no check of its own: a window that
-passes the axiom check has valid sides in every triple. Where a check of a
-chunk fails, only the chunk's first failing window is replayed: its own
-arrays from the chunk go through the single-window form of that check
-(series._check_unit_rows on its unit rows, or CorrelationMatrix and
-distance_matrix on its correlations), which raises the error the window
-raises alone, prefixed with ``window@<tick>``.
+passes the axiom check has valid sides in every triple. A check of a chunk
+is the verdict on each of its windows, and where it fails, the chunk's
+first failing window raises its error from the chunk's own arrays,
+prefixed with ``window@<tick>``.
 
 The triangle-margin scan of the axiom check costs n^3 per window, and
 ``sliding_measures`` skips it wherever it can only pass. The projective
@@ -49,25 +47,23 @@ from __future__ import annotations
 
 import bisect
 import csv
-import math
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import CorrelationMatrix, correlation_from_units
-from .errors import CorrGeomError, TooFewPointsError, WindowTooLongError
+from .correlation import correlation_from_units
+from .errors import MetricViolationError, TooFewPointsError, WindowTooLongError
 from .measures import _diameters, _max_triangle_areas
 from .metric import (
     PROJECTIVE,
-    TRIANGLE_TOL,
     _axiom_stats,
     _margin_error_bound,
     angular_distances,
-    distance_matrix,
+    verify_metric_axioms,
 )
-from .series import Frozen, TimeSeriesSet, WindowSpec, _check_unit_rows, _window_units
+from .series import Frozen, TimeSeriesSet, WindowSpec, _bad_unit_row, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
 # windows: the (windows, n, K) window rows or the (windows, n, n) matrices;
@@ -144,31 +140,10 @@ class MeasureSeries(Frozen):
 
 def _windows_per_chunk(n: int, window: int) -> int:
     """Windows per chunk: CHUNK_ELEMENTS over the largest per-window array of
-    a chunk, the n x K window rows or the n^2 matrices, at least 1. The triangle measure's arrays, C(n - i - 1, 2) <
-    n^2 / 2 triples per window for first index i, are smaller than both."""
+    a chunk, the n x K window rows or the n^2 matrices, at least 1. The
+    triangle measure's arrays, C(n - i - 1, 2) < n^2 / 2 triples per window
+    for first index i, are smaller than both."""
     return max(1, CHUNK_ELEMENTS // max(n * window, n**2))
-
-
-def _replay(ts_set: TimeSeriesSet, t: int, check, *arrays) -> None:
-    """Run ``check(*arrays)`` on the arrays of the window that starts at
-    sample t, and re-raise its error prefixed with the window's tick as
-    ``window@<tick>``.
-
-    It raises. The callers pass the arrays of a window that a check of its
-    chunk rejected, taken from the chunk itself, and the single-window form
-    of that check, which does the same arithmetic on each window's numbers:
-    _check_unit_rows reduces each row alone, and DistanceMatrix computes one
-    matrix's bound, symmetry, diagonal, entries and triangle margins as the
-    chunk's stacked forms compute them for each matrix. The chunk's one extra
-    step, skipping the margin scan where metric._margin_error_bound proves a
-    pass, skips only margins that the scan finds within tolerance. So a
-    window fails the chunk check exactly where it fails alone, and the first
-    to fail in the chunk is the first to fail window by window.
-    """
-    try:
-        check(*arrays)
-    except (CorrGeomError, ValueError) as exc:
-        raise type(exc)(f"window@{ts_set.tick(t)}: {exc}") from exc
 
 
 def correlation_chunks(
@@ -179,8 +154,8 @@ def correlation_chunks(
     starts at sample m * stride) and their correlation matrices (len(m), n, n).
 
     A chunk is a (windows, n, K) stack centred, normalised and checked in one
-    array pass. A unit row that fails its check raises its error, naming its
-    window.
+    array pass. The first unit row that fails the check raises its error,
+    naming its window (flat row // n).
     """
     WindowSpec(0, window, stride)  # rejects a bad window size or stride
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
@@ -194,12 +169,10 @@ def correlation_chunks(
             ms = good.nonzero()[0] + lo
             if ms.size < len(units):
                 units = units[good]
-            try:
-                _check_unit_rows(units, ts_set.ids)
-            except ValueError:
-                for w, m in enumerate(ms.tolist()):
-                    _replay(ts_set, m * stride, _check_unit_rows, units[w], ts_set.ids)
-                raise
+            bad = _bad_unit_row(units, ts_set.ids)
+            if bad:
+                m = int(ms[bad[0] // len(ts_set)])
+                raise ValueError(f"window@{ts_set.tick(m * stride)}: {bad[1]}")
             rho = correlation_from_units(units)
         del units  # not held while the caller works on rho
         yield ms, rho
@@ -218,12 +191,11 @@ def sliding_measures(
     stride) + 1 points per requested kind. A constant series gaps the window
     for every kind.
 
-    Each chunk of windows runs the checks of the single-window route
-    (CorrelationMatrix, distance_matrix) on its stacks, the triangle-margin
-    scan only on windows that metric._margin_error_bound does not prove to
-    pass it. If one fails, the chunk's first failing window goes through that
-    route on its own correlations from the chunk, and raises its error,
-    naming the window.
+    Each chunk of windows runs the metric-axiom check on its stack of
+    distances, the triangle-margin scan only on windows that
+    metric._margin_error_bound does not prove to pass it. The first window
+    that fails raises MetricViolationError, naming the window, with
+    verify_metric_axioms' summary of its distances from the chunk.
 
     The triangle measure needs no check of its own: in a window that passes,
     every triple has sides that measures._validate_sides accepts. With sides
@@ -234,7 +206,7 @@ def sliding_measures(
       correlation_from_units makes the stack exactly symmetric and IEEE
       addition commutes; where the scan is skipped, the error bound proves
       that same margin;
-    * a + b + c <= 3 pi/2 + 3 TRIANGLE_TOL < 2 pi, by the pi/2 bound;
+    * a + b + c <= 3 pi/2 < 2 pi, since arccos|rho| lies in [0, pi/2];
     * a NaN entry fails the symmetry check.
     """
     kinds = tuple(kinds)
@@ -259,31 +231,25 @@ def sliding_measures(
     count = (ts_set.length - window) // stride + 1
     timestamps = ts_set.start + ts_set.step * stride * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}
-    gaps = {kind: np.ones(count, dtype=bool) for kind in kinds}  # until evaluated
-
-    def single_window(rho):
-        distance_matrix(CorrelationMatrix(ts_set.ids, rho), PROJECTIVE)
+    gaps = np.ones(count, dtype=bool)  # until evaluated, for every kind
 
     for ms, rho in correlation_chunks(ts_set, window, stride):
-        # rho passes CorrelationMatrix's checks unless it holds a NaN, which
-        # fails the axiom check as well. Then DistanceMatrix's bound and axioms,
-        # with no triangle scan where the error bound already proves a pass.
         dist = angular_distances(rho, PROJECTIVE)
-        ok = ~(dist.max(axis=(1, 2), initial=0.0) > math.pi / 2 + TRIANGLE_TOL)
-        ok &= _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
-        if not ok.all():
-            w = int(np.argmin(ok))
-            _replay(ts_set, int(ms[w]) * stride, single_window, rho[w])
-        for kind in kinds:
-            gaps[kind][ms] = False
+        passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
+        if not passed.all():
+            w = int(np.argmin(passed))
+            raise MetricViolationError(
+                f"window@{ts_set.tick(int(ms[w]) * stride)}: distance matrix fails the "
+                f"metric axioms ({verify_metric_axioms(dist[w]).summary()})"
+            )
+        gaps[ms] = False
         if KIND_DIAMETER in kinds:
             values[KIND_DIAMETER][ms] = _diameters(dist)[0]
         if triangles:
             values[KIND_MAX_TRIANGLE][ms] = _max_triangle_areas(dist)
 
     return [
-        MeasureSeries(kind, window, stride, timestamps, values[kind], gaps[kind])
-        for kind in kinds
+        MeasureSeries(kind, window, stride, timestamps, values[kind], gaps) for kind in kinds
     ]
 
 

@@ -143,39 +143,27 @@ def _worst_triangle(m: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     (i, j, k) in the flat order of _triangle_margins where it falls; a NaN
     margin counts as smallest, and where every margin is +inf it is (0, 0, 0).
 
-    The margins are reduced in (n, n - lo) slabs of one first index i at a
-    time. On an exactly symmetric matrix k runs from lo = i + 1: the margins
-    of (i, j, k) and (k, j, i) are equal bit for bit, so the first of a tie
-    has i < k, and a copy with a +inf diagonal makes every margin with j == i
-    or j == k +inf. Otherwise k runs from 0 and the coinciding indices are
-    masked. argmin keeps the first minimum and counts a NaN as smallest,
-    within a slab and across them, as it does over the whole (n, n, n) array.
+    The margins are reduced in (n, n) slabs of one first index i at a time,
+    with the coinciding indices masked. argmin keeps the first minimum and
+    counts a NaN as smallest, within a slab and across them, as it does over
+    the whole (n, n, n) array.
     """
     n = m.shape[0]
-    half = not (m - m.T).any()  # a NaN difference counts as asymmetric
-    stop = n - 1 if half else n
-    if half:
-        m = m.copy()
-        np.fill_diagonal(m, np.inf)
-    values = np.empty(stop)
-    args = np.empty(stop, dtype=int)
-    for i in range(stop):
-        lo = i + 1 if half else 0
-        slab = m[i, :, None] + m[:, lo:]  # slab[j, k - lo]
-        slab -= m[i, None, lo:]
-        if not half:
-            slab[i] = np.inf  # j == i
-            np.fill_diagonal(slab, np.inf)  # j == k
-            slab[:, i] = np.inf  # k == i
+    values = np.empty(n)
+    args = np.empty(n, dtype=int)
+    for i in range(n):
+        slab = m[i, :, None] + m  # slab[j, k]
+        slab -= m[i, None, :]
+        slab[i] = np.inf  # j == i
+        np.fill_diagonal(slab, np.inf)  # j == k
+        slab[:, i] = np.inf  # k == i
         args[i] = slab.argmin()
         values[i] = slab.flat[args[i]]
     i = int(values.argmin())
     margin = float(values[i])
     if margin == math.inf:
         return margin, (0, 0, 0)
-    lo = i + 1 if half else 0
-    j, k = divmod(int(args[i]), n - lo)
-    return margin, (i, j, lo + k)
+    return margin, (i, *divmod(int(args[i]), n))
 
 
 def _margin_error_bound(rho: np.ndarray, window: int) -> np.ndarray:

@@ -39,21 +39,30 @@ def _as_readonly_floats(values) -> np.ndarray:
     return arr
 
 
-def _check_unit_rows(rows: np.ndarray, ids) -> None:
-    """Raise ValueError naming the first row of an (..., n, K) stack that
-    breaks a centered-unit-vector invariant: finite components, zero sum and
-    unit norm. Each bound is tested as "not within", so that a NaN fails it."""
+def _bad_unit_row(rows: np.ndarray, ids) -> tuple[int, str] | None:
+    """The flat index of the first row of an (..., n, K) stack that breaks a
+    centered-unit-vector invariant (finite components, zero sum and unit
+    norm) and the error naming it, or None. Each bound is tested as "not
+    within", so that a NaN fails it."""
     bad_sum = ~(np.abs(rows.sum(axis=-1)) <= SUM_TOL * rows.shape[-1])
     norms = np.linalg.norm(rows, axis=-1)
     bad = np.flatnonzero(bad_sum | ~(np.abs(norms - 1.0) <= NORM_TOL))
-    if bad.size:
-        i = bad[0]
-        sid = ids[i % len(ids)]
-        if not np.isfinite(rows.reshape(-1, rows.shape[-1])[i]).all():
-            raise ValueError(f"components of {sid!r} are not finite")
-        if bad_sum.flat[i]:
-            raise ValueError(f"components of {sid!r} do not sum to zero within {SUM_TOL}*K")
-        raise ValueError(f"components of {sid!r} are not unit length (norm {norms.flat[i]})")
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    sid = ids[i % len(ids)]
+    if not np.isfinite(rows.reshape(-1, rows.shape[-1])[i]).all():
+        return i, f"components of {sid!r} are not finite"
+    if bad_sum.flat[i]:
+        return i, f"components of {sid!r} do not sum to zero within {SUM_TOL}*K"
+    return i, f"components of {sid!r} are not unit length (norm {norms.flat[i]})"
+
+
+def _check_unit_rows(rows: np.ndarray, ids) -> None:
+    """Raise ValueError naming the first row that _bad_unit_row finds."""
+    bad = _bad_unit_row(rows, ids)
+    if bad:
+        raise ValueError(bad[1])
 
 
 class Frozen:

@@ -350,12 +350,13 @@ def test_a_repeated_measure_kind_exits_2_and_writes_nothing(tmp_path, capsys, co
     assert not out.exists()
 
 
-def test_validate_rejects_a_single_series(tmp_path, capsys):
-    path = write_csv(tmp_path, [np.sin(np.arange(60) / 3)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_validate_rejects_fewer_than_three_series(tmp_path, capsys, n):
+    path = write_csv(tmp_path, [np.sin(np.arange(60) / s) for s in range(3, 3 + n)])
     assert cli.main(["validate", "--input", path, "--window", "21"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: validate needs at least 2 series\n"
+    assert err == "error: validate needs at least 3 series\n"
 
 
 def test_format_accepts_only_svg(tmp_path, capsys):
@@ -649,9 +650,7 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
         return call
 
     monkeypatch.setattr(metric, "_min_triangle_margins", counted("scan", metric._min_triangle_margins))
-    locate = counted("locate", metric._worst_triangle)
-    monkeypatch.setattr(metric, "_worst_triangle", locate)
-    monkeypatch.setattr(cli, "_worst_triangle", locate)
+    monkeypatch.setattr(metric, "_worst_triangle", counted("locate", metric._worst_triangle))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
     count = length - window + 1

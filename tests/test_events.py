@@ -31,7 +31,7 @@ from corrgeom import (
     spherical_triangle_area,
 )
 from corrgeom.events import CHUNK_ELEMENTS, _prominent_peaks, _windows_per_chunk
-from corrgeom.metric import TRIANGLE_TOL, _margin_error_bound
+from corrgeom.metric import TRIANGLE_TOL, _axiom_stats, _margin_error_bound
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,
     BENCHMARK_MIN_SEPARATION,
@@ -205,6 +205,22 @@ def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elem
         assert _windows_per_chunk(5, BENCHMARK_WINDOW) == 312
     with pytest.raises(MetricViolationError, match=r"^window@701: distance matrix fails"):
         sliding_measures(late, BENCHMARK_WINDOW, kinds=kinds)
+
+
+def test_the_chunk_check_is_the_final_verdict(monkeypatch):
+    # The chunk's axiom check is the only verdict: a window it fails raises,
+    # though its matrix passes on its own. Here window 3 of a passing input,
+    # in the first chunk, which holds 390 windows.
+    data = simulate(coupling_benchmark(0))
+
+    def fail_window_3(dist, **kwargs):
+        stats = _axiom_stats(dist, **kwargs)
+        stats.passed[3] = False
+        return stats
+
+    monkeypatch.setattr("corrgeom.events._axiom_stats", fail_window_3)
+    with pytest.raises(MetricViolationError, match=rf"^window@{data.tick(3)}: "):
+        sliding_measures(data, BENCHMARK_WINDOW)
 
 
 @settings(max_examples=60, deadline=None)

@@ -373,8 +373,8 @@ def test_a_cleared_window_passes_within_its_error_bound(
 def test_a_window_that_passes_the_engine_checks_has_valid_triangles(
     seed, count, n, window, log_gap, on_circle, all_longer
 ):
-    # sliding_measures runs no triangle check of its own: the pi/2 bound and
-    # the axiom check, skipped scan included, must imply every side is valid.
+    # sliding_measures runs no triangle check of its own: the axiom check,
+    # skipped scan included, must imply every side is valid.
     rng = np.random.default_rng(seed)
     gap = 10.0**log_gap
     units = np.stack(
@@ -382,9 +382,8 @@ def test_a_window_that_passes_the_engine_checks_has_valid_triangles(
     )
     rho = correlation_from_units(units)
     dist = angular_distances(rho, PROJECTIVE)
-    ok = ~(dist.max(axis=(1, 2), initial=0.0) > math.pi / 2 + TRIANGLE_TOL)
-    ok &= _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
-    for w in np.flatnonzero(ok):
+    passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
+    for w in np.flatnonzero(passed):
         max_simplex_volume(dist[w], 2)
 
 
