@@ -6,17 +6,11 @@ cloud (diameter, best triangle area) measures how phase-locked the set is,
 with minima over time marking locked states.
 """
 
-from .correlation import (
-    CorrelationMatrix,
-    correlation_from_units,
-    correlation_matrix,
-)
+from .correlation import correlation_from_units
 from .errors import (
     AngleDomainError,
     CorrGeomError,
-    DimensionMismatchError,
     DuplicateIdError,
-    EmptyOverlapError,
     IngestError,
     InvalidTriangleError,
     MetricViolationError,
@@ -36,27 +30,18 @@ from .events import (
     detect_minima,
     sliding_measures,
 )
-from .measures import (
-    MeasureResult,
-    diameter,
-    max_simplex_volume,
-    spherical_triangle_area,
-)
+from .measures import spherical_triangle_area
 from .metric import (
     PROJECTIVE,
     SPHERICAL,
-    DistanceMatrix,
     MetricReport,
-    distance_matrix,
     verify_metric_axioms,
 )
 from .series import (
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
-    align,
     read_timeseries_csv,
-    windowed_unit_matrix,
     write_timeseries_csv,
 )
 

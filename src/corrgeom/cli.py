@@ -87,7 +87,7 @@ class RunConfig(Frozen):
         input: str | None = None,
         window: int = 21,
         stride: int = 1,
-        measures: tuple[str, ...] = ("diameter", "max_triangle_area"),
+        measures: tuple[str, ...] = MEASURE_KINDS,
         min_prominence: float = 0.05,
         min_separation: int | None = None,  # defaults to window when unset
         match_window: int | None = None,  # defaults to window when unset

@@ -13,16 +13,8 @@ class DuplicateIdError(CorrGeomError):
     """Series labels collide."""
 
 
-class EmptyOverlapError(CorrGeomError):
-    """Series share no common tick range."""
-
-
 class ZeroVarianceError(CorrGeomError):
     """A window is constant, so it has no direction on the sphere."""
-
-
-class DimensionMismatchError(CorrGeomError):
-    """Vector or matrix shapes are incompatible."""
 
 
 class AngleDomainError(CorrGeomError, ValueError):

@@ -182,7 +182,7 @@ def sliding_measures(
     ts_set: TimeSeriesSet,
     window: int,
     stride: int = 1,
-    kinds: Sequence[str] = (KIND_DIAMETER, KIND_MAX_TRIANGLE),
+    kinds: Sequence[str] = MEASURE_KINDS,
 ) -> list[MeasureSeries]:
     """Evaluate spread measures on every sliding window of a series set.
 
@@ -360,8 +360,6 @@ def detect_minima(
         raise ValueError("min_prominence must be >= 0")
     if min_separation < 0:
         raise ValueError("min_separation must be >= 0")
-    if len(series) < 3:
-        raise ValueError("minima detection needs at least 3 points")
 
     candidates = []
     for lo, hi in series.segments():

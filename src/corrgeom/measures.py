@@ -8,7 +8,9 @@ angular distance, the paper's M_1 and M_2:
   with vertices in the set.
 
 Small values of either mean the underlying series are jointly highly
-correlated.
+correlated. The engine computes both on stacks of windows, with _diameters
+and _max_triangle_areas; spherical_triangle_area is one triangle's area as a
+scalar, the reference that the stack kernels are checked against.
 """
 
 from __future__ import annotations
@@ -17,22 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidTriangleError, TooFewPointsError
-from .metric import TRIANGLE_TOL, DistanceMatrix
-from .series import Frozen
-
-
-class MeasureResult(Frozen):
-    """One spread measure: value and witnessing vertex indices.
-
-    Units: radians for dimension 1 (the diameter), steradians for dimension
-    2 (the largest triangle).
-    """
-
-    def __init__(self, value: float, witness: tuple[int, ...], dimension: int):
-        if value < 0.0:
-            raise ValueError("measure values are nonnegative")
-        self._set(value=value, witness=tuple(int(i) for i in witness), dimension=dimension)
+from .errors import InvalidTriangleError
+from .metric import TRIANGLE_TOL
 
 
 def _validate_sides(a: float, b: float, c: float) -> tuple[float, float, float, float]:
@@ -90,22 +78,6 @@ def spherical_triangle_area(a: float, b: float, c: float) -> float:
     return 4 * math.atan(math.sqrt(max(prod, 0.0)))
 
 
-def _angular_matrix(source) -> np.ndarray:
-    """Pairwise angular distances from a DistanceMatrix or a raw square
-    symmetric distance array."""
-    if isinstance(source, DistanceMatrix):
-        return source.values
-    m = np.asarray(source, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(
-            f"expected a DistanceMatrix or square distance array, got shape {m.shape}"
-        )
-    asymmetry = np.abs(m - m.T).max(initial=0.0)
-    if asymmetry > TRIANGLE_TOL or np.abs(np.diagonal(m)).max(initial=0.0) > TRIANGLE_TOL:
-        raise ValueError("distance array must be symmetric with zero diagonal")
-    return m
-
-
 def _diameters(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest entry above the diagonal of each matrix of an (M, n, n) stack,
     and its first flat index in row-major, i.e. lexicographic, order."""
@@ -113,19 +85,6 @@ def _diameters(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     upper = np.where(np.tri(n, dtype=bool), -np.inf, m).reshape(count, n * n)  # i < j only
     flat = upper.argmax(axis=1)
     return upper[np.arange(count), flat], flat
-
-
-def diameter(source) -> MeasureResult:
-    """Largest pairwise angular distance with its witnessing pair.
-
-    Ties break to the lexicographically smallest pair. Requires n >= 2.
-    """
-    m = _angular_matrix(source)
-    n = m.shape[0]
-    if n < 2:
-        raise TooFewPointsError("diameter needs at least 2 points")
-    value, flat = _diameters(m[None])
-    return MeasureResult(float(value[0]), divmod(int(flat[0]), n), 1)
 
 
 def _triangle_sides(m: np.ndarray, i, j, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,8 +119,10 @@ def _max_triangle_areas(m: np.ndarray) -> np.ndarray:
     triples all have valid sides, n >= 3.
 
     The triples i < j < k are taken one first index i at a time, so each
-    array holds M * C(n - i - 1, 2) entries rather than M * C(n, 3); the
-    areas are max_simplex_volume's, by the same arithmetic on the same sides.
+    array holds M * C(n - i - 1, 2) entries rather than M * C(n, 3). The
+    areas are those of the all-triples form,
+    _triangle_areas(*_triangle_sides(m, *triples)) over every i < j < k, by
+    the same arithmetic on the same sides.
     """
     n = m.shape[-1]
     best = np.zeros(m.shape[0])
@@ -171,40 +132,3 @@ def _max_triangle_areas(m: np.ndarray) -> np.ndarray:
         np.maximum(best, area.max(axis=1), out=best)
     return best
 
-
-def max_simplex_volume(source, dimension: int) -> MeasureResult:
-    """Largest d-simplex volume over all (d+1)-subsets of the points, for
-    d = 1 or 2; any other dimension raises ValueError.
-
-    Input is a DistanceMatrix or a raw angular distance array. Dimension 1
-    is the geodesic diameter; dimension 2 is the exact spherical excess with
-    the matrix entries as side lengths. Enumeration is exhaustive, and ties
-    break to the lexicographically smallest vertex subset.
-
-    Dimension 2 applies spherical_triangle_area's rules to all triples as
-    arrays and raises its error for the first triple with invalid sides. The
-    mask of valid triples is False exactly where _validate_sides raises: a
-    NaN side makes the smallest side NaN, which compares false, and an
-    infinite side fails the margin or the perimeter test.
-    """
-    if dimension not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
-    m = _angular_matrix(source)
-    n = m.shape[0]
-    if n < dimension + 1:
-        raise TooFewPointsError(
-            f"a {dimension}-simplex needs {dimension + 1} points, got {n}"
-        )
-    if dimension == 1:
-        return diameter(m)
-    upper = ~np.tri(n, dtype=bool)
-    triples = np.nonzero(upper[:, :, None] & upper[None, :, :])  # lexicographic
-    a, b, c = (side[0] for side in _triangle_sides(m[None], *triples))
-    ok = (a >= -TRIANGLE_TOL) & (a + b - c >= -TRIANGLE_TOL)
-    ok &= (a + b + c) - 2 * math.pi <= TRIANGLE_TOL
-    if not ok.all():
-        i, j, k = (int(idx[np.argmin(ok)]) for idx in triples)
-        _validate_sides(m[i, j], m[i, k], m[j, k])
-    area = _triangle_areas(a, b, c)
-    best = int(np.argmax(area))
-    return MeasureResult(float(area[best]), tuple(idx[best] for idx in triples), 2)

@@ -16,9 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
-from .errors import MetricViolationError
-from .series import NORM_TOL, Frozen
+from .series import NORM_TOL
 
 # Triangle-inequality slack. arccos amplifies dot-product rounding near +-1
 # like 1/sqrt(eps), so 1e-9 covers windows up to ~1e6 samples in doubles.
@@ -174,10 +172,10 @@ def _margin_error_bound(rho: np.ndarray, window: int) -> np.ndarray:
     is proven.
 
     The premises: rho[i, j] is the dot product of rows x_i, x_j of length K =
-    ``window`` that passed series._check_unit_rows, computed in float64 in any
-    summation order, then clipped to [-1, 1]. u is the unit roundoff and
-    gamma_k = k*u / (1 - k*u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1).
+    ``window`` that passed the engine's unit-row check, series._bad_unit_row,
+    computed in float64 in any summation order, then clipped to [-1, 1]. u is
+    the unit roundoff and gamma_k = k*u / (1 - k*u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1).
 
     1. Norms. The check computed each norm N = ||x|| (1 + t), |t| <= gamma_(K+1)
        (K squares, K - 1 sums, one square root), and found |N - 1| <= eta0 =
@@ -278,7 +276,7 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     Only a matrix with a margin below -tolerance (or a NaN one) has its n^3
     margins built, to list every violated triple.
     """
-    m = matrix.values if isinstance(matrix, DistanceMatrix) else np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
@@ -311,40 +309,6 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     )
 
 
-class DistanceMatrix(Frozen):
-    """Symmetric matrix of angular distances in radians with zero diagonal.
-
-    ``kind`` is "spherical" (entries in [0, pi]) or "projective" (entries in
-    [0, pi/2]). Construction verifies the metric axioms and raises
-    MetricViolationError on failure, which indicates numerical corruption
-    upstream rather than a recoverable condition.
-    """
-
-    def __init__(self, ids: tuple[str, ...], values: np.ndarray, kind: str):
-        if kind not in (SPHERICAL, PROJECTIVE):
-            raise ValueError(f"kind must be {SPHERICAL!r} or {PROJECTIVE!r}")
-        v = np.array(values, dtype=float)
-        n = len(ids)
-        if v.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got shape {v.shape}")
-        bound = math.pi if kind == SPHERICAL else math.pi / 2
-        if v.max(initial=0.0) > bound + TRIANGLE_TOL:
-            raise MetricViolationError(
-                f"{kind} distances must not exceed {bound}"
-            )
-        report = verify_metric_axioms(v)
-        if not report.passed:
-            raise MetricViolationError(
-                f"distance matrix fails the metric axioms ({report.summary()})"
-            )
-        v.setflags(write=False)
-        self._set(ids=tuple(ids), values=v, kind=kind)
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-
 def angular_distances(rho: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
     """Angular distances from correlations (..., n, n), with exactly zero
     diagonals: arccos(rho) for spherical, arccos(|rho|) for projective."""
@@ -358,7 +322,3 @@ def angular_distances(rho: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
     entries[..., idx, idx] = 0.0
     return entries
 
-
-def distance_matrix(corr: CorrelationMatrix, kind: str = PROJECTIVE) -> DistanceMatrix:
-    """Validated angular distance matrix from a correlation matrix."""
-    return DistanceMatrix(corr.ids, angular_distances(corr.values, kind), kind)

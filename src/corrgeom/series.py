@@ -6,8 +6,9 @@ point on the unit sphere S^(K-1), and angles between such points are
 correlation angles.
 
 Normalization is population style (divide by K, not K-1); the factor cancels
-in every correlation anyway. Constant windows are rejected rather than mapped
-to a zero vector, because a zero vector has no direction on the sphere.
+in every correlation anyway. A constant window is never mapped to a zero
+vector, because a zero vector has no direction on the sphere: the engine
+marks its window a gap.
 """
 
 from __future__ import annotations
@@ -16,16 +17,10 @@ import csv
 import datetime
 import math
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DuplicateIdError,
-    EmptyOverlapError,
-    IngestError,
-    ZeroVarianceError,
-)
+from .errors import DuplicateIdError, IngestError
 
 # Tolerances for the centered-unit-vector invariants:
 # |sum(components)| <= SUM_TOL * K  and  | ||v|| - 1 | <= NORM_TOL.
@@ -56,13 +51,6 @@ def _bad_unit_row(rows: np.ndarray, ids) -> tuple[int, str] | None:
     if bad_sum.flat[i]:
         return i, f"components of {sid!r} do not sum to zero within {SUM_TOL}*K"
     return i, f"components of {sid!r} are not unit length (norm {norms.flat[i]})"
-
-
-def _check_unit_rows(rows: np.ndarray, ids) -> None:
-    """Raise ValueError naming the first row that _bad_unit_row finds."""
-    bad = _bad_unit_row(rows, ids)
-    if bad:
-        raise ValueError(bad[1])
 
 
 class Frozen:
@@ -110,11 +98,6 @@ class TimeSeries(Frozen):
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def end(self) -> int:
-        """Tick of the last sample (inclusive)."""
-        return self.start + self.step * (len(self) - 1)
-
     def tick(self, index: int) -> int:
         return self.start + self.step * index
 
@@ -161,12 +144,6 @@ class TimeSeriesSet(Frozen):
     def length(self) -> int:
         return len(self.series[0])
 
-    def get(self, sid: str) -> TimeSeries:
-        for s in self.series:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
-
     def matrix(self) -> np.ndarray:
         """Values stacked as a read-only (n_series, length) array, built once."""
         return self._matrix
@@ -189,53 +166,6 @@ class WindowSpec(Frozen):
             raise ValueError(f"stride must be >= 1, got {stride}")
         self._set(t=t, size=size, stride=stride)
 
-    def check_fits(self, length: int) -> None:
-        if self.t + self.size > length:
-            raise ValueError(
-                f"window [{self.t}, {self.t + self.size}) does not fit in a "
-                f"series of length {length}"
-            )
-
-
-def align(series: Iterable[TimeSeries]) -> TimeSeriesSet:
-    """Truncate all series to their common tick range, preserving order.
-
-    All series must share the sampling step and sit on the same tick grid
-    (start offsets congruent modulo the step). Raises EmptyOverlapError when
-    the ranges are disjoint and DuplicateIdError on colliding labels.
-    """
-    slist = list(series)
-    if not slist:
-        raise ValueError("align() needs at least one series")
-    seen = set()
-    for s in slist:
-        if s.id in seen:
-            raise DuplicateIdError(f"duplicate series id {s.id!r}")
-        seen.add(s.id)
-    step = slist[0].step
-    for s in slist[1:]:
-        if s.step != step:
-            raise ValueError(
-                f"series {s.id!r} has step {s.step}, expected {step}; "
-                "resample upstream"
-            )
-        if (s.start - slist[0].start) % step != 0:
-            raise EmptyOverlapError(
-                f"series {s.id!r} is offset from the common tick grid"
-            )
-    lo = max(s.start for s in slist)
-    hi = min(s.end for s in slist)
-    if lo > hi:
-        raise EmptyOverlapError(
-            f"no common tick range: latest start {lo} is after earliest end {hi}"
-        )
-    out = []
-    for s in slist:
-        i0 = (lo - s.start) // step
-        i1 = (hi - s.start) // step + 1
-        out.append(TimeSeries(s.id, lo, step, s.values[i0:i1]))
-    return TimeSeriesSet(tuple(out))
-
 
 def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre each row of a writable (..., n, K) stack of windows in place,
@@ -247,27 +177,6 @@ def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(seg, axis=-1)
     seg /= np.where(norms == 0.0, 1.0, norms)[..., None]
     return seg, norms
-
-
-def _one_window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
-    """_window_units for the rows of an (n, length) array over window w.
-    Raises ZeroVarianceError naming the first constant row."""
-    w.check_fits(values.shape[1])
-    units, norms = _window_units(values[:, w.t : w.t + w.size].copy())
-    if not norms.all():
-        raise ZeroVarianceError(
-            f"series {ids[np.argmin(norms)]!r} is constant on window [{w.t}, {w.t + w.size})"
-        )
-    return units
-
-
-def windowed_unit_matrix(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
-    """Centered unit vectors of all series over one window, stacked (n, K) and
-    checked against the centered-unit-vector invariants in one array operation.
-    Raises ZeroVarianceError naming the first series constant on the window."""
-    units = _one_window_units(ts_set.matrix(), ts_set.ids, w)
-    _check_unit_rows(units, ts_set.ids)
-    return units
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +235,19 @@ def _parse_tick_column(cells: list[str]) -> tuple[int, int]:
                 )
         return ticks[0], step
     # ISO dates: map to consecutive ticks in row order. Calendar-day ticks
-    # would break uniform sampling for monthly data, so row order it is.
+    # would break uniform sampling for monthly data, so row order it is. Only
+    # YYYY-MM-DD is read: from Python 3.11 on, date.fromisoformat also reads
+    # week dates and other forms, which 3.10 rejects.
     dates = []
     for i, c in enumerate(cells):
+        text = c.strip()
+        digits = text[:4] + text[5:7] + text[8:]
         try:
-            dates.append(datetime.date.fromisoformat(c.strip()))
+            if len(text) != 10 or text[4] + text[7] != "--" or not (
+                digits.isascii() and digits.isdigit()
+            ):
+                raise ValueError(text)
+            dates.append(datetime.date.fromisoformat(text))
         except ValueError:
             raise IngestError(
                 f"first column must be all integers or all ISO dates; "

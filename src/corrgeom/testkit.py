@@ -1,10 +1,19 @@
-"""Scalar oracles and a synthetic phase-locking generator.
+"""Reference oracles and a synthetic phase-locking generator.
 
-Only the CLI's simulate command imports this module, and only when it runs.
-It exists to cross-check the geometry by other routes (one series, one pair
-or one correlation at a time, and vertex-angle triangle areas) and to
-manufacture time series with planted coupling episodes for end-to-end
-detection tests.
+No module of the library imports this one at start-up: the CLI's simulate
+command imports it when it runs, and the benchmark and the tests import it.
+It cross-checks the engine by other routes:
+
+* one window at a time: _one_window_units (series._window_units on one
+  window, with the fit and constant-series checks), _check_unit_rows (the
+  engine's unit-row check as an error) and window_correlations, the
+  per-window reference for the correlations of a chunk;
+* one series, one pair or one correlation at a time;
+* one triangle at a time: max_triangle_area, the brute-force reference for
+  measures._max_triangle_areas, and vertex-angle triangle areas.
+
+It also manufactures time series with planted coupling episodes for
+end-to-end detection tests.
 
 All randomness comes from numpy's default PCG64 generator seeded explicitly,
 so every synthetic dataset is reproducible within this build for a fixed
@@ -13,12 +22,14 @@ seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import AngleDomainError
-from .measures import _validate_sides
+from .correlation import correlation_from_units
+from .errors import AngleDomainError, ZeroVarianceError
+from .measures import _validate_sides, spherical_triangle_area
 from .metric import TRIANGLE_TOL
 from .series import (
     Frozen,
@@ -26,9 +37,53 @@ from .series import (
     TimeSeriesSet,
     WindowSpec,
     _as_readonly_floats,
-    _check_unit_rows,
-    _one_window_units,
+    _bad_unit_row,
+    _window_units,
 )
+
+
+def _check_unit_rows(rows: np.ndarray, ids) -> None:
+    """Raise ValueError naming the first row that series._bad_unit_row finds."""
+    bad = _bad_unit_row(rows, ids)
+    if bad:
+        raise ValueError(bad[1])
+
+
+def _one_window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
+    """series._window_units for the rows of an (n, length) array over window w.
+    Raises ValueError where w does not fit and ZeroVarianceError naming the
+    first constant row."""
+    length = values.shape[1]
+    if w.t + w.size > length:
+        raise ValueError(
+            f"window [{w.t}, {w.t + w.size}) does not fit in a series of length {length}"
+        )
+    units, norms = _window_units(values[:, w.t : w.t + w.size].copy())
+    if not norms.all():
+        raise ZeroVarianceError(
+            f"series {ids[np.argmin(norms)]!r} is constant on window [{w.t}, {w.t + w.size})"
+        )
+    return units
+
+
+def window_correlations(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
+    """The (n, n) correlations of a set over one window: its centered unit
+    vectors, stacked (n, K) and checked as the engine checks a chunk, through
+    correlation_from_units. Raises ZeroVarianceError naming the first series
+    constant on the window."""
+    units = _one_window_units(ts_set.matrix(), ts_set.ids, w)
+    _check_unit_rows(units, ts_set.ids)
+    return correlation_from_units(units)
+
+
+def max_triangle_area(d: np.ndarray) -> float:
+    """Largest spherical_triangle_area over the triples of an (n, n) distance
+    matrix, n >= 3, one triple at a time. Raises InvalidTriangleError for the
+    first triple in lexicographic order whose sides are invalid."""
+    return max(
+        spherical_triangle_area(d[i, j], d[i, k], d[j, k])
+        for i, j, k in itertools.combinations(range(len(d)), 3)
+    )
 
 
 class CenteredUnitVector(Frozen):
@@ -44,8 +99,7 @@ class CenteredUnitVector(Frozen):
 
 def window_vector(s: TimeSeries, w: WindowSpec) -> CenteredUnitVector:
     """One series' window as a CenteredUnitVector, centred and scaled as in
-    series.windowed_unit_matrix. Raises ZeroVarianceError for a constant
-    window."""
+    window_correlations. Raises ZeroVarianceError for a constant window."""
     unit = _one_window_units(s.values[None, :], (s.id,), w)[0]
     return CenteredUnitVector(unit, s.id, s.tick(w.t))
 
@@ -59,7 +113,7 @@ def pearson_rho(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
     """
     if (a.start, a.step, len(a)) != (b.start, b.step, len(b)):
         raise ValueError(
-            f"series {a.id!r} and {b.id!r} are not aligned; run align() first"
+            f"series {a.id!r} and {b.id!r} are not aligned"
         )
     ua = window_vector(a, w)
     ub = window_vector(b, w)

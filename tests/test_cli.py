@@ -17,14 +17,13 @@ from corrgeom import (
     TimeSeriesSet,
     WindowSpec,
     cli,
-    correlation_matrix,
     verify_metric_axioms,
     write_timeseries_csv,
 )
-from corrgeom.events import _windows_per_chunk
+from corrgeom.events import MEASURE_KINDS, _windows_per_chunk
 from corrgeom import metric
 from corrgeom.metric import PROJECTIVE, SPHERICAL, angular_distances
-from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
+from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate, window_correlations
 
 # Stored analyze and events outputs on benchmark_csv, default settings, and
 # validate outputs on benchmark_csv and near_copies_csv at K=21.
@@ -359,6 +358,35 @@ def test_validate_rejects_fewer_than_three_series(tmp_path, capsys, n):
     assert err == "error: validate needs at least 3 series\n"
 
 
+@pytest.mark.parametrize("length", [21, 22], ids=["1-window", "2-windows"])
+def test_events_on_fewer_than_three_windows_finds_no_event(tmp_path, capsys, length):
+    path = write_csv(tmp_path, [np.sin(np.arange(length) / s) for s in (2, 3, 5)])
+    out = tmp_path / "out"
+    argv = ["events", "--input", path, "--window", "21", "--out", str(out), "--format", "svg"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    for kind in MEASURE_KINDS:
+        assert json.loads((out / f"events_{kind}.json").read_text())["events"] == []
+    assert (out / "overlay.svg").exists()
+
+
+def test_a_week_date_column_exits_2(tmp_path, capsys):
+    # date.fromisoformat reads week dates from Python 3.11 on, but not on 3.10.
+    rng = np.random.default_rng(0)
+    lines = ["date,a,b,c"] + [
+        f"2020-W{week:02}-{day}," + ",".join(map(str, rng.normal(size=3)))
+        for week in range(1, 5)
+        for day in range(1, 8)
+    ]
+    path = tmp_path / "input.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: first column must be all integers or all ISO dates; "
+        "got '2020-W01-1' at data row 1\n"
+    )
+
+
 def test_format_accepts_only_svg(tmp_path, capsys):
     path = write_csv(tmp_path, [np.sin(np.arange(60) / s) for s in (2, 3, 5)])
     assert cli.FORMATS == ("svg",)
@@ -424,7 +452,7 @@ def test_events_logs_each_written_file_at_info_and_below(tmp_path, level, logged
 
 # Modules that neither `import corrgeom.cli` nor a validate run may load: each
 # adds milliseconds to every call's start-up. Checked by name, not by timing.
-START_UP_FREE = "{'logging', 'hashlib', 'json'}"
+START_UP_FREE = "{'logging', 'hashlib', 'json', 'corrgeom.testkit'}"
 
 
 def test_import_loads_no_logging_hashlib_or_json():
@@ -546,7 +574,7 @@ def validate_reference(data, window, stride=1):
     count = (data.length - window) // stride + 1
     margins, worst_margin, worst, violations = {}, math.inf, None, []
     for m in range(count):
-        rho = correlation_matrix(data, WindowSpec(m * stride, window)).values
+        rho = window_correlations(data, WindowSpec(m * stride, window))
         tick = data.tick(m * stride)
         for kind in (SPHERICAL, PROJECTIVE):
             report = verify_metric_axioms(angular_distances(rho, kind))

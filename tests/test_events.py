@@ -15,7 +15,6 @@ from scipy.signal import find_peaks
 from corrgeom import (
     KIND_DIAMETER,
     KIND_MAX_TRIANGLE,
-    CorrelationMatrix,
     Event,
     EventList,
     MeasureSeries,
@@ -26,18 +25,24 @@ from corrgeom import (
     ZeroVarianceError,
     compare_event_sets,
     detect_minima,
-    distance_matrix,
     sliding_measures,
-    spherical_triangle_area,
+    verify_metric_axioms,
 )
 from corrgeom.events import CHUNK_ELEMENTS, _prominent_peaks, _windows_per_chunk
-from corrgeom.metric import TRIANGLE_TOL, _axiom_stats, _margin_error_bound
+from corrgeom.metric import (
+    PROJECTIVE,
+    TRIANGLE_TOL,
+    _axiom_stats,
+    _margin_error_bound,
+    angular_distances,
+)
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,
     BENCHMARK_MIN_SEPARATION,
     BENCHMARK_WINDOW,
     SyntheticSpec,
     coupling_benchmark,
+    max_triangle_area,
     simulate,
     window_vector,
 )
@@ -46,7 +51,7 @@ from corrgeom.testkit import (
 def reference_measures(data, window):
     """Gaps, diameter and max-triangle values, one window and one pair or
     triple at a time: window_vector per series, pairwise dots, then the
-    scalar spherical_triangle_area on every triple."""
+    scalar spherical_triangle_area on every triple (testkit.max_triangle_area)."""
     n = len(data)
     count = data.length - window + 1
     gaps = np.zeros(count, dtype=bool)
@@ -61,12 +66,10 @@ def reference_measures(data, window):
         rho = np.eye(n)
         for i, j in itertools.combinations(range(n), 2):
             rho[i, j] = rho[j, i] = min(1.0, max(-1.0, float(units[i] @ units[j])))
-        d = distance_matrix(CorrelationMatrix(data.ids, rho)).values
+        d = angular_distances(rho, PROJECTIVE)
+        assert verify_metric_axioms(d).passed
         diam[m] = max(d[i, j] for i, j in itertools.combinations(range(n), 2))
-        tri[m] = max(
-            spherical_triangle_area(d[i, j], d[i, k], d[j, k])
-            for i, j, k in itertools.combinations(range(n), 3)
-        )
+        tri[m] = max_triangle_area(d)
     return gaps, {KIND_DIAMETER: diam, KIND_MAX_TRIANGLE: tri}
 
 

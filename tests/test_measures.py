@@ -7,18 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrgeom import (
-    SPHERICAL,
-    DistanceMatrix,
+    KIND_MAX_TRIANGLE,
     InvalidTriangleError,
+    TimeSeries,
+    TimeSeriesSet,
     TooFewPointsError,
-    diameter,
-    max_simplex_volume,
+    sliding_measures,
     spherical_triangle_area,
 )
 from corrgeom.correlation import correlation_from_units
-from corrgeom.measures import _max_triangle_areas
+from corrgeom.measures import (
+    _diameters,
+    _max_triangle_areas,
+    _triangle_areas,
+    _triangle_sides,
+)
 from corrgeom.metric import PROJECTIVE, _axiom_stats, _margin_error_bound, angular_distances
-from corrgeom.testkit import girard_area
+from corrgeom.testkit import girard_area, max_triangle_area
 
 # Frozen oracle values (independently computed; see matching oracle tests).
 EQUILATERAL_THIRD_PI_AREA = 0.5512855984325309  # 3*arccos(1/3) - pi
@@ -57,38 +62,48 @@ def angles_of(points):
     return ang
 
 
+def diameter_of(m):
+    """_diameters on one matrix: its value and its pair (i, j)."""
+    value, flat = _diameters(m[None])
+    return float(value[0]), divmod(int(flat[0]), m.shape[0])
+
+
+def max_triangle_of(m):
+    """_max_triangle_areas on one matrix."""
+    return float(_max_triangle_areas(m[None])[0])
+
+
+def series_set(n, length=30):
+    rng = np.random.default_rng(n)
+    return TimeSeriesSet(tuple(TimeSeries(f"s{i}", 0, 1, rng.normal(size=length)) for i in range(n)))
+
+
 class TestDiameter:
     def test_zero_matrix(self):
-        out = diameter(np.zeros((3, 3)))
-        assert out.value == 0.0
-        assert out.witness == (0, 1)
+        assert diameter_of(np.zeros((3, 3))) == (0.0, (0, 1))
 
     def test_equal_entries(self):
         m = np.full((4, 4), math.pi / 2)
         np.fill_diagonal(m, 0.0)
-        out = diameter(m)
-        assert out.value == math.pi / 2
-        assert out.witness == (0, 1)  # lexicographically smallest on ties
+        # lexicographically smallest pair on ties
+        assert diameter_of(m) == (math.pi / 2, (0, 1))
 
     def test_tie_away_from_first_pair_takes_smallest(self):
         m = np.full((4, 4), 0.25)
         m[1, 3] = m[3, 1] = m[2, 3] = m[3, 2] = 1.0
         np.fill_diagonal(m, 0.0)
-        assert diameter(m).witness == (1, 3)
+        assert diameter_of(m)[1] == (1, 3)
 
     def test_listed_entries(self):
         m = np.zeros((3, 3))
         m[0, 1] = m[1, 0] = math.pi / 6
         m[0, 2] = m[2, 0] = math.pi / 4
         m[1, 2] = m[2, 1] = math.pi / 3
-        out = diameter(m)
-        assert out.value == math.pi / 3
-        assert out.witness == (1, 2)
-        assert out.dimension == 1
+        assert diameter_of(m) == (math.pi / 3, (1, 2))
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPointsError):
-            diameter(np.zeros((1, 1)))
+        with pytest.raises(TooFewPointsError, match="at least 2 series"):
+            sliding_measures(series_set(1), 21)
 
 
 class TestSphericalTriangleArea:
@@ -148,52 +163,35 @@ class TestSphericalTriangleArea:
 
 class TestMaxSimplexVolume:
     def test_single_triangle(self):
-        pts = np.eye(3)
-        d = angles_of(pts)
-        out = max_simplex_volume(d, 2)
-        assert out.value == spherical_triangle_area(d[0, 1], d[0, 2], d[1, 2])
-        assert out.witness == (0, 1, 2)
+        d = angles_of(np.eye(3))
+        assert max_triangle_of(d) == spherical_triangle_area(d[0, 1], d[0, 2], d[1, 2])
 
     def test_identical_points_zero(self):
-        out = max_simplex_volume(np.zeros((4, 4)), 2)
-        assert out.value == 0.0
+        assert max_triangle_of(np.zeros((4, 4))) == 0.0
 
     def test_basis_plus_diagonal_witness(self):
         pts = np.vstack([np.eye(3), np.ones(3) / math.sqrt(3)])
         d = angles_of(pts)
-        out = max_simplex_volume(d, 2)
         # brute-force oracle over all four triangles via the Girard route
         areas = {
             trio: girard_area(d[trio[0], trio[1]], d[trio[0], trio[2]], d[trio[1], trio[2]])
             for trio in itertools.combinations(range(4), 3)
         }
         best = max(areas, key=areas.get)
-        assert out.witness == best == (0, 1, 2)
-        assert out.value == pytest.approx(math.pi / 2, abs=1e-12)
+        assert best == (0, 1, 2)
+        assert max_triangle_of(d) == pytest.approx(areas[best], abs=1e-12)
+        assert max_triangle_of(d) == pytest.approx(math.pi / 2, abs=1e-12)
         assert all(areas[t] < math.pi / 2 - 1e-6 for t in areas if t != (0, 1, 2))
 
-    def test_dimension_one_equals_diameter_exactly(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(6, 4))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        d = angles_of(pts)
-        a = diameter(d)
-        b = max_simplex_volume(d, 1)
-        assert a.value == b.value and a.witness == b.witness
-
     def test_tie_takes_lexicographically_smallest_witness(self):
-        out = max_simplex_volume(angles_of(square_config()), 2)
-        assert out.witness == (0, 1, 2)
-        assert out.value == pytest.approx(SQUARE_MAX_TRIANGLE, abs=1e-12)
+        # All four triangles of the square tie.
+        assert max_triangle_of(angles_of(square_config())) == pytest.approx(
+            SQUARE_MAX_TRIANGLE, abs=1e-12
+        )
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPointsError):
-            max_simplex_volume(np.zeros((2, 2)), 2)
-
-    @pytest.mark.parametrize("dimension", [0, 3])
-    def test_only_the_diameter_and_the_triangle(self, dimension):
-        with pytest.raises(ValueError, match="dimension must be 1 or 2"):
-            max_simplex_volume(np.zeros((5, 5)), dimension)
+        with pytest.raises(TooFewPointsError, match="at least 3 series"):
+            sliding_measures(series_set(2), 21, kinds=(KIND_MAX_TRIANGLE,))
 
     def test_monotonicity_under_added_point(self):
         rng = np.random.default_rng(7)
@@ -201,35 +199,22 @@ class TestMaxSimplexVolume:
             pts = cap_points(rng, 6, math.radians(40.0))
             extra = cap_points(rng, 1, math.radians(40.0))
             bigger = np.vstack([pts, extra])
-            d_small = diameter(angles_of(pts)).value
-            d_big = diameter(angles_of(bigger)).value
+            d_small = diameter_of(angles_of(pts))[0]
+            d_big = diameter_of(angles_of(bigger))[0]
             assert d_big >= d_small - 1e-12
-            m_small = max_simplex_volume(angles_of(pts), 2).value
-            m_big = max_simplex_volume(angles_of(bigger), 2).value
+            m_small = max_triangle_of(angles_of(pts))
+            m_big = max_triangle_of(angles_of(bigger))
             assert m_big >= m_small - 1e-12
-
-    def test_accepts_point_set_with_true_spherical_sides(self):
-        pts = square_config()
-        ids = tuple(f"p{i}" for i in range(len(pts)))
-        via_points = max_simplex_volume(DistanceMatrix(ids, angles_of(pts), SPHERICAL), 2)
-        via_matrix = max_simplex_volume(angles_of(pts), 2)
-        assert via_points.value == via_matrix.value
 
 
 def assert_max_triangle_matches_scalar(d):
-    """max_simplex_volume(d, 2) against the scalar L'Huilier area on every
-    triple: the same maximum within 1e-12, or the same InvalidTriangleError."""
+    """_max_triangle_areas against the scalar L'Huilier area on every triple,
+    within 1e-12, where every triple has valid sides: the kernel's domain."""
     try:
-        want = max(
-            spherical_triangle_area(d[i, j], d[i, k], d[j, k])
-            for i, j, k in itertools.combinations(range(d.shape[0]), 3)
-        )
-    except InvalidTriangleError as exc:
-        with pytest.raises(InvalidTriangleError) as got:
-            max_simplex_volume(d, 2)
-        assert str(got.value) == str(exc)
-    else:
-        assert abs(max_simplex_volume(d, 2).value - want) <= 1e-12
+        want = max_triangle_area(d)
+    except InvalidTriangleError:
+        return
+    assert abs(max_triangle_of(d) - want) <= 1e-12
 
 
 unit_rows = st.lists(
@@ -273,7 +258,8 @@ class TestMaxTriangleMatchesScalar:
 @example(seed=5, count=1, n=12, copies=[(0, 1), (0, 8)])
 def test_the_slab_kernel_equals_max_simplex_volume_byte_for_byte(seed, count, n, copies):
     # Projective distances as the engine computes them, exactly symmetric,
-    # from random unit vectors with some rows repeated verbatim.
+    # from random unit vectors with some rows repeated verbatim. The kernel
+    # equals the all-triples form bit for bit and the scalar loop within 1e-12.
     rng = np.random.default_rng(seed)
     units = rng.normal(size=(count, n, 5))
     for src, dst in copies:
@@ -283,13 +269,17 @@ def test_the_slab_kernel_equals_max_simplex_volume_byte_for_byte(seed, count, n,
     dist = angular_distances(rho, PROJECTIVE)
     passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, 5)).passed
     got = _max_triangle_areas(dist)
+    upper = ~np.tri(n, dtype=bool)
+    all_triples = np.nonzero(upper[:, :, None] & upper[None, :, :])
     for w, d in enumerate(dist):
         try:
-            want = max_simplex_volume(d, 2).value
+            scalar = max_triangle_area(d)
         except InvalidTriangleError:
             # Verbatim copies can round to sides such as (0, 0, 1.5e-8). The
             # kernel assumes valid sides, so the engine's check must stop
             # such a window before the kernel sees it.
             assert not passed[w]
             continue
-        assert got[w].tobytes() == np.float64(want).tobytes()
+        want = _triangle_areas(*_triangle_sides(d[None], *all_triples)).max()
+        assert got[w].tobytes() == want.tobytes()
+        assert abs(got[w] - scalar) <= 1e-12

@@ -8,15 +8,9 @@ from hypothesis import strategies as st
 
 from corrgeom import (
     AngleDomainError,
-    CorrelationMatrix,
-    DistanceMatrix,
-    MetricViolationError,
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
-    correlation_matrix,
-    distance_matrix,
-    max_simplex_volume,
     verify_metric_axioms,
 )
 from corrgeom import metric
@@ -30,13 +24,19 @@ from corrgeom.metric import (
     _worst_triangle,
     angular_distances,
 )
-from corrgeom.series import NORM_TOL, _check_unit_rows
-from corrgeom.testkit import correlation_angle, projective_angle
+from corrgeom.series import NORM_TOL
+from corrgeom.testkit import (
+    _check_unit_rows,
+    correlation_angle,
+    max_triangle_area,
+    projective_angle,
+    window_correlations,
+)
 
 
 def random_corr(rng, n, k=20):
     s = TimeSeriesSet(tuple(TimeSeries(f"s{i}", 0, 1, rng.normal(size=k)) for i in range(n)))
-    return correlation_matrix(s, WindowSpec(0, k))
+    return window_correlations(s, WindowSpec(0, k))
 
 
 class TestAngles:
@@ -73,17 +73,14 @@ class TestAngles:
 
 class TestDistanceMatrix:
     def test_identity_correlations_projective(self):
-        corr = CorrelationMatrix(("a", "b", "c"), np.eye(3))
-        dm = distance_matrix(corr, PROJECTIVE)
-        off = dm.values[~np.eye(3, dtype=bool)]
+        dm = angular_distances(np.eye(3), PROJECTIVE)
+        off = dm[~np.eye(3, dtype=bool)]
         assert np.all(off == math.pi / 2)
-        assert np.all(np.diagonal(dm.values) == 0.0)
+        assert np.all(np.diagonal(dm) == 0.0)
 
     def test_all_ones_gives_zero_matrix(self):
-        corr = CorrelationMatrix(("a", "b", "c"), np.ones((3, 3)))
         for kind in (SPHERICAL, PROJECTIVE):
-            dm = distance_matrix(corr, kind)
-            assert np.all(dm.values == 0.0)
+            assert np.all(angular_distances(np.ones((3, 3)), kind) == 0.0)
 
     def test_tight_triangle_along_great_circle(self):
         # three unit vectors at 45 degree steps along one great circle
@@ -100,9 +97,9 @@ class TestDistanceMatrix:
         u2 = np.array([0.0, 1.0])
         assert float(u0 @ u1) == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
         assert float(u0 @ u2) == 0.0
-        dm = distance_matrix(CorrelationMatrix(("a", "b", "c"), rho), SPHERICAL)
-        assert dm.values[0, 1] == pytest.approx(math.pi / 4, abs=1e-15)
-        assert dm.values[0, 2] == pytest.approx(math.pi / 2, abs=1e-15)
+        dm = angular_distances(rho, SPHERICAL)
+        assert dm[0, 1] == pytest.approx(math.pi / 4, abs=1e-15)
+        assert dm[0, 2] == pytest.approx(math.pi / 2, abs=1e-15)
         report = verify_metric_axioms(dm)
         assert report.passed
         assert report.min_triangle_margin >= -1e-9
@@ -111,20 +108,15 @@ class TestDistanceMatrix:
     def test_kinds_bound_entries(self):
         rng = np.random.default_rng(2)
         corr = random_corr(rng, 5)
-        assert distance_matrix(corr, SPHERICAL).values.max() <= math.pi
-        assert distance_matrix(corr, PROJECTIVE).values.max() <= math.pi / 2
+        assert angular_distances(corr, SPHERICAL).max() <= math.pi
+        assert angular_distances(corr, PROJECTIVE).max() <= math.pi / 2
 
-    def test_constructor_rejects_violations(self):
-        bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-        with pytest.raises(MetricViolationError):
-            DistanceMatrix(("a", "b", "c"), bad, SPHERICAL)
 
 class TestVerifyMetricAxioms:
     def test_construction_output_passes(self):
         rng = np.random.default_rng(4)
         for n in (3, 5, 8):
-            dm = distance_matrix(random_corr(rng, n), PROJECTIVE)
-            assert verify_metric_axioms(dm).passed
+            assert verify_metric_axioms(angular_distances(random_corr(rng, n), PROJECTIVE)).passed
 
     def test_planted_violation_reported(self):
         bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
@@ -384,7 +376,7 @@ def test_a_window_that_passes_the_engine_checks_has_valid_triangles(
     dist = angular_distances(rho, PROJECTIVE)
     passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
     for w in np.flatnonzero(passed):
-        max_simplex_volume(dist[w], 2)
+        max_triangle_area(dist[w])  # raises InvalidTriangleError on invalid sides
 
 
 def test_the_bound_clears_what_it_can_prove_and_no_near_copy():

@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 
 from corrgeom import (
     DuplicateIdError,
-    EmptyOverlapError,
     IngestError,
     TimeSeries,
     TimeSeriesSet,
     WindowSpec,
     ZeroVarianceError,
-    align,
     read_timeseries_csv,
-    windowed_unit_matrix,
     write_timeseries_csv,
 )
 from corrgeom import cli, series
-from corrgeom.testkit import CenteredUnitVector, window_vector
+from corrgeom.testkit import (
+    CenteredUnitVector,
+    _one_window_units,
+    window_correlations,
+    window_vector,
+)
 from corrgeom.series import _parse_value
 
 
@@ -91,49 +93,6 @@ def test_a_value_object_is_read_only(make, field):
     assert getattr(obj, field) is before
 
 
-class TestAlign:
-    def test_identical_ranges_unchanged(self):
-        a = ts("a", np.arange(10.0))
-        b = ts("b", np.arange(10.0) * 2)
-        out = align([a, b])
-        assert out.start == 0 and out.length == 10
-        assert np.array_equal(out.get("a").values, a.values)
-        assert np.array_equal(out.get("b").values, b.values)
-
-    def test_interval_intersection(self):
-        a = ts("a", np.arange(100.0), start=0)
-        b = ts("b", np.arange(100.0), start=50)
-        out = align([a, b])
-        assert out.start == 50 and out.length == 50
-        assert out.get("a").values[0] == 50.0
-        assert out.get("b").values[0] == 0.0
-        assert out.series[0].end == 99
-
-    def test_disjoint_ranges(self):
-        a = ts("a", np.arange(10.0), start=0)
-        b = ts("b", np.arange(10.0), start=20)
-        with pytest.raises(EmptyOverlapError):
-            align([a, b])
-
-    def test_duplicate_ids(self):
-        with pytest.raises(DuplicateIdError):
-            align([ts("a", [1, 2]), ts("a", [1, 2])])
-
-    def test_step_mismatch(self):
-        with pytest.raises(ValueError, match="step"):
-            align([ts("a", [1, 2], step=1), ts("b", [1, 2], step=2)])
-
-    def test_grid_offset(self):
-        a = ts("a", np.arange(10.0), start=0, step=2)
-        b = ts("b", np.arange(10.0), start=1, step=2)
-        with pytest.raises(EmptyOverlapError, match="offset"):
-            align([a, b])
-
-    def test_preserves_order(self):
-        out = align([ts("z", [1, 2]), ts("a", [3, 4])])
-        assert out.ids == ("z", "a")
-
-
 class TestWindowVector:
     def test_two_point_centering(self):
         v = window_vector(ts("a", [0.0, 2.0]), WindowSpec(0, 2))
@@ -196,7 +155,7 @@ class TestWindowedUnitMatrix:
             tuple(ts(f"s{i}", rng.normal(size=40) * 10.0**i + 1e8 * i) for i in range(5))
         )
         w = WindowSpec(7, 21)
-        units = windowed_unit_matrix(data, w)
+        units = _one_window_units(data.matrix(), data.ids, w)
         for row, s in zip(units, data.series):
             assert np.array_equal(row, window_vector(s, w).components)
 
@@ -205,9 +164,9 @@ class TestWindowedUnitMatrix:
             (ts("a", [1.0, 2.0, 4.0, 3.0]), ts("b", [5.0, 5.0, 5.0, 1.0]), ts("c", [2.0] * 4))
         )
         with pytest.raises(ZeroVarianceError, match=r"series 'b' is constant on window \[0, 3\)"):
-            windowed_unit_matrix(data, WindowSpec(0, 3))
+            window_correlations(data, WindowSpec(0, 3))
         with pytest.raises(ZeroVarianceError, match="'c'"):
-            windowed_unit_matrix(data, WindowSpec(1, 3))
+            window_correlations(data, WindowSpec(1, 3))
 
     def test_centered_unit_vector_invariants(self):
         with pytest.raises(ValueError, match="'x' do not sum to zero"):
@@ -299,7 +258,7 @@ def assert_cell_reads_as_parse_value(cell):
             read_timeseries_csv(io.StringIO(buf.getvalue()))
         assert str(got.value) == str(exc)
     else:
-        got = read_timeseries_csv(io.StringIO(buf.getvalue())).get("b").values[1]
+        got = read_timeseries_csv(io.StringIO(buf.getvalue())).matrix()[1, 1]
         assert np.float64(want).tobytes() == got.tobytes()
 
 
