@@ -8,15 +8,12 @@ with minima over time marking locked states.
 
 from .correlation import correlation_from_units
 from .errors import (
-    AngleDomainError,
     CorrGeomError,
     DuplicateIdError,
     IngestError,
     InvalidTriangleError,
-    MetricViolationError,
     TooFewPointsError,
     WindowTooLongError,
-    ZeroVarianceError,
 )
 from .events import (
     KIND_DIAMETER,
@@ -40,7 +37,6 @@ from .metric import (
 from .series import (
     TimeSeries,
     TimeSeriesSet,
-    WindowSpec,
     read_timeseries_csv,
     write_timeseries_csv,
 )

@@ -298,8 +298,9 @@ def cmd_events(config: RunConfig) -> int:
 
 
 def _batched(chunks, size: int):
-    """The engine's (ms, rho) chunks joined, in order, into runs of at least
-    ``size`` windows; the last run may hold fewer."""
+    """Chunks of arrays whose first axis is their windows, such as validate's
+    (ms, distances), joined in order into runs of at least ``size`` windows;
+    the last run may hold fewer."""
     held, windows = [], 0
     for chunk in chunks:
         held.append(chunk)
@@ -315,17 +316,19 @@ def _batched(chunks, size: int):
 def cmd_validate(config: RunConfig) -> int:
     """Check the metric axioms once per kind (spherical, projective) on every
     window that has no constant series, through analyze's window engine.
-    Consecutive chunks are joined into batches of at least VALIDATE_BATCH
-    windows, and each batch's distances are checked as one (2M, n, n) stack,
-    its M spherical matrices then its M projective ones, so the
-    triangle-margin scan runs once per batch and finds each matrix's minimum
-    margin. Each failing matrix prints a VIOLATION line on stderr and makes
-    the exit 1. The worst margin is the first smallest in window order,
-    spherical first; a copy of its matrix is kept, and its triple is located
-    once, after the last batch. Fewer than 3 series have no triangle to
-    check, and exit 2."""
+    Each chunk's correlations and unit rows become its (m, 2, n, n)
+    distances, spherical then projective per window, before consecutive
+    chunks are joined into batches of at least VALIDATE_BATCH windows, so a
+    batch holds no unit rows. Each batch's distances are checked as one
+    (2M, n, n) stack, so the triangle-margin scan runs once per batch and
+    finds each matrix's minimum margin. Each failing matrix prints a
+    VIOLATION line on stderr and makes the exit 1. The worst margin is the
+    first smallest in window order, spherical first; a copy of its matrix is
+    kept, and its triple is located once, after the last batch. Fewer than 3
+    series have no triangle to check, and exit 2."""
     data = _read_input(config)
-    if len(data) < 3:
+    n = len(data)
+    if n < 3:
         raise TooFewPointsError("validate needs at least 3 series")
     count = (data.length - config.window) // config.stride + 1
     if count < 1:
@@ -337,14 +340,16 @@ def cmd_validate(config: RunConfig) -> int:
     worst = worst_matrix = None
     failures = 0
     checked = 0
-    chunks = correlation_chunks(data, config.window, config.stride)
-    for ms, rho in _batched(chunks, VALIDATE_BATCH):
-        dist = np.concatenate([angular_distances(rho, kind) for kind in kinds])
-        del rho  # not held during the scan
+    distances = (
+        (ms, np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1))
+        for ms, rho, units in correlation_chunks(data, config.window, config.stride)
+    )
+    for ms, dist in _batched(distances, VALIDATE_BATCH):
+        dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
         stats = _axiom_stats(dist)
         for w, m in enumerate(ms):
             tick = data.tick(int(m) * config.stride)
-            for at, kind in zip((w, len(ms) + w), kinds):
+            for at, kind in enumerate(kinds, 2 * w):
                 checked += 1
                 if stats.min_margin[at] < worst_margin:
                     worst_margin = float(stats.min_margin[at])

@@ -13,18 +13,6 @@ class DuplicateIdError(CorrGeomError):
     """Series labels collide."""
 
 
-class ZeroVarianceError(CorrGeomError):
-    """A window is constant, so it has no direction on the sphere."""
-
-
-class AngleDomainError(CorrGeomError, ValueError):
-    """A correlation value lies outside [-1, 1]."""
-
-
-class MetricViolationError(CorrGeomError):
-    """A distance matrix fails the metric axioms beyond tolerance."""
-
-
 class TooFewPointsError(CorrGeomError):
     """An operation needs more points than were supplied."""
 

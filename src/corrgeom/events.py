@@ -10,33 +10,24 @@ Every command walks the windows through one engine, ``correlation_chunks``.
 It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
 CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
-distances, the metric-axiom check, the measures) runs once per chunk on
-the whole stack. No per-window object is built. The triangle measure walks
-the triples one first index at a time, so no array holds more than about
-n^2 / 2 of them per window, and it has no check of its own: a window that
-passes the axiom check has valid sides in every triple. A check of a chunk
-is the verdict on each of its windows, and where it fails, the chunk's
-first failing window raises its error from the chunk's own arrays,
-prefixed with ``window@<tick>``.
+distances, the measures) runs once per chunk on the whole stack. No
+per-window object is built. The triangle measure walks the triples one
+first index at a time, so no array holds more than about n^2 / 2 of them
+per window. The unit rows of a chunk are checked, and the first failing
+row raises its error, prefixed with ``window@<tick>``.
 
-The triangle-margin scan of the axiom check costs n^3 per window, and
-``sliding_measures`` skips it wherever it can only pass. The projective
-angle is a metric, so a computed margin falls below zero only by rounding,
-and metric._margin_error_bound proves from the window's own numbers how far:
-about 3 * (2 * NORM_TOL + K * u) / sqrt(1 - r^2), with r the window's
-largest off-diagonal |rho| and u the unit roundoff. A window whose bound is
-within TRIANGLE_TOL passes the scan for certain and is not scanned; every
-other check still runs on it. Windows with |rho| near 1, such as
-near-copies of one series, are scanned as before. ``validate`` scans every
-window, since the margins are its output: it joins consecutive chunks into
-batches of at least cli.VALIDATE_BATCH windows and scans both kinds of a
-batch in one stack, spherical then projective. Where the scan does run, it
-finds only each matrix's minimum margin, never its n^3 margins: it works on
-a copy of the stack with the stack axis innermost, in blocks of about
-metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
-tall and short stacks, such as the 5-window chunks at n = 64, K = 101, scan
-slower per window than tall ones. Which triple holds a minimum is located
-one matrix at a time, only where it is reported.
+``sliding_measures`` runs no metric-axiom check on its distances: that
+they form a metric to within a bound far below TRIANGLE_TOL is proven in
+metric.angular_distances, whose chord form keeps near-copies of a series,
+|rho| near 1, as accurate as any other pair. ``validate`` still scans every
+window, since the margins are its output. It turns each chunk into its two
+distance stacks, joins consecutive chunks into batches of at least
+cli.VALIDATE_BATCH windows and scans a batch's spherical and projective
+matrices in one stack. The scan finds only each matrix's minimum margin,
+never its n^3 margins: it works on a copy of the stack with the stack axis
+innermost, in blocks of about metric.SCAN_ELEMENTS floats, so its numpy
+loops are as long as the stack is tall. Which triple holds a minimum is
+located one matrix at a time, only where it is reported.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values, and minima are only detected within
@@ -54,26 +45,20 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import correlation_from_units
-from .errors import MetricViolationError, TooFewPointsError, WindowTooLongError
+from .errors import TooFewPointsError, WindowTooLongError
 from .measures import _diameters, _max_triangle_areas
-from .metric import (
-    PROJECTIVE,
-    _axiom_stats,
-    _margin_error_bound,
-    angular_distances,
-    verify_metric_axioms,
-)
-from .series import Frozen, TimeSeriesSet, WindowSpec, _bad_unit_row, _window_units
+from .metric import PROJECTIVE, angular_distances
+from .series import Frozen, TimeSeriesSet, _bad_unit_row, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
 # windows: the (windows, n, K) window rows or the (windows, n, n) matrices;
-# the triangle measure's per-first-index arrays are smaller, and the
+# the triangle measure's per-first-index arrays are smaller, and validate's
 # triangle-margin scan works in blocks of metric.SCAN_ELEMENTS. A chunk holds
 # at least one window, so where one window's rows or matrices pass 2^15
 # (n * K or n^2 above it) the chunk exceeds the target. validate joins chunks
-# into batches of cli.VALIDATE_BATCH windows and stacks both kinds of a
-# batch, so its stacks are larger. Larger chunks were measured slower, and at
-# 2^17 they raised peak RSS by more than the benchmark's 5% bound.
+# into batches of cli.VALIDATE_BATCH windows, each with both kinds of
+# distances, so its stacks are larger. Larger chunks were measured slower,
+# and at 2^17 they raised peak RSS by more than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
 
 KIND_DIAMETER = "diameter"
@@ -148,16 +133,21 @@ def _windows_per_chunk(n: int, window: int) -> int:
 
 def correlation_chunks(
     ts_set: TimeSeriesSet, window: int, stride: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The one window engine of every command. For each chunk of consecutive
     windows: the indices m of its windows with no constant series (window m
-    starts at sample m * stride) and their correlation matrices (len(m), n, n).
+    starts at sample m * stride), their correlation matrices (len(m), n, n)
+    and their unit rows (len(m), n, K), which metric.angular_distances needs
+    where |rho| is near 1.
 
     A chunk is a (windows, n, K) stack centred, normalised and checked in one
     array pass. The first unit row that fails the check raises its error,
     naming its window (flat row // n).
     """
-    WindowSpec(0, window, stride)  # rejects a bad window size or stride
+    if window < 2:
+        raise ValueError(f"window size must be >= 2, got {window}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
     size = _windows_per_chunk(len(ts_set), window)
     for lo in range(0, view.shape[1], size):
@@ -174,8 +164,7 @@ def correlation_chunks(
                 m = int(ms[bad[0] // len(ts_set)])
                 raise ValueError(f"window@{ts_set.tick(m * stride)}: {bad[1]}")
             rho = correlation_from_units(units)
-        del units  # not held while the caller works on rho
-        yield ms, rho
+        yield ms, rho, units
 
 
 def sliding_measures(
@@ -191,23 +180,19 @@ def sliding_measures(
     stride) + 1 points per requested kind. A constant series gaps the window
     for every kind.
 
-    Each chunk of windows runs the metric-axiom check on its stack of
-    distances, the triangle-margin scan only on windows that
-    metric._margin_error_bound does not prove to pass it. The first window
-    that fails raises MetricViolationError, naming the window, with
-    verify_metric_axioms' summary of its distances from the chunk.
-
-    The triangle measure needs no check of its own: in a window that passes,
-    every triple has sides that measures._validate_sides accepts. With sides
-    a <= b <= c of a triple,
-
-    * a >= -TRIANGLE_TOL is the check of the smallest entry;
-    * a + b - c is bit for bit one of the axiom check's margins, since
-      correlation_from_units makes the stack exactly symmetric and IEEE
-      addition commutes; where the scan is skipped, the error bound proves
-      that same margin;
-    * a + b + c <= 3 pi/2 < 2 pi, since arccos|rho| lies in [0, pi/2];
-    * a NaN entry fails the symmetry check.
+    No window's distances are checked, because every window's distances are
+    a metric to within rounding that is proven small, and the measures need
+    nothing more. metric.angular_distances gives each chunk an exactly
+    symmetric stack with a zero diagonal, finite since the unit rows were
+    checked, with entries in [0, pi/2], whose triangle margins are all
+    >= -B(K), with B(K) proven there: 1.35e-10 at K = 21 and 101, below
+    TRIANGLE_TOL up to K near 38,700. So every triple has sides a <= b <= c
+    that measures._validate_sides accepts in that range: a >= 0, a + b - c
+    is one of those margins bit for bit (the stack is exactly symmetric and
+    IEEE addition commutes), and a + b + c <= 3 pi/2 < 2 pi. Beyond that K
+    no measure needs the margins within the tolerance: the diameter is a
+    maximum, and measures._triangle_areas gives area 0 to any triple whose
+    margin is <= TRIANGLE_TOL.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -233,15 +218,8 @@ def sliding_measures(
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = np.ones(count, dtype=bool)  # until evaluated, for every kind
 
-    for ms, rho in correlation_chunks(ts_set, window, stride):
-        dist = angular_distances(rho, PROJECTIVE)
-        passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
-        if not passed.all():
-            w = int(np.argmin(passed))
-            raise MetricViolationError(
-                f"window@{ts_set.tick(int(ms[w]) * stride)}: distance matrix fails the "
-                f"metric axioms ({verify_metric_axioms(dist[w]).summary()})"
-            )
+    for ms, rho, units in correlation_chunks(ts_set, window, stride):
+        dist = angular_distances(rho, units, PROJECTIVE)
         gaps[ms] = False
         if KIND_DIAMETER in kinds:
             values[KIND_DIAMETER][ms] = _diameters(dist)[0]

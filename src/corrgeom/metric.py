@@ -5,8 +5,9 @@ distance between their centered unit vectors on the sphere. The projective
 variant arccos(|rho|) identifies a series with its negation (a line through
 the origin rather than a direction) and is the distance used for
 phase-locking analysis, where maximal correlation of either sign counts as
-"close". Both are metrics; `verify_metric_axioms` checks that claim
-numerically on any matrix.
+"close". Where |rho| is near 1, angular_distances takes both from the unit
+vectors' chord instead, since arccos loses half the digits there. Both are
+metrics; `verify_metric_axioms` checks that claim numerically on any matrix.
 """
 
 from __future__ import annotations
@@ -16,20 +17,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import NORM_TOL
-
-# Triangle-inequality slack. arccos amplifies dot-product rounding near +-1
-# like 1/sqrt(eps), so 1e-9 covers windows up to ~1e6 samples in doubles.
+# Triangle-inequality slack. angular_distances' margins are proven to fall no
+# further below zero than B(K), 1.35e-10 at K = 21 and 101, and B(K) reaches
+# this tolerance near K = 38,700 samples (see angular_distances).
 TRIANGLE_TOL = 1e-9
 
-# Unit roundoff of float64.
-UNIT_ROUNDOFF = 2.0**-53
-# Allowance for the absolute error of one np.arccos result in [0, pi/2]: 16
-# ulps at pi/2. The SVML arccos numpy uses on AVX-512 machines is specified
-# within 4 ulps and glibc's acos within 1; against 120-bit mpmath, numpy 2.4
-# on an AVX-512 Xeon erred by at most 0.79 ulp over 20,000 arguments. The
-# rest covers the rounding of _margin_error_bound's own evaluation.
-ARCCOS_ERROR = 2.0**-48
+# angular_distances takes each entry with |rho| > 1 - NEAR_ONE from the chord
+# between the unit vectors, every other entry from arccos. The largest
+# off-diagonal |rho| of the benchmark's inputs for seeds 900-1009 is 0.9973,
+# so none of them takes a chord.
+NEAR_ONE = 1e-3
 
 # Float64 elements per block of _min_triangle_margins' sums, (k rows, n, M):
 # the rows of k > i are taken in blocks of about this size, at least one row.
@@ -79,7 +76,7 @@ class _AxiomStats(NamedTuple):
     symmetry: np.ndarray
     diagonal: np.ndarray
     min_entry: np.ndarray
-    min_margin: np.ndarray  # inf when n < 3; -margin_error where not scanned
+    min_margin: np.ndarray  # inf when n < 3
 
 
 def _triangle_margins(m: np.ndarray) -> np.ndarray:
@@ -164,67 +161,9 @@ def _worst_triangle(m: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     return margin, (i, *divmod(int(args[i]), n))
 
 
-def _margin_error_bound(rho: np.ndarray, window: int) -> np.ndarray:
-    """A proven bound, per matrix of an (M, n, n) stack of correlations from
-    correlation_from_units, on how far below zero a triangle margin of
-    angular_distances(rho, PROJECTIVE) can fall: every margin that
-    _axiom_stats computes from those distances is >= -bound; inf where none
-    is proven.
-
-    The premises: rho[i, j] is the dot product of rows x_i, x_j of length K =
-    ``window`` that passed the engine's unit-row check, series._bad_unit_row,
-    computed in float64 in any summation order, then clipped to [-1, 1]. u is
-    the unit roundoff and gamma_k = k*u / (1 - k*u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 3.1).
-
-    1. Norms. The check computed each norm N = ||x|| (1 + t), |t| <= gamma_(K+1)
-       (K squares, K - 1 sums, one square root), and found |N - 1| <= eta0 =
-       NORM_TOL. So |||x|| - 1| <= eta = (eta0 + gamma_(K+1)) / (1 - gamma_(K+1)).
-    2. Correlations. Let c = x_i.x_j / (||x_i|| ||x_j||), the exact cosine of the
-       two computed rows. The computed dot product is within gamma_K ||x_i||
-       ||x_j|| <= gamma_K (1 + eta)^2 of x_i.x_j, which is within (1 + eta)^2 - 1
-       of c, and clipping to [-1, 1] moves no entry away from c. So
-       |rho - c| <= eps_rho = gamma_K (1 + eta)^2 + 2 eta + eta^2, and the
-       same holds for |rho| against |c|.
-    3. Distances. Let r be the matrix's largest off-diagonal |rho|. Both |rho|
-       and |c| lie in [0, r + eps_rho]; where r + eps_rho < 1, arccos has slope
-       at most 1 / sqrt(1 - (r + eps_rho)^2) there, so arccos|rho| is within
-       eps_rho / sqrt(1 - (r + eps_rho)^2) of the projective angle
-       theta = arccos|c|. np.arccos adds at most ARCCOS_ERROR, so each computed
-       distance d is within eps_d = eps_rho / sqrt(1 - (r + eps_rho)^2) +
-       ARCCOS_ERROR of theta. The diagonal is exactly 0 in both.
-    4. Margins. theta is a metric on lines through the origin (the angle
-       between x and +-y, minimised over the sign), so theta_ij + theta_jk -
-       theta_ik >= 0 for the computed rows. Hence d_ij + d_jk - d_ik >= -3 eps_d,
-       and its two roundings, on sums of at most pi, add at most (2 + u) u pi.
-
-    bound = 3 eps_d + (2 + u) u pi where r + eps_rho < 1, else inf. The bound
-    is itself rounded, with a relative error of a few u; ARCCOS_ERROR's slack
-    covers that wherever the bound is small enough to be used. Near-copies,
-    whose |rho| is within ~1e-16 of 1, get no finite bound.
-    """
-    n = rho.shape[-1]
-    off = ~np.eye(n, dtype=bool)
-    r = np.maximum(
-        rho.max(axis=(1, 2), where=off, initial=0.0),
-        -rho.min(axis=(1, 2), where=off, initial=0.0),
-    )
-    u = UNIT_ROUNDOFF
-    gamma, gamma1 = (k * u / (1 - k * u) for k in (window, window + 1))
-    eta = (NORM_TOL + gamma1) / (1 - gamma1)
-    eps_rho = gamma * (1 + eta) ** 2 + 2 * eta + eta**2
-    s = r + eps_rho
-    bound = np.full(s.shape, math.inf)
-    proven = s < 1.0  # False for a NaN
-    eps_d = eps_rho / np.sqrt((1.0 - s[proven]) * (1.0 + s[proven])) + ARCCOS_ERROR
-    bound[proven] = 3 * eps_d + (2 + u) * u * math.pi
-    return bound
-
-
 def _axiom_stats(
     m: np.ndarray,
     tolerance: float = TRIANGLE_TOL,
-    margin_error: np.ndarray | None = None,
     min_margin: np.ndarray | None = None,
 ) -> _AxiomStats:
     """Symmetry error, diagonal error, minimum entry and minimum triangle
@@ -234,14 +173,8 @@ def _axiom_stats(
     by _min_triangle_margins on an exactly symmetric stack, the engine's
     case, and by _worst_triangle one matrix at a time on any other. A matrix
     passes when each error is within tolerance and no margin is below
-    -tolerance; a NaN anywhere fails.
-
-    ``margin_error``, from _margin_error_bound, proves per matrix that no
-    margin is below -margin_error. A matrix where that is within tolerance is
-    not scanned: it passes the triangle test and its min_margin reads
-    -margin_error (a lower bound, not the minimum). The other checks run on
-    every matrix. ``min_margin``, where the caller has already found the
-    minima, replaces the scan.
+    -tolerance; a NaN anywhere fails. ``min_margin``, where the caller has
+    already found the minima, replaces the scan.
     """
     count, n = m.shape[0], m.shape[-1]
     asymmetry = m - m.transpose(0, 2, 1)
@@ -251,17 +184,10 @@ def _axiom_stats(
     min_entry = m.min(axis=(1, 2), initial=0.0)
     if min_margin is None and n < 3:
         min_margin = np.full(count, math.inf)
+    elif min_margin is None and symmetry.any():
+        min_margin = np.array([_worst_triangle(matrix)[0] for matrix in m])
     elif min_margin is None:
-        if margin_error is None:
-            margin_error = np.full(count, math.inf)  # nothing proven: scan every matrix
-        min_margin = -margin_error
-        scan = ~(margin_error <= tolerance)
-        if scan.any():
-            sub = m if scan.all() else m[scan]
-            if symmetry[scan].any():
-                min_margin[scan] = [_worst_triangle(matrix)[0] for matrix in sub]
-            else:
-                min_margin[scan] = _min_triangle_margins(sub)
+        min_margin = _min_triangle_margins(m)
     passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
         np.minimum(min_entry, min_margin) >= -tolerance
     )
@@ -309,16 +235,78 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     )
 
 
-def angular_distances(rho: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
-    """Angular distances from correlations (..., n, n), with exactly zero
-    diagonals: arccos(rho) for spherical, arccos(|rho|) for projective."""
+def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
+    """Angular distances (..., n, n) between the unit rows ``units`` (..., n, K)
+    whose correlations are ``rho``, with exactly zero diagonals.
+
+    An entry i < j with |rho| <= 1 - NEAR_ONE is arccos(rho) for spherical and
+    arccos(|rho|) for projective. Any other is taken from the chord: with
+    s = sign(rho), phi = 2 asin(||x_i - s x_j|| / 2) is the projective
+    distance, and the spherical one is phi where rho > 0, else pi - phi. Each
+    is mirrored to j, i, so a stack mirrored from its upper triangle, as
+    correlation_from_units makes it, gives an exactly symmetric one. arccos
+    has slope 1 / sqrt(1 - rho^2), so near |rho| = 1 it turns the rounding of
+    rho into errors near sqrt(u) (u = 2^-53); the chord has no such factor.
+
+    A proof that every triangle margin d_ij + d_jk - d_ik of such a stack is
+    >= -B(K), from rows of length K that passed the engine's unit-row check
+    (series._bad_unit_row) and rho from correlation_from_units. gamma_k =
+    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.1) and delta = NEAR_ONE.
+
+    1. Norms. The check computed each norm N = ||x|| (1 + t), |t| <= gamma_(K+1),
+       and found |N - 1| <= NORM_TOL. So |||x|| - 1| <= eta = (NORM_TOL +
+       gamma_(K+1)) / (1 - gamma_(K+1)).
+    2. Correlations. Let c = x_i.x_j / (||x_i|| ||x_j||), the exact cosine of the
+       two rows. The computed dot product, in any summation order, is within
+       gamma_K (1 + eta)^2 of x_i.x_j, which is within (1 + eta)^2 - 1 of c, and
+       clipping to [-1, 1] moves no entry away from c. So |rho - c| <= eps_rho =
+       gamma_K (1 + eta)^2 + 2 eta + eta^2.
+    3. arccos entries. Here |rho| <= 1 - delta, so rho and c lie in [-r, r] with
+       r = 1 - delta + eps_rho, where arccos has slope at most 1 / sqrt(1 - r^2).
+       With E = 2^-48 for the error of one np.arccos result (16 ulps at pi/2;
+       the SVML arccos numpy uses on AVX-512 machines is specified within
+       4 ulps and glibc's acos within 1; against 120-bit mpmath, numpy 2.4 on
+       an AVX-512 Xeon erred by at most 0.79 ulp over 20,000 arguments), each
+       entry is within eps_a = eps_rho / sqrt(1 - r^2) + E of the exact
+       angle, arccos c or arccos|c|.
+    4. Chord entries. Here |rho| > 1 - delta > eps_rho, so c has the sign s,
+       and with a, b the rows scaled to unit length the exact angles are
+       theta = 2 asin(||a - s b|| / 2) (projective), and theta or pi - theta
+       (spherical, as s is 1 or -1). ||x_i - s x_j|| is within 2 eta of
+       ||a - s b|| <= sqrt(2 (delta + eps_rho)), so at most t = sqrt(2 (delta +
+       eps_rho)) + 2 eta; the subtraction and the norm add a relative error of
+       at most gamma_(K+2). 2 asin(y / 2) has slope at most 1 / sqrt(1 - t'^2 / 4)
+       for y <= t' = t (1 + gamma_(K+2)). So each entry is within eps_c =
+       (2 eta + gamma_(K+2) t) / sqrt(1 - t'^2 / 4) + E of the exact angle; E
+       also covers np.arcsin, the error of np.pi and the rounding of pi - phi.
+    5. Margins. The exact angles are metrics (between directions; between
+       lines, minimised over the sign), so their margins are >= 0, and each
+       computed entry is within eps_d = max(eps_a, eps_c) of its exact angle.
+       The two roundings of a margin, on sums of at most 2 pi, add at most
+       (2 + u) 2 pi u. So every margin is >= -B(K) = -(3 eps_d + (2 + u) 2 pi u).
+
+    B(K) is 1.35e-10 at K = 21 and 101, eps_a dominating, and reaches
+    TRIANGLE_TOL near K = 38,700. The entries are finite, since the checked
+    rows are, and lie in [0, pi/2] for projective and [0, pi] for spherical.
+    """
+    magnitude = np.abs(rho)
     if kind == SPHERICAL:
         entries = np.arccos(rho)
     elif kind == PROJECTIVE:
-        entries = np.arccos(np.abs(rho))
+        entries = np.arccos(magnitude)
     else:
         raise ValueError(f"kind must be {SPHERICAL!r} or {PROJECTIVE!r}")
+    near = magnitude > 1.0 - NEAR_ONE
     idx = np.arange(entries.shape[-1])
+    near[..., idx, idx] = False
+    if near.any():  # rare: locating the entries costs more than the arccos
+        *lead, i, j = np.nonzero(np.triu(near))
+        sign = np.sign(rho[(*lead, i, j)])
+        chord = np.linalg.norm(units[(*lead, i)] - sign[:, None] * units[(*lead, j)], axis=-1)
+        phi = 2.0 * np.arcsin(chord / 2.0)
+        if kind == SPHERICAL:
+            phi = np.where(sign > 0.0, phi, math.pi - phi)
+        entries[(*lead, i, j)] = entries[(*lead, j, i)] = phi
     entries[..., idx, idx] = 0.0
     return entries
-

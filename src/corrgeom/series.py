@@ -152,21 +152,6 @@ class TimeSeriesSet(Frozen):
         return self.series[0].tick(index)
 
 
-class WindowSpec(Frozen):
-    """A summation window: ``size`` consecutive samples starting at sample
-    index ``t`` (an index into the series, not a tick). ``stride`` is the
-    hop between consecutive windows in sliding analyses."""
-
-    def __init__(self, t: int, size: int, stride: int = 1):
-        if t < 0:
-            raise ValueError(f"window start index must be >= 0, got {t}")
-        if size < 2:
-            raise ValueError(f"window size must be >= 2, got {size}")
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self._set(t=t, size=size, stride=stride)
-
-
 def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre each row of a writable (..., n, K) stack of windows in place,
     twice, the second pass removing the first's rounding residue for large

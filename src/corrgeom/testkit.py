@@ -4,10 +4,12 @@ No module of the library imports this one at start-up: the CLI's simulate
 command imports it when it runs, and the benchmark and the tests import it.
 It cross-checks the engine by other routes:
 
-* one window at a time: _one_window_units (series._window_units on one
-  window, with the fit and constant-series checks), _check_unit_rows (the
-  engine's unit-row check as an error) and window_correlations, the
-  per-window reference for the correlations of a chunk;
+* one window at a time: WindowSpec (one window's start and size),
+  _one_window_units (series._window_units on one window, with the fit and
+  constant-series checks), _check_unit_rows (the engine's unit-row check as
+  an error), window_correlations, the per-window reference for the
+  correlations of a chunk, and window_measures, the per-window reference
+  for sliding_measures;
 * one series, one pair or one correlation at a time;
 * one triangle at a time: max_triangle_area, the brute-force reference for
   measures._max_triangle_areas, and vertex-angle triangle areas.
@@ -28,18 +30,41 @@ import math
 import numpy as np
 
 from .correlation import correlation_from_units
-from .errors import AngleDomainError, ZeroVarianceError
+from .errors import CorrGeomError
+from .events import KIND_DIAMETER, KIND_MAX_TRIANGLE
 from .measures import _validate_sides, spherical_triangle_area
-from .metric import TRIANGLE_TOL
+from .metric import PROJECTIVE, TRIANGLE_TOL, angular_distances
 from .series import (
     Frozen,
     TimeSeries,
     TimeSeriesSet,
-    WindowSpec,
     _as_readonly_floats,
     _bad_unit_row,
     _window_units,
 )
+
+
+class ZeroVarianceError(CorrGeomError):
+    """A window is constant, so it has no direction on the sphere."""
+
+
+class AngleDomainError(CorrGeomError, ValueError):
+    """A correlation value lies outside [-1, 1]."""
+
+
+class WindowSpec(Frozen):
+    """A summation window: ``size`` consecutive samples starting at sample
+    index ``t`` (an index into the series, not a tick). ``stride`` is the
+    hop between consecutive windows in sliding analyses."""
+
+    def __init__(self, t: int, size: int, stride: int = 1):
+        if t < 0:
+            raise ValueError(f"window start index must be >= 0, got {t}")
+        if size < 2:
+            raise ValueError(f"window size must be >= 2, got {size}")
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        self._set(t=t, size=size, stride=stride)
 
 
 def _check_unit_rows(rows: np.ndarray, ids) -> None:
@@ -84,6 +109,33 @@ def max_triangle_area(d: np.ndarray) -> float:
         spherical_triangle_area(d[i, j], d[i, k], d[j, k])
         for i, j, k in itertools.combinations(range(len(d)), 3)
     )
+
+
+def window_measures(ts_set: TimeSeriesSet, window: int) -> tuple[np.ndarray, dict]:
+    """Gaps and the diameter and max-triangle values of every window of a set
+    at stride 1, one window and one pair or triple at a time: window_vector
+    per series, pairwise dots, angular_distances on the one matrix, then the
+    largest entry and the scalar spherical_triangle_area on every triple
+    (max_triangle_area), n >= 3. A window with a constant series is a gap."""
+    n = len(ts_set)
+    count = ts_set.length - window + 1
+    gaps = np.zeros(count, dtype=bool)
+    diameters = np.zeros(count)
+    triangles = np.zeros(count)
+    for m in range(count):
+        try:
+            units = np.array([window_vector(s, WindowSpec(m, window)).components
+                              for s in ts_set.series])
+        except ZeroVarianceError:
+            gaps[m] = True
+            continue
+        rho = np.eye(n)
+        for i, j in itertools.combinations(range(n), 2):
+            rho[i, j] = rho[j, i] = min(1.0, max(-1.0, float(units[i] @ units[j])))
+        d = angular_distances(rho, units, PROJECTIVE)
+        diameters[m] = max(d[i, j] for i, j in itertools.combinations(range(n), 2))
+        triangles[m] = max_triangle_area(d)
+    return gaps, {KIND_DIAMETER: diameters, KIND_MAX_TRIANGLE: triangles}
 
 
 class CenteredUnitVector(Frozen):

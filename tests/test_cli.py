@@ -15,18 +15,25 @@ import corrgeom
 from corrgeom import (
     TimeSeries,
     TimeSeriesSet,
-    WindowSpec,
     cli,
     verify_metric_axioms,
     write_timeseries_csv,
 )
 from corrgeom.events import MEASURE_KINDS, _windows_per_chunk
 from corrgeom import metric
-from corrgeom.metric import PROJECTIVE, SPHERICAL, angular_distances
-from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate, window_correlations
+from corrgeom.metric import PROJECTIVE, SPHERICAL
+from corrgeom.testkit import (
+    SyntheticSpec,
+    WindowSpec,
+    coupling_benchmark,
+    simulate,
+    window_correlations,
+    window_measures,
+)
 
 # Stored analyze and events outputs on benchmark_csv, default settings, and
-# validate outputs on benchmark_csv and near_copies_csv at K=21.
+# validate outputs on benchmark_csv and, with arccos_distances, near_copies_csv
+# at K=21.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_TOL = 1e-12
 
@@ -52,15 +59,28 @@ def write_csv(tmp_path, columns):
     return str(path)
 
 
-def near_copies_csv(tmp_path):
-    """Four near-copies of one series: correlations within ~1e-16 of 1, where
-    arccos amplifies rounding past the triangle tolerance from window 1 on."""
-    x = np.sin(np.arange(60) / 3)
+def near_copies_csv(tmp_path, eps=1e-8, length=60, negate=()):
+    """Four near-copies of one series, sin(t/3) + eps * noise, the columns in
+    ``negate`` negated: correlations within ~1e-16 of +-1 at eps = 1e-8."""
+    x = np.sin(np.arange(length) / 3)
     rng = np.random.default_rng(0)
-    return write_csv(tmp_path, [x + 1e-8 * rng.normal(size=60) for _ in range(4)])
+    columns = [x + eps * rng.normal(size=length) for _ in range(4)]
+    return write_csv(tmp_path, [-c if i in negate else c for i, c in enumerate(columns)])
 
 
-def test_validate_reports_metric_violations(tmp_path, capsys):
+def arccos_distances(rho, units, kind):
+    """Angular distances from arccos alone, as angular_distances computed them
+    before it took entries near |rho| = 1 from the chord. On near-copies
+    their rounding breaks the triangle inequality by more than TRIANGLE_TOL,
+    so validate run with them has failing windows to report."""
+    entries = np.arccos(rho if kind == SPHERICAL else np.abs(rho))
+    idx = np.arange(entries.shape[-1])
+    entries[..., idx, idx] = 0.0
+    return entries
+
+
+def test_validate_reports_metric_violations(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "angular_distances", arccos_distances)
     path = near_copies_csv(tmp_path)
     assert cli.main(["validate", "--input", path, "--window", "21"]) == 1
     out, err = capsys.readouterr()
@@ -75,7 +95,11 @@ def test_validate_reports_metric_violations(tmp_path, capsys):
         pytest.param("near_copies", near_copies_csv, 1, id="near_copies"),
     ],
 )
-def test_validate_matches_the_golden_files(tmp_path, capsys, name, write_input, code):
+def test_validate_matches_the_golden_files(tmp_path, capsys, monkeypatch, name, write_input, code):
+    # The near-copies golden holds the report of arccos-only distances, which
+    # fail; the engine's own distances pass on that input.
+    if name == "near_copies":
+        monkeypatch.setattr(cli, "angular_distances", arccos_distances)
     argv = ["validate", "--input", write_input(tmp_path), "--window", "21"]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
@@ -85,17 +109,24 @@ def test_validate_matches_the_golden_files(tmp_path, capsys, name, write_input, 
     assert [line.split(":")[0] for line in err.splitlines()] == want
 
 
-@pytest.mark.parametrize("command", ["analyze", "events"])
-def test_a_metric_failure_names_its_window(tmp_path, capsys, command):
+@pytest.mark.parametrize("negate", [(), (1,)], ids=["copies", "negated"])
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+def test_near_copies_give_measures_events_and_a_passing_validate(tmp_path, capsys, eps, negate):
+    path = near_copies_csv(tmp_path, eps, length=200, negate=negate)
     out = tmp_path / "out"
-    argv = [command, "--input", near_copies_csv(tmp_path), "--window", "21", "--out", str(out)]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: window@1: distance matrix fails the metric axioms (FAIL: n=4 "
-        "min_triangle_margin=-1.490e-08 symmetry=0.000e+00 diag=0.000e+00 "
-        "min_entry=0.000e+00 violations=4)\n"
+    argv = ["--input", path, "--window", "21", "--out", str(out)]
+    assert cli.main(["analyze", *argv]) == 0
+    gaps, want = window_measures(corrgeom.read_timeseries_csv(path), 21)
+    for kind in MEASURE_KINDS:
+        rows = list(csv.DictReader((out / f"measure_{kind}.csv").read_text().splitlines()))
+        assert [int(row["gap"]) for row in rows] == gaps.astype(int).tolist()
+        values = np.array([float(row["value"]) for row in rows])
+        assert np.abs(values - want[kind]).max() <= GOLDEN_TOL
+    assert cli.main(["events", *argv]) == 0
+    assert cli.main(["validate", *argv[:4]]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "pass: checked 360 distance matrices over 180 windows"
     )
-    assert not out.exists()
 
 
 def test_a_unit_row_failure_names_its_window(tmp_path, capsys):
@@ -567,17 +598,17 @@ def test_outputs_match_the_golden_files(tmp_path, capsys, command):
 
 
 def validate_reference(data, window, stride=1):
-    """validate's outcome window by window through verify_metric_axioms:
-    the min margin of each (window, kind), the worst margin, its (tick, kind,
-    triple) and (window, kind, VIOLATION line) of each failing matrix, all
-    from the single-window route."""
+    """validate's outcome window by window through verify_metric_axioms on
+    arccos_distances: the min margin of each (window, kind), the worst
+    margin, its (tick, kind, triple) and (window, kind, VIOLATION line) of
+    each failing matrix, all from the single-window route."""
     count = (data.length - window) // stride + 1
     margins, worst_margin, worst, violations = {}, math.inf, None, []
     for m in range(count):
         rho = window_correlations(data, WindowSpec(m * stride, window))
         tick = data.tick(m * stride)
         for kind in (SPHERICAL, PROJECTIVE):
-            report = verify_metric_axioms(angular_distances(rho, kind))
+            report = verify_metric_axioms(arccos_distances(rho, None, kind))
             margins[m, kind] = report.min_triangle_margin
             if report.min_triangle_margin < worst_margin:
                 worst_margin, worst = report.min_triangle_margin, (tick, kind, report.worst_triple)
@@ -595,8 +626,11 @@ def validate_fail_stdout(count, worst_margin, worst):
 
 
 @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, 1, -1)], ids=["copies", "negated"])
-def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys, signs):
-    # Eight series, four of them near-copies of one sine, times ``signs``, over
+def test_validate_across_chunks_matches_a_per_window_reference(
+    tmp_path, capsys, monkeypatch, signs
+):
+    # validate runs on arccos_distances, which fail on near-copies. Eight
+    # series, four of them near-copies of one sine, times ``signs``, over
     # samples [40, 120) and [400, 480): their windows fail the triangle check
     # in both kinds, in the first and the last of three chunks. With no sign
     # flipped, both kinds tie on the worst margin and spherical is reported;
@@ -615,6 +649,7 @@ def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys,
     size = _windows_per_chunk(8, window)
     assert count > 2 * size
 
+    monkeypatch.setattr(cli, "angular_distances", arccos_distances)
     margins, worst_margin, worst, violations = validate_reference(data, window)
     failing = {(m // size, kind) for m, kind, _ in violations}
     assert failing == {(c, k) for c in (0, 2) for k in (SPHERICAL, PROJECTIVE)}
@@ -629,8 +664,11 @@ def test_validate_across_chunks_matches_a_per_window_reference(tmp_path, capsys,
     assert out == validate_fail_stdout(count, worst_margin, worst)
 
 
-def test_validate_across_batches_reports_the_earliest_of_tied_windows(tmp_path, capsys):
-    # Sixteen series repeating every 135 samples, so at stride 3 window m + 45
+def test_validate_across_batches_reports_the_earliest_of_tied_windows(
+    tmp_path, capsys, monkeypatch
+):
+    # validate runs on arccos_distances, which fail on near-copies. Sixteen
+    # series repeating every 135 samples, so at stride 3 window m + 45
     # is window m sample for sample, and its margins equal window m's. Four of
     # them are near-copies of one sine over the first 130 samples of each
     # period, so windows of every period fail, and the worst margin is tied
@@ -647,6 +685,7 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(tmp_path, 
     batch = size * -(-cli.VALIDATE_BATCH // size)  # windows per batch: whole chunks
     assert size < cli.VALIDATE_BATCH and count % batch != 0
 
+    monkeypatch.setattr(cli, "angular_distances", arccos_distances)
     margins, worst_margin, worst, violations = validate_reference(data, window, stride)
     tied = [m for m in range(count) if margins[m, SPHERICAL] == worst_margin]
     assert len({m // batch for m in tied}) > 1 and worst[0] == data.tick(tied[0] * stride)

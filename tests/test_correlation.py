@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrgeom import TimeSeries, TimeSeriesSet, WindowSpec, ZeroVarianceError
+from corrgeom import TimeSeries, TimeSeriesSet
 from corrgeom.correlation import _mirror_upper
-from corrgeom.testkit import pearson_rho, window_correlations
+from corrgeom.testkit import WindowSpec, ZeroVarianceError, pearson_rho, window_correlations
 
 
 def ts(sid, values):

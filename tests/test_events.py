@@ -3,7 +3,6 @@ scalar route and under permuting and negating series, detect_minima and its
 prominence routine against scipy.signal.find_peaks and its separation rule
 against a brute-force one, and compare_event_sets."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,23 +17,18 @@ from corrgeom import (
     Event,
     EventList,
     MeasureSeries,
-    MetricViolationError,
     TimeSeries,
     TimeSeriesSet,
-    WindowSpec,
-    ZeroVarianceError,
     compare_event_sets,
     detect_minima,
     sliding_measures,
-    verify_metric_axioms,
 )
-from corrgeom.events import CHUNK_ELEMENTS, _prominent_peaks, _windows_per_chunk
-from corrgeom.metric import (
-    PROJECTIVE,
-    TRIANGLE_TOL,
-    _axiom_stats,
-    _margin_error_bound,
-    angular_distances,
+from corrgeom import metric
+from corrgeom.events import (
+    CHUNK_ELEMENTS,
+    _prominent_peaks,
+    _windows_per_chunk,
+    correlation_chunks,
 )
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,
@@ -42,35 +36,9 @@ from corrgeom.testkit import (
     BENCHMARK_WINDOW,
     SyntheticSpec,
     coupling_benchmark,
-    max_triangle_area,
     simulate,
-    window_vector,
+    window_measures,
 )
-
-
-def reference_measures(data, window):
-    """Gaps, diameter and max-triangle values, one window and one pair or
-    triple at a time: window_vector per series, pairwise dots, then the
-    scalar spherical_triangle_area on every triple (testkit.max_triangle_area)."""
-    n = len(data)
-    count = data.length - window + 1
-    gaps = np.zeros(count, dtype=bool)
-    diam = np.zeros(count)
-    tri = np.zeros(count)
-    for m in range(count):
-        try:
-            units = [window_vector(s, WindowSpec(m, window)).components for s in data.series]
-        except ZeroVarianceError:
-            gaps[m] = True
-            continue
-        rho = np.eye(n)
-        for i, j in itertools.combinations(range(n), 2):
-            rho[i, j] = rho[j, i] = min(1.0, max(-1.0, float(units[i] @ units[j])))
-        d = angular_distances(rho, PROJECTIVE)
-        assert verify_metric_axioms(d).passed
-        diam[m] = max(d[i, j] for i, j in itertools.combinations(range(n), 2))
-        tri[m] = max_triangle_area(d)
-    return gaps, {KIND_DIAMETER: diam, KIND_MAX_TRIANGLE: tri}
 
 
 def held_input():
@@ -102,6 +70,15 @@ def test_wide_windows_share_a_chunk(n):
     assert size * max(n * 101, n * n) <= CHUNK_ELEMENTS
 
 
+@pytest.mark.parametrize(
+    "window, stride, message",
+    [(1, 1, "window size must be >= 2, got 1"), (21, 0, "stride must be >= 1, got 0")],
+)
+def test_the_engine_rejects_a_window_below_2_or_a_stride_below_1(window, stride, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        next(correlation_chunks(held_input(), window, stride))
+
+
 def set_chunk_elements(monkeypatch, chunk_elements):
     if chunk_elements is not None:
         monkeypatch.setattr("corrgeom.events.CHUNK_ELEMENTS", chunk_elements)
@@ -118,7 +95,7 @@ def set_chunk_elements(monkeypatch, chunk_elements):
 def test_sliding_measures_match_scalar_route(monkeypatch, data, n_gaps, chunk_elements):
     set_chunk_elements(monkeypatch, chunk_elements)
     window = BENCHMARK_WINDOW
-    gaps, want = reference_measures(data, window)
+    gaps, want = window_measures(data, window)
     assert gaps.sum() == n_gaps
     got = sliding_measures(data, window)
     assert [s.kind for s in got] == [KIND_DIAMETER, KIND_MAX_TRIANGLE]
@@ -136,31 +113,6 @@ def test_sliding_measures_match_scalar_route(monkeypatch, data, n_gaps, chunk_el
         for e, r in zip(found, expected):
             assert e.value == pytest.approx(r.value, abs=1e-12)
             assert e.prominence == pytest.approx(r.prominence, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "data", [data for _, data, _ in INPUTS], ids=[name for name, _, _ in INPUTS]
-)
-def test_windows_cleared_by_the_error_bound_give_the_scanned_measures(monkeypatch, data):
-    # Every window of these inputs is cleared, so none is scanned; with the
-    # bound forced to clear nothing, every window is scanned.
-    errors = []
-
-    def recorded(rho, window):
-        errors.append(_margin_error_bound(rho, window))
-        return errors[-1]
-
-    monkeypatch.setattr("corrgeom.events._margin_error_bound", recorded)
-    cleared = sliding_measures(data, BENCHMARK_WINDOW)
-    assert (np.concatenate(errors) <= TRIANGLE_TOL).all()
-    monkeypatch.setattr(
-        "corrgeom.events._margin_error_bound", lambda rho, window: np.full(len(rho), np.inf)
-    )
-    for a, b in zip(cleared, sliding_measures(data, BENCHMARK_WINDOW), strict=True):
-        assert a.kind == b.kind
-        assert a.timestamps.tobytes() == b.timestamps.tobytes()
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.gaps.tobytes() == b.gaps.tobytes()
 
 
 def test_the_triangle_measure_holds_no_array_of_every_triple():
@@ -184,46 +136,90 @@ def test_the_triangle_measure_holds_no_array_of_every_triple():
 )
 @pytest.mark.parametrize("chunk_elements", [None, 1])
 def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elements, kinds):
-    # Near-copies of one series: window 0 passes, window 1 (tick 102) breaks
-    # the triangle inequality by more than the tolerance. The triangle
-    # measure adds no check of its own, so every kind raises the same error.
+    # Samples of unit scale up to sample 21, of scale 1e-160 after it: their
+    # squares are subnormal, so window 22 (tick 144), the first with no sample
+    # of unit scale, fails the unit-row check. The unit rows are the only
+    # check, so every kind raises the same error.
     set_chunk_elements(monkeypatch, chunk_elements)
-    x = np.sin(np.arange(60) / 3)
     rng = np.random.default_rng(0)
+    scale = np.where(np.arange(60) < 22, 1.0, 1e-160)
     data = TimeSeriesSet(
-        tuple(TimeSeries(f"s{i}", 100, 2, x + 1e-8 * rng.normal(size=60)) for i in range(4))
+        tuple(TimeSeries(f"s{i}", 100, 2, scale * rng.normal(size=60)) for i in range(4))
     )
-    with pytest.raises(MetricViolationError, match=r"^window@102: distance matrix fails"):
+    with pytest.raises(ValueError, match=r"^window@144: components of 's0' are not unit length"):
         sliding_measures(data, BENCHMARK_WINDOW, kinds=kinds)
-    # Independent noise up to sample 700, near-copies after it: the first
-    # failing window, 701, is the 78th of the third 312-window chunk.
+    # Unit scale up to sample 700, tiny after it: the first failing window,
+    # 701, is the 78th of the third 312-window chunk.
     t = np.arange(900)
     late = TimeSeriesSet(
         tuple(
-            TimeSeries(f"s{i}", 0, 1, np.where(t <= 700, noise, np.sin(t / 3) + 1e-9 * noise))
+            TimeSeries(f"s{i}", 0, 1, np.where(t <= 700, noise, 1e-160 * noise))
             for i, noise in enumerate(np.random.default_rng(0).normal(size=(5, 900)))
         )
     )
     if chunk_elements is None:
         assert _windows_per_chunk(5, BENCHMARK_WINDOW) == 312
-    with pytest.raises(MetricViolationError, match=r"^window@701: distance matrix fails"):
+    with pytest.raises(ValueError, match=r"^window@701: components of 's0' are not unit"):
         sliding_measures(late, BENCHMARK_WINDOW, kinds=kinds)
 
 
 def test_the_chunk_check_is_the_final_verdict(monkeypatch):
-    # The chunk's axiom check is the only verdict: a window it fails raises,
-    # though its matrix passes on its own. Here window 3 of a passing input,
-    # in the first chunk, which holds 390 windows.
-    data = simulate(coupling_benchmark(0))
+    # The chunk's unit-row check is the only verdict on its windows, and it
+    # names the window of its first failing row from the chunk's own arrays.
+    # The held input's one chunk holds windows 0..179 and gaps 100..109, so
+    # flat row 602 of its 170 checked windows is series s3 of window 110.
+    data = held_input()
+    assert _windows_per_chunk(6, BENCHMARK_WINDOW) > 180
 
-    def fail_window_3(dist, **kwargs):
-        stats = _axiom_stats(dist, **kwargs)
-        stats.passed[3] = False
-        return stats
+    def fail_row_602(units, ids):
+        if len(units) < 101:
+            return None
+        return 602, f"components of {ids[602 % len(ids)]!r} made to fail"
 
-    monkeypatch.setattr("corrgeom.events._axiom_stats", fail_window_3)
-    with pytest.raises(MetricViolationError, match=rf"^window@{data.tick(3)}: "):
+    monkeypatch.setattr("corrgeom.events._bad_unit_row", fail_row_602)
+    with pytest.raises(ValueError, match=r"^window@110: components of 's3' made to fail$"):
         sliding_measures(data, BENCHMARK_WINDOW)
+
+
+def near_copies(eps, length=200, negate=()):
+    """Four series sin(t/3) + eps * noise, the columns in ``negate`` negated."""
+    x = np.sin(np.arange(length) / 3)
+    rng = np.random.default_rng(0)
+    columns = [x + eps * rng.normal(size=length) for _ in range(4)]
+    return TimeSeriesSet(
+        tuple(TimeSeries(f"s{i}", 0, 1, -c if i in negate else c) for i, c in enumerate(columns))
+    )
+
+
+@pytest.mark.parametrize("negate", [(), (1,)], ids=["copies", "negated"])
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+def test_near_copies_give_the_per_window_measures_without_an_axiom_check(
+    monkeypatch, eps, negate
+):
+    # arccos alone puts these windows' margins near -1.5e-8, past
+    # TRIANGLE_TOL; the chord form proves them within B(21) = 1.35e-10, so
+    # the engine checks no distance and scans no margin.
+    calls = []
+
+    def counted(name):
+        function = getattr(metric, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return call
+
+    for name in ("_axiom_stats", "_min_triangle_margins", "_worst_triangle",
+                 "verify_metric_axioms"):
+        monkeypatch.setattr(metric, name, counted(name))
+        monkeypatch.setattr(f"corrgeom.events.{name}", getattr(metric, name), raising=False)
+    data = near_copies(eps, negate=negate)
+    got = sliding_measures(data, BENCHMARK_WINDOW)
+    assert calls == []
+    gaps, want = window_measures(data, BENCHMARK_WINDOW)
+    for series in got:
+        assert not series.gaps.any() and not gaps.any()
+        assert np.abs(series.values - want[series.kind]).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,9 +231,14 @@ def test_the_chunk_check_is_the_final_verdict(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sliding_measures_ignore_series_order_and_sign(data, n, window, stride, seed):
+    # Some columns are near-copies of column 0, some of them negated, so
+    # their |rho| is near 1 and their distances take the chord form.
     rng = np.random.default_rng(seed)
     length = window + int(rng.integers(0, 40))
     columns = rng.normal(size=(n, length))
+    for i in range(1, data.draw(st.integers(0, n - 1)) + 1):
+        eps = data.draw(st.sampled_from([0.0, 1e-10, 1e-8, 1e-4]))
+        columns[i] = rng.choice([-1.0, 1.0]) * (columns[0] + eps * rng.normal(size=length))
     held = int(rng.integers(0, n))
     start = int(rng.integers(0, length))
     columns[held, start : start + window + 2] = columns[held, start]  # gaps some windows
@@ -253,7 +254,7 @@ def test_sliding_measures_ignore_series_order_and_sign(data, n, window, stride, 
         assert a.kind == b.kind
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.gaps, b.gaps)
-        assert np.abs(a.values - b.values).max() <= 1e-12
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def measure(values, gaps=()):

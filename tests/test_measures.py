@@ -22,7 +22,7 @@ from corrgeom.measures import (
     _triangle_areas,
     _triangle_sides,
 )
-from corrgeom.metric import PROJECTIVE, _axiom_stats, _margin_error_bound, angular_distances
+from corrgeom.metric import PROJECTIVE, angular_distances
 from corrgeom.testkit import girard_area, max_triangle_area
 
 # Frozen oracle values (independently computed; see matching oracle tests).
@@ -260,26 +260,19 @@ def test_the_slab_kernel_equals_max_simplex_volume_byte_for_byte(seed, count, n,
     # Projective distances as the engine computes them, exactly symmetric,
     # from random unit vectors with some rows repeated verbatim. The kernel
     # equals the all-triples form bit for bit and the scalar loop within 1e-12.
+    # Verbatim copies are 0 apart by the chord, so every triple has valid
+    # sides: the pinned example's three copies once rounded to sides such as
+    # (0, 0, 1.5e-8) through arccos.
     rng = np.random.default_rng(seed)
     units = rng.normal(size=(count, n, 5))
     for src, dst in copies:
         units[:, dst % n] = units[:, src % n]
     units /= np.linalg.norm(units, axis=-1, keepdims=True)
-    rho = correlation_from_units(units)
-    dist = angular_distances(rho, PROJECTIVE)
-    passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, 5)).passed
+    dist = angular_distances(correlation_from_units(units), units, PROJECTIVE)
     got = _max_triangle_areas(dist)
     upper = ~np.tri(n, dtype=bool)
     all_triples = np.nonzero(upper[:, :, None] & upper[None, :, :])
     for w, d in enumerate(dist):
-        try:
-            scalar = max_triangle_area(d)
-        except InvalidTriangleError:
-            # Verbatim copies can round to sides such as (0, 0, 1.5e-8). The
-            # kernel assumes valid sides, so the engine's check must stop
-            # such a window before the kernel sees it.
-            assert not passed[w]
-            continue
         want = _triangle_areas(*_triangle_sides(d[None], *all_triples)).max()
         assert got[w].tobytes() == want.tobytes()
-        assert abs(got[w] - scalar) <= 1e-12
+        assert abs(got[w] - max_triangle_area(d)) <= 1e-12

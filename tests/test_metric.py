@@ -3,40 +3,38 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
-from corrgeom import (
-    AngleDomainError,
-    TimeSeries,
-    TimeSeriesSet,
-    WindowSpec,
-    verify_metric_axioms,
-)
+from corrgeom import TimeSeries, TimeSeriesSet, verify_metric_axioms
 from corrgeom import metric
 from corrgeom.correlation import correlation_from_units
 from corrgeom.metric import (
+    NEAR_ONE,
     PROJECTIVE,
     SPHERICAL,
     TRIANGLE_TOL,
     _axiom_stats,
-    _margin_error_bound,
     _worst_triangle,
     angular_distances,
 )
 from corrgeom.series import NORM_TOL
 from corrgeom.testkit import (
+    AngleDomainError,
+    WindowSpec,
     _check_unit_rows,
+    _one_window_units,
     correlation_angle,
     max_triangle_area,
     projective_angle,
-    window_correlations,
 )
 
 
-def random_corr(rng, n, k=20):
+def random_distances(rng, n, kind, k=20):
+    """angular_distances of n random series over one window of k samples."""
     s = TimeSeriesSet(tuple(TimeSeries(f"s{i}", 0, 1, rng.normal(size=k)) for i in range(n)))
-    return window_correlations(s, WindowSpec(0, k))
+    units = _one_window_units(s.matrix(), s.ids, WindowSpec(0, k))
+    return angular_distances(correlation_from_units(units), units, kind)
 
 
 class TestAngles:
@@ -73,14 +71,40 @@ class TestAngles:
 
 class TestDistanceMatrix:
     def test_identity_correlations_projective(self):
-        dm = angular_distances(np.eye(3), PROJECTIVE)
+        dm = angular_distances(np.eye(3), np.eye(3), PROJECTIVE)
         off = dm[~np.eye(3, dtype=bool)]
         assert np.all(off == math.pi / 2)
         assert np.all(np.diagonal(dm) == 0.0)
 
     def test_all_ones_gives_zero_matrix(self):
         for kind in (SPHERICAL, PROJECTIVE):
-            assert np.all(angular_distances(np.ones((3, 3)), kind) == 0.0)
+            assert np.all(angular_distances(np.ones((3, 3)), np.ones((3, 1)), kind) == 0.0)
+
+    def test_opposite_copies_are_pi_apart_on_the_sphere_and_0_as_lines(self):
+        units = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        rho = units @ units.T
+        assert angular_distances(rho, units, SPHERICAL)[0, 1] == math.pi
+        assert angular_distances(rho, units, PROJECTIVE)[0, 1] == 0.0
+
+    def test_only_entries_near_one_take_the_chord(self):
+        # Angles just inside and just outside the chord's range, |rho| on
+        # either side of 1 - NEAR_ONE, and their negations.
+        edge = math.acos(1.0 - NEAR_ONE)
+        angles = np.array([0.0, edge * 0.999, edge * 1.001, 1e-9, 0.5])
+        units = np.column_stack([np.cos(angles), np.sin(angles)])
+        units = np.vstack([units, -units])
+        rho = np.clip(units @ units.T, -1.0, 1.0)
+        for kind, arccos in ((SPHERICAL, np.arccos(rho)), (PROJECTIVE, np.arccos(np.abs(rho)))):
+            got = angular_distances(rho, units, kind)
+            np.fill_diagonal(arccos, 0.0)
+            far = np.abs(rho) <= 1.0 - NEAR_ONE
+            assert got[far].tobytes() == arccos[far].tobytes()
+            assert np.abs(got - arccos).max() < 1e-7  # arccos' error near |rho| = 1
+            assert got.tobytes() == got.T.tobytes()
+        spherical = angular_distances(rho, units, SPHERICAL)
+        # arccos reads rho = 1.0 there as 0; the chord keeps the 1e-9 rad.
+        assert spherical[0, 3] == pytest.approx(1e-9, rel=1e-12)
+        assert spherical[0, 8] == pytest.approx(math.pi - 1e-9, rel=1e-15)
 
     def test_tight_triangle_along_great_circle(self):
         # three unit vectors at 45 degree steps along one great circle
@@ -97,7 +121,7 @@ class TestDistanceMatrix:
         u2 = np.array([0.0, 1.0])
         assert float(u0 @ u1) == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
         assert float(u0 @ u2) == 0.0
-        dm = angular_distances(rho, SPHERICAL)
+        dm = angular_distances(rho, np.array([u0, u1, u2]), SPHERICAL)
         assert dm[0, 1] == pytest.approx(math.pi / 4, abs=1e-15)
         assert dm[0, 2] == pytest.approx(math.pi / 2, abs=1e-15)
         report = verify_metric_axioms(dm)
@@ -107,16 +131,15 @@ class TestDistanceMatrix:
 
     def test_kinds_bound_entries(self):
         rng = np.random.default_rng(2)
-        corr = random_corr(rng, 5)
-        assert angular_distances(corr, SPHERICAL).max() <= math.pi
-        assert angular_distances(corr, PROJECTIVE).max() <= math.pi / 2
+        assert random_distances(rng, 5, SPHERICAL).max() <= math.pi
+        assert random_distances(np.random.default_rng(2), 5, PROJECTIVE).max() <= math.pi / 2
 
 
 class TestVerifyMetricAxioms:
     def test_construction_output_passes(self):
         rng = np.random.default_rng(4)
         for n in (3, 5, 8):
-            assert verify_metric_axioms(angular_distances(random_corr(rng, n), PROJECTIVE)).passed
+            assert verify_metric_axioms(random_distances(rng, n, PROJECTIVE)).passed
 
     def test_planted_violation_reported(self):
         bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
@@ -280,37 +303,16 @@ def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name, monkeypatch):
     check()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
-@pytest.mark.parametrize("name", list(STACKS))
-def test_axiom_stats_scan_only_the_matrices_not_cleared(name, monkeypatch):
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=COUNTS, n=st.integers(0, 9), scan=SCAN_SIZES)
-    def check(seed, count, n, scan):
-        monkeypatch.setattr(metric, "SCAN_ELEMENTS", scan)
-        rng = np.random.default_rng(seed)
-        m = STACKS[name](rng, count, n)
-        margin_error = rng.choice([0.0, TRIANGLE_TOL, 2 * TRIANGLE_TOL, np.inf, np.nan], len(m))
-        got = _axiom_stats(m, margin_error=margin_error)
-        (_, symmetry, diagonal, min_entry, min_margin), _, _ = reference_axiom_stats(m)
-        if m.shape[-1] >= 3:
-            min_margin = np.where(margin_error <= TRIANGLE_TOL, -margin_error, min_margin)
-        passed = (np.maximum(symmetry, diagonal) <= TRIANGLE_TOL) & (
-            np.minimum(min_entry, min_margin) >= -TRIANGLE_TOL
-        )
-        assert_same_arrays(got, (passed, symmetry, diagonal, min_entry, min_margin))
-
-    check()
-
-
-def unit_rows(rng, n, window, gap, on_circle, all_longer):
+def unit_rows(rng, n, window, gap, on_circle, all_longer, copies=0):
     """n centred rows of length ``window`` whose norms sit 0.9 * NORM_TOL from 1,
     as far as _check_unit_rows lets them, in random order and with random
     signs. ``on_circle`` of them lie on one great circle, neighbours ``gap``
     to 4 * ``gap`` apart, so every triple among them in circle order has a
-    true projective margin of ~0, and the largest |rho| is at least
-    cos(gap); the rest are random. ``all_longer`` makes every norm
-    1 + 0.9 * NORM_TOL, which shrinks each distance and so pushes the
-    margins of those triples below 0."""
+    true margin of ~0, and the largest |rho| is at least cos(gap); the rest
+    are random. ``all_longer`` makes every norm 1 + 0.9 * NORM_TOL, which
+    shrinks each distance and so pushes the margins of those triples below
+    0. The last ``copies`` rows (at most n - 1) are then verbatim copies of
+    the first, each negated or not."""
     dim = min(n + 1, window - 1)  # the centred subspace has dimension K - 1
     basis = rng.normal(size=(dim, window))
     basis -= basis.mean(axis=1, keepdims=True)
@@ -323,33 +325,65 @@ def unit_rows(rng, n, window, gap, on_circle, all_longer):
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     stretch = np.ones(n) if all_longer else rng.choice([-1.0, 1.0], n)
     rows *= (rng.choice([-1.0, 1.0], n) * (1 + 0.9 * NORM_TOL * stretch))[:, None]
+    for dst in range(n - min(copies, n - 1), n):
+        rows[dst] = rng.choice([-1.0, 1.0]) * rows[0]
     return rows[rng.permutation(n)]
 
 
-# The geodesic gap spans the edge of what the bound clears, near 1e-2 rad
-# (|rho| ~ 0.99995) for every window length drawn.
+def margin_bound(window):
+    """B(K) of metric.angular_distances' proof: no triangle margin of a stack
+    of distances between checked unit rows of length K is below -B(K)."""
+    u = 2.0**-53
+    gamma1, gamma2, gamma3 = (k * u / (1 - k * u) for k in (window, window + 1, window + 2))
+    eta = (NORM_TOL + gamma2) / (1 - gamma2)
+    eps_rho = gamma1 * (1 + eta) ** 2 + 2 * eta + eta**2
+    r = 1 - NEAR_ONE + eps_rho
+    eps_a = eps_rho / math.sqrt((1 - r) * (1 + r)) + 2.0**-48
+    t = math.sqrt(2 * (NEAR_ONE + eps_rho)) + 2 * eta
+    t1 = t * (1 + gamma3)
+    eps_c = (2 * eta + gamma3 * t) / math.sqrt(1 - t1 * t1 / 4) + 2.0**-48
+    return 3 * max(eps_a, eps_c) + (2 + u) * 2 * math.pi * u
+
+
+def test_the_bound_is_below_the_tolerance_up_to_k_38700():
+    # The figures that metric.TRIANGLE_TOL's comment and the proof quote.
+    for window in (21, 101):
+        assert 1.34e-10 < margin_bound(window) < 1.37e-10
+    assert margin_bound(38_700) < TRIANGLE_TOL < margin_bound(38_800)
+
+
+# The geodesic gap spans both sides of the chord's edge, near 0.045 rad
+# (|rho| = 1 - NEAR_ONE), down to near-copies whose |rho| rounds to 1.
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 8),
     window=st.integers(3, 4000),
-    log_gap=st.floats(-3.0, -1.0),
+    log_gap=st.floats(-8.0, -1.0),
     on_circle=st.integers(3, 8),
     all_longer=st.booleans(),
+    copies=st.integers(0, 3),
+    kind=st.sampled_from([SPHERICAL, PROJECTIVE]),
 )
+@example(seed=0, n=4, window=21, log_gap=-8.0, on_circle=4, all_longer=True, copies=2,
+         kind=PROJECTIVE)
 def test_a_cleared_window_passes_within_its_error_bound(
-    seed, n, window, log_gap, on_circle, all_longer
+    seed, n, window, log_gap, on_circle, all_longer, copies, kind
 ):
+    # Every window is cleared: its margins are proven >= -B(K), which is
+    # within TRIANGLE_TOL for every K drawn, and its stack is a metric.
     rng = np.random.default_rng(seed)
-    units = unit_rows(rng, n, window, 10.0**log_gap, min(on_circle, n), all_longer)
+    units = unit_rows(rng, n, window, 10.0**log_gap, min(on_circle, n), all_longer, copies)
     _check_unit_rows(units, [f"s{i}" for i in range(n)])  # the bound's premise
     rho = correlation_from_units(units[None])
-    error = _margin_error_bound(rho, window)[0]
-    stats = _axiom_stats(angular_distances(rho, PROJECTIVE))
-    if error <= TRIANGLE_TOL:
-        target(float(-stats.min_margin[0] / error))
-        assert stats.passed[0]
-        assert stats.min_margin[0] >= -error
+    dist = angular_distances(rho, units[None], kind)
+    stats = _axiom_stats(dist)
+    bound = margin_bound(window)
+    target(float(-stats.min_margin[0] / bound))
+    assert stats.symmetry[0] == 0.0 and stats.diagonal[0] == 0.0
+    assert 0.0 <= dist.min() and dist.max() <= (math.pi if kind == SPHERICAL else math.pi / 2)
+    assert stats.min_margin[0] >= -bound
+    assert stats.passed[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,34 +395,19 @@ def test_a_cleared_window_passes_within_its_error_bound(
     log_gap=st.floats(-8.0, -1.0),
     on_circle=st.integers(3, 8),
     all_longer=st.booleans(),
+    copies=st.integers(0, 3),
 )
 def test_a_window_that_passes_the_engine_checks_has_valid_triangles(
-    seed, count, n, window, log_gap, on_circle, all_longer
+    seed, count, n, window, log_gap, on_circle, all_longer, copies
 ):
-    # sliding_measures runs no triangle check of its own: the axiom check,
-    # skipped scan included, must imply every side is valid.
+    # sliding_measures checks the unit rows and nothing after them: its
+    # distances must give every triple valid sides.
     rng = np.random.default_rng(seed)
     gap = 10.0**log_gap
     units = np.stack(
-        [unit_rows(rng, n, window, gap, min(on_circle, n), all_longer) for _ in range(count)]
+        [unit_rows(rng, n, window, gap, min(on_circle, n), all_longer, copies)
+         for _ in range(count)]
     )
-    rho = correlation_from_units(units)
-    dist = angular_distances(rho, PROJECTIVE)
-    passed = _axiom_stats(dist, margin_error=_margin_error_bound(rho, window)).passed
-    for w in np.flatnonzero(passed):
-        max_triangle_area(dist[w])  # raises InvalidTriangleError on invalid sides
-
-
-def test_the_bound_clears_what_it_can_prove_and_no_near_copy():
-    # Geodesic neighbours at 0.1 rad clear with room to spare, at 1e-3 rad
-    # they do not, and rows with |rho| rounded to 1 get no finite bound.
-    rng = np.random.default_rng(3)
-    for gap, cleared in ((1e-1, True), (1e-3, False)):
-        rho = correlation_from_units(unit_rows(rng, 6, 101, gap, 6, True)[None])
-        error = _margin_error_bound(rho, 101)[0]
-        assert (error <= TRIANGLE_TOL) == cleared
-        stats = _axiom_stats(angular_distances(rho, PROJECTIVE))
-        assert stats.min_margin[0] < 0.0  # the longer norms do push margins below 0
-    rho = np.ones((2, 3, 3))
-    rho[1, 0, 1] = rho[1, 1, 0] = np.nan
-    assert np.isinf(_margin_error_bound(rho, 21)).all()
+    dist = angular_distances(correlation_from_units(units), units, PROJECTIVE)
+    for d in dist:
+        max_triangle_area(d)  # raises InvalidTriangleError on invalid sides

@@ -12,14 +12,14 @@ from corrgeom import (
     IngestError,
     TimeSeries,
     TimeSeriesSet,
-    WindowSpec,
-    ZeroVarianceError,
     read_timeseries_csv,
     write_timeseries_csv,
 )
 from corrgeom import cli, series
 from corrgeom.testkit import (
     CenteredUnitVector,
+    WindowSpec,
+    ZeroVarianceError,
     _one_window_units,
     window_correlations,
     window_vector,
@@ -55,20 +55,6 @@ class TestTimeSeriesValidation:
     def test_set_rejects_duplicate_ids(self):
         with pytest.raises(DuplicateIdError):
             TimeSeriesSet((ts("a", [1, 2]), ts("a", [3, 4])))
-
-
-class TestWindowSpec:
-    def test_rejects_short_window(self):
-        with pytest.raises(ValueError):
-            WindowSpec(0, 1)
-
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ValueError):
-            WindowSpec(0, 2, 0)
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            WindowSpec(-1, 2)
 
 
 @pytest.mark.parametrize(
