@@ -13,8 +13,9 @@ CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
 distances, the measures) runs once per chunk on the whole stack. No
 per-window object is built. The triangle measure walks the triples one
 first index at a time, so no array holds more than about n^2 / 2 of them
-per window. The unit rows of a chunk are checked, and the first failing
-row raises its error, prefixed with ``window@<tick>``.
+per window. No unit row is checked: series._window_units proves every unit
+row of a window with no constant series finite and within eta(K) of unit
+norm, for a series in any units, so no window's values make the engine raise.
 
 ``sliding_measures`` runs no metric-axiom check on its distances: that
 they form a metric to within a bound far below TRIANGLE_TOL is proven in
@@ -48,7 +49,7 @@ from .correlation import correlation_from_units
 from .errors import TooFewPointsError, WindowTooLongError
 from .measures import _diameters, _max_triangle_areas
 from .metric import PROJECTIVE, angular_distances
-from .series import Frozen, TimeSeriesSet, _bad_unit_row, _window_units
+from .series import Frozen, TimeSeriesSet, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
 # windows: the (windows, n, K) window rows or the (windows, n, n) matrices;
@@ -140,31 +141,28 @@ def correlation_chunks(
     and their unit rows (len(m), n, K), which metric.angular_distances needs
     where |rho| is near 1.
 
-    A chunk is a (windows, n, K) stack centred, normalised and checked in one
-    array pass. The first unit row that fails the check raises its error,
-    naming its window (flat row // n).
+    A chunk is a (windows, n, K) stack scaled, centred and normalised in one
+    array pass by series._window_units, whose proof covers every finite row,
+    so no chunk raises. A window below 2 or a stride below 1 raises
+    ValueError here, before any chunk.
     """
     if window < 2:
         raise ValueError(f"window size must be >= 2, got {window}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    return _chunks(ts_set, window, stride)
+
+
+def _chunks(ts_set: TimeSeriesSet, window: int, stride: int):
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
     size = _windows_per_chunk(len(ts_set), window)
     for lo in range(0, view.shape[1], size):
-        # Sums that overflow leave a non-finite row, which the check names;
-        # numpy's warnings about them would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            units, norms = _window_units(view[:, lo : lo + size].transpose(1, 0, 2).copy())
-            good = norms.all(axis=-1)
-            ms = good.nonzero()[0] + lo
-            if ms.size < len(units):
-                units = units[good]
-            bad = _bad_unit_row(units, ts_set.ids)
-            if bad:
-                m = int(ms[bad[0] // len(ts_set)])
-                raise ValueError(f"window@{ts_set.tick(m * stride)}: {bad[1]}")
-            rho = correlation_from_units(units)
-        yield ms, rho, units
+        units, norms = _window_units(view[:, lo : lo + size].transpose(1, 0, 2).copy())
+        good = norms.all(axis=-1)
+        ms = good.nonzero()[0] + lo
+        if ms.size < len(units):
+            units = units[good]
+        yield ms, correlation_from_units(units), units
 
 
 def sliding_measures(
@@ -178,18 +176,20 @@ def sliding_measures(
     The window starting at sample t covers samples [t, t + window) and is
     stamped at the tick of sample t. Produces floor((length - window) /
     stride) + 1 points per requested kind. A constant series gaps the window
-    for every kind.
+    for every kind. A window below 2 or a stride below 1 raises ValueError,
+    from correlation_chunks.
 
     No window's distances are checked, because every window's distances are
     a metric to within rounding that is proven small, and the measures need
     nothing more. metric.angular_distances gives each chunk an exactly
-    symmetric stack with a zero diagonal, finite since the unit rows were
-    checked, with entries in [0, pi/2], whose triangle margins are all
-    >= -B(K), with B(K) proven there: 1.35e-10 at K = 21 and 101, below
-    TRIANGLE_TOL up to K near 38,700. So every triple has sides a <= b <= c
-    that measures._validate_sides accepts in that range: a >= 0, a + b - c
-    is one of those margins bit for bit (the stack is exactly symmetric and
-    IEEE addition commutes), and a + b + c <= 3 pi/2 < 2 pi. Beyond that K
+    symmetric stack with a zero diagonal, finite since the unit rows are
+    (series._window_units), with entries in [0, pi/2], whose triangle
+    margins are all >= -B(K), with B(K) proven there: 3.55e-13 at K = 21 and
+    1.55e-12 at K = 101, below TRIANGLE_TOL up to K near 67,100. So every
+    triple has sides a <= b <= c that measures._validate_sides accepts in
+    that range: a >= 0, a + b - c is one of those margins bit for bit (the
+    stack is exactly symmetric and IEEE addition commutes), and
+    a + b + c <= 3 pi/2 < 2 pi. Beyond that K
     no measure needs the margins within the tolerance: the diameter is a
     maximum, and measures._triangle_areas gives area 0 to any triple whose
     margin is <= TRIANGLE_TOL.
@@ -213,12 +213,13 @@ def sliding_measures(
     if n < 3 and triangles:
         raise TooFewPointsError("the triangle measure needs at least 3 series")
 
+    chunks = correlation_chunks(ts_set, window, stride)
     count = (ts_set.length - window) // stride + 1
     timestamps = ts_set.start + ts_set.step * stride * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = np.ones(count, dtype=bool)  # until evaluated, for every kind
 
-    for ms, rho, units in correlation_chunks(ts_set, window, stride):
+    for ms, rho, units in chunks:
         dist = angular_distances(rho, units, PROJECTIVE)
         gaps[ms] = False
         if KIND_DIAMETER in kinds:

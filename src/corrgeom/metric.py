@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 # Triangle-inequality slack. angular_distances' margins are proven to fall no
-# further below zero than B(K), 1.35e-10 at K = 21 and 101, and B(K) reaches
-# this tolerance near K = 38,700 samples (see angular_distances).
+# further below zero than B(K), 3.55e-13 at K = 21 and 1.55e-12 at K = 101,
+# and B(K) reaches this tolerance near K = 67,100 samples (see
+# angular_distances).
 TRIANGLE_TOL = 1e-9
 
 # angular_distances takes each entry with |rho| > 1 - NEAR_ONE from the chord
@@ -249,19 +250,20 @@ def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE
     rho into errors near sqrt(u) (u = 2^-53); the chord has no such factor.
 
     A proof that every triangle margin d_ij + d_jk - d_ik of such a stack is
-    >= -B(K), from rows of length K that passed the engine's unit-row check
-    (series._bad_unit_row) and rho from correlation_from_units. gamma_k =
-    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., section 3.1) and delta = NEAR_ONE.
+    >= -B(K), from the unit rows of length K that series._window_units gives
+    a window with no constant series and rho from correlation_from_units.
+    u = 2^-53, gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1) and delta = NEAR_ONE. A
+    product or square below the normal range errs by at most 2^-1075.
 
-    1. Norms. The check computed each norm N = ||x|| (1 + t), |t| <= gamma_(K+1),
-       and found |N - 1| <= NORM_TOL. So |||x|| - 1| <= eta = (NORM_TOL +
-       gamma_(K+1)) / (1 - gamma_(K+1)).
+    1. Norms. series._window_units proves |||x|| - 1| <= eta = eta(K), about
+       (K / 2 + 2) u, for every such row.
     2. Correlations. Let c = x_i.x_j / (||x_i|| ||x_j||), the exact cosine of the
        two rows. The computed dot product, in any summation order, is within
-       gamma_K (1 + eta)^2 of x_i.x_j, which is within (1 + eta)^2 - 1 of c, and
-       clipping to [-1, 1] moves no entry away from c. So |rho - c| <= eps_rho =
-       gamma_K (1 + eta)^2 + 2 eta + eta^2.
+       gamma_K (1 + eta)^2 + K 2^-1074 of x_i.x_j, which is within
+       (1 + eta)^2 - 1 of c, and clipping to [-1, 1] moves no entry away from
+       c. So |rho - c| <= eps_rho = gamma_K (1 + eta)^2 + 2 eta + eta^2 +
+       K 2^-1074.
     3. arccos entries. Here |rho| <= 1 - delta, so rho and c lie in [-r, r] with
        r = 1 - delta + eps_rho, where arccos has slope at most 1 / sqrt(1 - r^2).
        With E = 2^-48 for the error of one np.arccos result (16 ulps at pi/2;
@@ -276,19 +278,22 @@ def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE
        (spherical, as s is 1 or -1). ||x_i - s x_j|| is within 2 eta of
        ||a - s b|| <= sqrt(2 (delta + eps_rho)), so at most t = sqrt(2 (delta +
        eps_rho)) + 2 eta; the subtraction and the norm add a relative error of
-       at most gamma_(K+2). 2 asin(y / 2) has slope at most 1 / sqrt(1 - t'^2 / 4)
-       for y <= t' = t (1 + gamma_(K+2)). So each entry is within eps_c =
-       (2 eta + gamma_(K+2) t) / sqrt(1 - t'^2 / 4) + E of the exact angle; E
-       also covers np.arcsin, the error of np.pi and the rounding of pi - phi.
+       at most gamma_(K+2), and squares below the normal range an absolute
+       one of at most v = sqrt(K) 2^-537. 2 asin(y / 2) has slope at most
+       1 / sqrt(1 - t'^2 / 4) for y <= t' = t (1 + gamma_(K+2)) + v. So each
+       entry is within eps_c = (2 eta + gamma_(K+2) t + v) / sqrt(1 - t'^2 / 4)
+       + E of the exact angle; E also covers np.arcsin, the error of np.pi and
+       the rounding of pi - phi.
     5. Margins. The exact angles are metrics (between directions; between
        lines, minimised over the sign), so their margins are >= 0, and each
        computed entry is within eps_d = max(eps_a, eps_c) of its exact angle.
        The two roundings of a margin, on sums of at most 2 pi, add at most
        (2 + u) 2 pi u. So every margin is >= -B(K) = -(3 eps_d + (2 + u) 2 pi u).
 
-    B(K) is 1.35e-10 at K = 21 and 101, eps_a dominating, and reaches
-    TRIANGLE_TOL near K = 38,700. The entries are finite, since the checked
-    rows are, and lie in [0, pi/2] for projective and [0, pi] for spherical.
+    B(K) is 3.55e-13 at K = 21 and 1.55e-12 at K = 101, eps_a dominating,
+    and reaches TRIANGLE_TOL near K = 67,100. The entries are finite, since
+    the unit rows are, and lie in [0, pi/2] for projective and [0, pi] for
+    spherical.
     """
     magnitude = np.abs(rho)
     if kind == SPHERICAL:

@@ -22,35 +22,11 @@ import numpy as np
 
 from .errors import DuplicateIdError, IngestError
 
-# Tolerances for the centered-unit-vector invariants:
-# |sum(components)| <= SUM_TOL * K  and  | ||v|| - 1 | <= NORM_TOL.
-SUM_TOL = 1e-12
-NORM_TOL = 1e-12
-
 
 def _as_readonly_floats(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-def _bad_unit_row(rows: np.ndarray, ids) -> tuple[int, str] | None:
-    """The flat index of the first row of an (..., n, K) stack that breaks a
-    centered-unit-vector invariant (finite components, zero sum and unit
-    norm) and the error naming it, or None. Each bound is tested as "not
-    within", so that a NaN fails it."""
-    bad_sum = ~(np.abs(rows.sum(axis=-1)) <= SUM_TOL * rows.shape[-1])
-    norms = np.linalg.norm(rows, axis=-1)
-    bad = np.flatnonzero(bad_sum | ~(np.abs(norms - 1.0) <= NORM_TOL))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    sid = ids[i % len(ids)]
-    if not np.isfinite(rows.reshape(-1, rows.shape[-1])[i]).all():
-        return i, f"components of {sid!r} are not finite"
-    if bad_sum.flat[i]:
-        return i, f"components of {sid!r} do not sum to zero within {SUM_TOL}*K"
-    return i, f"components of {sid!r} are not unit length (norm {norms.flat[i]})"
 
 
 class Frozen:
@@ -153,10 +129,63 @@ class TimeSeriesSet(Frozen):
 
 
 def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre each row of a writable (..., n, K) stack of windows in place,
-    twice, the second pass removing the first's rounding residue for large
-    offsets, and scale it to unit norm. Returns the stack and the norms; a row
-    of zero norm (a constant series) is left unscaled."""
+    """Scale each row of a writable (..., n, K) stack of windows in place by
+    a power of two, centre it twice, the second pass removing the first's
+    rounding residue for large offsets, and scale it to unit norm. Returns
+    the stack and the norms of the scaled, centred rows; a row of norm 0 is
+    left unscaled, and its norm is 0 exactly when the row is constant.
+
+    The first step multiplies each row x by 2^-e, e the np.frexp exponent of
+    its largest |value| (0 for a zero row). Rounding commutes with a
+    power-of-two scaling wherever a result is zero or normal, so where every
+    scaled value and every intermediate of the kernel without this step is,
+    the unit rows are bit for bit what that kernel gives, in any units.
+
+    A proof that for any finite row (TimeSeries rejects NaN and inf) with
+    K < 2^25 no operation overflows, the norm is 0 exactly when the row is
+    constant, and every other unit row v has |||v|| - 1| <= eta(K). Here
+    u = 2^-53, gamma_k = k u / (1 - k u), and a sum of k terms, in any order,
+    is within gamma_(k-1) times the sum of their magnitudes of the exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).
+    A product or quotient below the normal range errs by at most 2^-1075; a
+    sum or difference there is exact.
+
+    1. Scaling. The largest |x_i| is f 2^e with f in [1/2, 1), so the scaled
+       row y holds f exactly and, rounding being monotone, every |y_i| <= f.
+    2. No overflow. The first mean mu1 is within gamma_K of the exact mean of
+       y, so |mu1| < 1 + gamma_K, and the centred row z has |z_i| < 2.01. In
+       the same way the second mean mu2 is within 2.01 gamma_K of the exact
+       mean of z, the centred row w has |w_i| < 4.03, and the sum of squares
+       is below 17 K. No result is inf or NaN, so numpy warns of nothing (it
+       ignores underflow), and no norm 0 is divided by.
+    3. Constant rows. If every y_i is a, with |a| = f, mu1 is within
+       gamma_K |a| of a, so a - mu1 = c is exact (Sterbenz), a multiple of
+       2^-54 with |c| <= gamma_K. Every partial sum of K copies of c is a
+       multiple of 2^-54 below 2^-52 K^2 in magnitude, so exact, and mu2 = c.
+       So w = 0 and the norm is 0. A zero row stays zero.
+    4. Other rows. Some y_j is not the entry of magnitude f, since a scaled
+       value that rounds to the normal f was exact. The two differ by more
+       than 1/4 if y_j has the other sign or a magnitude below 1/4, else by a
+       multiple of 2^-54. So the largest and smallest y_i, p > q, have
+       p - q >= 2^-54. Rounding is monotone, so z's extremes are fl(p - mu1)
+       and fl(q - mu1), and mu1 is within gamma_K of [q, p], the hull of y;
+       they differ by at least (p - q)(1 - u) - 2 u gamma_K. Likewise w's
+       spread is at least (1 - u) times z's less 4.02 u gamma_K, above 2^-55
+       for K < 2^25. So some |w_i| > 2^-56, and ||w|| > 2^-56.
+    5. Norms. Squares below the normal range add at most K 2^-1075 to the
+       sum of squares, a relative K 2^-963 of ||w||^2 > 2^-112. So the
+       computed norm is N = ||w|| sqrt(1 + theta) (1 + d), |theta| <= g =
+       gamma_K + K 2^-962 and |d| <= u, and v_i = fl(w_i / N) is within u
+       |w_i| / N + 2^-1075 of w_i / N. Hence ||v|| <= 1 + eta(K), with
+       eta(K) = (1 + u) / ((1 - u) sqrt(1 - g)) - 1 + sqrt(K) 2^-1075, and
+       ||v|| >= (1 - u) / ((1 + u) sqrt(1 + g)) - sqrt(K) 2^-1075 >= 1 - eta(K),
+       since sqrt(1 + g) sqrt(1 - g) <= 1 puts that quotient at or above
+       1 / (1 + h) >= 1 - h, h = eta(K) - sqrt(K) 2^-1075. eta(K) is about
+       (K / 2 + 2) u: 12.5 u at K = 21 and 52.5 u at K = 101.
+
+    metric.angular_distances builds its error bound on eta(K).
+    """
+    np.ldexp(seg, -np.frexp(np.abs(seg).max(axis=-1))[1][..., None], out=seg)
     seg -= seg.mean(axis=-1, keepdims=True)
     seg -= seg.mean(axis=-1, keepdims=True)
     norms = np.linalg.norm(seg, axis=-1)

@@ -6,10 +6,9 @@ It cross-checks the engine by other routes:
 
 * one window at a time: WindowSpec (one window's start and size),
   _one_window_units (series._window_units on one window, with the fit and
-  constant-series checks), _check_unit_rows (the engine's unit-row check as
-  an error), window_correlations, the per-window reference for the
-  correlations of a chunk, and window_measures, the per-window reference
-  for sliding_measures;
+  constant-series checks), window_correlations, the per-window reference
+  for the correlations of a chunk, and window_measures, the per-window
+  reference for sliding_measures;
 * one series, one pair or one correlation at a time;
 * one triangle at a time: max_triangle_area, the brute-force reference for
   measures._max_triangle_areas, and vertex-angle triangle areas.
@@ -39,9 +38,14 @@ from .series import (
     TimeSeries,
     TimeSeriesSet,
     _as_readonly_floats,
-    _bad_unit_row,
     _window_units,
 )
+
+# CenteredUnitVector's invariants, |sum(components)| <= SUM_TOL * K and
+# | ||v|| - 1 | <= NORM_TOL: a reference the tests hold window_vector to. The
+# engine checks no unit row; series._window_units proves them.
+SUM_TOL = 1e-12
+NORM_TOL = 1e-12
 
 
 class ZeroVarianceError(CorrGeomError):
@@ -67,13 +71,6 @@ class WindowSpec(Frozen):
         self._set(t=t, size=size, stride=stride)
 
 
-def _check_unit_rows(rows: np.ndarray, ids) -> None:
-    """Raise ValueError naming the first row that series._bad_unit_row finds."""
-    bad = _bad_unit_row(rows, ids)
-    if bad:
-        raise ValueError(bad[1])
-
-
 def _one_window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
     """series._window_units for the rows of an (n, length) array over window w.
     Raises ValueError where w does not fit and ZeroVarianceError naming the
@@ -93,12 +90,9 @@ def _one_window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
 
 def window_correlations(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
     """The (n, n) correlations of a set over one window: its centered unit
-    vectors, stacked (n, K) and checked as the engine checks a chunk, through
-    correlation_from_units. Raises ZeroVarianceError naming the first series
-    constant on the window."""
-    units = _one_window_units(ts_set.matrix(), ts_set.ids, w)
-    _check_unit_rows(units, ts_set.ids)
-    return correlation_from_units(units)
+    vectors, stacked (n, K), through correlation_from_units. Raises
+    ZeroVarianceError naming the first series constant on the window."""
+    return correlation_from_units(_one_window_units(ts_set.matrix(), ts_set.ids, w))
 
 
 def max_triangle_area(d: np.ndarray) -> float:
@@ -145,7 +139,11 @@ class CenteredUnitVector(Frozen):
 
     def __init__(self, components: np.ndarray, source_id: str, window_start: int):
         arr = _as_readonly_floats(components)
-        _check_unit_rows(arr.reshape(1, -1), (source_id,))
+        if not abs(arr.sum()) <= SUM_TOL * arr.size:  # also rejects NaN
+            raise ValueError(f"components of {source_id!r} do not sum to zero within {SUM_TOL}*K")
+        norm = np.linalg.norm(arr)
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"components of {source_id!r} are not unit length (norm {norm})")
         self._set(components=arr, source_id=source_id, window_start=window_start)
 
 

@@ -129,24 +129,90 @@ def test_near_copies_give_measures_events_and_a_passing_validate(tmp_path, capsy
     )
 
 
-def test_a_unit_row_failure_names_its_window(tmp_path, capsys):
-    # Deviations near 1e-160 square to subnormals, so the computed norm is off
-    # by more than NORM_TOL and the scaled rows fail the unit-norm check.
+def run_commands(capsys, path, out):
+    """Each file that analyze and events --format svg write under ``out``
+    ({"<command>/<name>": bytes}, manifests left out) and validate's stdout,
+    asserting that all three exit 0 with nothing on stderr."""
+    files = {}
+    for command in ("analyze", "events"):
+        argv = [command, "--input", path, "--out", str(out / command), "--format", "svg"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        for p in sorted((out / command).iterdir()):
+            if p.name != "manifest.json":
+                files[f"{command}/{p.name}"] = p.read_bytes()
+    assert cli.main(["validate", "--input", path]) == 0
+    validate_out, err = capsys.readouterr()
+    assert err == ""
+    return files, validate_out
+
+
+def scaled_csv(tmp_path, name, data, scale):
+    """``data`` with every sample times ``scale``, written to tmp_path / name."""
+    path = tmp_path / name
+    series = tuple(TimeSeries(s.id, s.start, s.step, scale * s.values) for s in data.series)
+    write_timeseries_csv(TimeSeriesSet(series), path)
+    return str(path)
+
+
+def assert_no_gaps(out):
+    for kind in MEASURE_KINDS:
+        rows = csv.DictReader((out / "analyze" / f"measure_{kind}.csv").read_text().splitlines())
+        assert {row["gap"] for row in rows} == {"0"}
+
+
+@pytest.mark.parametrize(
+    "scale, exact",
+    [(2.0**-600, True), (2.0**1000, True), (1e-160, False), (1e-300, False), (1e300, False)],
+    ids=["2^-600", "2^1000", "1e-160", "1e-300", "1e300"],
+)
+def test_a_series_in_any_units_gives_the_unit_scale_results(tmp_path, capsys, scale, exact):
+    # Samples near 2^-600, 1e-160 or 1e-300 square to zero or subnormals, and
+    # near 2^1000 or 1e300 they square to inf. series._window_units scales
+    # each window row by a power of two first, which is exact, so a power of
+    # two changes no byte of any output, and any other scale changes values
+    # by rounding only.
+    data = simulate(coupling_benchmark(0))
+    want, want_validate = run_commands(capsys, scaled_csv(tmp_path, "unit.csv", data, 1.0),
+                                       tmp_path / "unit")
+    out = tmp_path / "scaled"
+    got, got_validate = run_commands(capsys, scaled_csv(tmp_path, "scaled.csv", data, scale), out)
+    assert_no_gaps(out)
+    assert set(got) == set(want)
+    if exact:
+        assert got == want
+        assert got_validate == want_validate
+        return
+    for name in want:
+        if name.endswith(".csv"):
+            assert_csv_matches(out / name, tmp_path / "unit" / name)
+        elif name.endswith(".json"):
+            assert_json_matches(out / name, tmp_path / "unit" / name)
+    assert got_validate.startswith("pass: checked 960 distance matrices over 480 windows")
+
+
+def test_windows_that_mix_scales_give_the_per_window_measures(tmp_path, capsys):
+    # 300 samples of unit scale, then 100 of scale 1e-160, whose squares are
+    # subnormal: the windows from 300 on see only tiny samples, and those
+    # before it both scales. None is a gap, every window has the per-window
+    # reference's measures, and the tiny windows those of the same samples
+    # at unit scale.
     rng = np.random.default_rng(0)
-    path = write_csv(tmp_path, [1e-160 * rng.normal(size=40) for _ in range(3)])
-    argv = ["analyze", "--input", path, "--window", "21", "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: window@0: components of 's0' are not unit length")
-    assert not (tmp_path / "out").exists()
-    # 300 normal samples, then 100 at 1e-160 scale: window 300, inside the
-    # chunk, is the first whose samples are all tiny.
     columns = [np.r_[rng.normal(size=300), 1e-160 * rng.normal(size=100)] for _ in range(3)]
-    argv[2] = write_csv(tmp_path, columns)
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: window@300: components of 's0' are not unit length")
-    assert not (tmp_path / "out").exists()
+    path = write_csv(tmp_path, columns)
+    out = tmp_path / "out"
+    run_commands(capsys, path, out)
+    assert_no_gaps(out)
+    data = corrgeom.read_timeseries_csv(path)
+    gaps, want = window_measures(data, 21)
+    assert not gaps.any()
+    tail = TimeSeriesSet(tuple(TimeSeries(s.id, 0, 1, 1e160 * s.values[300:]) for s in data.series))
+    tail = window_measures(tail, 21)[1]
+    for kind in MEASURE_KINDS:
+        rows = csv.DictReader((out / "analyze" / f"measure_{kind}.csv").read_text().splitlines())
+        values = np.array([float(row["value"]) for row in rows])
+        assert np.abs(values - want[kind]).max() <= GOLDEN_TOL
+        assert np.abs(values[300:] - tail[kind]).max() <= GOLDEN_TOL
 
 
 @pytest.mark.parametrize(
@@ -176,34 +242,43 @@ def test_a_cell_past_the_csv_field_limit_exits_2(tmp_path, capsys, text, message
     assert err == f"error: {message}: field larger than field limit (131072)\n"
 
 
-def huge_values_csv(tmp_path):
-    """Three 40-sample series, one of them +-1e308: its window sums overflow,
-    so its centred row is not finite."""
+def huge_values_csv(tmp_path, magnitude=1e308):
+    """Three 40-sample series, one of them +-``magnitude``: at 1e308 its
+    window sums and squares would overflow without the power-of-two scaling
+    of series._window_units."""
     rng = np.random.default_rng(0)
     columns = [rng.normal(size=40) for _ in range(3)]
-    columns[1] = 1e308 * np.sign(rng.normal(size=40))
+    columns[1] = magnitude * np.sign(rng.normal(size=40))
     return write_csv(tmp_path, columns)
 
 
-def test_a_non_finite_unit_row_names_its_window(tmp_path, capsys):
-    argv = ["analyze", "--input", huge_values_csv(tmp_path), "--window", "21"]
-    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: window@0: components of 's1' are not finite\n"
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("command", ["analyze", "events", "validate"])
-def test_overflowing_sums_print_the_error_and_no_numpy_warning(tmp_path, command):
-    argv = [command, "--input", huge_values_csv(tmp_path), "--window", "21"]
-    if command != "validate":
-        argv += ["--out", str(tmp_path / "out")]
-    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "corrgeom.cli", *argv], env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == "error: window@0: components of 's1' are not finite\n"
+def test_huge_values_run_with_no_numpy_warning(tmp_path, command):
+    # A child process, so a numpy warning would reach stderr whatever the
+    # warning filters of the test run. The +-1e308 series has the measures of
+    # the +-1 series, to rounding.
+    runs = []
+    for magnitude in (1e308, 1.0):
+        out = tmp_path / f"out{magnitude}"
+        argv = [command, "--input", huge_values_csv(tmp_path, magnitude), "--window", "21"]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "corrgeom.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        runs.append((out, done.stdout))
+    (huge, huge_stdout), (unit, unit_stdout) = runs
+    if command == "validate":
+        assert huge_stdout.startswith("pass: checked 40 distance matrices over 20 windows")
+        return
+    for want in sorted(unit.iterdir()):
+        if want.suffix == ".csv":
+            assert_csv_matches(huge / want.name, want)
+        elif want.name != "manifest.json":
+            assert_json_matches(huge / want.name, want)
 
 
 @pytest.mark.parametrize(

@@ -135,50 +135,30 @@ def test_the_triangle_measure_holds_no_array_of_every_triple():
     ids=["diameter", "both", "max_triangle"],
 )
 @pytest.mark.parametrize("chunk_elements", [None, 1])
-def test_a_failing_window_raises_its_error_with_its_tick(monkeypatch, chunk_elements, kinds):
+def test_windows_of_tiny_samples_give_the_per_window_measures(monkeypatch, chunk_elements, kinds):
     # Samples of unit scale up to sample 21, of scale 1e-160 after it: their
-    # squares are subnormal, so window 22 (tick 144), the first with no sample
-    # of unit scale, fails the unit-row check. The unit rows are the only
-    # check, so every kind raises the same error.
+    # squares are subnormal, and window 22 (tick 144) is the first with no
+    # sample of unit scale. Every window is evaluated, none is a gap, and each
+    # has the per-window reference's measures.
     set_chunk_elements(monkeypatch, chunk_elements)
     rng = np.random.default_rng(0)
     scale = np.where(np.arange(60) < 22, 1.0, 1e-160)
     data = TimeSeriesSet(
         tuple(TimeSeries(f"s{i}", 100, 2, scale * rng.normal(size=60)) for i in range(4))
     )
-    with pytest.raises(ValueError, match=r"^window@144: components of 's0' are not unit length"):
-        sliding_measures(data, BENCHMARK_WINDOW, kinds=kinds)
-    # Unit scale up to sample 700, tiny after it: the first failing window,
-    # 701, is the 78th of the third 312-window chunk.
-    t = np.arange(900)
-    late = TimeSeriesSet(
-        tuple(
-            TimeSeries(f"s{i}", 0, 1, np.where(t <= 700, noise, 1e-160 * noise))
-            for i, noise in enumerate(np.random.default_rng(0).normal(size=(5, 900)))
-        )
-    )
-    if chunk_elements is None:
-        assert _windows_per_chunk(5, BENCHMARK_WINDOW) == 312
-    with pytest.raises(ValueError, match=r"^window@701: components of 's0' are not unit"):
-        sliding_measures(late, BENCHMARK_WINDOW, kinds=kinds)
+    gaps, want = window_measures(data, BENCHMARK_WINDOW)
+    assert not gaps.any()
+    for series in sliding_measures(data, BENCHMARK_WINDOW, kinds=kinds):
+        assert series.timestamps[22] == 144
+        assert not series.gaps.any()
+        assert np.abs(series.values - want[series.kind]).max() <= 1e-12
 
 
-def test_the_chunk_check_is_the_final_verdict(monkeypatch):
-    # The chunk's unit-row check is the only verdict on its windows, and it
-    # names the window of its first failing row from the chunk's own arrays.
-    # The held input's one chunk holds windows 0..179 and gaps 100..109, so
-    # flat row 602 of its 170 checked windows is series s3 of window 110.
-    data = held_input()
-    assert _windows_per_chunk(6, BENCHMARK_WINDOW) > 180
-
-    def fail_row_602(units, ids):
-        if len(units) < 101:
-            return None
-        return 602, f"components of {ids[602 % len(ids)]!r} made to fail"
-
-    monkeypatch.setattr("corrgeom.events._bad_unit_row", fail_row_602)
-    with pytest.raises(ValueError, match=r"^window@110: components of 's3' made to fail$"):
-        sliding_measures(data, BENCHMARK_WINDOW)
+@pytest.mark.parametrize("stride", [0, -1])
+def test_sliding_measures_rejects_a_stride_below_1(stride):
+    # Before it computes the window count, which divides by the stride.
+    with pytest.raises(ValueError, match=f"^stride must be >= 1, got {stride}$"):
+        sliding_measures(held_input(), BENCHMARK_WINDOW, stride)
 
 
 def near_copies(eps, length=200, negate=()):
@@ -197,7 +177,7 @@ def test_near_copies_give_the_per_window_measures_without_an_axiom_check(
     monkeypatch, eps, negate
 ):
     # arccos alone puts these windows' margins near -1.5e-8, past
-    # TRIANGLE_TOL; the chord form proves them within B(21) = 1.35e-10, so
+    # TRIANGLE_TOL; the chord form proves them within B(21) = 3.55e-13, so
     # the engine checks no distance and scans no margin.
     calls = []
 

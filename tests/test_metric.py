@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,10 @@ from corrgeom.metric import (
     _worst_triangle,
     angular_distances,
 )
-from corrgeom.series import NORM_TOL
+from corrgeom.series import _window_units
 from corrgeom.testkit import (
     AngleDomainError,
     WindowSpec,
-    _check_unit_rows,
     _one_window_units,
     correlation_angle,
     max_triangle_area,
@@ -303,16 +303,48 @@ def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name, monkeypatch):
     check()
 
 
+U = 2.0**-53
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def unit_norm_error(window):
+    """eta(K) of series._window_units' proof: no unit row's norm is further
+    from 1. (1 + u) / ((1 - u) sqrt(1 - g)) - 1 is computed as a + b + a b,
+    a = 2u / (1 - u) and b = 1 / sqrt(1 - g) - 1 = g / (r (1 + r)) with
+    r = sqrt(1 - g), so that no digit cancels. Its terms in 2^-962 and
+    2^-1075 vanish in the rounding of the others and are left out."""
+    g = gamma(window)
+    a = 2 * U / (1 - U)
+    r = math.sqrt(1 - g)
+    b = g / (r * (1 + r))
+    return a + b + a * b
+
+
+def accurate_norms(rows):
+    """The norms of the rows of an (n, K) array to within 1.5 u: each square
+    is split exactly into three products (Dekker), summed by math.fsum, which
+    rounds once, and square-rooted."""
+    split = 134217729.0 * rows  # (2^27 + 1) x
+    hi = split - (split - rows)
+    lo = rows - hi
+    return np.array([math.sqrt(math.fsum(np.concatenate([h * h, 2 * h * l, l * l])))
+                     for h, l in zip(hi, lo)])
+
+
 def unit_rows(rng, n, window, gap, on_circle, all_longer, copies=0):
-    """n centred rows of length ``window`` whose norms sit 0.9 * NORM_TOL from 1,
-    as far as _check_unit_rows lets them, in random order and with random
-    signs. ``on_circle`` of them lie on one great circle, neighbours ``gap``
-    to 4 * ``gap`` apart, so every triple among them in circle order has a
-    true margin of ~0, and the largest |rho| is at least cos(gap); the rest
-    are random. ``all_longer`` makes every norm 1 + 0.9 * NORM_TOL, which
-    shrinks each distance and so pushes the margins of those triples below
-    0. The last ``copies`` rows (at most n - 1) are then verbatim copies of
-    the first, each negated or not."""
+    """n centred rows of length ``window`` whose norms sit eta(K) - 5u from 1
+    (or at 1 where that is negative): as far as series._window_units' proof
+    lets them, less the 4u that scaling and rounding the rows can add. They
+    come in random order and with random signs. ``on_circle`` of them lie on
+    one great circle, neighbours ``gap`` to 4 * ``gap`` apart, so every
+    triple among them in circle order has a true margin of ~0, and the
+    largest |rho| is at least cos(gap); the rest are random. ``all_longer``
+    makes every norm longer than 1, which shrinks each distance and so pushes
+    the margins of those triples below 0. The last ``copies`` rows (at most
+    n - 1) are then verbatim copies of the first, each negated or not."""
     dim = min(n + 1, window - 1)  # the centred subspace has dimension K - 1
     basis = rng.normal(size=(dim, window))
     basis -= basis.mean(axis=1, keepdims=True)
@@ -322,9 +354,10 @@ def unit_rows(rng, n, window, gap, on_circle, all_longer, copies=0):
     angles = np.cumsum(steps)
     circle = np.cos(angles)[:, None] * basis[0] + np.sin(angles)[:, None] * basis[1]
     rows = np.vstack([circle, rng.normal(size=(n - on_circle, dim)) @ basis])
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows /= accurate_norms(rows)[:, None]
     stretch = np.ones(n) if all_longer else rng.choice([-1.0, 1.0], n)
-    rows *= (rng.choice([-1.0, 1.0], n) * (1 + 0.9 * NORM_TOL * stretch))[:, None]
+    reach = max(unit_norm_error(window) - 5 * U, 0.0)
+    rows *= (rng.choice([-1.0, 1.0], n) * (1 + reach * stretch))[:, None]
     for dst in range(n - min(copies, n - 1), n):
         rows[dst] = rng.choice([-1.0, 1.0]) * rows[0]
     return rows[rng.permutation(n)]
@@ -332,24 +365,69 @@ def unit_rows(rng, n, window, gap, on_circle, all_longer, copies=0):
 
 def margin_bound(window):
     """B(K) of metric.angular_distances' proof: no triangle margin of a stack
-    of distances between checked unit rows of length K is below -B(K)."""
-    u = 2.0**-53
-    gamma1, gamma2, gamma3 = (k * u / (1 - k * u) for k in (window, window + 1, window + 2))
-    eta = (NORM_TOL + gamma2) / (1 - gamma2)
+    of distances between the unit rows of length K that series._window_units
+    gives is below -B(K). Its underflow terms, in 2^-1074 and 2^-537, vanish
+    in the rounding of the others and are left out."""
+    eta = unit_norm_error(window)
+    gamma1, gamma3 = gamma(window), gamma(window + 2)
     eps_rho = gamma1 * (1 + eta) ** 2 + 2 * eta + eta**2
     r = 1 - NEAR_ONE + eps_rho
     eps_a = eps_rho / math.sqrt((1 - r) * (1 + r)) + 2.0**-48
     t = math.sqrt(2 * (NEAR_ONE + eps_rho)) + 2 * eta
     t1 = t * (1 + gamma3)
     eps_c = (2 * eta + gamma3 * t) / math.sqrt(1 - t1 * t1 / 4) + 2.0**-48
-    return 3 * max(eps_a, eps_c) + (2 + u) * 2 * math.pi * u
+    return 3 * max(eps_a, eps_c) + (2 + U) * 2 * math.pi * U
 
 
-def test_the_bound_is_below_the_tolerance_up_to_k_38700():
-    # The figures that metric.TRIANGLE_TOL's comment and the proof quote.
-    for window in (21, 101):
-        assert 1.34e-10 < margin_bound(window) < 1.37e-10
-    assert margin_bound(38_700) < TRIANGLE_TOL < margin_bound(38_800)
+def test_the_bound_is_below_the_tolerance_up_to_k_67100():
+    # The figures that metric.TRIANGLE_TOL's comment and the proofs quote.
+    assert 3.54e-13 < margin_bound(21) < 3.56e-13
+    assert 1.54e-12 < margin_bound(101) < 1.56e-12
+    assert margin_bound(67_100) < TRIANGLE_TOL < margin_bound(67_200)
+    assert unit_norm_error(21) == pytest.approx(12.5 * U, rel=1e-9)
+    assert unit_norm_error(101) == pytest.approx(52.5 * U, rel=1e-9)
+
+
+def exact_norm_squared(row):
+    """||row||^2 of a float row as an exact fraction."""
+    pairs = [x.as_integer_ratio() for x in row.tolist()]
+    scale = max(d for _, d in pairs)
+    return Fraction(sum((m * (scale // d)) ** 2 for m, d in pairs), scale * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    window=st.integers(2, 4000),
+    exponent=st.integers(-1074, 1023),
+    spread=st.integers(0, 1100),
+)
+def test_unit_rows_are_within_eta_of_unit_norm(seed, window, exponent, spread):
+    # series._window_units' proof, row by row, on rows of any finite values:
+    # the largest magnitudes near 2^exponent, down to 2^-spread times that.
+    # Rows: entries of mixed magnitudes; an offset plus small noise; a
+    # constant with one entry a unit in the last place above it; a constant.
+    rng = np.random.default_rng(seed)
+    low = exponent - rng.integers(0, spread + 1, window)
+    offset = np.ldexp(rng.uniform(-1.0, 1.0), exponent - 1)
+    constant = np.full(window, np.ldexp(rng.uniform(0.5, 1.0), exponent))
+    ulp = constant.copy()
+    ulp[rng.integers(window)] = np.nextafter(constant[0], np.inf)
+    rows = np.stack([
+        np.ldexp(rng.uniform(-1.0, 1.0, window), np.maximum(low, -1074)),
+        offset + np.ldexp(rng.uniform(-1.0, 1.0, window), max(exponent - spread - 1, -1074)),
+        ulp,
+        constant,
+    ])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        units, norms = _window_units(rows.copy())
+    is_constant = (rows == rows[:, :1]).all(axis=1)
+    assert np.array_equal(norms == 0.0, is_constant)
+    assert (norms[~is_constant] > 2.0**-56).all()
+    assert not units[is_constant].any()
+    eta = Fraction(unit_norm_error(window))
+    for row in units[~is_constant]:
+        assert (1 - eta) ** 2 <= exact_norm_squared(row) <= (1 + eta) ** 2
 
 
 # The geodesic gap spans both sides of the chord's edge, near 0.045 rad
@@ -374,7 +452,6 @@ def test_a_cleared_window_passes_within_its_error_bound(
     # within TRIANGLE_TOL for every K drawn, and its stack is a metric.
     rng = np.random.default_rng(seed)
     units = unit_rows(rng, n, window, 10.0**log_gap, min(on_circle, n), all_longer, copies)
-    _check_unit_rows(units, [f"s{i}" for i in range(n)])  # the bound's premise
     rho = correlation_from_units(units[None])
     dist = angular_distances(rho, units[None], kind)
     stats = _axiom_stats(dist)
@@ -400,8 +477,8 @@ def test_a_cleared_window_passes_within_its_error_bound(
 def test_a_window_that_passes_the_engine_checks_has_valid_triangles(
     seed, count, n, window, log_gap, on_circle, all_longer, copies
 ):
-    # sliding_measures checks the unit rows and nothing after them: its
-    # distances must give every triple valid sides.
+    # sliding_measures checks nothing: its distances must give every triple
+    # valid sides.
     rng = np.random.default_rng(seed)
     gap = 10.0**log_gap
     units = np.stack(

@@ -24,7 +24,7 @@ from corrgeom.testkit import (
     window_correlations,
     window_vector,
 )
-from corrgeom.series import _parse_value
+from corrgeom.series import _parse_value, _window_units
 
 
 def ts(sid, values, start=0, step=1):
@@ -134,6 +134,16 @@ class TestWindowVector:
         assert np.array_equal(vneg.components, -v.components)
 
 
+def unscaled_window_units(seg):
+    """series._window_units without its first step, the scaling of each row
+    by a power of two."""
+    seg -= seg.mean(axis=-1, keepdims=True)
+    seg -= seg.mean(axis=-1, keepdims=True)
+    norms = np.linalg.norm(seg, axis=-1)
+    seg /= np.where(norms == 0.0, 1.0, norms)[..., None]
+    return seg, norms
+
+
 class TestWindowedUnitMatrix:
     def test_rows_match_window_vector(self):
         rng = np.random.default_rng(17)
@@ -153,6 +163,30 @@ class TestWindowedUnitMatrix:
             window_correlations(data, WindowSpec(0, 3))
         with pytest.raises(ZeroVarianceError, match="'c'"):
             window_correlations(data, WindowSpec(1, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        window=st.integers(2, 4000),
+        log_scale=st.floats(-100.0, 100.0),
+        offset=st.floats(-1e8, 1e8),
+        held=st.booleans(),
+    )
+    def test_scaling_by_a_power_of_two_changes_no_unit_row_in_the_normal_range(
+        self, seed, n, window, log_scale, offset, held
+    ):
+        # Samples offset + 10^log_scale * noise: their sums, squares and
+        # centred values stay in the normal range with or without the scaling,
+        # so the unit rows and the norms' zeros are those of the kernel
+        # without it, byte for byte. ``held`` makes the first row constant.
+        rows = offset + 10.0**log_scale * np.random.default_rng(seed).normal(size=(n, window))
+        if held:
+            rows[0] = rows[0, 0]
+        want, want_norms = unscaled_window_units(rows.copy())
+        got, norms = _window_units(rows.copy())
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(norms == 0.0, want_norms == 0.0)
 
     def test_centered_unit_vector_invariants(self):
         with pytest.raises(ValueError, match="'x' do not sum to zero"):
