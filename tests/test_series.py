@@ -188,6 +188,21 @@ class TestWindowedUnitMatrix:
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(norms == 0.0, want_norms == 0.0)
 
+    def test_a_series_of_huge_values_has_the_unit_rows_of_its_unit_copy(self):
+        # Windows of 21 of a +-1e308 series: their sums overflow in the
+        # kernel without the scaling, whose rows are then not finite. With
+        # it, no operation overflows, and the rows are those of the +-1
+        # series, to rounding.
+        signs = np.sign(np.random.default_rng(0).normal(size=40))
+        windows = np.lib.stride_tricks.sliding_window_view(signs, 21)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(unscaled_window_units(1e308 * windows)[0]).all()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            huge, norms = _window_units(1e308 * windows)
+            unit = _window_units(windows.copy())[0]
+        assert (norms > 0.0).all()
+        assert np.abs(huge - unit).max() <= 1e-15
+
     def test_centered_unit_vector_invariants(self):
         with pytest.raises(ValueError, match="'x' do not sum to zero"):
             CenteredUnitVector(np.array([0.6, 0.8]), "x", 0)
