@@ -320,26 +320,21 @@ def cmd_validate(config: RunConfig) -> int:
     distances, spherical then projective per window, before consecutive
     chunks are joined into batches of at least VALIDATE_BATCH windows, so a
     batch holds no unit rows. Each batch's distances are checked as one
-    (2M, n, n) stack, so the triangle-margin scan runs once per batch and
-    finds each matrix's minimum margin. Each failing matrix prints a
+    (2M, n, n) stack, whose triangle margins one scan reduces to each
+    matrix's minimum. Each failing matrix, in window order, prints a
     VIOLATION line on stderr and makes the exit 1. The worst margin is the
-    first smallest in window order, spherical first; a copy of its matrix is
-    kept, and its triple is located once, after the last batch. Fewer than 3
-    series have no triangle to check, and exit 2."""
+    first smallest in window order, spherical first, a NaN never; a copy of
+    its matrix is kept, and its triple is located once, after the last batch,
+    by verify_metric_axioms. Fewer than 3 series have no triangle to check,
+    and exit 2; correlation_chunks rejects a window longer than the series."""
     data = _read_input(config)
     n = len(data)
     if n < 3:
         raise TooFewPointsError("validate needs at least 3 series")
-    count = (data.length - config.window) // config.stride + 1
-    if count < 1:
-        raise CorrGeomError(
-            f"window {config.window} exceeds series length {data.length}"
-        )
     kinds = (SPHERICAL, PROJECTIVE)
     worst_margin = float("inf")
     worst = worst_matrix = None
-    failures = 0
-    checked = 0
+    failures = checked = 0
     distances = (
         (ms, np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1))
         for ms, rho, units in correlation_chunks(data, config.window, config.stride)
@@ -347,23 +342,22 @@ def cmd_validate(config: RunConfig) -> int:
     for ms, dist in _batched(distances, VALIDATE_BATCH):
         dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
         stats = _axiom_stats(dist)
-        for w, m in enumerate(ms):
-            tick = data.tick(int(m) * config.stride)
-            for at, kind in enumerate(kinds, 2 * w):
-                checked += 1
-                if stats.min_margin[at] < worst_margin:
-                    worst_margin = float(stats.min_margin[at])
-                    worst, worst_matrix = (tick, kind), dist[at].copy()
-                if not stats.passed[at]:
-                    failures += 1
-                    report = verify_metric_axioms(dist[at])
-                    print(
-                        f"VIOLATION window@{tick} {kind}: {report.summary()}",
-                        file=sys.stderr,
-                    )
+        checked += len(dist)
+        margins = np.fmin(stats.min_margin, np.inf)  # a NaN becomes +inf
+        if margins.size and margins.min() < worst_margin:
+            at = int(margins.argmin())
+            worst_margin = float(margins[at])
+            worst = (data.tick(int(ms[at // 2]) * config.stride), kinds[at % 2])
+            worst_matrix = dist[at].copy()
+        for at in np.flatnonzero(~stats.passed):
+            failures += 1
+            tick = data.tick(int(ms[at // 2]) * config.stride)
+            report = verify_metric_axioms(dist[at])
+            print(f"VIOLATION window@{tick} {kinds[at % 2]}: {report.summary()}", file=sys.stderr)
     if worst is not None:
         worst += (verify_metric_axioms(worst_matrix).worst_triple,)
     status = "pass" if failures == 0 else "FAIL"
+    count = (data.length - config.window) // config.stride + 1
     print(
         f"{status}: checked {checked} distance matrices over {count} windows; "
         f"worst triangle margin {worst_margin:.6e} at {worst}"

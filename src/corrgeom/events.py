@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -113,11 +112,8 @@ class MeasureSeries(Frozen):
         return out
 
     def to_csv(self, dest) -> None:
-        """Rows of (timestamp, value, gap); gap rows leave the value empty."""
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", newline="") as fh:
-                self.to_csv(fh)
-                return
+        """Write rows of (timestamp, value, gap) to the text stream ``dest``;
+        gap rows leave the value empty."""
         writer = csv.writer(dest, lineterminator="\n")
         writer.writerow(["timestamp", "value", "gap"])
         for t, v, g in zip(self.timestamps, self.values, self.gaps):
@@ -143,9 +139,12 @@ def correlation_chunks(
 
     A chunk is a (windows, n, K) stack scaled, centred and normalised in one
     array pass by series._window_units, whose proof covers every finite row,
-    so no chunk raises. A window below 2 or a stride below 1 raises
-    ValueError here, before any chunk.
+    so no chunk raises. A window longer than the series raises
+    WindowTooLongError, and a window below 2 or a stride below 1 ValueError,
+    here, before any chunk.
     """
+    if window > ts_set.length:
+        raise WindowTooLongError(f"window {window} exceeds series length {ts_set.length}")
     if window < 2:
         raise ValueError(f"window size must be >= 2, got {window}")
     if stride < 1:
@@ -176,8 +175,9 @@ def sliding_measures(
     The window starting at sample t covers samples [t, t + window) and is
     stamped at the tick of sample t. Produces floor((length - window) /
     stride) + 1 points per requested kind. A constant series gaps the window
-    for every kind. A window below 2 or a stride below 1 raises ValueError,
-    from correlation_chunks.
+    for every kind. The measure kinds and the series count are checked first;
+    then correlation_chunks raises WindowTooLongError for a window longer
+    than the series, and ValueError for a window below 2 or a stride below 1.
 
     No window's distances are checked, because every window's distances are
     a metric to within rounding that is proven small, and the measures need
@@ -202,10 +202,6 @@ def sliding_measures(
             raise ValueError(f"unknown measure {kind!r}; choose from {', '.join(MEASURE_KINDS)}")
         if kinds.count(kind) > 1:
             raise ValueError(f"measure kind {kind!r} is given more than once")
-    if window > ts_set.length:
-        raise WindowTooLongError(
-            f"window {window} exceeds series length {ts_set.length}"
-        )
     n = len(ts_set)
     if n < 2:
         raise TooFewPointsError("sliding measures need at least 2 series")

@@ -134,48 +134,17 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
     return best
 
 
-def _worst_triangle(m: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Smallest triangle margin of one (n, n) matrix, n >= 3, and the first
-    (i, j, k) in the flat order of _triangle_margins where it falls; a NaN
-    margin counts as smallest, and where every margin is +inf it is (0, 0, 0).
-
-    The margins are reduced in (n, n) slabs of one first index i at a time,
-    with the coinciding indices masked. argmin keeps the first minimum and
-    counts a NaN as smallest, within a slab and across them, as it does over
-    the whole (n, n, n) array.
-    """
-    n = m.shape[0]
-    values = np.empty(n)
-    args = np.empty(n, dtype=int)
-    for i in range(n):
-        slab = m[i, :, None] + m  # slab[j, k]
-        slab -= m[i, None, :]
-        slab[i] = np.inf  # j == i
-        np.fill_diagonal(slab, np.inf)  # j == k
-        slab[:, i] = np.inf  # k == i
-        args[i] = slab.argmin()
-        values[i] = slab.flat[args[i]]
-    i = int(values.argmin())
-    margin = float(values[i])
-    if margin == math.inf:
-        return margin, (0, 0, 0)
-    return margin, (i, *divmod(int(args[i]), n))
-
-
-def _axiom_stats(
-    m: np.ndarray,
-    tolerance: float = TRIANGLE_TOL,
-    min_margin: np.ndarray | None = None,
-) -> _AxiomStats:
+def _axiom_stats(m: np.ndarray, tolerance: float = TRIANGLE_TOL) -> _AxiomStats:
     """Symmetry error, diagonal error, minimum entry and minimum triangle
     margin of every matrix of an (M, n, n) stack, and whether each passes.
 
-    The margins are those of _triangle_margins, reduced without building it:
-    by _min_triangle_margins on an exactly symmetric stack, the engine's
-    case, and by _worst_triangle one matrix at a time on any other. A matrix
-    passes when each error is within tolerance and no margin is below
-    -tolerance; a NaN anywhere fails. ``min_margin``, where the caller has
-    already found the minima, replaces the scan.
+    The margins are those of _triangle_margins. An exactly symmetric stack,
+    as angular_distances makes every stack validate checks, is reduced by
+    _min_triangle_margins without building them. Any other stack builds them
+    one matrix at a time and takes each minimum with argmin, so that a NaN
+    margin counts as smallest, as in the n^3 definition. A matrix passes when
+    each error is within tolerance and no margin is below -tolerance; a NaN
+    anywhere fails.
     """
     count, n = m.shape[0], m.shape[-1]
     asymmetry = m - m.transpose(0, 2, 1)
@@ -183,11 +152,12 @@ def _axiom_stats(
     del asymmetry  # not held during the scan
     diagonal = np.abs(m.diagonal(0, 1, 2)).max(axis=1, initial=0.0)
     min_entry = m.min(axis=(1, 2), initial=0.0)
-    if min_margin is None and n < 3:
+    if n < 3:
         min_margin = np.full(count, math.inf)
-    elif min_margin is None and symmetry.any():
-        min_margin = np.array([_worst_triangle(matrix)[0] for matrix in m])
-    elif min_margin is None:
+    elif symmetry.any():
+        flat = (_triangle_margins(matrix[None]).ravel() for matrix in m)
+        min_margin = np.array([x[x.argmin()] for x in flat])
+    else:
         min_margin = _min_triangle_margins(m)
     passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
         np.minimum(min_entry, min_margin) >= -tolerance
@@ -200,25 +170,27 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
 
     Violations are report content, not errors; the worst triple and its
     margin (d_ij + d_jk - d_ik, negative when violated) are always reported.
-    Only a matrix with a margin below -tolerance (or a NaN one) has its n^3
-    margins built, to list every violated triple.
+    The verdict and the entry figures are _axiom_stats'; the minimum margin,
+    its first triple and every violated triple are read from one
+    _triangle_margins array of the matrix, 8 n^3 bytes: 0.26 MB at n = 32,
+    2.1 MB at n = 64 and 16.8 MB at n = 128.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    min_margin, worst = (math.inf, None) if n < 3 else _worst_triangle(m)
-    stats = _axiom_stats(m[None], tolerance, min_margin=np.array([min_margin]))
-    found: dict[tuple[int, int, int], float] = {}
-    if worst is not None:
-        worst = tuple(sorted(worst))
-        if not min_margin >= -tolerance:
-            margins = _triangle_margins(m[None])[0]
-            for i, j, k in np.argwhere(margins < -tolerance):
-                key = tuple(sorted((int(i), int(j), int(k))))
-                val = float(margins[i, j, k])
-                if key not in found or val < found[key]:
-                    found[key] = val
+    stats = _axiom_stats(m[None], tolerance)
+    min_margin, worst, found = math.inf, None, {}
+    if n >= 3:
+        margins = _triangle_margins(m[None])[0]
+        at = margins.argmin()  # the first smallest, NaN first; 0 where all are +inf
+        min_margin = float(margins.flat[at])
+        worst = tuple(sorted(int(x) for x in np.unravel_index(at, margins.shape)))
+        for i, j, k in np.argwhere(margins < -tolerance):
+            key = tuple(sorted((int(i), int(j), int(k))))
+            val = float(margins[i, j, k])
+            if key not in found or val < found[key]:
+                found[key] = val
 
     violations = tuple(
         TriangleViolation(*key, margin=found[key]) for key in sorted(found)

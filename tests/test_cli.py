@@ -88,6 +88,25 @@ def test_validate_reports_metric_violations(tmp_path, capsys, monkeypatch):
     assert out.startswith("FAIL: checked 80 distance matrices over 40 windows")
 
 
+def test_a_nan_distance_fails_its_matrix_and_is_never_the_worst(tmp_path, capsys, monkeypatch):
+    # The spherical matrix of each chunk's first window (windows 0 and 390)
+    # gets a NaN distance: a NaN margin, which fails but is never the worst.
+    def nan_distances(rho, units, kind):
+        entries = metric.angular_distances(rho, units, kind)
+        if kind == SPHERICAL:
+            entries[0, 0, 1] = entries[0, 1, 0] = np.nan
+        return entries
+
+    monkeypatch.setattr(cli, "angular_distances", nan_distances)
+    assert cli.main(["validate", "--input", benchmark_csv(tmp_path), "--window", "21"]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "VIOLATION window@0 spherical", "VIOLATION window@390 spherical"
+    ]
+    golden = (GOLDEN / "validate" / "benchmark.stdout").read_text()
+    assert out == golden.replace("pass:", "FAIL:")
+
+
 @pytest.mark.parametrize(
     "name, write_input, code",
     [
@@ -464,6 +483,16 @@ def test_validate_rejects_fewer_than_three_series(tmp_path, capsys, n):
     assert err == "error: validate needs at least 3 series\n"
 
 
+def test_validate_checks_no_matrix_where_a_series_is_constant(tmp_path, capsys):
+    # Every window gaps, so the one batch holds no matrix.
+    path = write_csv(tmp_path, [np.sin(np.arange(60) / 2), np.sin(np.arange(60) / 3), np.ones(60)])
+    assert cli.main(["validate", "--input", path, "--window", "21"]) == 0
+    assert capsys.readouterr() == (
+        "pass: checked 0 distance matrices over 40 windows; worst triangle margin inf at None\n",
+        "",
+    )
+
+
 @pytest.mark.parametrize("length", [21, 22], ids=["1-window", "2-windows"])
 def test_events_on_fewer_than_three_windows_finds_no_event(tmp_path, capsys, length):
     path = write_csv(tmp_path, [np.sin(np.arange(length) / s) for s in (2, 3, 5)])
@@ -474,6 +503,27 @@ def test_events_on_fewer_than_three_windows_finds_no_event(tmp_path, capsys, len
     for kind in MEASURE_KINDS:
         assert json.loads((out / f"events_{kind}.json").read_text())["events"] == []
     assert (out / "overlay.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "events", "validate"])
+def test_a_window_longer_than_the_series_exits_2_and_one_as_long_runs_once(
+    tmp_path, capsys, command
+):
+    path = write_csv(tmp_path, [np.sin(np.arange(30) / s) for s in (2, 3, 5)])
+    out = tmp_path / "out"
+    argv = [command, "--input", path, "--window", "31"]
+    argv += [] if command == "validate" else ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: window 31 exceeds series length 30\n")
+    assert not out.exists()
+
+    argv[argv.index("31")] = "30"
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    if command == "validate":
+        assert stdout.startswith("pass: checked 2 distance matrices over 1 windows;")
+    else:
+        assert json.loads((out / "manifest.json").read_text())["n_windows"] == 1
 
 
 def test_a_week_date_column_exits_2(tmp_path, capsys):
@@ -775,7 +825,8 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
 
 def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkeypatch):
     # n = 32, K = 101: the engine's chunks hold 10 windows, so 200 windows are
-    # 20 chunks and 5 batches. The locator runs once, on the worst matrix.
+    # 20 chunks and 5 batches, one scan each. The worst matrix's report builds
+    # its n^3 margins once, and its verdict scans that one matrix once more.
     n, window, length = 32, 101, 300
     path = tmp_path / "input.csv"
     write_timeseries_csv(simulate(SyntheticSpec(n, length, (), 0.1, 11)), path)
@@ -783,7 +834,7 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     assert cli.main(argv) == 0
     want = capsys.readouterr()
 
-    calls = {"scan": 0, "locate": 0}
+    calls = {"scan": 0, "margins": 0}
 
     def counted(name, function):
         def call(*args, **kwargs):
@@ -792,9 +843,9 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
         return call
 
     monkeypatch.setattr(metric, "_min_triangle_margins", counted("scan", metric._min_triangle_margins))
-    monkeypatch.setattr(metric, "_worst_triangle", counted("locate", metric._worst_triangle))
+    monkeypatch.setattr(metric, "_triangle_margins", counted("margins", metric._triangle_margins))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
     count = length - window + 1
     assert _windows_per_chunk(n, window) == 10 and cli.VALIDATE_BATCH == 40
-    assert calls == {"scan": -(-count // 40), "locate": 1}
+    assert calls == {"scan": -(-count // 40) + 1, "margins": 1}

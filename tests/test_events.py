@@ -189,7 +189,7 @@ def test_near_copies_give_the_per_window_measures_without_an_axiom_check(
             return function(*args, **kwargs)
         return call
 
-    for name in ("_axiom_stats", "_min_triangle_margins", "_worst_triangle",
+    for name in ("_axiom_stats", "_min_triangle_margins", "_triangle_margins",
                  "verify_metric_axioms"):
         monkeypatch.setattr(metric, name, counted(name))
         monkeypatch.setattr(f"corrgeom.events.{name}", getattr(metric, name), raising=False)

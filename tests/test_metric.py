@@ -16,7 +16,6 @@ from corrgeom.metric import (
     SPHERICAL,
     TRIANGLE_TOL,
     _axiom_stats,
-    _worst_triangle,
     angular_distances,
 )
 from corrgeom.series import _window_units
@@ -286,17 +285,13 @@ def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name, monkeypatch):
     def check(seed, count, n, scan):
         monkeypatch.setattr(metric, "SCAN_ELEMENTS", scan)
         m = STACKS[name](np.random.default_rng(seed), count, n)
-        want, worst, _ = reference_axiom_stats(m)
+        want, _, _ = reference_axiom_stats(m)
         assert_same_arrays(_axiom_stats(m), want)
-        n = m.shape[-1]
-        if n >= 3:
-            # The locator: the first smallest margin in flat order, NaN first.
-            for matrix, margin, at in zip(m, want[-1], worst):
-                got_margin, triple = _worst_triangle(matrix)
-                assert np.float64(got_margin).tobytes() == margin.tobytes()
-                assert triple == tuple(int(x) for x in np.unravel_index(at, (n, n, n)))
-        for matrix in m[:4]:
+        # The report of every matrix: the first smallest margin in flat
+        # order, NaN first, its triple and every violation.
+        for matrix, margin in zip(m, want[-1]):
             report = verify_metric_axioms(matrix)
+            assert np.float64(report.min_triangle_margin).tobytes() == margin.tobytes()
             violations = [(v.i, v.j, v.k, v.margin) for v in report.violations]
             assert (report.summary(), report.worst_triple, violations) == reference_report(matrix)
 
