@@ -23,7 +23,6 @@ logging.basicConfig, which the CLI does not import, to keep start-up short.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from itertools import combinations
@@ -44,7 +43,8 @@ from .events import (
 from .metric import (
     PROJECTIVE,
     SPHERICAL,
-    _axiom_stats,
+    TRIANGLE_TOL,
+    _min_triangle_margins,
     angular_distances,
     verify_metric_axioms,
 )
@@ -204,27 +204,26 @@ def _read_input(config: RunConfig) -> TimeSeriesSet:
     return read_timeseries_csv(config.input)
 
 
-def _measure_csv_text(series: MeasureSeries) -> str:
-    import io
-
-    buf = io.StringIO()
-    series.to_csv(buf)
-    return buf.getvalue()
-
-
-def _overlay_csv_text(series_list: list[MeasureSeries]) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["timestamp", *[s.kind for s in series_list]])
-    base = series_list[0].timestamps
-    for i, t in enumerate(base):
-        row = [int(t)]
-        for s in series_list:
-            row.append("" if s.gaps[i] else repr(float(s.values[i])))
-        writer.writerow(row)
-    return buf.getvalue()
+def _csv_texts(series_list: list[MeasureSeries]) -> dict[str, str]:
+    """analyze's CSV files, {name: text}: measure_<kind>.csv per series, with
+    rows of (timestamp, value, gap), and overlay.csv, with rows of (timestamp,
+    each series' value). A gap's value is empty. Every series shares its
+    timestamps, and each value is formatted once for both files."""
+    ticks = [str(t) for t in series_list[0].timestamps.tolist()]
+    gaps = [s.gaps.tolist() for s in series_list]
+    cells = [
+        ["" if g else repr(v) for v, g in zip(s.values.tolist(), flags)]
+        for s, flags in zip(series_list, gaps)
+    ]
+    files = {
+        f"measure_{s.kind}.csv": "timestamp,value,gap\n"
+        + "".join(f"{t},{c},{int(g)}\n" for t, c, g in zip(ticks, column, flags))
+        for s, column, flags in zip(series_list, cells, gaps)
+    }
+    header = ",".join(["timestamp", *(s.kind for s in series_list)])
+    rows = "".join(",".join(row) + "\n" for row in zip(ticks, *cells))
+    files["overlay.csv"] = f"{header}\n{rows}"
+    return files
 
 
 def _json_text(payload: dict) -> str:
@@ -272,8 +271,7 @@ def _write_outputs(
 def cmd_analyze(config: RunConfig) -> int:
     data = _read_input(config)
     series_list = sliding_measures(data, config.window, config.stride, config.measures)
-    files = {f"measure_{s.kind}.csv": _measure_csv_text(s) for s in series_list}
-    files["overlay.csv"] = _overlay_csv_text(series_list)
+    files = _csv_texts(series_list)
     if "svg" in config.formats:
         files["overlay.svg"] = render_measures_svg(series_list)
     return _write_outputs(config, data, len(series_list[0]), files)
@@ -314,19 +312,26 @@ def _batched(chunks, size: int):
 
 
 def cmd_validate(config: RunConfig) -> int:
-    """Check the metric axioms once per kind (spherical, projective) on every
-    window that has no constant series, through analyze's window engine.
-    Each chunk's correlations and unit rows become its (m, 2, n, n)
+    """Check the triangle inequality once per kind (spherical, projective) on
+    every window that has no constant series, through analyze's window
+    engine. Each chunk's correlations and unit rows become its (m, 2, n, n)
     distances, spherical then projective per window, before consecutive
     chunks are joined into batches of at least VALIDATE_BATCH windows, so a
-    batch holds no unit rows. Each batch's distances are checked as one
-    (2M, n, n) stack, whose triangle margins one scan reduces to each
-    matrix's minimum. Each failing matrix, in window order, prints a
-    VIOLATION line on stderr and makes the exit 1. The worst margin is the
-    first smallest in window order, spherical first, a NaN never; a copy of
-    its matrix is kept, and its triple is located once, after the last batch,
-    by verify_metric_axioms. Fewer than 3 series have no triangle to check,
-    and exit 2; correlation_chunks rejects a window longer than the series."""
+    batch holds no unit rows. Each batch's distances are one (2M, n, n)
+    stack, whose triangle margins one scan, metric._min_triangle_margins,
+    reduces to each matrix's minimum. A matrix fails when that minimum is
+    below -TRIANGLE_TOL or NaN. Symmetry, the diagonal and the sign of the
+    entries are not rechecked, because they cannot fail: angular_distances
+    makes every stack exactly symmetric and finite, with a +0.0 diagonal and
+    entries in [0, pi], by construction, and that is the scan's precondition.
+
+    Each failing matrix, in window order, prints a VIOLATION line on stderr,
+    the summary of its verify_metric_axioms report, and makes the exit 1.
+    The worst margin is the first smallest in window order, spherical first,
+    a NaN never; a copy of its matrix is kept, and its triple is located
+    once, after the last batch, by verify_metric_axioms. Fewer than 3 series
+    have no triangle to check, and exit 2; correlation_chunks rejects a
+    window longer than the series."""
     data = _read_input(config)
     n = len(data)
     if n < 3:
@@ -341,15 +346,16 @@ def cmd_validate(config: RunConfig) -> int:
     )
     for ms, dist in _batched(distances, VALIDATE_BATCH):
         dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
-        stats = _axiom_stats(dist)
+        margins = _min_triangle_margins(dist)
         checked += len(dist)
-        margins = np.fmin(stats.min_margin, np.inf)  # a NaN becomes +inf
+        failed = ~(margins >= -TRIANGLE_TOL)  # a NaN fails
+        margins = np.fmin(margins, np.inf)  # a NaN becomes +inf
         if margins.size and margins.min() < worst_margin:
             at = int(margins.argmin())
             worst_margin = float(margins[at])
             worst = (data.tick(int(ms[at // 2]) * config.stride), kinds[at % 2])
             worst_matrix = dist[at].copy()
-        for at in np.flatnonzero(~stats.passed):
+        for at in np.flatnonzero(failed):
             failures += 1
             tick = data.tick(int(ms[at // 2]) * config.stride)
             report = verify_metric_axioms(dist[at])

@@ -21,14 +21,16 @@ norm, for a series in any units, so no window's values make the engine raise.
 they form a metric to within a bound far below TRIANGLE_TOL is proven in
 metric.angular_distances, whose chord form keeps near-copies of a series,
 |rho| near 1, as accurate as any other pair. ``validate`` still scans every
-window, since the margins are its output. It turns each chunk into its two
-distance stacks, joins consecutive chunks into batches of at least
-cli.VALIDATE_BATCH windows and scans a batch's spherical and projective
-matrices in one stack. The scan finds only each matrix's minimum margin,
-never its n^3 margins: it works on a copy of the stack with the stack axis
-innermost, in blocks of about metric.SCAN_ELEMENTS floats, so its numpy
-loops are as long as the stack is tall. Which triple holds a minimum is
-located one matrix at a time, only where it is reported.
+window, since the margins are its output, and checks nothing else: the same
+construction makes every stack exactly symmetric, with a +0.0 diagonal and
+entries in [0, pi]. It turns each chunk into its two distance stacks, joins
+consecutive chunks into batches of at least cli.VALIDATE_BATCH windows and
+scans a batch's spherical and projective matrices in one stack. The scan
+finds only each matrix's minimum margin, never its n^3 margins: it works on
+a copy of the stack with the stack axis innermost, in blocks of about
+metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
+tall. Which triple holds a minimum is located one matrix at a time, by
+metric.verify_metric_axioms, only where it is reported.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values, and minima are only detected within
@@ -38,7 +40,6 @@ gap-free segments.
 from __future__ import annotations
 
 import bisect
-import csv
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -98,26 +99,8 @@ class MeasureSeries(Frozen):
 
     def segments(self) -> list[tuple[int, int]]:
         """Half-open index ranges of the gap-free runs."""
-        out = []
-        start = None
-        for i, g in enumerate(self.gaps):
-            if g:
-                if start is not None:
-                    out.append((start, i))
-                    start = None
-            elif start is None:
-                start = i
-        if start is not None:
-            out.append((start, len(self)))
-        return out
-
-    def to_csv(self, dest) -> None:
-        """Write rows of (timestamp, value, gap) to the text stream ``dest``;
-        gap rows leave the value empty."""
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(["timestamp", "value", "gap"])
-        for t, v, g in zip(self.timestamps, self.values, self.gaps):
-            writer.writerow([int(t), "" if g else repr(float(v)), int(g)])
+        edges = np.flatnonzero(np.diff(np.r_[True, self.gaps, True])).tolist()
+        return list(zip(edges[::2], edges[1::2]))
 
 
 def _windows_per_chunk(n: int, window: int) -> int:

@@ -7,7 +7,12 @@ the origin rather than a direction) and is the distance used for
 phase-locking analysis, where maximal correlation of either sign counts as
 "close". Where |rho| is near 1, angular_distances takes both from the unit
 vectors' chord instead, since arccos loses half the digits there. Both are
-metrics; `verify_metric_axioms` checks that claim numerically on any matrix.
+metrics; `verify_metric_axioms` checks that claim numerically on any matrix,
+from all n^3 of its triangle margins. `validate` asks one question of each
+window's matrices, their minimum triangle margin, which
+`_min_triangle_margins` finds for a whole stack without building the
+margins. It checks nothing else, since angular_distances makes every stack
+exactly symmetric with a +0.0 diagonal and entries in [0, pi].
 """
 
 from __future__ import annotations
@@ -70,31 +75,26 @@ class MetricReport(NamedTuple):
         )
 
 
-class _AxiomStats(NamedTuple):
-    """verify_metric_axioms' figures for each matrix of an (M, n, n) stack."""
-
-    passed: np.ndarray
-    symmetry: np.ndarray
-    diagonal: np.ndarray
-    min_entry: np.ndarray
-    min_margin: np.ndarray  # inf when n < 3
-
-
 def _triangle_margins(m: np.ndarray) -> np.ndarray:
-    """margins[:, i, j, k] = d(i,j) + d(j,k) - d(i,k) of an (M, n, n) stack,
-    inf wherever two of i, j, k coincide: an (M, n, n, n) array."""
-    margins = m[:, :, :, None] + m[:, None, :, :]
-    margins -= m[:, :, None, :]
-    idx = np.arange(m.shape[-1])
-    margins[:, idx, idx, :] = np.inf
-    margins[:, :, idx, idx] = np.inf
-    margins[:, idx, :, idx] = np.inf
+    """margins[i, j, k] = d(i,j) + d(j,k) - d(i,k) of an (n, n) matrix, inf
+    wherever two of i, j, k coincide: an (n, n, n) array."""
+    margins = m[:, :, None] + m[None, :, :]
+    margins -= m[:, None, :]
+    idx = np.arange(len(m))
+    margins[idx, idx, :] = np.inf
+    margins[:, idx, idx] = np.inf
+    margins[idx, :, idx] = np.inf
     return margins
 
 
 def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
-    """Minimum of _triangle_margins(m) per matrix of an exactly symmetric
-    (M, n, n) stack, n >= 3, bit for bit, without building it.
+    """Minimum of _triangle_margins of each matrix of an (M, n, n) stack,
+    n >= 3, bit for bit, without building them.
+
+    Precondition: the stack is exactly symmetric and finite. Nothing checks
+    it here: angular_distances gives every stack it makes both properties by
+    construction, mirroring each entry i < j to j, i and computing it from
+    finite unit rows.
 
     The scan works on one copy of the stack with the stack axis innermost,
     s[k, j, r] = m[r, k, j], so every numpy loop runs over all M matrices and
@@ -105,8 +105,7 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
     * d_kj + d_ij is d_ij + d_jk bit for bit, since the stack is exactly
       symmetric and IEEE addition commutes. For the same reason the margin of
       (i, j, k) equals that of (k, j, i), so k > i covers every triple.
-    * An exactly symmetric stack is finite, since a NaN or inf entry makes
-      m - m^T NaN. For finite c, fl(x - c) is monotone in x, so
+    * For finite c, fl(x - c) is monotone in x, so
       min_j fl(x_j - c) = fl(min_j x_j - c): the hoisted subtraction is exact.
     * s has a +inf diagonal, so the sums with j == i or j == k are +inf and
       stay +inf after the subtraction, as _triangle_margins masks them.
@@ -134,55 +133,28 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
     return best
 
 
-def _axiom_stats(m: np.ndarray, tolerance: float = TRIANGLE_TOL) -> _AxiomStats:
-    """Symmetry error, diagonal error, minimum entry and minimum triangle
-    margin of every matrix of an (M, n, n) stack, and whether each passes.
-
-    The margins are those of _triangle_margins. An exactly symmetric stack,
-    as angular_distances makes every stack validate checks, is reduced by
-    _min_triangle_margins without building them. Any other stack builds them
-    one matrix at a time and takes each minimum with argmin, so that a NaN
-    margin counts as smallest, as in the n^3 definition. A matrix passes when
-    each error is within tolerance and no margin is below -tolerance; a NaN
-    anywhere fails.
-    """
-    count, n = m.shape[0], m.shape[-1]
-    asymmetry = m - m.transpose(0, 2, 1)
-    symmetry = np.abs(asymmetry, out=asymmetry).max(axis=(1, 2), initial=0.0)
-    del asymmetry  # not held during the scan
-    diagonal = np.abs(m.diagonal(0, 1, 2)).max(axis=1, initial=0.0)
-    min_entry = m.min(axis=(1, 2), initial=0.0)
-    if n < 3:
-        min_margin = np.full(count, math.inf)
-    elif symmetry.any():
-        flat = (_triangle_margins(matrix[None]).ravel() for matrix in m)
-        min_margin = np.array([x[x.argmin()] for x in flat])
-    else:
-        min_margin = _min_triangle_margins(m)
-    passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
-        np.minimum(min_entry, min_margin) >= -tolerance
-    )
-    return _AxiomStats(passed, symmetry, diagonal, min_entry, min_margin)
-
-
 def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricReport:
     """Check nonnegativity, zero diagonal, symmetry, and every triangle.
 
-    Violations are report content, not errors; the worst triple and its
-    margin (d_ij + d_jk - d_ik, negative when violated) are always reported.
-    The verdict and the entry figures are _axiom_stats'; the minimum margin,
-    its first triple and every violated triple are read from one
-    _triangle_margins array of the matrix, 8 n^3 bytes: 0.26 MB at n = 32,
-    2.1 MB at n = 64 and 16.8 MB at n = 128.
+    The n^3 reference for any square matrix, symmetric or not. Violations are
+    report content, not errors; the worst triple and its margin
+    (d_ij + d_jk - d_ik, negative when violated) are always reported. The
+    minimum margin, its first triple and every violated triple are read from
+    one _triangle_margins array of the matrix, 8 n^3 bytes: 0.26 MB at
+    n = 32, 2.1 MB at n = 64 and 16.8 MB at n = 128. The matrix passes when
+    the symmetry and diagonal errors are within tolerance and neither the
+    minimum entry nor any margin is below -tolerance; a NaN anywhere fails.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    stats = _axiom_stats(m[None], tolerance)
+    symmetry = float(np.abs(m - m.T).max(initial=0.0))
+    diagonal = float(np.abs(m.diagonal()).max(initial=0.0))
+    min_entry = float(m.min(initial=0.0))
     min_margin, worst, found = math.inf, None, {}
     if n >= 3:
-        margins = _triangle_margins(m[None])[0]
+        margins = _triangle_margins(m)
         at = margins.argmin()  # the first smallest, NaN first; 0 where all are +inf
         min_margin = float(margins.flat[at])
         worst = tuple(sorted(int(x) for x in np.unravel_index(at, margins.shape)))
@@ -195,13 +167,16 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     violations = tuple(
         TriangleViolation(*key, margin=found[key]) for key in sorted(found)
     )
+    passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
+        np.minimum(min_entry, min_margin) >= -tolerance
+    )
     return MetricReport(
         n=n,
         tolerance=tolerance,
-        passed=bool(stats.passed[0]),
-        max_symmetry_error=float(stats.symmetry[0]),
-        max_diagonal_error=float(stats.diagonal[0]),
-        min_entry=float(stats.min_entry[0]),
+        passed=bool(passed),
+        max_symmetry_error=symmetry,
+        max_diagonal_error=diagonal,
+        min_entry=min_entry,
         min_triangle_margin=min_margin,
         worst_triple=worst,
         violations=violations,

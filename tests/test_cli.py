@@ -826,7 +826,7 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
 def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkeypatch):
     # n = 32, K = 101: the engine's chunks hold 10 windows, so 200 windows are
     # 20 chunks and 5 batches, one scan each. The worst matrix's report builds
-    # its n^3 margins once, and its verdict scans that one matrix once more.
+    # its n^3 margins once and scans nothing.
     n, window, length = 32, 101, 300
     path = tmp_path / "input.csv"
     write_timeseries_csv(simulate(SyntheticSpec(n, length, (), 0.1, 11)), path)
@@ -842,10 +842,11 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
             return function(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(metric, "_min_triangle_margins", counted("scan", metric._min_triangle_margins))
+    scan = counted("scan", metric._min_triangle_margins)
+    monkeypatch.setattr(metric, "_min_triangle_margins", scan)
+    monkeypatch.setattr(cli, "_min_triangle_margins", scan)
     monkeypatch.setattr(metric, "_triangle_margins", counted("margins", metric._triangle_margins))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
-    count = length - window + 1
     assert _windows_per_chunk(n, window) == 10 and cli.VALIDATE_BATCH == 40
-    assert calls == {"scan": -(-count // 40) + 1, "margins": 1}
+    assert calls == {"scan": 5, "margins": 1}

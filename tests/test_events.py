@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
@@ -189,8 +189,7 @@ def test_near_copies_give_the_per_window_measures_without_an_axiom_check(
             return function(*args, **kwargs)
         return call
 
-    for name in ("_axiom_stats", "_min_triangle_margins", "_triangle_margins",
-                 "verify_metric_axioms"):
+    for name in ("_min_triangle_margins", "_triangle_margins", "verify_metric_axioms"):
         monkeypatch.setattr(metric, name, counted(name))
         monkeypatch.setattr(f"corrgeom.events.{name}", getattr(metric, name), raising=False)
     data = near_copies(eps, negate=negate)
@@ -274,6 +273,34 @@ def test_no_minimum_at_or_across_a_gap():
     assert summary(detect_minima(measure(values, gaps=[3]), 0.0, 0).events) == [
         (170, 1.0, 1.0, 160, 180)
     ]
+
+
+def run_lengths(gaps):
+    """Half-open ranges of the runs of False in ``gaps``, one flag at a time."""
+    out, start = [], None
+    for i, gap in enumerate(gaps):
+        if gap and start is not None:
+            out.append((start, i))
+            start = None
+        elif not gap and start is None:
+            start = i
+    if start is not None:
+        out.append((start, len(gaps)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.booleans(), max_size=60)
+       | st.tuples(st.booleans(), st.integers(0, 60)).map(lambda c: [c[0]] * c[1]))
+@example(gaps=[])
+@example(gaps=[True])
+@example(gaps=[False])
+def test_segments_are_the_gap_free_runs(gaps):
+    # Random masks, all-gap and no-gap series, one window and none.
+    series = MeasureSeries(KIND_DIAMETER, 2, 1, range(len(gaps)), np.zeros(len(gaps)), gaps)
+    got = series.segments()
+    assert got == run_lengths(gaps)
+    assert all(type(x) is int for segment in got for x in segment)
 
 
 def test_segments_shorter_than_three_points_are_skipped():
