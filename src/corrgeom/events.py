@@ -81,7 +81,7 @@ class MeasureSeries(Frozen):
         gaps = np.array(gaps, dtype=bool)
         if not (ts.shape == vals.shape == gaps.shape) or ts.ndim != 1:
             raise ValueError("timestamps, values, and gaps must be 1-d and equal length")
-        if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        if not np.all(ts[1:] > ts[:-1]):  # np.diff wraps for steps of 2^63 or more
             raise ValueError("timestamps must be strictly increasing")
         ok = ~gaps
         if not np.all(np.isfinite(vals[ok])):
@@ -194,7 +194,11 @@ def sliding_measures(
 
     chunks = correlation_chunks(ts_set, window, stride)
     count = (ts_set.length - window) // stride + 1
-    timestamps = ts_set.start + ts_set.step * stride * np.arange(count)
+    # The hop between windows can exceed int64, so it is taken modulo 2^64, as
+    # int64 arithmetic wraps; every tick fits int64 (TimeSeries checks it), so
+    # each timestamp comes out exact.
+    hop = (ts_set.step * stride + 2**63) % 2**64 - 2**63
+    timestamps = ts_set.start + hop * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = np.ones(count, dtype=bool)  # until evaluated, for every kind
 

@@ -57,7 +57,6 @@ class MetricReport(NamedTuple):
     """Outcome of checking the metric axioms on a square matrix."""
 
     n: int
-    tolerance: float
     passed: bool
     max_symmetry_error: float
     max_diagonal_error: float
@@ -133,7 +132,7 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
     return best
 
 
-def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricReport:
+def verify_metric_axioms(matrix) -> MetricReport:
     """Check nonnegativity, zero diagonal, symmetry, and every triangle.
 
     The n^3 reference for any square matrix, symmetric or not. Violations are
@@ -142,8 +141,10 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     minimum margin, its first triple and every violated triple are read from
     one _triangle_margins array of the matrix, 8 n^3 bytes: 0.26 MB at
     n = 32, 2.1 MB at n = 64 and 16.8 MB at n = 128. The matrix passes when
-    the symmetry and diagonal errors are within tolerance and neither the
-    minimum entry nor any margin is below -tolerance; a NaN anywhere fails.
+    the symmetry and diagonal errors are at most TRIANGLE_TOL and neither the
+    minimum entry nor any margin is below -TRIANGLE_TOL, the one tolerance
+    validate also applies; a NaN anywhere fails. A violation is a triple
+    whose margin is below -TRIANGLE_TOL.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -158,7 +159,7 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
         at = margins.argmin()  # the first smallest, NaN first; 0 where all are +inf
         min_margin = float(margins.flat[at])
         worst = tuple(sorted(int(x) for x in np.unravel_index(at, margins.shape)))
-        for i, j, k in np.argwhere(margins < -tolerance):
+        for i, j, k in np.argwhere(margins < -TRIANGLE_TOL):
             key = tuple(sorted((int(i), int(j), int(k))))
             val = float(margins[i, j, k])
             if key not in found or val < found[key]:
@@ -167,12 +168,11 @@ def verify_metric_axioms(matrix, tolerance: float = TRIANGLE_TOL) -> MetricRepor
     violations = tuple(
         TriangleViolation(*key, margin=found[key]) for key in sorted(found)
     )
-    passed = (np.maximum(symmetry, diagonal) <= tolerance) & (
-        np.minimum(min_entry, min_margin) >= -tolerance
+    passed = (np.maximum(symmetry, diagonal) <= TRIANGLE_TOL) & (
+        np.minimum(min_entry, min_margin) >= -TRIANGLE_TOL
     )
     return MetricReport(
         n=n,
-        tolerance=tolerance,
         passed=bool(passed),
         max_symmetry_error=symmetry,
         max_diagonal_error=diagonal,

@@ -56,7 +56,8 @@ class TimeSeries(Frozen):
     """A uniformly sampled, finite-valued series on an integer tick grid.
 
     ``start`` is the tick of the first sample and ``step`` the sampling
-    period in ticks; sample i sits at tick ``start + i * step``.
+    period in ticks; sample i sits at tick ``start + i * step``. Every tick
+    lies in the signed 64-bit range [-2^63, 2^63), so numpy's int64 holds it.
     """
 
     def __init__(self, id: str, start: int, step: int, values):
@@ -69,7 +70,14 @@ class TimeSeries(Frozen):
             raise ValueError("values must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"series {id!r} contains NaN or Inf")
-        self._set(id=id, start=int(start), step=int(step), values=arr)
+        start, step = int(start), int(step)
+        last = start + step * (arr.size - 1)
+        if not (-(2**63) <= start and last < 2**63):
+            raise ValueError(
+                f"series {id!r} has ticks from {start} to {last}, outside the "
+                "signed 64-bit range [-2^63, 2^63)"
+            )
+        self._set(id=id, start=start, step=step, values=arr)
 
     def __len__(self) -> int:
         return self.values.size
@@ -360,17 +368,19 @@ def _read_rows(reader, header: list[str], names: list[str]) -> tuple[list[str], 
     return tick_cells, np.array(rows).T
 
 
-def write_timeseries_csv(ts_set: TimeSeriesSet, dest, tick_header: str = "tick") -> None:
-    """Write a TimeSeriesSet in the format read_timeseries_csv ingests.
+def write_timeseries_csv(ts_set: TimeSeriesSet, dest) -> None:
+    """Write a TimeSeriesSet to a CSV path or open text file in the format
+    read_timeseries_csv ingests: a header row "tick" and the series ids,
+    then one row per sample, its integer tick first.
 
     Floats are written with shortest round-trip repr, so write/read is exact.
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="") as fh:
-            write_timeseries_csv(ts_set, fh, tick_header)
+            write_timeseries_csv(ts_set, fh)
             return
     writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow([tick_header, *ts_set.ids])
+    writer.writerow(["tick", *ts_set.ids])
     mat = ts_set.matrix()
     for i in range(ts_set.length):
         writer.writerow([ts_set.tick(i), *[repr(float(v)) for v in mat[:, i]]])

@@ -1,0 +1,187 @@
+"""Reference oracles that the tests hold the engine to.
+
+No module of the package imports this one; the package ships only what its
+commands run. Each oracle cross-checks the engine by another route:
+
+* one window at a time: WindowSpec (one window's start and size),
+  _one_window_units (series._window_units on one window, with the fit and
+  constant-series checks), window_correlations, the per-window reference
+  for the correlations of a chunk, and window_measures, the per-window
+  reference for sliding_measures;
+* one series or one pair at a time: window_vector, a CenteredUnitVector
+  that checks its own sum and norm, and pearson_rho, the dot product of
+  two of them;
+* one triangle at a time: max_triangle_area, the brute-force reference for
+  measures._max_triangle_areas, and girard_area, vertex-angle triangle
+  areas against measures.spherical_triangle_area's L'Huilier route.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from corrgeom.correlation import correlation_from_units
+from corrgeom.errors import CorrGeomError
+from corrgeom.events import KIND_DIAMETER, KIND_MAX_TRIANGLE
+from corrgeom.measures import _validate_sides, spherical_triangle_area
+from corrgeom.metric import PROJECTIVE, TRIANGLE_TOL, angular_distances
+from corrgeom.series import (
+    Frozen,
+    TimeSeries,
+    TimeSeriesSet,
+    _as_readonly_floats,
+    _window_units,
+)
+
+# CenteredUnitVector's invariants, |sum(components)| <= SUM_TOL * K and
+# | ||v|| - 1 | <= NORM_TOL: a reference the tests hold window_vector to. The
+# engine checks no unit row; series._window_units proves them.
+SUM_TOL = 1e-12
+NORM_TOL = 1e-12
+
+
+class ZeroVarianceError(CorrGeomError):
+    """A window is constant, so it has no direction on the sphere."""
+
+
+class WindowSpec(Frozen):
+    """A summation window: ``size`` consecutive samples starting at sample
+    index ``t`` (an index into the series, not a tick). ``stride`` is the
+    hop between consecutive windows in sliding analyses."""
+
+    def __init__(self, t: int, size: int, stride: int = 1):
+        if t < 0:
+            raise ValueError(f"window start index must be >= 0, got {t}")
+        if size < 2:
+            raise ValueError(f"window size must be >= 2, got {size}")
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        self._set(t=t, size=size, stride=stride)
+
+
+def _one_window_units(values: np.ndarray, ids, w: WindowSpec) -> np.ndarray:
+    """series._window_units for the rows of an (n, length) array over window w.
+    Raises ValueError where w does not fit and ZeroVarianceError naming the
+    first constant row."""
+    length = values.shape[1]
+    if w.t + w.size > length:
+        raise ValueError(
+            f"window [{w.t}, {w.t + w.size}) does not fit in a series of length {length}"
+        )
+    units, norms = _window_units(values[:, w.t : w.t + w.size].copy())
+    if not norms.all():
+        raise ZeroVarianceError(
+            f"series {ids[np.argmin(norms)]!r} is constant on window [{w.t}, {w.t + w.size})"
+        )
+    return units
+
+
+def window_correlations(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
+    """The (n, n) correlations of a set over one window: its centered unit
+    vectors, stacked (n, K), through correlation_from_units. Raises
+    ZeroVarianceError naming the first series constant on the window."""
+    return correlation_from_units(_one_window_units(ts_set.matrix(), ts_set.ids, w))
+
+
+def max_triangle_area(d: np.ndarray) -> float:
+    """Largest spherical_triangle_area over the triples of an (n, n) distance
+    matrix, n >= 3, one triple at a time. Raises InvalidTriangleError for the
+    first triple in lexicographic order whose sides are invalid."""
+    return max(
+        spherical_triangle_area(d[i, j], d[i, k], d[j, k])
+        for i, j, k in itertools.combinations(range(len(d)), 3)
+    )
+
+
+def window_measures(ts_set: TimeSeriesSet, window: int) -> tuple[np.ndarray, dict]:
+    """Gaps and the diameter and max-triangle values of every window of a set
+    at stride 1, one window and one pair or triple at a time: window_vector
+    per series, pairwise dots, angular_distances on the one matrix, then the
+    largest entry and the scalar spherical_triangle_area on every triple
+    (max_triangle_area), n >= 3. A window with a constant series is a gap."""
+    n = len(ts_set)
+    count = ts_set.length - window + 1
+    gaps = np.zeros(count, dtype=bool)
+    diameters = np.zeros(count)
+    triangles = np.zeros(count)
+    for m in range(count):
+        try:
+            units = np.array([window_vector(s, WindowSpec(m, window)).components
+                              for s in ts_set.series])
+        except ZeroVarianceError:
+            gaps[m] = True
+            continue
+        rho = np.eye(n)
+        for i, j in itertools.combinations(range(n), 2):
+            rho[i, j] = rho[j, i] = min(1.0, max(-1.0, float(units[i] @ units[j])))
+        d = angular_distances(rho, units, PROJECTIVE)
+        diameters[m] = max(d[i, j] for i, j in itertools.combinations(range(n), 2))
+        triangles[m] = max_triangle_area(d)
+    return gaps, {KIND_DIAMETER: diameters, KIND_MAX_TRIANGLE: triangles}
+
+
+class CenteredUnitVector(Frozen):
+    """A windowed sample vector with the window mean removed and unit
+    Euclidean norm: a point on the sphere S^(K-1). ``window_start`` is the
+    tick of the first sample in the window."""
+
+    def __init__(self, components: np.ndarray, source_id: str, window_start: int):
+        arr = _as_readonly_floats(components)
+        if not abs(arr.sum()) <= SUM_TOL * arr.size:  # also rejects NaN
+            raise ValueError(f"components of {source_id!r} do not sum to zero within {SUM_TOL}*K")
+        norm = np.linalg.norm(arr)
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"components of {source_id!r} are not unit length (norm {norm})")
+        self._set(components=arr, source_id=source_id, window_start=window_start)
+
+
+def window_vector(s: TimeSeries, w: WindowSpec) -> CenteredUnitVector:
+    """One series' window as a CenteredUnitVector, centred and scaled as in
+    window_correlations. Raises ZeroVarianceError for a constant window."""
+    unit = _one_window_units(s.values[None, :], (s.id,), w)[0]
+    return CenteredUnitVector(unit, s.id, s.tick(w.t))
+
+
+def pearson_rho(a: TimeSeries, b: TimeSeries, w: WindowSpec) -> float:
+    """Pearson correlation over one window, clamped to [-1, 1].
+
+    Computed as the dot product of the two centered unit vectors; clamping
+    guards arccos against the ~1e-16 excursions of floating-point dots.
+    Raises ZeroVarianceError if either window is constant.
+    """
+    if (a.start, a.step, len(a)) != (b.start, b.step, len(b)):
+        raise ValueError(
+            f"series {a.id!r} and {b.id!r} are not aligned"
+        )
+    ua = window_vector(a, w)
+    ub = window_vector(b, w)
+    return float(min(1.0, max(-1.0, float(np.dot(ua.components, ub.components)))))
+
+
+def girard_area(a: float, b: float, c: float) -> float:
+    """Spherical triangle area as the angle sum minus pi (Girard).
+
+    Vertex angles come from the spherical law of cosines,
+
+        cos A = (cos a - cos b cos c) / (sin b sin c),
+
+    an entirely different route than L'Huilier's half-side tangents, which is
+    what makes this a useful cross-check. Less accurate near degenerate
+    triangles, where arccos is poorly conditioned.
+    """
+    sa, sb, sc, _ = _validate_sides(a, b, c)
+    sides = (sa, sb, sc)
+    if min(sides) <= TRIANGLE_TOL:
+        return 0.0
+    total = 0.0
+    for i in range(3):
+        opp = sides[i]
+        s1, s2 = sides[(i + 1) % 3], sides[(i + 2) % 3]
+        cos_angle = (math.cos(opp) - math.cos(s1) * math.cos(s2)) / (
+            math.sin(s1) * math.sin(s2)
+        )
+        total += math.acos(min(1.0, max(-1.0, cos_angle)))
+    return total - math.pi

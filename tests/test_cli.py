@@ -22,14 +22,8 @@ from corrgeom import (
 from corrgeom.events import MEASURE_KINDS, _windows_per_chunk
 from corrgeom import metric
 from corrgeom.metric import PROJECTIVE, SPHERICAL
-from corrgeom.testkit import (
-    SyntheticSpec,
-    WindowSpec,
-    coupling_benchmark,
-    simulate,
-    window_correlations,
-    window_measures,
-)
+from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
+from oracles import WindowSpec, window_correlations, window_measures
 
 # Stored analyze and events outputs on benchmark_csv, default settings, and
 # validate outputs on benchmark_csv and, with arccos_distances, near_copies_csv
@@ -462,6 +456,37 @@ def test_simulate_writes_the_generated_series(tmp_path, capsys):
     assert capsys.readouterr().out == f"{out}\n{out.with_suffix('.truth.json')}\n"
     want = simulate(SyntheticSpec(3, 80, ((10, 40, 0.9),), 0.1, 4))
     assert np.array_equal(corrgeom.read_timeseries_csv(out).matrix(), want.matrix())
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_simulate_rejects_a_noise_sigma_that_is_not_finite_and_positive(tmp_path, capsys, value):
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--noise-sigma", value, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: noise_sigma must be finite and > 0, got {float(value)}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first", [9_200_000_000_000_000_000, 10**19])
+@pytest.mark.parametrize("command", ["analyze", "events", "validate"])
+def test_ticks_past_2_63_exit_2_and_write_nothing(tmp_path, capsys, command, first):
+    # Written by hand: no TimeSeries holds these ticks, so write_timeseries_csv cannot.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "input.csv"
+    path.write_text("tick,a,b,c\n" + "".join(
+        f"{first + i * 10**15}," + ",".join(map(repr, rng.normal(size=3).tolist())) + "\n"
+        for i in range(60)
+    ))
+    out = tmp_path / "out"
+    argv = [command, "--input", str(path), "--window", "21"]
+    argv += [] if command == "validate" else ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: series 'a' has ticks from {first} to {first + 59 * 10**15}, "
+        "outside the signed 64-bit range [-2^63, 2^63)\n"
+    ))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "events"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from corrgeom import TimeSeries, TimeSeriesSet
 from corrgeom.correlation import _mirror_upper
-from corrgeom.testkit import WindowSpec, ZeroVarianceError, pearson_rho, window_correlations
+from oracles import WindowSpec, ZeroVarianceError, pearson_rho, window_correlations
 
 
 def ts(sid, values):

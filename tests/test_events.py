@@ -37,8 +37,8 @@ from corrgeom.testkit import (
     SyntheticSpec,
     coupling_benchmark,
     simulate,
-    window_measures,
 )
+from oracles import window_measures
 
 
 def held_input():
@@ -234,6 +234,28 @@ def test_sliding_measures_ignore_series_order_and_sign(data, n, window, stride, 
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.gaps, b.gaps)
         assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "start, step, length, window, stride",
+    [
+        (2**63 - 1 - 59 * 10**15, 10**15, 60, 21, 1),  # the last tick is 2^63 - 1
+        (2**63 - 1 - 59 * 10**15, 10**15, 60, 21, 7),
+        (-(2**63), 3 * 10**17, 60, 21, 5),  # ticks span more than 2^63
+        (-(2**63), 2**62, 4, 2, 2),  # one hop of 2^63 between windows
+    ],
+    ids=["last-at-limit", "last-at-limit-stride-7", "wide-span", "hop-2^63"],
+)
+def test_timestamps_are_the_window_ticks_up_to_the_int64_limits(
+    start, step, length, window, stride
+):
+    rng = np.random.default_rng(0)
+    data = TimeSeriesSet(
+        tuple(TimeSeries(f"s{i}", start, step, rng.normal(size=length)) for i in range(3))
+    )
+    count = (length - window) // stride + 1
+    for series in sliding_measures(data, window, stride):
+        assert series.timestamps.tolist() == [data.tick(m * stride) for m in range(count)]
 
 
 def measure(values, gaps=()):

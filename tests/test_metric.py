@@ -19,14 +19,7 @@ from corrgeom.metric import (
     angular_distances,
 )
 from corrgeom.series import _window_units
-from corrgeom.testkit import (
-    AngleDomainError,
-    WindowSpec,
-    _one_window_units,
-    correlation_angle,
-    max_triangle_area,
-    projective_angle,
-)
+from oracles import WindowSpec, _one_window_units, max_triangle_area
 
 
 def random_distances(rng, n, kind, k=20):
@@ -36,36 +29,40 @@ def random_distances(rng, n, kind, k=20):
     return angular_distances(correlation_from_units(units), units, kind)
 
 
+def pair_distance(rho, kind):
+    """angular_distances' off-diagonal entry for the unit rows (1, 0) and
+    (rho, sqrt(1 - rho^2)), whose correlation is rho exactly."""
+    units = np.array([[1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)]])
+    return float(angular_distances(np.array([[1.0, rho], [rho, 1.0]]), units, kind)[0, 1])
+
+
 class TestAngles:
+    """The paper's anchors for the correlation angle arccos(rho) and the
+    projective angle arccos(|rho|), read from angular_distances."""
+
     def test_correlation_angle_endpoints(self):
-        assert correlation_angle(1.0) == 0.0
-        assert correlation_angle(-1.0) == math.pi
+        assert pair_distance(1.0, SPHERICAL) == 0.0
+        assert pair_distance(-1.0, SPHERICAL) == math.pi
 
     def test_correlation_angle_half(self):
-        assert correlation_angle(0.5) == pytest.approx(math.pi / 3, abs=1e-15)
-
-    def test_domain_error(self):
-        with pytest.raises(AngleDomainError):
-            correlation_angle(1.0000001)
-        with pytest.raises(AngleDomainError):
-            projective_angle(-1.1)
+        assert pair_distance(0.5, SPHERICAL) == pytest.approx(math.pi / 3, abs=1e-15)
 
     def test_projective_angle_paper_anchors(self):
-        assert projective_angle(1.0) == 0.0
-        assert projective_angle(-1.0) == 0.0
-        assert projective_angle(0.0) == math.pi / 2
-        assert projective_angle(-0.5) == pytest.approx(math.pi / 3, abs=1e-15)
+        assert pair_distance(1.0, PROJECTIVE) == 0.0
+        assert pair_distance(-1.0, PROJECTIVE) == 0.0
+        assert pair_distance(0.0, PROJECTIVE) == math.pi / 2
+        assert pair_distance(-0.5, PROJECTIVE) == pytest.approx(math.pi / 3, abs=1e-15)
 
     def test_projective_is_folded_spherical(self):
         for rho in np.linspace(-1, 1, 501):
-            gamma = correlation_angle(float(rho))
+            gamma = pair_distance(float(rho), SPHERICAL)
             expected = min(gamma, math.pi - gamma)
-            assert projective_angle(float(rho)) == pytest.approx(expected, abs=1e-15)
+            assert pair_distance(float(rho), PROJECTIVE) == pytest.approx(expected, abs=1e-15)
 
     def test_projective_sign_invariance_exact(self):
         rng = np.random.default_rng(0)
-        for rho in rng.uniform(-1, 1, 100):
-            assert projective_angle(float(rho)) == projective_angle(float(-rho))
+        for rho in np.r_[rng.uniform(-1, 1, 100), rng.uniform(1 - NEAR_ONE, 1, 20)]:
+            assert pair_distance(float(rho), PROJECTIVE) == pair_distance(float(-rho), PROJECTIVE)
 
 
 class TestDistanceMatrix:

@@ -16,7 +16,8 @@ from corrgeom import (
     write_timeseries_csv,
 )
 from corrgeom import cli, series
-from corrgeom.testkit import (
+from corrgeom.series import _parse_value, _window_units
+from oracles import (
     CenteredUnitVector,
     WindowSpec,
     ZeroVarianceError,
@@ -24,7 +25,6 @@ from corrgeom.testkit import (
     window_correlations,
     window_vector,
 )
-from corrgeom.series import _parse_value, _window_units
 
 
 def ts(sid, values, start=0, step=1):
@@ -56,6 +56,20 @@ class TestTimeSeriesValidation:
         with pytest.raises(DuplicateIdError):
             TimeSeriesSet((ts("a", [1, 2]), ts("a", [3, 4])))
 
+    @pytest.mark.parametrize(
+        "start, step",
+        [(9_200_000_000_000_000_000, 10**15), (10**19, 10**15), (-(2**63) - 1, 1)],
+        ids=["last-past-2^63", "first-past-2^63", "first-below-minus-2^63"],
+    )
+    def test_rejects_ticks_outside_int64(self, start, step):
+        with pytest.raises(ValueError, match=r"series 'a' has ticks .* \[-2\^63, 2\^63\)"):
+            ts("a", np.arange(60.0), start=start, step=step)
+
+    def test_accepts_ticks_up_to_the_int64_limits(self):
+        last = ts("a", np.arange(60.0), start=2**63 - 1 - 59 * 10**15, step=10**15)
+        assert last.tick(59) == 2**63 - 1
+        assert ts("a", np.arange(60.0), start=-(2**63), step=2**58).tick(0) == -(2**63)
+
 
 @pytest.mark.parametrize(
     "make, field",
@@ -77,6 +91,20 @@ def test_a_value_object_is_read_only(make, field):
     with pytest.raises(AttributeError):
         obj.new_field = 1
     assert getattr(obj, field) is before
+
+
+class TestWindowSpec:
+    def test_rejects_short_window(self):
+        with pytest.raises(ValueError):
+            WindowSpec(0, 1)
+
+    def test_rejects_bad_stride(self):
+        with pytest.raises(ValueError):
+            WindowSpec(0, 2, 0)
+
+    def test_rejects_negative_start(self):
+        with pytest.raises(ValueError):
+            WindowSpec(-1, 2)
 
 
 class TestWindowVector:
