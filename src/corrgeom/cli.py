@@ -4,10 +4,13 @@ Exit codes: 0 success, 1 validation failure, 2 usage or input error.
 Outputs are deterministic: the same input and configuration produce
 byte-identical CSV and JSON files. The log level comes from the
 CORRGEOM_LOG_LEVEL environment variable; everything else is flags or the
---config file. A config key is a setting the subcommand has a flag for, and
-its value is read as the text of that flag (a list joined with commas), by
-the same parser and its checks; a null value leaves the setting unset, and
-flags given on the command line win.
+--config file. Each setting is one flag, which holds its default, and the
+parsed namespace is the run's settings: _check rejects an out-of-range value
+before any input is read, and the manifest.json of analyze and events
+records the subcommand's settings as its config block. A config key is a
+setting the subcommand has a flag for, and its value is read as the text of
+that flag (a list joined with commas), by the same parser and its checks; a
+null value leaves the setting unset, and flags given on the command line win.
 
 CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
 WARNING (the default), INFO, DEBUG or NOTSET; any other value exits 2 with
@@ -48,7 +51,7 @@ from .metric import (
     angular_distances,
     verify_metric_axioms,
 )
-from .series import Frozen, TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
+from .series import TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
 
 CONFIG_SCHEMA_VERSION = 1
@@ -75,63 +78,32 @@ def _log_level() -> int:
     return _LOG_LEVELS[name]
 
 
-class RunConfig(Frozen):
-    """Resolved settings for one CLI run; each argument is the dest of its
-    flag. Defaults are package conventions, not values from any reference
-    analysis; in particular window=21 is just a sensible starting point and
-    should be tuned to the data. The measure kinds are checked by
-    sliding_measures."""
-
-    def __init__(
-        self,
-        input: str | None = None,
-        window: int = 21,
-        stride: int = 1,
-        measures: tuple[str, ...] = MEASURE_KINDS,
-        min_prominence: float = 0.05,
-        min_separation: int | None = None,  # defaults to window when unset
-        match_window: int | None = None,  # defaults to window when unset
-        out: str = "corrgeom_out",
-        formats: tuple[str, ...] = (),
-        seed: int = 0,
-    ):
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if not min_prominence >= 0:  # also rejects NaN
-            raise ValueError("min-prominence must be >= 0")
-        if min_separation is not None and min_separation < 0:
-            raise ValueError("min-separation must be >= 0")
-        if match_window is not None and match_window < 0:
-            raise ValueError("match-window must be >= 0")
-        for fmt in formats:
-            if fmt not in FORMATS:
-                raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
-        self._set(input=input, window=window, stride=stride, measures=measures,
-                  min_prominence=min_prominence, min_separation=min_separation,
-                  match_window=match_window, out=out, formats=formats, seed=seed)
-
-    @property
-    def separation(self) -> int:
-        return self.window if self.min_separation is None else self.min_separation
-
-    @property
-    def matching(self) -> int:
-        return self.window if self.match_window is None else self.match_window
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            **vars(self),
-            "min_separation": self.separation,
-            "match_window": self.matching,
-        }
-
-
-_SETTINGS = frozenset(vars(RunConfig()))
 # The one setting whose flag is not its name with "-" for "_".
 _FLAG_NAMES = {"formats": "--format"}
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The run's settings: every dest of the subcommand's flags but
+    --config's, each holding its value or its flag's default."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+
+
+def _check(args: argparse.Namespace) -> None:
+    """Reject an out-of-range setting before any input is read. The measure
+    kinds are checked by sliding_measures."""
+    settings = vars(args)
+    if args.window < 2:
+        raise ValueError("window must be >= 2")
+    if args.stride < 1:
+        raise ValueError("stride must be >= 1")
+    if not settings.get("min_prominence", 0.0) >= 0:  # also rejects NaN
+        raise ValueError("min-prominence must be >= 0")
+    for name in ("min_separation", "match_window"):
+        if (settings.get(name) or 0) < 0:
+            raise ValueError(f"{name.replace('_', '-')} must be >= 0")
+    for fmt in settings.get("formats", ()):
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
 
 
 def _config_flags(path: str, known: set[str]) -> list[str]:
@@ -160,10 +132,6 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
         + (",".join(map(str, value)) if isinstance(value, list) else str(value))
         for key, value in raw.items()
     ]
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None})
 
 
 class _OutputTracker:
@@ -198,10 +166,10 @@ class _OutputTracker:
                 pass
 
 
-def _read_input(config: RunConfig) -> TimeSeriesSet:
-    if not config.input:
+def _read_input(args: argparse.Namespace) -> TimeSeriesSet:
+    if not args.input:
         raise CorrGeomError("an --input CSV is required")
-    return read_timeseries_csv(config.input)
+    return read_timeseries_csv(args.input)
 
 
 def _csv_texts(series_list: list[MeasureSeries]) -> dict[str, str]:
@@ -232,13 +200,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _manifest(config: RunConfig, data: TimeSeriesSet, n_windows: int) -> dict:
+def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int) -> dict:
     import hashlib  # here, not at the top: validate writes no manifest
 
-    digest = hashlib.sha256(Path(config.input).read_bytes()).hexdigest()
+    digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     return {
         "library_version": __version__,
-        "config": config.to_dict(),
+        "config": {"schema_version": CONFIG_SCHEMA_VERSION, **_settings(args)},
         "input_sha256": digest,
         "series_ids": list(data.ids),
         "series_length": data.length,
@@ -247,12 +215,12 @@ def _manifest(config: RunConfig, data: TimeSeriesSet, n_windows: int) -> dict:
 
 
 def _write_outputs(
-    config: RunConfig, data: TimeSeriesSet, n_windows: int, files: dict[str, str]
+    args: argparse.Namespace, data: TimeSeriesSet, n_windows: int, files: dict[str, str]
 ) -> int:
     """Write ``files`` ({name: text}) and manifest.json into the out directory,
     all or none, then log and print each path."""
-    files = {**files, "manifest.json": _json_text(_manifest(config, data, n_windows))}
-    tracker = _OutputTracker(Path(config.out))
+    files = {**files, "manifest.json": _json_text(_manifest(args, data, n_windows))}
+    tracker = _OutputTracker(Path(args.out))
     try:
         for name, text in files.items():
             tracker.write_text(name, text)
@@ -268,31 +236,35 @@ def _write_outputs(
     return 0
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    data = _read_input(config)
-    series_list = sliding_measures(data, config.window, config.stride, config.measures)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    data = _read_input(args)
+    series_list = sliding_measures(data, args.window, args.stride, args.measures)
     files = _csv_texts(series_list)
-    if "svg" in config.formats:
+    if "svg" in args.formats:
         files["overlay.svg"] = render_measures_svg(series_list)
-    return _write_outputs(config, data, len(series_list[0]), files)
+    return _write_outputs(args, data, len(series_list[0]), files)
 
 
-def cmd_events(config: RunConfig) -> int:
-    data = _read_input(config)
-    series_list = sliding_measures(data, config.window, config.stride, config.measures)
+def cmd_events(args: argparse.Namespace) -> int:
+    data = _read_input(args)
+    # Unset, both are one window: K samples, which span K * step ticks.
+    if args.min_separation is None:
+        args.min_separation = args.window * data.step
+    if args.match_window is None:
+        args.match_window = args.window * data.step
+    series_list = sliding_measures(data, args.window, args.stride, args.measures)
     event_lists = {
-        s.kind: detect_minima(s, config.min_prominence, config.separation)
-        for s in series_list
+        s.kind: detect_minima(s, args.min_prominence, args.min_separation) for s in series_list
     }
     files = {f"events_{kind}.json": _json_text(ev.to_dict()) for kind, ev in event_lists.items()}
     comparisons = [
-        compare_event_sets(a, b, config.matching).to_dict()
+        compare_event_sets(a, b, args.match_window).to_dict()
         for a, b in combinations(event_lists.values(), 2)
     ]
     files["comparison.json"] = _json_text({"comparisons": comparisons})
-    if "svg" in config.formats:
+    if "svg" in args.formats:
         files["overlay.svg"] = render_measures_svg(series_list, event_lists)
-    return _write_outputs(config, data, len(series_list[0]), files)
+    return _write_outputs(args, data, len(series_list[0]), files)
 
 
 def _batched(chunks, size: int):
@@ -311,7 +283,7 @@ def _batched(chunks, size: int):
         yield tuple(np.concatenate(parts) for parts in zip(*held))
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     """Check the triangle inequality once per kind (spherical, projective) on
     every window that has no constant series, through analyze's window
     engine. Each chunk's correlations and unit rows become its (m, 2, n, n)
@@ -332,7 +304,7 @@ def cmd_validate(config: RunConfig) -> int:
     once, after the last batch, by verify_metric_axioms. Fewer than 3 series
     have no triangle to check, and exit 2; correlation_chunks rejects a
     window longer than the series."""
-    data = _read_input(config)
+    data = _read_input(args)
     n = len(data)
     if n < 3:
         raise TooFewPointsError("validate needs at least 3 series")
@@ -342,7 +314,7 @@ def cmd_validate(config: RunConfig) -> int:
     failures = checked = 0
     distances = (
         (ms, np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1))
-        for ms, rho, units in correlation_chunks(data, config.window, config.stride)
+        for ms, rho, units in correlation_chunks(data, args.window, args.stride)
     )
     for ms, dist in _batched(distances, VALIDATE_BATCH):
         dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
@@ -353,17 +325,17 @@ def cmd_validate(config: RunConfig) -> int:
         if margins.size and margins.min() < worst_margin:
             at = int(margins.argmin())
             worst_margin = float(margins[at])
-            worst = (data.tick(int(ms[at // 2]) * config.stride), kinds[at % 2])
+            worst = (data.tick(int(ms[at // 2]) * args.stride), kinds[at % 2])
             worst_matrix = dist[at].copy()
         for at in np.flatnonzero(failed):
             failures += 1
-            tick = data.tick(int(ms[at // 2]) * config.stride)
+            tick = data.tick(int(ms[at // 2]) * args.stride)
             report = verify_metric_axioms(dist[at])
             print(f"VIOLATION window@{tick} {kinds[at % 2]}: {report.summary()}", file=sys.stderr)
     if worst is not None:
         worst += (verify_metric_axioms(worst_matrix).worst_triple,)
     status = "pass" if failures == 0 else "FAIL"
-    count = (data.length - config.window) // config.stride + 1
+    count = (data.length - args.window) // args.stride + 1
     print(
         f"{status}: checked {checked} distance matrices over {count} windows; "
         f"worst triangle margin {worst_margin:.6e} at {worst}"
@@ -373,30 +345,25 @@ def cmd_validate(config: RunConfig) -> int:
 
 def _parse_episodes(text: str) -> tuple[tuple[int, int, float], ...]:
     episodes = []
-    if text:
-        for chunk in text.split(","):
-            parts = chunk.split(":")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"bad episode {chunk!r}; expected start:end:strength"
-                )
-            episodes.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    for chunk in text.split(",") if text else ():
+        try:
+            start, end, strength = chunk.split(":")
+            episodes.append((int(start), int(end), float(strength)))
+        except ValueError:
+            raise ValueError(f"bad episode {chunk!r}; expected start:end:strength") from None
     return tuple(episodes)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .testkit import SyntheticSpec, simulate
 
-    try:
-        spec = SyntheticSpec(
-            n_series=args.series,
-            length=args.length,
-            episodes=_parse_episodes(args.episodes),
-            noise_sigma=args.noise_sigma,
-            rng_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CorrGeomError(str(exc)) from exc
+    spec = SyntheticSpec(
+        n_series=args.series,
+        length=args.length,
+        episodes=_parse_episodes(args.episodes),
+        noise_sigma=args.noise_sigma,
+        rng_seed=args.seed,
+    )
     data = simulate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -415,12 +382,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The defaults are package conventions, not values from a reference analysis:
+# window 21 is a starting point, to be tuned to the data.
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="input CSV (header row; tick/date column first)")
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--window", type=int, help="summation window length K (default 21)")
-    parser.add_argument("--stride", type=int, help="hop between windows (default 1)")
-    parser.add_argument("--out", help="output directory (default corrgeom_out)")
+    parser.add_argument("--window", type=int, default=21,
+                        help="summation window length K (default: %(default)s)")
+    parser.add_argument("--stride", type=int, default=1,
+                        help="hop between windows (default: %(default)s)")
+    parser.add_argument("--out", default="corrgeom_out",
+                        help="output directory (default: %(default)s)")
 
 
 def _comma_list(text: str) -> tuple[str, ...]:
@@ -428,24 +400,29 @@ def _comma_list(text: str) -> tuple[str, ...]:
 
 
 def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="seed echoed into the manifest")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed echoed into the manifest (default: %(default)s)")
     parser.add_argument(
         "--measures",
         type=_comma_list,
-        help=f"comma-separated measure kinds from: {', '.join(MEASURE_KINDS)} (default: "
-        'all; "" names none, which is an error)',
+        default=",".join(MEASURE_KINDS),  # a text default goes through the type too
+        help='comma-separated measure kinds (default: %(default)s; "" names none, which is '
+        "an error)",
     )
-    parser.add_argument("--format", dest="formats", type=_comma_list, metavar="FORMAT",
-                        help="extra outputs besides the CSV and JSON files: svg")
+    parser.add_argument("--format", dest="formats", type=_comma_list, default=(),
+                        metavar="FORMAT", help="extra outputs besides the CSV and JSON files: "
+                        f"{', '.join(FORMATS)} (default: none)")
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-prominence", type=float, dest="min_prominence",
-                        help="minimum prominence for a detected minimum")
-    parser.add_argument("--min-separation", type=int, dest="min_separation",
-                        help="minimum tick separation between events (default: window)")
-    parser.add_argument("--match-window", type=int, dest="match_window",
-                        help="tick window for matching events across measures (default: window)")
+    parser.add_argument("--min-prominence", type=float, default=0.05,
+                        help="minimum prominence for a detected minimum (default: %(default)s)")
+    parser.add_argument("--min-separation", type=int,
+                        help="minimum tick separation between events (default: one window, "
+                        "K times the tick step)")
+    parser.add_argument("--match-window", type=int,
+                        help="tick window for matching events across measures (default: one "
+                        "window, K times the tick step)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,15 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_validate)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic series with planted episodes")
-    p_sim.add_argument("--series", type=int, default=4, help="number of series")
-    p_sim.add_argument("--length", type=int, default=500, help="samples per series")
+    p_sim.add_argument("--series", type=int, default=4,
+                       help="number of series (default: %(default)s)")
+    p_sim.add_argument("--length", type=int, default=500,
+                       help="samples per series (default: %(default)s)")
     p_sim.add_argument(
         "--episodes",
         default="",
-        help="planted couplings as start:end:strength[,start:end:strength...]",
+        help="planted couplings as start:end:strength[,start:end:strength...] (default: none)",
     )
-    p_sim.add_argument("--noise-sigma", type=float, default=0.1, dest="noise_sigma")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--noise-sigma", type=float, default=0.1,
+                       help="noise standard deviation (default: %(default)s)")
+    p_sim.add_argument("--seed", type=int, default=0, help="generator seed (default: %(default)s)")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -493,10 +473,11 @@ def main(argv=None) -> int:
             return cmd_simulate(args)
         if args.config:
             # The command-line flags come after the config file's, so they win.
-            flags = _config_flags(args.config, vars(args).keys() & _SETTINGS)
+            flags = _config_flags(args.config, _settings(args).keys())
             args = parser.parse_args([args.command, *flags, *argv[1:]])
+        _check(args)
         command = {"analyze": cmd_analyze, "events": cmd_events, "validate": cmd_validate}
-        return command[args.command](_resolve_config(args))
+        return command[args.command](args)
     except (CorrGeomError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

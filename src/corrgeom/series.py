@@ -207,7 +207,8 @@ def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Format: header row mandatory; first column is an integer tick (constant
 # positive step) or an ISO date (strictly increasing, mapped to consecutive
 # ticks 0, 1, 2, ... in row order); remaining columns are one series each.
-# Missing cells are rejected, never imputed. Decimal point only.
+# Missing cells are rejected, never imputed. Decimal point and ASCII digits
+# only, with no digit-group underscores.
 # ---------------------------------------------------------------------------
 
 
@@ -221,6 +222,8 @@ def _parse_value(cell: str, row: int, col: str) -> float:
             "decimal point only, no thousands separators"
         )
     try:
+        if not text.isascii() or "_" in text:  # float() reads 1_0 as 10, and other digits
+            raise ValueError(text)
         v = float(text)
     except ValueError:
         raise IngestError(
@@ -231,17 +234,25 @@ def _parse_value(cell: str, row: int, col: str) -> float:
     return v
 
 
+def _parse_tick(cell: str) -> int:
+    """int() of an ASCII decimal cell; int() alone also reads digit-group
+    underscores, 1_0, and non-ASCII digits."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _parse_tick_column(cells: list[str]) -> tuple[int, int]:
     """Return (start, step) for the first column; validates uniform spacing."""
-    first = cells[0].strip()
     is_int = True
     try:
-        int(first)
+        _parse_tick(cells[0])
     except ValueError:
         is_int = False
     if is_int:
         try:
-            ticks = [int(c.strip()) for c in cells]
+            ticks = [_parse_tick(c) for c in cells]
         except ValueError as exc:
             raise IngestError(f"mixed tick column: {exc}") from None
         if len(ticks) == 1:
@@ -291,10 +302,11 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
 
     Without quotes or carriage returns, each line is one record whose cells
     are its comma-separated fields. np.loadtxt accepts a subset of what
-    float() accepts, with the same values, so a body it parses to finite
-    values with ncol cells per line and no blank tick is one the row loop
-    reads the same. Any other file goes through the row loop, which raises
-    its first error."""
+    float() accepts, with the same values, and neither the underscores nor
+    the non-ASCII digits that float() reads and _parse_value rejects, so a
+    body it parses to finite values with ncol cells per line and no blank
+    tick is one the row loop reads the same. Any other file goes through the
+    row loop, which raises its first error."""
     text = "".join(lines)
     body = lines[1:]
     if not body or '"' in text or "\r" in text:

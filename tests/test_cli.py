@@ -458,6 +458,16 @@ def test_simulate_writes_the_generated_series(tmp_path, capsys):
     assert np.array_equal(corrgeom.read_timeseries_csv(out).matrix(), want.matrix())
 
 
+@pytest.mark.parametrize("episode", ["10:20.5:0.5", "10:20:strong", "10:20"])
+def test_simulate_rejects_a_bad_episode(tmp_path, capsys, episode):
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--episodes", f"0:5:0.5,{episode}", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad episode {episode!r}; expected start:end:strength\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "0"])
 def test_simulate_rejects_a_noise_sigma_that_is_not_finite_and_positive(tmp_path, capsys, value):
     out = tmp_path / "sim.csv"
@@ -591,6 +601,82 @@ def test_events_outputs_are_byte_identical(tmp_path, capsys):
         "overlay.svg",
     }
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ("analyze", ["K (default: 21)", "windows (default: 1)", "(default: corrgeom_out)",
+                     "manifest (default: 0)", "(default: diameter,max_triangle_area;",
+                     "svg (default: none)"]),
+        ("events", ["K (default: 21)", "windows (default: 1)", "(default: corrgeom_out)",
+                    "manifest (default: 0)", "(default: diameter,max_triangle_area;",
+                    "svg (default: none)", "minimum (default: 0.05)",
+                    "events (default: one window, K times the tick step)",
+                    "measures (default: one window, K times the tick step)"]),
+        ("validate", ["K (default: 21)", "windows (default: 1)", "(default: corrgeom_out)"]),
+        ("simulate", ["series (default: 4)", "series (default: 500)",
+                      "strength...] (default: none)", "deviation (default: 0.1)",
+                      "seed (default: 0)"]),
+    ],
+)
+def test_help_shows_each_default(capsys, command, defaults):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help lines
+    for default in defaults:
+        assert default in text
+    assert text.count("(default:") == len(defaults)
+
+
+@pytest.mark.parametrize("command", ["analyze", "events"])
+def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, command):
+    # Each command's own settings, with events' separation and match window
+    # resolved to ticks; analyze has no detector settings, and rejects them
+    # as flags.
+    path = benchmark_csv(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", path, "--out", str(out)]) == 0
+    want = {"schema_version": 1, "input": path, "window": 21, "stride": 1,
+            "measures": list(MEASURE_KINDS), "out": str(out), "formats": [], "seed": 0}
+    if command == "events":
+        want.update(min_prominence=0.05, min_separation=21, match_window=21)
+    assert json.loads((out / "manifest.json").read_text())["config"] == want
+
+
+# Event keys that hold ticks, or lists or pairs of ticks.
+TICK_KEYS = {"timestamp", "left_base", "right_base", "min_separation", "match_window",
+             "a_only", "b_only", "matched"}
+
+
+def ticks_times(scale, obj, key=None):
+    """An events or comparison JSON object with every tick times ``scale``."""
+    if isinstance(obj, dict):
+        return {k: ticks_times(scale, v, k) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [ticks_times(scale, v, key) for v in obj]
+    return scale * obj if key in TICK_KEYS else obj
+
+
+def test_events_on_ticks_of_step_100_are_the_step_1_events_times_100(tmp_path, capsys):
+    # Unset, the separation and the match window span one window, K * step
+    # ticks. Taken as K ticks, they would span a hundredth of a window here,
+    # and give 36 diameter events and 11 matches in place of 10 and 9.
+    data = simulate(SyntheticSpec(4, 400, ((100, 180, 0.9),), 0.1, 3))
+    runs = []
+    for step in (1, 100):
+        path = tmp_path / f"step{step}.csv"
+        series = tuple(TimeSeries(s.id, 0, step, s.values) for s in data.series)
+        write_timeseries_csv(TimeSeriesSet(series), path)
+        out = tmp_path / f"out{step}"
+        assert cli.main(["events", "--input", str(path), "--out", str(out)]) == 0
+        runs.append({p.name: json.loads(p.read_text()) for p in sorted(out.glob("*.json"))})
+        assert runs[-1].pop("manifest.json")["config"]["min_separation"] == 21 * step
+    unit, scaled = runs
+    assert [len(unit[f"events_{kind}.json"]["events"]) for kind in MEASURE_KINDS] == [10, 10]
+    assert unit["comparison.json"]["comparisons"][0]["n_matched"] == 9
+    assert scaled == ticks_times(100, unit)
 
 
 def test_import_loads_no_scipy():

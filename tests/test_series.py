@@ -15,7 +15,7 @@ from corrgeom import (
     read_timeseries_csv,
     write_timeseries_csv,
 )
-from corrgeom import cli, series
+from corrgeom import series
 from corrgeom.series import _parse_value, _window_units
 from oracles import (
     CenteredUnitVector,
@@ -77,9 +77,8 @@ class TestTimeSeriesValidation:
         (lambda: ts("a", [1.0, 2.0]), "id"),
         (lambda: TimeSeriesSet((ts("a", [1.0, 2.0]),)), "series"),
         (lambda: WindowSpec(0, 2), "size"),
-        (cli.RunConfig, "window"),
     ],
-    ids=["TimeSeries", "TimeSeriesSet", "WindowSpec", "RunConfig"],
+    ids=["TimeSeries", "TimeSeriesSet", "WindowSpec"],
 )
 def test_a_value_object_is_read_only(make, field):
     obj = make()
@@ -356,6 +355,7 @@ def test_what_the_loadtxt_parse_accepts_float_reads_the_same(tokens):
     if parsed is not None:
         assert parsed[0] == ["0"]
         assert np.float64(float(cell)).tobytes() == parsed[1][0, 0].tobytes()
+        assert np.float64(_parse_value(cell, 1, "a")).tobytes() == parsed[1][0, 0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -372,6 +372,25 @@ def test_what_the_loadtxt_parse_accepts_float_reads_the_same(tokens):
                      id="trailing-comma"),
         pytest.param("tick,a,b\n0,1,2\n \t,3,4\n", "missing tick at data row 2", id="blank-tick"),
         pytest.param("tick,a,b\n0,1,2\n1,3,4", [[1.0, 3.0], [2.0, 4.0]], id="no-final-newline"),
+        # Underscores and non-ASCII digits, which float() and int() read.
+        *[
+            pytest.param(f"tick,a,b\n0,1,2\n1,3,{cell}\n",
+                         f"bad number {cell!r} at data row 2, column 'b'", id=f"value-{name}")
+            for cell, name in (("1_0", "1_0"), ("0_5", "0_5"), ("\u0661\u0662", "arabic-indic"),
+                               ("\uff11", "fullwidth"))
+        ],
+        pytest.param("tick,a\n0_0,1\n1_0,2\n",
+                     "first column must be all integers or all ISO dates; got '0_0' at data row 1",
+                     id="tick-0_0"),
+        pytest.param("tick,a\n0,1\n1_0,2\n",
+                     "mixed tick column: invalid literal for int() with base 10: '1_0'",
+                     id="tick-1_0"),
+        pytest.param("tick,a\n\u0660,1\n\u0661,2\n",
+                     "first column must be all integers or all ISO dates; got '\u0660' at data "
+                     "row 1", id="tick-arabic-indic-first"),
+        pytest.param("tick,a\n0,1\n\u0661,2\n",
+                     "mixed tick column: invalid literal for int() with base 10: '\u0661'",
+                     id="tick-arabic-indic"),
     ],
 )
 def test_a_file_reads_the_same_on_both_paths(text, want, monkeypatch):
