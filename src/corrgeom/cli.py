@@ -5,11 +5,14 @@ Outputs are deterministic: the same input and configuration produce
 byte-identical CSV and JSON files. The log level comes from the
 CORRGEOM_LOG_LEVEL environment variable; everything else is flags or the
 --config file. Each setting is one flag, which holds its default, and the
-parsed namespace is the run's settings: _check rejects an out-of-range value
-before any input is read, and the manifest.json of analyze and events
+parsed namespace is the run's settings. A flag's type is the one check on
+its value: a number is read by series.parse_number and held to the flag's
+lower bound, and a bad value exits 2 through argparse, naming the flag,
+before any input is read. (sliding_measures checks the measure kinds, and
+SyntheticSpec simulate's ranges.) The manifest.json of analyze and events
 records the subcommand's settings as its config block. A config key is a
 setting the subcommand has a flag for, and its value is read as the text of
-that flag (a list joined with commas), by the same parser and its checks; a
+that flag (a list joined with commas), by the same parser and its types; a
 null value leaves the setting unset, and flags given on the command line win.
 
 CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
@@ -51,7 +54,7 @@ from .metric import (
     angular_distances,
     verify_metric_axioms,
 )
-from .series import TimeSeriesSet, read_timeseries_csv, write_timeseries_csv
+from .series import TimeSeriesSet, parse_number, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
 
 CONFIG_SCHEMA_VERSION = 1
@@ -86,24 +89,6 @@ def _settings(args: argparse.Namespace) -> dict:
     """The run's settings: every dest of the subcommand's flags but
     --config's, each holding its value or its flag's default."""
     return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-
-
-def _check(args: argparse.Namespace) -> None:
-    """Reject an out-of-range setting before any input is read. The measure
-    kinds are checked by sliding_measures."""
-    settings = vars(args)
-    if args.window < 2:
-        raise ValueError("window must be >= 2")
-    if args.stride < 1:
-        raise ValueError("stride must be >= 1")
-    if not settings.get("min_prominence", 0.0) >= 0:  # also rejects NaN
-        raise ValueError("min-prominence must be >= 0")
-    for name in ("min_separation", "match_window"):
-        if (settings.get(name) or 0) < 0:
-            raise ValueError(f"{name.replace('_', '-')} must be >= 0")
-    for fmt in settings.get("formats", ()):
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
 
 
 def _config_flags(path: str, known: set[str]) -> list[str]:
@@ -150,8 +135,8 @@ class _OutputTracker:
     def write_text(self, name: str, text: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
+        self.written.append(path)  # before the write, so discard_all removes a partial file
         self._temporary(path).write_text(text)
-        self.written.append(path)
         return path
 
     def commit(self) -> None:
@@ -348,7 +333,8 @@ def _parse_episodes(text: str) -> tuple[tuple[int, int, float], ...]:
     for chunk in text.split(",") if text else ():
         try:
             start, end, strength = chunk.split(":")
-            episodes.append((int(start), int(end), float(strength)))
+            episodes.append((parse_number(start, int), parse_number(end, int),
+                             parse_number(strength, float)))
         except ValueError:
             raise ValueError(f"bad episode {chunk!r}; expected start:end:strength") from None
     return tuple(episodes)
@@ -382,14 +368,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(kind: type, low: int | None = None):
+    """A numeric flag's type: parse_number's ``kind`` of the text, which must
+    be at least ``low`` when that is given (a NaN is not). It carries the
+    bound as its ``low`` attribute, and the kind's ``__name__``, which
+    argparse's message for text that does not parse names: ``argument
+    --window: invalid int value: '2_1'``."""
+
+    def parse(text: str) -> int | float:
+        value = parse_number(text, kind)
+        if low is not None and not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__, parse.low = kind.__name__, low
+    return parse
+
+
 # The defaults are package conventions, not values from a reference analysis:
 # window 21 is a starting point, to be tuned to the data.
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="input CSV (header row; tick/date column first)")
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--window", type=int, default=21,
+    parser.add_argument("--window", type=_number(int, 2), default=21,
                         help="summation window length K (default: %(default)s)")
-    parser.add_argument("--stride", type=int, default=1,
+    parser.add_argument("--stride", type=_number(int, 1), default=1,
                         help="hop between windows (default: %(default)s)")
     parser.add_argument("--out", default="corrgeom_out",
                         help="output directory (default: %(default)s)")
@@ -399,8 +402,16 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()
 
 
+def _formats(text: str) -> tuple[str, ...]:
+    for fmt in _comma_list(text):
+        if fmt not in FORMATS:
+            choices = ", ".join(FORMATS)
+            raise argparse.ArgumentTypeError(f"unknown format {fmt!r}; choose from {choices}")
+    return _comma_list(text)
+
+
 def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_number(int), default=0,
                         help="seed echoed into the manifest (default: %(default)s)")
     parser.add_argument(
         "--measures",
@@ -409,18 +420,18 @@ def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
         help='comma-separated measure kinds (default: %(default)s; "" names none, which is '
         "an error)",
     )
-    parser.add_argument("--format", dest="formats", type=_comma_list, default=(),
+    parser.add_argument("--format", dest="formats", type=_formats, default=(),
                         metavar="FORMAT", help="extra outputs besides the CSV and JSON files: "
                         f"{', '.join(FORMATS)} (default: none)")
 
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-prominence", type=float, default=0.05,
+    parser.add_argument("--min-prominence", type=_number(float, 0), default=0.05,
                         help="minimum prominence for a detected minimum (default: %(default)s)")
-    parser.add_argument("--min-separation", type=int,
+    parser.add_argument("--min-separation", type=_number(int, 0),
                         help="minimum tick separation between events (default: one window, "
                         "K times the tick step)")
-    parser.add_argument("--match-window", type=int,
+    parser.add_argument("--match-window", type=_number(int, 0),
                         help="tick window for matching events across measures (default: one "
                         "window, K times the tick step)")
 
@@ -447,18 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_validate)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic series with planted episodes")
-    p_sim.add_argument("--series", type=int, default=4,
+    p_sim.add_argument("--series", type=_number(int), default=4,
                        help="number of series (default: %(default)s)")
-    p_sim.add_argument("--length", type=int, default=500,
+    p_sim.add_argument("--length", type=_number(int), default=500,
                        help="samples per series (default: %(default)s)")
     p_sim.add_argument(
         "--episodes",
         default="",
         help="planted couplings as start:end:strength[,start:end:strength...] (default: none)",
     )
-    p_sim.add_argument("--noise-sigma", type=float, default=0.1,
+    p_sim.add_argument("--noise-sigma", type=_number(float), default=0.1,
                        help="noise standard deviation (default: %(default)s)")
-    p_sim.add_argument("--seed", type=int, default=0, help="generator seed (default: %(default)s)")
+    p_sim.add_argument("--seed", type=_number(int), default=0,
+                       help="generator seed (default: %(default)s)")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -475,7 +487,6 @@ def main(argv=None) -> int:
             # The command-line flags come after the config file's, so they win.
             flags = _config_flags(args.config, _settings(args).keys())
             args = parser.parse_args([args.command, *flags, *argv[1:]])
-        _check(args)
         command = {"analyze": cmd_analyze, "events": cmd_events, "validate": cmd_validate}
         return command[args.command](args)
     except (CorrGeomError, ValueError, OSError) as exc:

@@ -212,6 +212,18 @@ def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def parse_number(text: str, kind: type) -> int | float:
+    """``kind(text)``, ``kind`` int or float, of the stripped text when it is
+    ASCII with no digit-group underscores: the rule for numbers of CSV cells
+    and of the CLI's flags. int() and float() alone also read 1_0 as 10, and
+    non-ASCII digits. A text that breaks the rule raises ValueError in
+    int()'s words, naming ``kind``."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for {kind.__name__}() with base 10: {text!r}")
+    return kind(text)
+
+
 def _parse_value(cell: str, row: int, col: str) -> float:
     text = cell.strip()
     if not text:
@@ -222,9 +234,7 @@ def _parse_value(cell: str, row: int, col: str) -> float:
             "decimal point only, no thousands separators"
         )
     try:
-        if not text.isascii() or "_" in text:  # float() reads 1_0 as 10, and other digits
-            raise ValueError(text)
-        v = float(text)
+        v = parse_number(text, float)
     except ValueError:
         raise IngestError(
             f"bad number {cell!r} at data row {row}, column {col!r}"
@@ -234,25 +244,16 @@ def _parse_value(cell: str, row: int, col: str) -> float:
     return v
 
 
-def _parse_tick(cell: str) -> int:
-    """int() of an ASCII decimal cell; int() alone also reads digit-group
-    underscores, 1_0, and non-ASCII digits."""
-    text = cell.strip()
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
-
-
 def _parse_tick_column(cells: list[str]) -> tuple[int, int]:
     """Return (start, step) for the first column; validates uniform spacing."""
     is_int = True
     try:
-        _parse_tick(cells[0])
+        parse_number(cells[0], int)
     except ValueError:
         is_int = False
     if is_int:
         try:
-            ticks = [_parse_tick(c) for c in cells]
+            ticks = [parse_number(c, int) for c in cells]
         except ValueError as exc:
             raise IngestError(f"mixed tick column: {exc}") from None
         if len(ticks) == 1:
@@ -328,9 +329,9 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
 
 
 def read_timeseries_csv(source) -> TimeSeriesSet:
-    """Read a TimeSeriesSet from a CSV path or open text file."""
+    """Read a TimeSeriesSet from a CSV path, read as UTF-8, or open text file."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", newline="") as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_timeseries_csv(fh)
     lines = list(source)
     reader = csv.reader(lines)
@@ -383,12 +384,13 @@ def _read_rows(reader, header: list[str], names: list[str]) -> tuple[list[str], 
 def write_timeseries_csv(ts_set: TimeSeriesSet, dest) -> None:
     """Write a TimeSeriesSet to a CSV path or open text file in the format
     read_timeseries_csv ingests: a header row "tick" and the series ids,
-    then one row per sample, its integer tick first.
+    then one row per sample, its integer tick first. A path is written as
+    UTF-8.
 
     Floats are written with shortest round-trip repr, so write/read is exact.
     """
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_timeseries_csv(ts_set, fh)
             return
     writer = csv.writer(dest, lineterminator="\n")

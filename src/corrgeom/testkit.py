@@ -98,10 +98,10 @@ BENCHMARK_MIN_SEPARATION = 21
 BENCHMARK_MIN_PROMINENCE = {"diameter": 0.5, "max_triangle_area": 0.15}
 
 
-def coupling_benchmark(seed: int, window: int = BENCHMARK_WINDOW) -> SyntheticSpec:
+def coupling_benchmark(seed: int) -> SyntheticSpec:
     """The canonical planted-episode benchmark: four series of length 500
     with two strength-0.9 episodes of three windows each."""
-    span = 3 * window
+    span = 3 * BENCHMARK_WINDOW
     return SyntheticSpec(
         n_series=4,
         length=500,

@@ -1,6 +1,8 @@
 """The command-line entry point, called through cli.main(argv)."""
 
+import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -385,6 +387,69 @@ def test_a_config_value_its_flag_rejects_exits_2(tmp_path, capsys, settings, fla
     assert not out.exists()
 
 
+def numeric_flags():
+    """(command, flag, dest, low, has_config) for each flag of each subcommand
+    of build_parser() whose type argparse names int or float; ``low`` is the
+    type's bound, None where it has none."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0], action.dest, getattr(action.type, "low", None),
+         "config" in {a.dest for a in parser._actions})
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if getattr(action.type, "__name__", None) in ("int", "float")
+    ]
+
+
+NUMERIC_FLAGS = numeric_flags()
+
+
+def test_each_numeric_flag_takes_its_bound():
+    bounds = {flag: low for _, flag, _, low, _ in NUMERIC_FLAGS}
+    assert {"--window", "--seed", "--min-prominence", "--noise-sigma"} <= bounds.keys()
+    assert [bounds[flag] for flag in ("--window", "--stride", "--min-separation")] == [2, 1, 0]
+    parser = cli.build_parser()
+    for command, flag, dest, low, _ in NUMERIC_FLAGS:
+        if low is not None:
+            args = parser.parse_args([command, f"{flag}={low}", "--out", "x"])
+            assert getattr(args, dest) == low
+
+
+@pytest.mark.parametrize(
+    "command, flag, dest, value, source",
+    [
+        (command, flag, dest, value, source)
+        for command, flag, dest, low, has_config in NUMERIC_FLAGS
+        for value in ["2_1", "٢١", *([] if low is None else [str(low - 1)])]
+        for source in (["flag", "config"] if has_config else ["flag"])
+    ],
+)
+def test_a_bad_numeric_flag_value_exits_2_before_any_input_is_read(
+    tmp_path, capsys, monkeypatch, command, flag, dest, value, source
+):
+    # 2_1 and the Arabic-Indic digits 21 are what int() and float() read as 21.
+    def fail(*args):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "read_timeseries_csv", fail)
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = [command, "--out", str(out / "sim.csv")]
+    else:
+        argv = [command, "--input", str(tmp_path / "input.csv"), "--out", str(out)]
+    if source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({dest: value}))
+        argv += ["--config", str(config)]
+    else:
+        argv.append(f"{flag}={value}")  # the = form reads "-1" as a value
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, key", [("analyze", "stride"), ("events", "min_separation"), ("events", "measures")]
 )
@@ -458,7 +523,9 @@ def test_simulate_writes_the_generated_series(tmp_path, capsys):
     assert np.array_equal(corrgeom.read_timeseries_csv(out).matrix(), want.matrix())
 
 
-@pytest.mark.parametrize("episode", ["10:20.5:0.5", "10:20:strong", "10:20"])
+@pytest.mark.parametrize(
+    "episode", ["10:20.5:0.5", "10:20:strong", "10:20", "1_0:2_0:0.5", "١٠:20:0.5"]
+)
 def test_simulate_rejects_a_bad_episode(tmp_path, capsys, episode):
     out = tmp_path / "sim.csv"
     assert cli.main(["simulate", "--episodes", f"0:5:0.5,{episode}", "--out", str(out)]) == 2
@@ -582,8 +649,10 @@ def test_format_accepts_only_svg(tmp_path, capsys):
     path = write_csv(tmp_path, [np.sin(np.arange(60) / s) for s in (2, 3, 5)])
     assert cli.FORMATS == ("svg",)
     argv = ["analyze", "--input", path, "--out", str(tmp_path / "out"), "--format", "csv"]
-    assert cli.main(argv) == 2
-    assert "unknown format 'csv'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "argument --format: unknown format 'csv'" in capsys.readouterr().err
 
 
 def test_events_outputs_are_byte_identical(tmp_path, capsys):
@@ -694,8 +763,10 @@ def test_bad_detector_settings_exit_2_before_any_window(tmp_path, capsys, monkey
 
     monkeypatch.setattr(cli, "sliding_measures", fail)
     argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(tmp_path / "out"), flag, value]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 0\n"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be >= 0\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -789,6 +860,52 @@ def test_failed_run_keeps_the_earlier_runs_files(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: render failed\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", benchmark_csv(tmp_path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    write_text, written = Path.write_text, []
+    disk_full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def disk_full_on_second_file(path, text, *args, **kwargs):
+        written.append(path)
+        if len(written) < 2:
+            return write_text(path, text, *args, **kwargs)
+        write_text(path, text[:10], *args, **kwargs)
+        raise disk_full
+
+    monkeypatch.setattr(Path, "write_text", disk_full_on_second_file)
+    capsys.readouterr()
+    assert cli.main([*argv, "--window", "31"]) == 2
+    assert capsys.readouterr().err == f"error: {disk_full}\n"
+    assert len(written) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no .tmp file left
+
+
+def test_a_utf8_csv_reads_and_writes_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "input.csv"
+    columns = [np.sin(np.arange(60) / s) for s in (2, 3, 5)]
+    ids = ["Zürich", "b", "c"]
+    data = TimeSeriesSet(tuple(TimeSeries(name, 0, 1, c) for name, c in zip(ids, columns)))
+    write_timeseries_csv(data, path)
+    assert path.read_bytes().startswith("tick,Zürich,b,c\n".encode())
+    # Without these, Python reads and writes files as UTF-8 in the C locale.
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]), LC_ALL="C",
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    copy = (
+        "import sys\nfrom corrgeom import read_timeseries_csv, write_timeseries_csv\n"
+        "write_timeseries_csv(read_timeseries_csv(sys.argv[1]), sys.argv[2])\n"
+    )
+    out = tmp_path / "out"
+    for argv in (["-m", "corrgeom.cli", "analyze", "--input", str(path), "--out", str(out)],
+                 ["-c", copy, str(path), str(tmp_path / "copy.csv")]):
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    assert json.loads((out / "manifest.json").read_text())["series_ids"] == ids
+    assert (tmp_path / "copy.csv").read_bytes() == path.read_bytes()
 
 
 def assert_csv_matches(got, want):
