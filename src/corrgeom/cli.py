@@ -24,6 +24,9 @@ events write one line per output file to stderr, in the order written:
 
 That is the line and the level rule of the standard logging module under
 logging.basicConfig, which the CLI does not import, to keep start-up short.
+
+analyze and events write their files all or none: a failed run removes
+every temporary file and every directory it made.
 """
 
 from __future__ import annotations
@@ -99,8 +102,7 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     ``known`` (the settings the subcommand has flags for) is an error."""
     import json
 
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = json.loads(Path(path).read_bytes())  # JSON is UTF-8, -16 or -32, never the locale's
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
     raw = {key: value for key, value in raw.items() if value is not None}
@@ -117,38 +119,6 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
         + (",".join(map(str, value)) if isinstance(value, list) else str(value))
         for key, value in raw.items()
     ]
-
-
-class _OutputTracker:
-    """Writes a run's outputs under temporary names in the out directory and
-    renames them into place only once all are written, so a run that fails
-    partway leaves the directory's earlier files untouched."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list[Path] = []
-
-    @staticmethod
-    def _temporary(path: Path) -> Path:
-        return path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-    def write_text(self, name: str, text: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        self.written.append(path)  # before the write, so discard_all removes a partial file
-        self._temporary(path).write_text(text)
-        return path
-
-    def commit(self) -> None:
-        for path in self.written:
-            self._temporary(path).replace(path)
-
-    def discard_all(self) -> None:
-        for path in self.written:
-            try:
-                self._temporary(path).unlink()
-            except OSError:
-                pass
 
 
 def _read_input(args: argparse.Namespace) -> TimeSeriesSet:
@@ -203,18 +173,35 @@ def _write_outputs(
     args: argparse.Namespace, data: TimeSeriesSet, n_windows: int, files: dict[str, str]
 ) -> int:
     """Write ``files`` ({name: text}) and manifest.json into the out directory,
-    all or none, then log and print each path."""
+    all or none, then log and print each path. The out directory and any
+    missing parents are made; each text is written as UTF-8 to a temporary
+    ``.<name>.<pid>.tmp`` beside its file, and the temporary files are renamed
+    into place only once all are written. On any error every temporary file
+    and every directory this run made (deepest first, if empty) is removed and
+    the error raised again, so a failed write leaves the directory's earlier
+    files as they were. A rename that fails leaves the files renamed before it
+    with this run's bytes, and the rest with the earlier run's."""
     files = {**files, "manifest.json": _json_text(_manifest(args, data, n_windows))}
-    tracker = _OutputTracker(Path(args.out))
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    paths = [out / name for name in files]
+    # Named before any write, so that a partial file is removed too.
+    temporary = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        for name, text in files.items():
-            tracker.write_text(name, text)
-        tracker.commit()
+        out.mkdir(parents=True, exist_ok=True)
+        for tmp, text in zip(temporary, files.values()):
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, path in zip(temporary, paths):
+            tmp.replace(path)
     except Exception:
-        tracker.discard_all()
+        for undo in [*(tmp.unlink for tmp in temporary), *(d.rmdir for d in made)]:
+            try:
+                undo()
+            except OSError:  # a file not written or already renamed, or a directory not empty
+                pass
         raise
     log_info = _log_level() <= _LOG_LEVELS["INFO"]
-    for path in tracker.written:
+    for path in paths:
         if log_info:
             print(f"INFO:corrgeom:wrote {path}", file=sys.stderr)
         print(path)
@@ -362,7 +349,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "rng_seed": spec.rng_seed,
     }
     sidecar = out.with_suffix(".truth.json")
-    sidecar.write_text(_json_text(truth))
+    sidecar.write_text(_json_text(truth), encoding="utf-8")
     print(out)
     print(sidecar)
     return 0

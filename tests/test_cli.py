@@ -862,11 +862,21 @@ def test_failed_run_keeps_the_earlier_runs_files(tmp_path, capsys, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "out"
+def tree(root):
+    """Every path under ``root``, with a file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["existing_out", "fresh_out"])
+def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
+    tmp_path, capsys, monkeypatch, fresh
+):
+    # A fresh --out has missing parents, which the failed run must not leave behind.
+    out = tmp_path / "fresh" / "a" / "out" if fresh else tmp_path / "out"
     argv = ["analyze", "--input", benchmark_csv(tmp_path), "--out", str(out)]
-    assert cli.main(argv) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    if not fresh:
+        assert cli.main(argv) == 0
+    before = tree(tmp_path)
     write_text, written = Path.write_text, []
     disk_full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -882,7 +892,41 @@ def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(tmp_path, capsy
     assert cli.main([*argv, "--window", "31"]) == 2
     assert capsys.readouterr().err == f"error: {disk_full}\n"
     assert len(written) == 2
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no .tmp file left
+    assert tree(tmp_path) == before  # no .tmp file or new directory left
+
+
+def test_a_rename_that_fails_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    out, want = tmp_path / "out", tmp_path / "want"
+    argv = ["analyze", "--input", benchmark_csv(tmp_path)]
+    assert cli.main([*argv, "--out", str(want), "--window", "31"]) == 0
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    replace, renamed = Path.replace, []
+    denied = OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    def denied_on_second_file(path, target):
+        renamed.append(Path(target).name)
+        if len(renamed) == 2:
+            raise denied
+        return replace(path, target)
+
+    monkeypatch.setattr(Path, "replace", denied_on_second_file)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out), "--window", "31"]) == 2
+    assert capsys.readouterr().err == f"error: {denied}\n"
+    first = renamed[0]
+    assert before[first] != (want / first).read_bytes()
+    # The file renamed before the failure holds this run's bytes, the rest the earlier run's.
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after == {**before, first: (want / first).read_bytes()}
+
+
+def ascii_locale_env():
+    """The environment of a child process that runs the package under an
+    ASCII locale. Without PYTHONUTF8=0 and PYTHONCOERCECLOCALE=0, Python
+    reads and writes files as UTF-8 in the C locale."""
+    return dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]), LC_ALL="C",
+                PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
 
 
 def test_a_utf8_csv_reads_and_writes_under_an_ascii_locale(tmp_path):
@@ -892,9 +936,7 @@ def test_a_utf8_csv_reads_and_writes_under_an_ascii_locale(tmp_path):
     data = TimeSeriesSet(tuple(TimeSeries(name, 0, 1, c) for name, c in zip(ids, columns)))
     write_timeseries_csv(data, path)
     assert path.read_bytes().startswith("tick,Zürich,b,c\n".encode())
-    # Without these, Python reads and writes files as UTF-8 in the C locale.
-    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]), LC_ALL="C",
-               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env = ascii_locale_env()
     copy = (
         "import sys\nfrom corrgeom import read_timeseries_csv, write_timeseries_csv\n"
         "write_timeseries_csv(read_timeseries_csv(sys.argv[1]), sys.argv[2])\n"
@@ -906,6 +948,17 @@ def test_a_utf8_csv_reads_and_writes_under_an_ascii_locale(tmp_path):
         assert done.returncode == 0, done.stderr
     assert json.loads((out / "manifest.json").read_text())["series_ids"] == ids
     assert (tmp_path / "copy.csv").read_bytes() == path.read_bytes()
+
+
+def test_a_utf8_config_reads_under_an_ascii_locale(tmp_path):
+    config = tmp_path / "cm.json"
+    config.write_bytes(json.dumps({"measures": ["Zürich"]}, ensure_ascii=False).encode())
+    argv = ["-m", "corrgeom.cli", "analyze", "--input", benchmark_csv(tmp_path),
+            "--config", str(config), "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, *argv], env=ascii_locale_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 2
+    assert "unknown measure 'Z\\xfcrich'" in done.stderr, done.stderr
 
 
 def assert_csv_matches(got, want):
