@@ -28,12 +28,7 @@ from .events import (
     sliding_measures,
 )
 from .measures import spherical_triangle_area
-from .metric import (
-    PROJECTIVE,
-    SPHERICAL,
-    MetricReport,
-    verify_metric_axioms,
-)
+from .metric import PROJECTIVE, SPHERICAL
 from .series import (
     TimeSeries,
     TimeSeriesSet,

@@ -26,7 +26,7 @@ That is the line and the level rule of the standard logging module under
 logging.basicConfig, which the CLI does not import, to keep start-up short.
 
 analyze and events write their files all or none: a failed run removes
-every temporary file and every directory it made.
+every temporary file, every file it added and every directory it made.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ from .metric import (
     PROJECTIVE,
     SPHERICAL,
     TRIANGLE_TOL,
+    _first_min_triple,
     _min_triangle_margins,
     angular_distances,
-    verify_metric_axioms,
 )
 from .series import TimeSeriesSet, parse_number, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
@@ -176,15 +176,18 @@ def _write_outputs(
     all or none, then log and print each path. The out directory and any
     missing parents are made; each text is written as UTF-8 to a temporary
     ``.<name>.<pid>.tmp`` beside its file, and the temporary files are renamed
-    into place only once all are written. On any error every temporary file
-    and every directory this run made (deepest first, if empty) is removed and
-    the error raised again, so a failed write leaves the directory's earlier
-    files as they were. A rename that fails leaves the files renamed before it
-    with this run's bytes, and the rest with the earlier run's."""
+    into place only once all are written. On any error every temporary file,
+    every file this run renamed to a path that did not exist before it, and
+    every directory it made (deepest first, if empty) is removed and the error
+    raised again, so a failed write leaves the directory's earlier files as
+    they were and a fresh --out not there at all. A rename that fails leaves
+    each earlier file replaced before it with this run's bytes, and the rest
+    with the earlier run's."""
     files = {**files, "manifest.json": _json_text(_manifest(args, data, n_windows))}
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     paths = [out / name for name in files]
+    new = [path for path in paths if not path.exists()]
     # Named before any write, so that a partial file is removed too.
     temporary = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
@@ -194,10 +197,11 @@ def _write_outputs(
         for tmp, path in zip(temporary, paths):
             tmp.replace(path)
     except Exception:
-        for undo in [*(tmp.unlink for tmp in temporary), *(d.rmdir for d in made)]:
+        for undo in [*(tmp.unlink for tmp in temporary), *(path.unlink for path in new),
+                     *(d.rmdir for d in made)]:
             try:
                 undo()
-            except OSError:  # a file not written or already renamed, or a directory not empty
+            except OSError:  # a file not written, renamed or made, or a directory not empty
                 pass
         raise
     log_info = _log_level() <= _LOG_LEVELS["INFO"]
@@ -269,13 +273,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     makes every stack exactly symmetric and finite, with a +0.0 diagonal and
     entries in [0, pi], by construction, and that is the scan's precondition.
 
-    Each failing matrix, in window order, prints a VIOLATION line on stderr,
-    the summary of its verify_metric_axioms report, and makes the exit 1.
-    The worst margin is the first smallest in window order, spherical first,
-    a NaN never; a copy of its matrix is kept, and its triple is located
-    once, after the last batch, by verify_metric_axioms. Fewer than 3 series
-    have no triangle to check, and exit 2; correlation_chunks rejects a
-    window longer than the series."""
+    Each failing matrix, in window order, prints a line on stderr and makes
+    the exit 1:
+
+        VIOLATION window@<tick> <kind>: min_triangle_margin=<margin> at (i, j, k)
+
+    with the margin in %.3e and the triple that metric._first_min_triple
+    locates for it. The worst margin is the first smallest in window order,
+    spherical first, a NaN never; a copy of its matrix is kept, and its
+    triple is located once, after the last batch. Fewer than 3 series have
+    no triangle to check, and exit 2; correlation_chunks rejects a window
+    longer than the series."""
     data = _read_input(args)
     n = len(data)
     if n < 3:
@@ -290,10 +298,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     for ms, dist in _batched(distances, VALIDATE_BATCH):
         dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
-        margins = _min_triangle_margins(dist)
+        lows = _min_triangle_margins(dist)
         checked += len(dist)
-        failed = ~(margins >= -TRIANGLE_TOL)  # a NaN fails
-        margins = np.fmin(margins, np.inf)  # a NaN becomes +inf
+        failed = ~(lows >= -TRIANGLE_TOL)  # a NaN fails
+        margins = np.fmin(lows, np.inf)  # a NaN becomes +inf
         if margins.size and margins.min() < worst_margin:
             at = int(margins.argmin())
             worst_margin = float(margins[at])
@@ -302,10 +310,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for at in np.flatnonzero(failed):
             failures += 1
             tick = data.tick(int(ms[at // 2]) * args.stride)
-            report = verify_metric_axioms(dist[at])
-            print(f"VIOLATION window@{tick} {kinds[at % 2]}: {report.summary()}", file=sys.stderr)
+            triple = _first_min_triple(dist[at], lows[at])
+            print(f"VIOLATION window@{tick} {kinds[at % 2]}: "
+                  f"min_triangle_margin={lows[at]:.3e} at {triple}", file=sys.stderr)
     if worst is not None:
-        worst += (verify_metric_axioms(worst_matrix).worst_triple,)
+        worst += (_first_min_triple(worst_matrix, worst_margin),)
     status = "pass" if failures == 0 else "FAIL"
     count = (data.length - args.window) // args.stride + 1
     print(
@@ -398,8 +407,6 @@ def _formats(text: str) -> tuple[str, ...]:
 
 
 def _add_measure_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_number(int), default=0,
-                        help="seed echoed into the manifest (default: %(default)s)")
     parser.add_argument(
         "--measures",
         type=_comma_list,
@@ -441,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure_flags(p_events)
     _add_detector_flags(p_events)
 
-    p_validate = sub.add_parser("validate", help="verify metric axioms on every window")
+    p_validate = sub.add_parser("validate", help="check the triangle inequality on every window")
     _add_input_flags(p_validate)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic series with planted episodes")

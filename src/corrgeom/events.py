@@ -30,7 +30,7 @@ finds only each matrix's minimum margin, never its n^3 margins: it works on
 a copy of the stack with the stack axis innermost, in blocks of about
 metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
 tall. Which triple holds a minimum is located one matrix at a time, by
-metric.verify_metric_axioms, only where it is reported.
+metric._first_min_triple in n^2 memory, only where it is reported.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values, and minima are only detected within

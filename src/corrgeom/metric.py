@@ -7,18 +7,18 @@ the origin rather than a direction) and is the distance used for
 phase-locking analysis, where maximal correlation of either sign counts as
 "close". Where |rho| is near 1, angular_distances takes both from the unit
 vectors' chord instead, since arccos loses half the digits there. Both are
-metrics; `verify_metric_axioms` checks that claim numerically on any matrix,
-from all n^3 of its triangle margins. `validate` asks one question of each
-window's matrices, their minimum triangle margin, which
+metrics. `validate` checks that claim numerically, asking one question of
+each window's matrices, their minimum triangle margin, which
 `_min_triangle_margins` finds for a whole stack without building the
-margins. It checks nothing else, since angular_distances makes every stack
-exactly symmetric with a +0.0 diagonal and entries in [0, pi].
+margins, and `_first_min_triple` names the triple that holds a reported
+minimum, one matrix at a time. No function here builds the n^3 margins of a
+matrix. validate checks nothing else, since angular_distances makes every
+stack exactly symmetric with a +0.0 diagonal and entries in [0, pi].
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,49 +46,10 @@ SPHERICAL = "spherical"
 PROJECTIVE = "projective"
 
 
-class TriangleViolation(NamedTuple):
-    i: int
-    j: int
-    k: int
-    margin: float
-
-
-class MetricReport(NamedTuple):
-    """Outcome of checking the metric axioms on a square matrix."""
-
-    n: int
-    passed: bool
-    max_symmetry_error: float
-    max_diagonal_error: float
-    min_entry: float
-    min_triangle_margin: float
-    worst_triple: tuple[int, int, int] | None
-    violations: tuple[TriangleViolation, ...]
-
-    def summary(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return (
-            f"{state}: n={self.n} min_triangle_margin={self.min_triangle_margin:.3e} "
-            f"symmetry={self.max_symmetry_error:.3e} diag={self.max_diagonal_error:.3e} "
-            f"min_entry={self.min_entry:.3e} violations={len(self.violations)}"
-        )
-
-
-def _triangle_margins(m: np.ndarray) -> np.ndarray:
-    """margins[i, j, k] = d(i,j) + d(j,k) - d(i,k) of an (n, n) matrix, inf
-    wherever two of i, j, k coincide: an (n, n, n) array."""
-    margins = m[:, :, None] + m[None, :, :]
-    margins -= m[:, None, :]
-    idx = np.arange(len(m))
-    margins[idx, idx, :] = np.inf
-    margins[:, idx, idx] = np.inf
-    margins[idx, :, idx] = np.inf
-    return margins
-
-
 def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
-    """Minimum of _triangle_margins of each matrix of an (M, n, n) stack,
-    n >= 3, bit for bit, without building them.
+    """Minimum triangle margin d_ij + d_jk - d_ik over the triples of
+    distinct i, j, k of each matrix of an (M, n, n) stack, n >= 3, bit for
+    bit, without building the margins.
 
     Precondition: the stack is exactly symmetric and finite. Nothing checks
     it here: angular_distances gives every stack it makes both properties by
@@ -107,7 +68,7 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
     * For finite c, fl(x - c) is monotone in x, so
       min_j fl(x_j - c) = fl(min_j x_j - c): the hoisted subtraction is exact.
     * s has a +inf diagonal, so the sums with j == i or j == k are +inf and
-      stay +inf after the subtraction, as _triangle_margins masks them.
+      stay +inf after the subtraction: those triples are left out.
 
     A zero minimum may differ in its sign where entries are -0.0, which
     angular_distances never writes.
@@ -132,55 +93,26 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
     return best
 
 
-def verify_metric_axioms(matrix) -> MetricReport:
-    """Check nonnegativity, zero diagonal, symmetry, and every triangle.
-
-    The n^3 reference for any square matrix, symmetric or not. Violations are
-    report content, not errors; the worst triple and its margin
-    (d_ij + d_jk - d_ik, negative when violated) are always reported. The
-    minimum margin, its first triple and every violated triple are read from
-    one _triangle_margins array of the matrix, 8 n^3 bytes: 0.26 MB at
-    n = 32, 2.1 MB at n = 64 and 16.8 MB at n = 128. The matrix passes when
-    the symmetry and diagonal errors are at most TRIANGLE_TOL and neither the
-    minimum entry nor any margin is below -TRIANGLE_TOL, the one tolerance
-    validate also applies; a NaN anywhere fails. A violation is a triple
-    whose margin is below -TRIANGLE_TOL.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    symmetry = float(np.abs(m - m.T).max(initial=0.0))
-    diagonal = float(np.abs(m.diagonal()).max(initial=0.0))
-    min_entry = float(m.min(initial=0.0))
-    min_margin, worst, found = math.inf, None, {}
-    if n >= 3:
-        margins = _triangle_margins(m)
-        at = margins.argmin()  # the first smallest, NaN first; 0 where all are +inf
-        min_margin = float(margins.flat[at])
-        worst = tuple(sorted(int(x) for x in np.unravel_index(at, margins.shape)))
-        for i, j, k in np.argwhere(margins < -TRIANGLE_TOL):
-            key = tuple(sorted((int(i), int(j), int(k))))
-            val = float(margins[i, j, k])
-            if key not in found or val < found[key]:
-                found[key] = val
-
-    violations = tuple(
-        TriangleViolation(*key, margin=found[key]) for key in sorted(found)
-    )
-    passed = (np.maximum(symmetry, diagonal) <= TRIANGLE_TOL) & (
-        np.minimum(min_entry, min_margin) >= -TRIANGLE_TOL
-    )
-    return MetricReport(
-        n=n,
-        passed=bool(passed),
-        max_symmetry_error=symmetry,
-        max_diagonal_error=diagonal,
-        min_entry=min_entry,
-        min_triangle_margin=min_margin,
-        worst_triple=worst,
-        violations=violations,
-    )
+def _first_min_triple(matrix: np.ndarray, margin: float) -> tuple[int, int, int]:
+    """The first triple (i, j, k) in row-major order whose margin
+    d_ij + d_jk - d_ik equals ``margin`` (the first NaN margin if ``margin``
+    is NaN), sorted, of an exactly symmetric (n, n) matrix, n >= 3. Margins
+    with two of i, j, k equal count as +inf. It takes n^2 memory: each i
+    forms only the (j, k >= i) block. A margin equals that of (k, j, i), so
+    every entry equal to ``margin`` with the smallest first index has k >= i,
+    and the first hit is the flat argmin of all n^3 margins when ``margin``
+    is their minimum."""
+    n = len(matrix)
+    for i in range(n):
+        block = matrix[i, :, None] + matrix[:, i:]  # block[j, k - i] = d_ij + d_jk
+        block -= matrix[i, i:]
+        block[i] = block[:, 0] = np.inf  # j == i, k == i
+        block[np.arange(i, n), np.arange(n - i)] = np.inf  # j == k
+        hits = np.flatnonzero(np.isnan(block) if math.isnan(margin) else block == margin)
+        if hits.size:
+            j, k = divmod(int(hits[0]), n - i)
+            return tuple(sorted((i, j, i + k)))
+    raise ValueError(f"no triangle margin equals {margin!r}")
 
 
 def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:

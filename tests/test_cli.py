@@ -18,14 +18,14 @@ from corrgeom import (
     TimeSeries,
     TimeSeriesSet,
     cli,
-    verify_metric_axioms,
     write_timeseries_csv,
 )
 from corrgeom.events import MEASURE_KINDS, _windows_per_chunk
 from corrgeom import metric
 from corrgeom.metric import PROJECTIVE, SPHERICAL
 from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
-from oracles import WindowSpec, window_correlations, window_measures
+import oracles
+from oracles import WindowSpec, verify_metric_axioms, window_correlations, window_measures
 
 # Stored analyze and events outputs on benchmark_csv, default settings, and
 # validate outputs on benchmark_csv and, with arccos_distances, near_copies_csv
@@ -305,6 +305,8 @@ def test_huge_values_run_with_no_numpy_warning(tmp_path, command):
         ("validate", "--match-window", "5"),
         ("validate", "--format", "svg"),
         ("validate", "--seed", "4"),
+        ("analyze", "--seed", "4"),
+        ("events", "--seed", "4"),
         ("analyze", "--min-prominence", "3"),
         ("analyze", "--min-separation", "5"),
         ("analyze", "--match-window", "5"),
@@ -328,9 +330,11 @@ def test_a_flag_the_command_does_not_use_exits_2(tmp_path, capsys, command, flag
         ("validate", {"formats": ["svg"]}),
         ("analyze", {"min_prominence": 3}),
         ("analyze", {"match_window": 5}),
+        ("analyze", {"seed": 4}),
+        ("events", {"seed": 4}),
     ],
     ids=["validate-measures", "validate-seed", "validate-formats", "analyze-min_prominence",
-         "analyze-match_window"],
+         "analyze-match_window", "analyze-seed", "events-seed"],
 )
 def test_a_config_key_the_command_does_not_use_exits_2(tmp_path, capsys, command, settings):
     config = tmp_path / "config.json"
@@ -346,7 +350,7 @@ def test_a_config_key_the_command_does_not_use_exits_2(tmp_path, capsys, command
     "command, settings",
     [
         ("validate", {"window": 21, "stride": 2}),
-        ("analyze", {"measures": ["diameter"], "seed": 4}),
+        ("analyze", {"measures": ["diameter"], "stride": 2}),
         ("events", {"measures": ["diameter"], "min_prominence": 0.1, "match_window": 5}),
         ("events", {"min_prominence": 1, "min_separation": 5}),
         ("analyze", {"measures": "diameter"}),
@@ -676,10 +680,10 @@ def test_events_outputs_are_byte_identical(tmp_path, capsys):
     "command, defaults",
     [
         ("analyze", ["K (default: 21)", "windows (default: 1)", "(default: corrgeom_out)",
-                     "manifest (default: 0)", "(default: diameter,max_triangle_area;",
+                     "(default: diameter,max_triangle_area;",
                      "svg (default: none)"]),
         ("events", ["K (default: 21)", "windows (default: 1)", "(default: corrgeom_out)",
-                    "manifest (default: 0)", "(default: diameter,max_triangle_area;",
+                    "(default: diameter,max_triangle_area;",
                     "svg (default: none)", "minimum (default: 0.05)",
                     "events (default: one window, K times the tick step)",
                     "measures (default: one window, K times the tick step)"]),
@@ -708,7 +712,7 @@ def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, c
     out = tmp_path / "out"
     assert cli.main([command, "--input", path, "--out", str(out)]) == 0
     want = {"schema_version": 1, "input": path, "window": 21, "stride": 1,
-            "measures": list(MEASURE_KINDS), "out": str(out), "formats": [], "seed": 0}
+            "measures": list(MEASURE_KINDS), "out": str(out), "formats": []}
     if command == "events":
         want.update(min_prominence=0.05, min_separation=21, match_window=21)
     assert json.loads((out / "manifest.json").read_text())["config"] == want
@@ -895,12 +899,17 @@ def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
     assert tree(tmp_path) == before  # no .tmp file or new directory left
 
 
-def test_a_rename_that_fails_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
-    out, want = tmp_path / "out", tmp_path / "want"
+@pytest.mark.parametrize("fresh", [False, True], ids=["existing_out", "fresh_out"])
+def test_a_rename_that_fails_leaves_no_temporary_file(tmp_path, capsys, monkeypatch, fresh):
+    # A fresh --out has missing parents: the failed run must leave neither
+    # them nor the file it renamed into place before the failure.
+    out = tmp_path / "fresh" / "a" / "out" if fresh else tmp_path / "out"
+    want = tmp_path / "want"
     argv = ["analyze", "--input", benchmark_csv(tmp_path)]
     assert cli.main([*argv, "--out", str(want), "--window", "31"]) == 0
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    if not fresh:
+        assert cli.main([*argv, "--out", str(out)]) == 0
+    before = tree(tmp_path)
     replace, renamed = Path.replace, []
     denied = OSError(errno.EACCES, os.strerror(errno.EACCES))
 
@@ -914,11 +923,14 @@ def test_a_rename_that_fails_leaves_no_temporary_file(tmp_path, capsys, monkeypa
     capsys.readouterr()
     assert cli.main([*argv, "--out", str(out), "--window", "31"]) == 2
     assert capsys.readouterr().err == f"error: {denied}\n"
-    first = renamed[0]
-    assert before[first] != (want / first).read_bytes()
+    assert len(renamed) == 2
+    if fresh:
+        assert tree(tmp_path) == before
+        return
+    first = out / renamed[0]
+    assert before[first] != (want / first.name).read_bytes()
     # The file renamed before the failure holds this run's bytes, the rest the earlier run's.
-    after = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert after == {**before, first: (want / first).read_bytes()}
+    assert tree(tmp_path) == {**before, first: (want / first.name).read_bytes()}
 
 
 def ascii_locale_env():
@@ -1019,7 +1031,8 @@ def validate_reference(data, window, stride=1):
             if report.min_triangle_margin < worst_margin:
                 worst_margin, worst = report.min_triangle_margin, (tick, kind, report.worst_triple)
             if not report.passed:
-                line = f"VIOLATION window@{tick} {kind}: {report.summary()}\n"
+                line = (f"VIOLATION window@{tick} {kind}: min_triangle_margin="
+                        f"{report.min_triangle_margin:.3e} at {report.worst_triple}\n")
                 violations.append((m, kind, line))
     return margins, worst_margin, worst, violations
 
@@ -1106,8 +1119,8 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
 
 def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkeypatch):
     # n = 32, K = 101: the engine's chunks hold 10 windows, so 200 windows are
-    # 20 chunks and 5 batches, one scan each. The worst matrix's report builds
-    # its n^3 margins once and scans nothing.
+    # 20 chunks and 5 batches, one scan each. The worst matrix's triple is
+    # located once, and no n^3 margins are built.
     n, window, length = 32, 101, 300
     path = tmp_path / "input.csv"
     write_timeseries_csv(simulate(SyntheticSpec(n, length, (), 0.1, 11)), path)
@@ -1115,7 +1128,7 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     assert cli.main(argv) == 0
     want = capsys.readouterr()
 
-    calls = {"scan": 0, "margins": 0}
+    calls = {"scan": 0, "locate": 0, "margins": 0}
 
     def counted(name, function):
         def call(*args, **kwargs):
@@ -1126,8 +1139,11 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     scan = counted("scan", metric._min_triangle_margins)
     monkeypatch.setattr(metric, "_min_triangle_margins", scan)
     monkeypatch.setattr(cli, "_min_triangle_margins", scan)
-    monkeypatch.setattr(metric, "_triangle_margins", counted("margins", metric._triangle_margins))
+    locate = counted("locate", metric._first_min_triple)
+    monkeypatch.setattr(metric, "_first_min_triple", locate)
+    monkeypatch.setattr(cli, "_first_min_triple", locate)
+    monkeypatch.setattr(oracles, "_triangle_margins", counted("margins", oracles._triangle_margins))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
     assert _windows_per_chunk(n, window) == 10 and cli.VALIDATE_BATCH == 40
-    assert calls == {"scan": 5, "margins": 1}
+    assert calls == {"scan": 5, "locate": 1, "margins": 0}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
-from corrgeom import TimeSeries, TimeSeriesSet, verify_metric_axioms
+from corrgeom import TimeSeries, TimeSeriesSet
 from corrgeom import metric
 from corrgeom.correlation import correlation_from_units
 from corrgeom.metric import (
@@ -15,11 +15,12 @@ from corrgeom.metric import (
     PROJECTIVE,
     SPHERICAL,
     TRIANGLE_TOL,
+    _first_min_triple,
     _min_triangle_margins,
     angular_distances,
 )
 from corrgeom.series import _window_units
-from oracles import WindowSpec, _one_window_units, max_triangle_area
+from oracles import WindowSpec, _one_window_units, max_triangle_area, verify_metric_axioms
 
 
 def random_distances(rng, n, kind, k=20):
@@ -284,6 +285,38 @@ def test_the_scan_equals_the_n3_minimum_margins_bit_for_bit(name, monkeypatch):
         (*_, want), _, _ = reference_axiom_stats(m)
         got = _min_triangle_margins(m)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    check()
+
+
+def with_nan_pair(rng, m):
+    """m with one symmetric pair of off-diagonal entries per matrix set to
+    NaN: still exactly symmetric, with NaN margins."""
+    n = m.shape[-1]
+    for matrix in m:
+        i, j = rng.choice(n, 2, replace=False)
+        matrix[i, j] = matrix[j, i] = np.nan
+    return m
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-pair"])
+@pytest.mark.parametrize("name", SYMMETRIC_STACKS)
+def test_the_locator_finds_the_n3_worst_triple(name, nan):
+    # validate names the triple of each reported minimum from the scan's
+    # margin alone: the reference's first flat argmin, NaN first, with ties
+    # broken as it breaks them.
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 4), n=st.integers(3, 9))
+    def check(seed, count, n):
+        rng = np.random.default_rng(seed)
+        m = STACKS[name](rng, count, n)
+        if nan:
+            m = with_nan_pair(rng, m)
+        for matrix, margin in zip(m, _min_triangle_margins(m)):
+            triple = _first_min_triple(matrix, margin)
+            assert triple == verify_metric_axioms(matrix).worst_triple
+            assert all(type(x) is int for x in triple)
 
     check()
 
