@@ -17,21 +17,24 @@ null value leaves the setting unset, and flags given on the command line win.
 
 CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
 WARNING (the default), INFO, DEBUG or NOTSET; any other value exits 2 with
-``error: Unknown level: '<value>'``. At INFO, DEBUG or NOTSET, analyze and
-events write one line per output file to stderr, in the order written:
+``error: Unknown level: '<value>'``. At INFO, DEBUG or NOTSET, analyze,
+events and simulate write one line per output file to stderr, in the order
+written:
 
     INFO:corrgeom:wrote <path>
 
 That is the line and the level rule of the standard logging module under
 logging.basicConfig, which the CLI does not import, to keep start-up short.
 
-analyze and events write their files all or none: a failed run removes
-every temporary file, every file it added and every directory it made.
+analyze, events and simulate write their files all or none, through
+_write_outputs: a failed run removes every temporary file, every file it
+added and every directory it made.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from itertools import combinations
@@ -169,22 +172,19 @@ def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int) -> 
     }
 
 
-def _write_outputs(
-    args: argparse.Namespace, data: TimeSeriesSet, n_windows: int, files: dict[str, str]
-) -> int:
-    """Write ``files`` ({name: text}) and manifest.json into the out directory,
-    all or none, then log and print each path. The out directory and any
+def _write_outputs(out: str | Path, files: dict[str, str]) -> int:
+    """Write ``files`` ({name: text}) into the directory ``out``, all or
+    none, in their order, then log and print each path. ``out`` and any
     missing parents are made; each text is written as UTF-8 to a temporary
     ``.<name>.<pid>.tmp`` beside its file, and the temporary files are renamed
     into place only once all are written. On any error every temporary file,
-    every file this run renamed to a path that did not exist before it, and
+    every file this call renamed to a path that did not exist before it, and
     every directory it made (deepest first, if empty) is removed and the error
     raised again, so a failed write leaves the directory's earlier files as
-    they were and a fresh --out not there at all. A rename that fails leaves
-    each earlier file replaced before it with this run's bytes, and the rest
+    they were and a fresh ``out`` not there at all. A rename that fails leaves
+    each earlier file replaced before it with this call's bytes, and the rest
     with the earlier run's."""
-    files = {**files, "manifest.json": _json_text(_manifest(args, data, n_windows))}
-    out = Path(args.out)
+    out = Path(out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     paths = [out / name for name in files]
     new = [path for path in paths if not path.exists()]
@@ -218,7 +218,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     files = _csv_texts(series_list)
     if "svg" in args.formats:
         files["overlay.svg"] = render_measures_svg(series_list)
-    return _write_outputs(args, data, len(series_list[0]), files)
+    files["manifest.json"] = _json_text(_manifest(args, data, len(series_list[0])))
+    return _write_outputs(args.out, files)
 
 
 def cmd_events(args: argparse.Namespace) -> int:
@@ -240,7 +241,8 @@ def cmd_events(args: argparse.Namespace) -> int:
     files["comparison.json"] = _json_text({"comparisons": comparisons})
     if "svg" in args.formats:
         files["overlay.svg"] = render_measures_svg(series_list, event_lists)
-    return _write_outputs(args, data, len(series_list[0]), files)
+    files["manifest.json"] = _json_text(_manifest(args, data, len(series_list[0])))
+    return _write_outputs(args.out, files)
 
 
 def _batched(chunks, size: int):
@@ -337,6 +339,8 @@ def _parse_episodes(text: str) -> tuple[tuple[int, int, float], ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Write the series of the spec the flags give to the CSV --out, and the
+    spec to the .truth.json sidecar beside it, all or none."""
     from .testkit import SyntheticSpec, simulate
 
     spec = SyntheticSpec(
@@ -346,22 +350,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         noise_sigma=args.noise_sigma,
         rng_seed=args.seed,
     )
-    data = simulate(spec)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_timeseries_csv(data, out)
-    truth = {
-        "n_series": spec.n_series,
-        "length": spec.length,
-        "episodes": [list(e) for e in spec.episodes],
-        "noise_sigma": spec.noise_sigma,
-        "rng_seed": spec.rng_seed,
-    }
-    sidecar = out.with_suffix(".truth.json")
-    sidecar.write_text(_json_text(truth), encoding="utf-8")
-    print(out)
-    print(sidecar)
-    return 0
+    csv_text = io.StringIO()
+    write_timeseries_csv(simulate(spec), csv_text)
+    files = {out.name: csv_text.getvalue(),
+             out.with_suffix(".truth.json").name: _json_text(vars(spec))}
+    return _write_outputs(out.parent, files)
 
 
 def _number(kind: type, low: int | None = None):
@@ -465,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="noise standard deviation (default: %(default)s)")
     p_sim.add_argument("--seed", type=_number(int), default=0,
                        help="generator seed (default: %(default)s)")
-    p_sim.add_argument("--out", required=True, help="output CSV path")
+    p_sim.add_argument("--out", required=True, help="output CSV path; the spec is written "
+                       "beside it, to a .truth.json sidecar (sim.csv: sim.truth.json)")
     return parser
 
 

@@ -525,6 +525,24 @@ def test_simulate_writes_the_generated_series(tmp_path, capsys):
     assert capsys.readouterr().out == f"{out}\n{out.with_suffix('.truth.json')}\n"
     want = simulate(SyntheticSpec(3, 80, ((10, 40, 0.9),), 0.1, 4))
     assert np.array_equal(corrgeom.read_timeseries_csv(out).matrix(), want.matrix())
+    write_timeseries_csv(want, tmp_path / "want.csv")
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert out.with_suffix(".truth.json").read_text(encoding="utf-8") == (
+        '{\n  "episodes": [\n    [\n      10,\n      40,\n      0.9\n    ]\n  ],\n'
+        '  "length": 80,\n  "n_series": 3,\n  "noise_sigma": 0.1,\n  "rng_seed": 4\n}\n'
+    )
+
+
+def test_simulate_with_a_directory_at_its_sidecar_path_exits_2_and_writes_nothing(
+    tmp_path, capsys
+):
+    (tmp_path / "x.truth.json").mkdir()
+    before = tree(tmp_path)
+    assert cli.main(["simulate", "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert tree(tmp_path) == before  # no x.csv and no temporary file
 
 
 @pytest.mark.parametrize(
@@ -774,19 +792,27 @@ def test_bad_detector_settings_exit_2_before_any_window(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+LOG_LEVELS = [("INFO", True), ("DEBUG", True), ("NOTSET", True), ("WARNING", False),
+              ("ERROR", False), (None, False)]
+LOG_LEVEL_IDS = ["INFO", "DEBUG", "NOTSET", "WARNING", "ERROR", "unset"]
+
+
 @pytest.mark.parametrize(
-    "level, logged",
-    [("INFO", True), ("DEBUG", True), ("NOTSET", True), ("WARNING", False), ("ERROR", False),
-     (None, False)],
-    ids=["INFO", "DEBUG", "NOTSET", "WARNING", "ERROR", "unset"],
+    "command, level, logged",
+    [(command, *case) for command in ("events", "simulate") for case in LOG_LEVELS],
+    ids=[*LOG_LEVEL_IDS, *(f"simulate-{i}" for i in LOG_LEVEL_IDS)],
 )
-def test_events_logs_each_written_file_at_info_and_below(tmp_path, level, logged):
+def test_events_logs_each_written_file_at_info_and_below(tmp_path, command, level, logged):
     # The lines logging.basicConfig's handler wrote for log.info("wrote %s", path).
     out = tmp_path / "out"
-    done = run_cli(["events", "--input", benchmark_csv(tmp_path), "--out", str(out)], level)
+    if command == "events":
+        argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(out)]
+        names = ("events_diameter.json", "events_max_triangle_area.json", "comparison.json",
+                 "manifest.json")
+    else:
+        argv, names = ["simulate", "--out", str(out / "sim.csv")], ("sim.csv", "sim.truth.json")
+    done = run_cli(argv, level)
     assert done.returncode == 0
-    names = ("events_diameter.json", "events_max_triangle_area.json", "comparison.json",
-             "manifest.json")
     assert done.stdout == "".join(f"{out / name}\n" for name in names)
     want = "".join(f"INFO:corrgeom:wrote {out / name}\n" for name in names)
     assert done.stderr == (want if logged else "")
@@ -871,13 +897,32 @@ def tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("fresh", [False, True], ids=["existing_out", "fresh_out"])
+def writer_argv(tmp_path, command, out):
+    """The argv of an analyze or simulate run that writes into the directory ``out``."""
+    if command == "simulate":
+        return ["simulate", "--out", str(out / "sim.csv")]
+    return ["analyze", "--input", benchmark_csv(tmp_path), "--out", str(out)]
+
+
+# Flags that make each writer_argv command write other bytes.
+OTHER_BYTES = {"analyze": ["--window", "31"], "simulate": ["--seed", "1"]}
+
+# The writer-failure cases: an --out that holds an earlier run's files, or
+# one whose parents are missing, for each command; analyze's keep their ids.
+WRITER_CASES = pytest.mark.parametrize(
+    "command, fresh",
+    [("analyze", False), ("analyze", True), ("simulate", False), ("simulate", True)],
+    ids=["existing_out", "fresh_out", "simulate-existing_out", "simulate-fresh_out"],
+)
+
+
+@WRITER_CASES
 def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
-    tmp_path, capsys, monkeypatch, fresh
+    tmp_path, capsys, monkeypatch, command, fresh
 ):
     # A fresh --out has missing parents, which the failed run must not leave behind.
     out = tmp_path / "fresh" / "a" / "out" if fresh else tmp_path / "out"
-    argv = ["analyze", "--input", benchmark_csv(tmp_path), "--out", str(out)]
+    argv = writer_argv(tmp_path, command, out)
     if not fresh:
         assert cli.main(argv) == 0
     before = tree(tmp_path)
@@ -893,22 +938,24 @@ def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
 
     monkeypatch.setattr(Path, "write_text", disk_full_on_second_file)
     capsys.readouterr()
-    assert cli.main([*argv, "--window", "31"]) == 2
+    assert cli.main([*argv, *OTHER_BYTES[command]]) == 2
     assert capsys.readouterr().err == f"error: {disk_full}\n"
     assert len(written) == 2
     assert tree(tmp_path) == before  # no .tmp file or new directory left
 
 
-@pytest.mark.parametrize("fresh", [False, True], ids=["existing_out", "fresh_out"])
-def test_a_rename_that_fails_leaves_no_temporary_file(tmp_path, capsys, monkeypatch, fresh):
+@WRITER_CASES
+def test_a_rename_that_fails_leaves_no_temporary_file(
+    tmp_path, capsys, monkeypatch, command, fresh
+):
     # A fresh --out has missing parents: the failed run must leave neither
     # them nor the file it renamed into place before the failure.
     out = tmp_path / "fresh" / "a" / "out" if fresh else tmp_path / "out"
     want = tmp_path / "want"
-    argv = ["analyze", "--input", benchmark_csv(tmp_path)]
-    assert cli.main([*argv, "--out", str(want), "--window", "31"]) == 0
+    argv = writer_argv(tmp_path, command, out)
+    assert cli.main([*writer_argv(tmp_path, command, want), *OTHER_BYTES[command]]) == 0
     if not fresh:
-        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert cli.main(argv) == 0
     before = tree(tmp_path)
     replace, renamed = Path.replace, []
     denied = OSError(errno.EACCES, os.strerror(errno.EACCES))
@@ -921,7 +968,7 @@ def test_a_rename_that_fails_leaves_no_temporary_file(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(Path, "replace", denied_on_second_file)
     capsys.readouterr()
-    assert cli.main([*argv, "--out", str(out), "--window", "31"]) == 2
+    assert cli.main([*argv, *OTHER_BYTES[command]]) == 2
     assert capsys.readouterr().err == f"error: {denied}\n"
     assert len(renamed) == 2
     if fresh:
