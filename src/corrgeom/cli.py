@@ -66,12 +66,13 @@ from .svg import render_measures_svg
 CONFIG_SCHEMA_VERSION = 1
 FORMATS = ("svg",)
 # Windows per triangle-margin scan of validate: consecutive engine chunks are
-# joined until they hold at least this many, 2 * VALIDATE_BATCH matrices with
-# both kinds. The scan's numpy loops are as long as the stack is tall. On the
-# validate_n32 benchmark input (n = 32, K = 101, 700 windows in chunks of 10;
-# 2-vCPU sandbox, medians of 9) the distances and scans of the whole run took
-# 124 ms in stacks of 10 windows, 84 at 20, 61 at 40 and 51 at 80; 80 raised
-# the benchmark's peak RSS by 0.3-0.5 MB and its wall time no further.
+# joined until they hold at least this many, and a batch's distances are one
+# stack of 2 * VALIDATE_BATCH matrices with both kinds. The scan's numpy loops
+# are as long as the stack is tall. On the validate_n32 benchmark input
+# (n = 32, K = 101, 700 windows in chunks of 10; 2-vCPU Xeon, one BLAS
+# thread, medians of 21, four runs) a run without its CSV read took 132-178 ms
+# in batches of 10 windows, 106-128 at 20, 93-113 at 40 and 82-105 at 80; 80
+# raised the run's own peak RSS from 35.6 to 40.6 MB.
 VALIDATE_BATCH = 40
 
 # The level names CORRGEOM_LOG_LEVEL accepts, with their logging values. A
@@ -246,17 +247,16 @@ def cmd_events(args: argparse.Namespace) -> int:
 
 
 def _batched(chunks, size: int):
-    """Chunks of arrays whose first axis is their windows, such as validate's
-    (ms, distances), joined in order into runs of at least ``size`` windows;
-    the last run may hold fewer."""
+    """Chunks of arrays whose first axis is their windows, such as the
+    engine's (ms, rho, units), joined in order into runs of at least ``size``
+    windows; the last run may hold fewer."""
     held, windows = [], 0
     for chunk in chunks:
         held.append(chunk)
         windows += len(chunk[0])
         if windows >= size:
-            batch = tuple(np.concatenate(parts) for parts in zip(*held))
-            held, windows = [], 0  # not held while the caller scans the batch
-            yield batch
+            held, windows = [tuple(np.concatenate(parts) for parts in zip(*held))], 0
+            yield held.pop()  # so only the caller holds the batch
     if held:
         yield tuple(np.concatenate(parts) for parts in zip(*held))
 
@@ -264,16 +264,19 @@ def _batched(chunks, size: int):
 def cmd_validate(args: argparse.Namespace) -> int:
     """Check the triangle inequality once per kind (spherical, projective) on
     every window that has no constant series, through analyze's window
-    engine. Each chunk's correlations and unit rows become its (m, 2, n, n)
-    distances, spherical then projective per window, before consecutive
-    chunks are joined into batches of at least VALIDATE_BATCH windows, so a
-    batch holds no unit rows. Each batch's distances are one (2M, n, n)
-    stack, whose triangle margins one scan, metric._min_triangle_margins,
-    reduces to each matrix's minimum. A matrix fails when that minimum is
-    below -TRIANGLE_TOL or NaN. Symmetry, the diagonal and the sign of the
-    entries are not rechecked, because they cannot fail: angular_distances
-    makes every stack exactly symmetric and finite, with a +0.0 diagonal and
-    entries in [0, pi], by construction, and that is the scan's precondition.
+    engine. Consecutive chunks of the engine, (ms, rho, units), are joined
+    into batches of at least VALIDATE_BATCH windows, and a batch's
+    correlations and unit rows become its (M, 2, n, n) distances, spherical
+    then projective per window, with one angular_distances call per kind. So
+    a batch holds its unit rows, 1.0 MB at n = 32, K = 101, and twice that
+    while they are joined, once the previous batch is freed. Its distances
+    are one (2M, n, n) stack, whose triangle margins one scan,
+    metric._min_triangle_margins, reduces to each matrix's minimum. A matrix
+    fails when that minimum is below -TRIANGLE_TOL or NaN. Symmetry, the
+    diagonal and the sign of the entries are not rechecked, because they
+    cannot fail: angular_distances makes every stack exactly symmetric and
+    finite, with a +0.0 diagonal and entries in [0, pi], by construction, and
+    that is the scan's precondition.
 
     Each failing matrix, in window order, prints a line on stderr and makes
     the exit 1:
@@ -294,11 +297,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     worst_margin = float("inf")
     worst = worst_matrix = None
     failures = checked = 0
-    distances = (
-        (ms, np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1))
-        for ms, rho, units in correlation_chunks(data, args.window, args.stride)
-    )
-    for ms, dist in _batched(distances, VALIDATE_BATCH):
+    chunks = correlation_chunks(data, args.window, args.stride)
+    for ms, rho, units in _batched(chunks, VALIDATE_BATCH):
+        dist = np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1)
+        del rho, units  # not held while the next batch is joined
         dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
         lows = _min_triangle_margins(dist)
         checked += len(dist)

@@ -23,9 +23,9 @@ metric.angular_distances, whose chord form keeps near-copies of a series,
 |rho| near 1, as accurate as any other pair. ``validate`` still scans every
 window, since the margins are its output, and checks nothing else: the same
 construction makes every stack exactly symmetric, with a +0.0 diagonal and
-entries in [0, pi]. It turns each chunk into its two distance stacks, joins
-consecutive chunks into batches of at least cli.VALIDATE_BATCH windows and
-scans a batch's spherical and projective matrices in one stack. The scan
+entries in [0, pi]. It joins consecutive chunks into batches of at least
+cli.VALIDATE_BATCH windows, turns each batch into its spherical and
+projective distances and scans them in one stack. The scan
 finds only each matrix's minimum margin, never its n^3 margins: it works on
 a copy of the stack with the stack axis innermost, in blocks of about
 metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
@@ -57,9 +57,10 @@ from .series import Frozen, TimeSeriesSet, _window_units
 # triangle-margin scan works in blocks of metric.SCAN_ELEMENTS. A chunk holds
 # at least one window, so where one window's rows or matrices pass 2^15
 # (n * K or n^2 above it) the chunk exceeds the target. validate joins chunks
-# into batches of cli.VALIDATE_BATCH windows, each with both kinds of
-# distances, so its stacks are larger. Larger chunks were measured slower,
-# and at 2^17 they raised peak RSS by more than the benchmark's 5% bound.
+# into batches of cli.VALIDATE_BATCH windows, with their unit rows and both
+# kinds of distances, so its arrays are larger. Larger chunks were measured
+# slower, and at 2^17 they raised peak RSS by more than the benchmark's 5%
+# bound.
 CHUNK_ELEMENTS = 2**15
 
 KIND_DIAMETER = "diameter"

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from corrgeom import (
     cli,
     write_timeseries_csv,
 )
-from corrgeom.events import MEASURE_KINDS, _windows_per_chunk
-from corrgeom import metric
+from corrgeom.events import CHUNK_ELEMENTS, MEASURE_KINDS, _windows_per_chunk
+from corrgeom import events, metric
 from corrgeom.metric import PROJECTIVE, SPHERICAL
 from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
 import oracles
@@ -1166,8 +1167,8 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
 
 def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkeypatch):
     # n = 32, K = 101: the engine's chunks hold 10 windows, so 200 windows are
-    # 20 chunks and 5 batches, one scan each. The worst matrix's triple is
-    # located once, and no n^3 margins are built.
+    # 20 chunks and 5 batches, one scan and one distance call per kind each.
+    # The worst matrix's triple is located once, and no n^3 margins are built.
     n, window, length = 32, 101, 300
     path = tmp_path / "input.csv"
     write_timeseries_csv(simulate(SyntheticSpec(n, length, (), 0.1, 11)), path)
@@ -1175,7 +1176,7 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     assert cli.main(argv) == 0
     want = capsys.readouterr()
 
-    calls = {"scan": 0, "locate": 0, "margins": 0}
+    calls = {"scan": 0, "locate": 0, "margins": 0, "distances": 0}
 
     def counted(name, function):
         def call(*args, **kwargs):
@@ -1190,7 +1191,61 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     monkeypatch.setattr(metric, "_first_min_triple", locate)
     monkeypatch.setattr(cli, "_first_min_triple", locate)
     monkeypatch.setattr(oracles, "_triangle_margins", counted("margins", oracles._triangle_margins))
+    monkeypatch.setattr(cli, "angular_distances", counted("distances", cli.angular_distances))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
     assert _windows_per_chunk(n, window) == 10 and cli.VALIDATE_BATCH == 40
-    assert calls == {"scan": 5, "locate": 1, "margins": 0}
+    assert calls == {"scan": 5, "locate": 1, "margins": 0, "distances": 10}
+
+
+@pytest.mark.parametrize(
+    "distances, stride, batch, chunk_elements",
+    [
+        pytest.param(None, stride, batch, chunk, id=f"stride{stride}-batch{batch}-chunk{chunk}")
+        for stride in (1, 3)
+        for batch in (1, 3, 40, 10_000)
+        for chunk in (1, CHUNK_ELEMENTS)
+    ]
+    + [pytest.param(arccos_distances, 1, 3, 1, id="arccos-stride1-batch3-chunk1")],
+)
+def test_validate_output_does_not_depend_on_the_batching(
+    tmp_path, capsys, monkeypatch, distances, stride, batch, chunk_elements
+):
+    # Five series, four of them near-copies of one sine over samples [10, 60),
+    # which arccos_distances fail, and the fifth held over [70, 100), which
+    # gaps windows 70 to 79. Every batching of the windows, from one window
+    # per chunk and per batch to one batch of the whole run, reports the same.
+    length, window = 120, 21
+    rng = np.random.default_rng(7)
+    columns = rng.normal(size=(5, length))
+    columns[:4, 10:60] = np.sin(np.arange(50) / 3) + 1e-8 * rng.normal(size=(4, 50))
+    columns[4, 70:100] = columns[4, 70]
+    argv = ["validate", "--input", write_csv(tmp_path, columns), "--window", str(window),
+            "--stride", str(stride)]
+    if distances is not None:
+        monkeypatch.setattr(cli, "angular_distances", distances)
+    code = cli.main(argv)
+    want = capsys.readouterr()
+    count = (length - window) // stride + 1
+    assert f"checked {2 * count} distance" not in want.out  # some windows gap
+    assert ("VIOLATION window@" in want.err) == (distances is not None)
+
+    monkeypatch.setattr(cli, "VALIDATE_BATCH", batch)
+    monkeypatch.setattr(events, "CHUNK_ELEMENTS", chunk_elements)
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == want
+
+
+def test_batched_joins_chunks_in_order_and_keeps_no_batch():
+    # Three chunks of 2, 1 and 2 windows, joined into runs of at least 3: the
+    # generator lets go of each batch it yields, so a caller that drops a
+    # batch frees its arrays before the next one is joined.
+    chunks = [(np.arange(lo, hi), np.full((hi - lo, 2), float(lo))) for lo, hi in
+              ((0, 2), (2, 3), (3, 5))]
+    batches = cli._batched(iter(chunks), 3)
+    ms, rows = next(batches)
+    assert ms.tolist() == [0, 1, 2] and rows[:, 0].tolist() == [0.0, 0.0, 2.0]
+    freed = weakref.ref(rows)
+    del ms, rows
+    assert freed() is None
+    assert [ms.tolist() for ms, _ in batches] == [[3, 4]]
