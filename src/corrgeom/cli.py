@@ -65,14 +65,15 @@ from .svg import render_measures_svg
 
 CONFIG_SCHEMA_VERSION = 1
 FORMATS = ("svg",)
-# Windows per triangle-margin scan of validate: consecutive engine chunks are
-# joined until they hold at least this many, and a batch's distances are one
-# stack of 2 * VALIDATE_BATCH matrices with both kinds. The scan's numpy loops
-# are as long as the stack is tall. On the validate_n32 benchmark input
-# (n = 32, K = 101, 700 windows in chunks of 10; 2-vCPU Xeon, one BLAS
-# thread, medians of 21, four runs) a run without its CSV read took 132-178 ms
-# in batches of 10 windows, 106-128 at 20, 93-113 at 40 and 82-105 at 80; 80
-# raised the run's own peak RSS from 35.6 to 40.6 MB.
+# The fewest windows per triangle-margin scan of validate: validate asks
+# correlation_chunks for chunks of at least this many windows, and a chunk's
+# distances are one stack of 2 * VALIDATE_BATCH matrices with both kinds. The
+# scan's numpy loops are as long as the stack is tall. On the validate_n32
+# benchmark input (n = 32, K = 101, 700 windows, 10 to a chunk by
+# CHUNK_ELEMENTS; 2-vCPU Xeon, one BLAS thread, medians of 21, four runs) a
+# run without its CSV read took 128-138 ms in chunks of 10 windows, 84-97 at
+# 20, 70-77 at 40 and 65-68 at 80; 80 raised the run's own peak RSS from 34.0
+# to 37.7 MB.
 VALIDATE_BATCH = 40
 
 # The level names CORRGEOM_LOG_LEVEL accepts, with their logging values. A
@@ -246,37 +247,20 @@ def cmd_events(args: argparse.Namespace) -> int:
     return _write_outputs(args.out, files)
 
 
-def _batched(chunks, size: int):
-    """Chunks of arrays whose first axis is their windows, such as the
-    engine's (ms, rho, units), joined in order into runs of at least ``size``
-    windows; the last run may hold fewer."""
-    held, windows = [], 0
-    for chunk in chunks:
-        held.append(chunk)
-        windows += len(chunk[0])
-        if windows >= size:
-            held, windows = [tuple(np.concatenate(parts) for parts in zip(*held))], 0
-            yield held.pop()  # so only the caller holds the batch
-    if held:
-        yield tuple(np.concatenate(parts) for parts in zip(*held))
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     """Check the triangle inequality once per kind (spherical, projective) on
     every window that has no constant series, through analyze's window
-    engine. Consecutive chunks of the engine, (ms, rho, units), are joined
-    into batches of at least VALIDATE_BATCH windows, and a batch's
-    correlations and unit rows become its (M, 2, n, n) distances, spherical
-    then projective per window, with one angular_distances call per kind. So
-    a batch holds its unit rows, 1.0 MB at n = 32, K = 101, and twice that
-    while they are joined, once the previous batch is freed. Its distances
-    are one (2M, n, n) stack, whose triangle margins one scan,
-    metric._min_triangle_margins, reduces to each matrix's minimum. A matrix
-    fails when that minimum is below -TRIANGLE_TOL or NaN. Symmetry, the
-    diagonal and the sign of the entries are not rechecked, because they
-    cannot fail: angular_distances makes every stack exactly symmetric and
-    finite, with a +0.0 diagonal and entries in [0, pi], by construction, and
-    that is the scan's precondition.
+    engine, in chunks (ms, rho, units) of at least VALIDATE_BATCH windows, and
+    a chunk's correlations and unit rows become its (M, 2, n, n) distances,
+    spherical then projective per window, with one angular_distances call per
+    kind. So a chunk holds its unit rows, 1.0 MB at n = 32, K = 101, until
+    its distances are built. Its distances are one (2M, n, n) stack, whose
+    triangle margins one scan, metric._min_triangle_margins, reduces to each
+    matrix's minimum. A matrix fails when that minimum is below -TRIANGLE_TOL
+    or NaN. Symmetry, the diagonal and the sign of the entries are not
+    rechecked, because they cannot fail: angular_distances makes every stack
+    exactly symmetric and finite, with a +0.0 diagonal and entries in
+    [0, pi], by construction, and that is the scan's precondition.
 
     Each failing matrix, in window order, prints a line on stderr and makes
     the exit 1:
@@ -286,7 +270,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     with the margin in %.3e and the triple that metric._first_min_triple
     locates for it. The worst margin is the first smallest in window order,
     spherical first, a NaN never; a copy of its matrix is kept, and its
-    triple is located once, after the last batch. Fewer than 3 series have
+    triple is located once, after the last chunk. Fewer than 3 series have
     no triangle to check, and exit 2; correlation_chunks rejects a window
     longer than the series."""
     data = _read_input(args)
@@ -297,10 +281,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     worst_margin = float("inf")
     worst = worst_matrix = None
     failures = checked = 0
-    chunks = correlation_chunks(data, args.window, args.stride)
-    for ms, rho, units in _batched(chunks, VALIDATE_BATCH):
+    chunks = correlation_chunks(data, args.window, args.stride, VALIDATE_BATCH)
+    for ms, rho, units in chunks:
         dist = np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1)
-        del rho, units  # not held while the next batch is joined
+        del rho, units  # not held while the next chunk is built
         dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
         lows = _min_triangle_margins(dist)
         checked += len(dist)

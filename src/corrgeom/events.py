@@ -9,13 +9,14 @@ together.
 Every command walks the windows through one engine, ``correlation_chunks``.
 It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
-CHUNK_ELEMENTS floats, and each layer (unit vectors, correlations, angular
-distances, the measures) runs once per chunk on the whole stack. No
-per-window object is built. The triangle measure walks the triples one
-first index at a time, so no array holds more than about n^2 / 2 of them
-per window. No unit row is checked: series._window_units proves every unit
-row of a window with no constant series finite and within eta(K) of unit
-norm, for a series in any units, so no window's values make the engine raise.
+CHUNK_ELEMENTS floats (validate asks for taller ones), and each layer (unit
+vectors, correlations, angular distances, the measures) runs once per chunk
+on the whole stack. No per-window object is built. The triangle measure
+walks the triples one first index at a time, so no array holds more than
+about n^2 / 2 of them per window. No unit row is checked:
+series._window_units proves every unit row of a window with no constant
+series finite and within eta(K) of unit norm, for a series in any units, so
+no window's values make the engine raise.
 
 ``sliding_measures`` runs no metric-axiom check on its distances: that
 they form a metric to within a bound far below TRIANGLE_TOL is proven in
@@ -23,9 +24,9 @@ metric.angular_distances, whose chord form keeps near-copies of a series,
 |rho| near 1, as accurate as any other pair. ``validate`` still scans every
 window, since the margins are its output, and checks nothing else: the same
 construction makes every stack exactly symmetric, with a +0.0 diagonal and
-entries in [0, pi]. It joins consecutive chunks into batches of at least
-cli.VALIDATE_BATCH windows, turns each batch into its spherical and
-projective distances and scans them in one stack. The scan
+entries in [0, pi]. cli.cmd_validate takes the engine's chunks at its own
+size, at least cli.VALIDATE_BATCH windows, turns each chunk into its
+spherical and projective distances and scans them in one stack. The scan
 finds only each matrix's minimum margin, never its n^3 margins: it works on
 a copy of the stack with the stack axis innermost, in blocks of about
 metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
@@ -56,11 +57,11 @@ from .series import Frozen, TimeSeriesSet, _window_units
 # the triangle measure's per-first-index arrays are smaller, and validate's
 # triangle-margin scan works in blocks of metric.SCAN_ELEMENTS. A chunk holds
 # at least one window, so where one window's rows or matrices pass 2^15
-# (n * K or n^2 above it) the chunk exceeds the target. validate joins chunks
-# into batches of cli.VALIDATE_BATCH windows, with their unit rows and both
-# kinds of distances, so its arrays are larger. Larger chunks were measured
-# slower, and at 2^17 they raised peak RSS by more than the benchmark's 5%
-# bound.
+# (n * K or n^2 above it) the chunk exceeds the target. validate asks
+# correlation_chunks for chunks of at least cli.VALIDATE_BATCH windows, whose
+# unit rows and both kinds of distances are larger. For analyze and events,
+# larger chunks were measured slower, and at 2^17 they raised peak RSS by more
+# than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
 
 KIND_DIAMETER = "diameter"
@@ -113,19 +114,21 @@ def _windows_per_chunk(n: int, window: int) -> int:
 
 
 def correlation_chunks(
-    ts_set: TimeSeriesSet, window: int, stride: int = 1
+    ts_set: TimeSeriesSet, window: int, stride: int = 1, at_least: int = 1
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The one window engine of every command. For each chunk of consecutive
     windows: the indices m of its windows with no constant series (window m
     starts at sample m * stride), their correlation matrices (len(m), n, n)
     and their unit rows (len(m), n, K), which metric.angular_distances needs
-    where |rho| is near 1.
+    where |rho| is near 1. A chunk spans max(at_least, _windows_per_chunk(n,
+    K)) windows, the last one fewer; validate asks for at_least
+    cli.VALIDATE_BATCH, since its scan is faster on taller stacks.
 
     A chunk is a (windows, n, K) stack scaled, centred and normalised in one
     array pass by series._window_units, whose proof covers every finite row,
     so no chunk raises. A window longer than the series raises
     WindowTooLongError, and a window below 2 or a stride below 1 ValueError,
-    here, before any chunk.
+    here, before any chunk. Only the caller holds a chunk once it is yielded.
     """
     if window > ts_set.length:
         raise WindowTooLongError(f"window {window} exceeds series length {ts_set.length}")
@@ -133,19 +136,20 @@ def correlation_chunks(
         raise ValueError(f"window size must be >= 2, got {window}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    return _chunks(ts_set, window, stride)
-
-
-def _chunks(ts_set: TimeSeriesSet, window: int, stride: int):
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
-    size = _windows_per_chunk(len(ts_set), window)
-    for lo in range(0, view.shape[1], size):
-        units, norms = _window_units(view[:, lo : lo + size].transpose(1, 0, 2).copy())
-        good = norms.all(axis=-1)
-        ms = good.nonzero()[0] + lo
-        if ms.size < len(units):
-            units = units[good]
-        yield ms, correlation_from_units(units), units
+    size = max(at_least, _windows_per_chunk(len(ts_set), window))
+    return (_chunk(view[:, lo : lo + size], lo) for lo in range(0, view.shape[1], size))
+
+
+def _chunk(rows: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """correlation_chunks' chunk of the (n, windows, K) window rows whose
+    first window is window lo."""
+    units, norms = _window_units(rows.transpose(1, 0, 2).copy())
+    good = norms.all(axis=-1)
+    ms = good.nonzero()[0] + lo
+    if ms.size < len(units):
+        units = units[good]
+    return ms, correlation_from_units(units), units
 
 
 def sliding_measures(

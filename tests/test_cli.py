@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -609,7 +608,7 @@ def test_validate_rejects_fewer_than_three_series(tmp_path, capsys, n):
 
 
 def test_validate_checks_no_matrix_where_a_series_is_constant(tmp_path, capsys):
-    # Every window gaps, so the one batch holds no matrix.
+    # Every window gaps, so the one chunk holds no matrix.
     path = write_csv(tmp_path, [np.sin(np.arange(60) / 2), np.sin(np.arange(60) / 3), np.ones(60)])
     assert cli.main(["validate", "--input", path, "--window", "21"]) == 0
     assert capsys.readouterr() == (
@@ -1149,7 +1148,7 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
     path = write_csv(tmp_path, base[:, np.arange(length) % period])
     data = corrgeom.read_timeseries_csv(path)
     size = _windows_per_chunk(n, window)
-    batch = size * -(-cli.VALIDATE_BATCH // size)  # windows per batch: whole chunks
+    batch = max(cli.VALIDATE_BATCH, size)  # windows per validate chunk
     assert size < cli.VALIDATE_BATCH and count % batch != 0
 
     monkeypatch.setattr(cli, "angular_distances", arccos_distances)
@@ -1166,9 +1165,10 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
 
 
 def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkeypatch):
-    # n = 32, K = 101: the engine's chunks hold 10 windows, so 200 windows are
-    # 20 chunks and 5 batches, one scan and one distance call per kind each.
-    # The worst matrix's triple is located once, and no n^3 margins are built.
+    # n = 32, K = 101: the engine's chunks hold 10 windows, and validate's
+    # VALIDATE_BATCH = 40, so 200 windows are 5 chunks, one unit-row pass, one
+    # scan and one distance call per kind each. The worst matrix's triple is
+    # located once, and no n^3 margins are built.
     n, window, length = 32, 101, 300
     path = tmp_path / "input.csv"
     write_timeseries_csv(simulate(SyntheticSpec(n, length, (), 0.1, 11)), path)
@@ -1176,7 +1176,7 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     assert cli.main(argv) == 0
     want = capsys.readouterr()
 
-    calls = {"scan": 0, "locate": 0, "margins": 0, "distances": 0}
+    calls = {"scan": 0, "locate": 0, "margins": 0, "distances": 0, "units": 0}
 
     def counted(name, function):
         def call(*args, **kwargs):
@@ -1192,10 +1192,11 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "_first_min_triple", locate)
     monkeypatch.setattr(oracles, "_triangle_margins", counted("margins", oracles._triangle_margins))
     monkeypatch.setattr(cli, "angular_distances", counted("distances", cli.angular_distances))
+    monkeypatch.setattr(events, "_window_units", counted("units", events._window_units))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
     assert _windows_per_chunk(n, window) == 10 and cli.VALIDATE_BATCH == 40
-    assert calls == {"scan": 5, "locate": 1, "margins": 0, "distances": 10}
+    assert calls == {"scan": 5, "locate": 1, "margins": 0, "distances": 10, "units": 5}
 
 
 @pytest.mark.parametrize(
@@ -1234,18 +1235,3 @@ def test_validate_output_does_not_depend_on_the_batching(
     monkeypatch.setattr(events, "CHUNK_ELEMENTS", chunk_elements)
     assert cli.main(argv) == code
     assert capsys.readouterr() == want
-
-
-def test_batched_joins_chunks_in_order_and_keeps_no_batch():
-    # Three chunks of 2, 1 and 2 windows, joined into runs of at least 3: the
-    # generator lets go of each batch it yields, so a caller that drops a
-    # batch frees its arrays before the next one is joined.
-    chunks = [(np.arange(lo, hi), np.full((hi - lo, 2), float(lo))) for lo, hi in
-              ((0, 2), (2, 3), (3, 5))]
-    batches = cli._batched(iter(chunks), 3)
-    ms, rows = next(batches)
-    assert ms.tolist() == [0, 1, 2] and rows[:, 0].tolist() == [0.0, 0.0, 2.0]
-    freed = weakref.ref(rows)
-    del ms, rows
-    assert freed() is None
-    assert [ms.tolist() for ms, _ in batches] == [[3, 4]]

@@ -4,6 +4,7 @@ prominence routine against scipy.signal.find_peaks and its separation rule
 against a brute-force one, and compare_event_sets."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -68,6 +69,36 @@ def test_wide_windows_share_a_chunk(n):
     size = _windows_per_chunk(n, 101)
     assert size > 1
     assert size * max(n * 101, n * n) <= CHUNK_ELEMENTS
+
+
+@pytest.mark.parametrize("chunk_elements", [None, 1])
+@pytest.mark.parametrize("at_least", [1, 3, 40])
+def test_chunks_span_the_larger_of_at_least_and_the_element_target(
+    monkeypatch, at_least, chunk_elements
+):
+    # 480 gap-free windows of n = 4, K = 21: 390 to a chunk at the default
+    # CHUNK_ELEMENTS, and at_least of them where it allows only one.
+    set_chunk_elements(monkeypatch, chunk_elements)
+    data = simulate(coupling_benchmark(0))
+    size = max(at_least, _windows_per_chunk(len(data), BENCHMARK_WINDOW))
+    chunks = [ms for ms, _, _ in correlation_chunks(data, BENCHMARK_WINDOW, 1, at_least)]
+    assert [len(ms) for ms in chunks[:-1]] == [size] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= size
+    assert np.array_equal(np.concatenate(chunks), np.arange(data.length - BENCHMARK_WINDOW + 1))
+
+
+@pytest.mark.parametrize(
+    "data", [simulate(coupling_benchmark(0)), held_input()], ids=["benchmark0", "held"]
+)
+def test_a_dropped_chunk_is_freed_before_the_next(data):
+    # Only the caller holds a yielded chunk, so a caller that drops it frees
+    # its unit rows before the next one is built. The held input's first
+    # chunk has gapped windows, whose unit rows the engine filters out.
+    chunks = correlation_chunks(data, BENCHMARK_WINDOW, 1, 3)
+    ms, rho, units = next(chunks)
+    freed = weakref.ref(units)
+    del ms, rho, units
+    assert freed() is None
 
 
 @pytest.mark.parametrize(
