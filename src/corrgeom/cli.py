@@ -163,11 +163,14 @@ def _json_text(payload: dict) -> str:
 def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int) -> dict:
     import hashlib  # here, not at the top: validate writes no manifest
 
-    digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(args.input, "rb") as fh:  # in blocks: the input is not read whole a second time
+        while block := fh.read(1 << 20):
+            digest.update(block)
     return {
         "library_version": __version__,
         "config": {"schema_version": CONFIG_SCHEMA_VERSION, **_settings(args)},
-        "input_sha256": digest,
+        "input_sha256": digest.hexdigest(),
         "series_ids": list(data.ids),
         "series_length": data.length,
         "n_windows": n_windows,
@@ -347,9 +350,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _number(kind: type, low: int | None = None):
     """A numeric flag's type: parse_number's ``kind`` of the text, which must
     be at least ``low`` when that is given (a NaN is not). It carries the
-    bound as its ``low`` attribute, and the kind's ``__name__``, which
-    argparse's message for text that does not parse names: ``argument
-    --window: invalid int value: '2_1'``."""
+    kind's ``__name__``, which argparse's message for text that does not
+    parse names: ``argument --window: invalid int value: '2_1'``."""
 
     def parse(text: str) -> int | float:
         value = parse_number(text, kind)
@@ -357,7 +359,7 @@ def _number(kind: type, low: int | None = None):
             raise argparse.ArgumentTypeError(f"must be >= {low}")
         return value
 
-    parse.__name__, parse.low = kind.__name__, low
+    parse.__name__ = kind.__name__
     return parse
 
 

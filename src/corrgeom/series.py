@@ -9,6 +9,11 @@ Normalization is population style (divide by K, not K-1); the factor cancels
 in every correlation anyway. A constant window is never mapped to a zero
 vector, because a zero vector has no direction on the sphere: the engine
 marks its window a gap.
+
+A TimeSeriesSet holds its values once, as one read-only (n, L) matrix; its
+``series`` are rebuilt from the matrix rows on each access. Reading a CSV
+holds the file's lines once while its body is parsed, and drops them before
+the set is built; after the read, only the set's matrix is held.
 """
 
 from __future__ import annotations
@@ -87,13 +92,21 @@ class TimeSeries(Frozen):
 
 
 class TimeSeriesSet(Frozen):
-    """Several series sharing start, step, and length, with unique ids."""
+    """Several series sharing start, step, and length, with unique ids.
+
+    The set holds its ``ids``, ``start`` and ``step`` and one read-only
+    (n_series, length) matrix, and nothing else: the series it was built
+    from are not kept, so their values are held once, in the matrix, and
+    its repr shows ids, start and step. ``series`` is rebuilt from the
+    matrix rows on each access, at O(n_series * length) cost, as new
+    TimeSeries objects with equal values; since equality is identity, two
+    accesses give series that are not equal."""
 
     def __init__(self, series: tuple[TimeSeries, ...]):
         series = tuple(series)
         if not series:
             raise ValueError("a TimeSeriesSet needs at least one series")
-        ids = [s.id for s in series]
+        ids = tuple(s.id for s in series)
         seen = set()
         for sid in ids:
             if sid in seen:
@@ -107,33 +120,27 @@ class TimeSeriesSet(Frozen):
                     f"start/step/length {(s.start, s.step, len(s))} vs "
                     f"{(first.start, first.step, len(first))}"
                 )
-        self._set(series=series, _matrix=_as_readonly_floats([s.values for s in series]))
+        self._set(ids=ids, start=first.start, step=first.step,
+                  _matrix=_as_readonly_floats([s.values for s in series]))
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self.ids)
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.series)
-
-    @property
-    def start(self) -> int:
-        return self.series[0].start
-
-    @property
-    def step(self) -> int:
-        return self.series[0].step
+    def series(self) -> tuple[TimeSeries, ...]:
+        return tuple(TimeSeries(sid, self.start, self.step, row)
+                     for sid, row in zip(self.ids, self._matrix))
 
     @property
     def length(self) -> int:
-        return len(self.series[0])
+        return self._matrix.shape[1]
 
     def matrix(self) -> np.ndarray:
         """Values stacked as a read-only (n_series, length) array, built once."""
         return self._matrix
 
     def tick(self, index: int) -> int:
-        return self.series[0].tick(index)
+        return self.start + self.step * index
 
 
 def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,10 +314,10 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
     the non-ASCII digits that float() reads and _parse_value rejects, so a
     body it parses to finite values with ncol cells per line and no blank
     tick is one the row loop reads the same. Any other file goes through the
-    row loop, which raises its first error."""
-    text = "".join(lines)
+    row loop, which raises its first error. Each line is checked on its
+    own, so no copy of the whole file is made."""
     body = lines[1:]
-    if not body or '"' in text or "\r" in text:
+    if not body or any('"' in line or "\r" in line for line in lines):
         return None
     if any(line.count(",") != ncol - 1 for line in body):
         return None
@@ -329,7 +336,12 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
 
 
 def read_timeseries_csv(source) -> TimeSeriesSet:
-    """Read a TimeSeriesSet from a CSV path, read as UTF-8, or open text file."""
+    """Read a TimeSeriesSet from a CSV path, read as UTF-8, or open text file.
+
+    While the body is parsed, the file's lines are held once, beside the
+    parsed values and the tick cells. The lines are dropped before the set
+    is built, which briefly holds the parsed values, a copy per series and
+    the set's matrix. After the read only the matrix is held."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_timeseries_csv(fh)
@@ -352,6 +364,7 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
             raise DuplicateIdError(f"duplicate column name {name!r}")
         seen.add(name)
     tick_cells, columns = _loadtxt_body(lines, len(header)) or _read_rows(reader, header, names)
+    del lines, reader  # the file's text: free it before the series and matrix are built
     start, step = _parse_tick_column(tick_cells)
     return TimeSeriesSet(
         tuple(TimeSeries(name, start, step, col) for name, col in zip(names, columns))

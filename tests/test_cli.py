@@ -3,6 +3,8 @@
 import argparse
 import csv
 import errno
+import hashlib
+import inspect
 import json
 import math
 import os
@@ -394,10 +396,11 @@ def test_a_config_value_its_flag_rejects_exits_2(tmp_path, capsys, settings, fla
 def numeric_flags():
     """(command, flag, dest, low, has_config) for each flag of each subcommand
     of build_parser() whose type argparse names int or float; ``low`` is the
-    type's bound, None where it has none."""
+    bound that cli._number's type closes over, None where it has none."""
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return [
-        (command, action.option_strings[0], action.dest, getattr(action.type, "low", None),
+        (command, action.option_strings[0], action.dest,
+         inspect.getclosurevars(action.type).nonlocals["low"],
          "config" in {a.dest for a in parser._actions})
         for command, parser in sub.choices.items()
         for action in parser._actions
@@ -725,15 +728,21 @@ def test_help_shows_each_default(capsys, command, defaults):
 def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, command):
     # Each command's own settings, with events' separation and match window
     # resolved to ticks; analyze has no detector settings, and rejects them
-    # as flags.
-    path = benchmark_csv(tmp_path)
-    out = tmp_path / "out"
-    assert cli.main([command, "--input", path, "--out", str(out)]) == 0
-    want = {"schema_version": 1, "input": path, "window": 21, "stride": 1,
-            "measures": list(MEASURE_KINDS), "out": str(out), "formats": []}
-    if command == "events":
-        want.update(min_prominence=0.05, min_separation=21, match_window=21)
-    assert json.loads((out / "manifest.json").read_text())["config"] == want
+    # as flags. The input's hash is taken in 1 MiB blocks: the second input,
+    # 1.3 MB, takes two.
+    big = tmp_path / "big.csv"
+    write_timeseries_csv(simulate(SyntheticSpec(4, 16_000, (), 0.1, 0)), big)
+    assert big.stat().st_size > 1 << 20
+    for path in (benchmark_csv(tmp_path), str(big)):
+        out = tmp_path / f"out_{Path(path).stem}"
+        assert cli.main([command, "--input", path, "--out", str(out)]) == 0
+        want = {"schema_version": 1, "input": path, "window": 21, "stride": 1,
+                "measures": list(MEASURE_KINDS), "out": str(out), "formats": []}
+        if command == "events":
+            want.update(min_prominence=0.05, min_separation=21, match_window=21)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == want
+        assert manifest["input_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # Event keys that hold ticks, or lists or pairs of ticks.

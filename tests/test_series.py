@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestTimeSeriesValidation:
     "make, field",
     [
         (lambda: ts("a", [1.0, 2.0]), "id"),
-        (lambda: TimeSeriesSet((ts("a", [1.0, 2.0]),)), "series"),
+        (lambda: TimeSeriesSet((ts("a", [1.0, 2.0]),)), "ids"),
         (lambda: WindowSpec(0, 2), "size"),
     ],
     ids=["TimeSeries", "TimeSeriesSet", "WindowSpec"],
@@ -90,6 +91,18 @@ def test_a_value_object_is_read_only(make, field):
     with pytest.raises(AttributeError):
         obj.new_field = 1
     assert getattr(obj, field) is before
+
+
+def test_a_set_rebuilds_its_series_from_its_matrix_rows():
+    data = TimeSeriesSet(
+        (ts("a", [1.0, 2.0, 4.0], start=5, step=3), ts("b", [0.5, 0.0, -1.0], start=5, step=3))
+    )
+    for i, s in enumerate(data.series):
+        assert (s.id, s.start, s.step) == (data.ids[i], 5, 3)
+        assert np.array_equal(s.values, data.matrix()[i])
+        assert not s.values.flags.writeable
+    assert data.series[0] is not data.series[0]  # new objects on each access
+    assert repr(data) == "TimeSeriesSet(ids=('a', 'b'), start=5, step=3)"
 
 
 class TestWindowSpec:
@@ -409,3 +422,24 @@ def test_the_first_bad_cell_of_a_row_raises():
     text = "tick,a,b,c\n0,1,2,3\n1,inf,oops,\n"
     with pytest.raises(IngestError, match=r"^non-finite value 'inf' at data row 2, column 'a'$"):
         read_timeseries_csv(io.StringIO(text))
+
+
+def test_a_read_holds_the_values_once(tmp_path):
+    # 16 series of 20,000 samples, a 6.4 MB file for a 2.56 MB matrix. After
+    # the read only the matrix is held; when each series also kept its column
+    # it was twice that. Measured peaks: 4.66 times the matrix with the lines
+    # dropped after the parse and checked one at a time, 7.15 times with the
+    # lines kept and joined into one more string.
+    path = tmp_path / "wide.csv"
+    rng = np.random.default_rng(0)
+    write_timeseries_csv(
+        TimeSeriesSet(tuple(ts(f"s{i}", rng.normal(size=20_000)) for i in range(16))), path
+    )
+    tracemalloc.start()
+    try:
+        data = read_timeseries_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.25 * data.matrix().nbytes
+    assert peak < 5.5 * data.matrix().nbytes
