@@ -58,7 +58,6 @@ from .metric import (
     TRIANGLE_TOL,
     _first_min_triple,
     _min_triangle_margins,
-    angular_distances,
 )
 from .series import TimeSeriesSet, parse_number, read_timeseries_csv, write_timeseries_csv
 from .svg import render_measures_svg
@@ -66,8 +65,8 @@ from .svg import render_measures_svg
 CONFIG_SCHEMA_VERSION = 1
 FORMATS = ("svg",)
 # The fewest windows per triangle-margin scan of validate: validate asks
-# correlation_chunks for chunks of at least this many windows, and a chunk's
-# distances are one stack of 2 * VALIDATE_BATCH matrices with both kinds. The
+# correlation_chunks for both kinds of distances in chunks of at least this
+# many windows, so a chunk is one stack of 2 * VALIDATE_BATCH matrices. The
 # scan's numpy loops are as long as the stack is tall. On the validate_n32
 # benchmark input (n = 32, K = 101, 700 windows, 10 to a chunk by
 # CHUNK_ELEMENTS; 2-vCPU Xeon, one BLAS thread, medians of 21, four runs) a
@@ -178,17 +177,18 @@ def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int) -> 
 
 
 def _write_outputs(out: str | Path, files: dict[str, str]) -> int:
-    """Write ``files`` ({name: text}) into the directory ``out``, all or
-    none, in their order, then log and print each path. ``out`` and any
-    missing parents are made; each text is written as UTF-8 to a temporary
-    ``.<name>.<pid>.tmp`` beside its file, and the temporary files are renamed
-    into place only once all are written. On any error every temporary file,
-    every file this call renamed to a path that did not exist before it, and
-    every directory it made (deepest first, if empty) is removed and the error
-    raised again, so a failed write leaves the directory's earlier files as
-    they were and a fresh ``out`` not there at all. A rename that fails leaves
-    each earlier file replaced before it with this call's bytes, and the rest
-    with the earlier run's."""
+    """Write ``files`` ({name: text}) into the directory ``out``, all or none,
+    in their order, then log and print each path. ``out`` and any missing
+    parents are made; each text is written as UTF-8, in slices of
+    2^20 characters so that no encoded copy of a whole text is made, to a
+    temporary ``.<name>.<pid>.tmp`` beside its file, and the temporary files
+    are renamed into place only once all are written. On any error every
+    temporary file, every file this call renamed to a path that did not exist
+    before it, and every directory it made (deepest first, if empty) is
+    removed and the error raised again, so a failed write leaves the
+    directory's earlier files as they were and a fresh ``out`` not there at
+    all. A rename that fails leaves each earlier file replaced before it with
+    this call's bytes, and the rest with the earlier run's."""
     out = Path(out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     paths = [out / name for name in files]
@@ -198,7 +198,9 @@ def _write_outputs(out: str | Path, files: dict[str, str]) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         for tmp, text in zip(temporary, files.values()):
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for at in range(0, len(text), 1 << 20):
+                    fh.write(text[at : at + (1 << 20)])
         for tmp, path in zip(temporary, paths):
             tmp.replace(path)
     except Exception:
@@ -253,17 +255,15 @@ def cmd_events(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     """Check the triangle inequality once per kind (spherical, projective) on
     every window that has no constant series, through analyze's window
-    engine, in chunks (ms, rho, units) of at least VALIDATE_BATCH windows, and
-    a chunk's correlations and unit rows become its (M, 2, n, n) distances,
-    spherical then projective per window, with one angular_distances call per
-    kind. So a chunk holds its unit rows, 1.0 MB at n = 32, K = 101, until
-    its distances are built. Its distances are one (2M, n, n) stack, whose
-    triangle margins one scan, metric._min_triangle_margins, reduces to each
-    matrix's minimum. A matrix fails when that minimum is below -TRIANGLE_TOL
-    or NaN. Symmetry, the diagonal and the sign of the entries are not
-    rechecked, because they cannot fail: angular_distances makes every stack
-    exactly symmetric and finite, with a +0.0 diagonal and entries in
-    [0, pi], by construction, and that is the scan's precondition.
+    engine, which hands out chunks (ms, dist) of at least VALIDATE_BATCH
+    windows: dist is the chunk's (2M, n, n) stack of distances, spherical then
+    projective per window. One scan, metric._min_triangle_margins, reduces
+    each matrix's triangle margins to their minimum. A matrix fails when that
+    minimum is below -TRIANGLE_TOL or NaN. Symmetry, the diagonal and the
+    sign of the entries are not rechecked, because they cannot fail:
+    metric.angular_distances, in the engine, makes every stack exactly
+    symmetric and finite, with a +0.0 diagonal and entries in [0, pi], by
+    construction, and that is the scan's precondition.
 
     Each failing matrix, in window order, prints a line on stderr and makes
     the exit 1:
@@ -277,18 +277,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     no triangle to check, and exit 2; correlation_chunks rejects a window
     longer than the series."""
     data = _read_input(args)
-    n = len(data)
-    if n < 3:
+    if len(data) < 3:
         raise TooFewPointsError("validate needs at least 3 series")
     kinds = (SPHERICAL, PROJECTIVE)
     worst_margin = float("inf")
     worst = worst_matrix = None
     failures = checked = 0
-    chunks = correlation_chunks(data, args.window, args.stride, VALIDATE_BATCH)
-    for ms, rho, units in chunks:
-        dist = np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1)
-        del rho, units  # not held while the next chunk is built
-        dist = dist.reshape(-1, n, n)  # matrix 2w + k is window w's kinds[k]
+    chunks = correlation_chunks(data, args.window, kinds, args.stride, VALIDATE_BATCH)
+    for ms, dist in chunks:  # matrix 2w + k is window ms[w]'s kinds[k]
         lows = _min_triangle_margins(dist)
         checked += len(dist)
         failed = ~(lows >= -TRIANGLE_TOL)  # a NaN fails

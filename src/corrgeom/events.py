@@ -11,7 +11,10 @@ It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
 CHUNK_ELEMENTS floats (validate asks for taller ones), and each layer (unit
 vectors, correlations, angular distances, the measures) runs once per chunk
-on the whole stack. No per-window object is built. The triangle measure
+on the whole stack. No per-window object is built. The engine hands out
+only distances, of the kinds its caller asks for: a chunk's unit rows and
+correlations are built, turned into distances and freed inside it, in the
+package's one call of metric.angular_distances. The triangle measure
 walks the triples one first index at a time, so no array holds more than
 about n^2 / 2 of them per window. No unit row is checked:
 series._window_units proves every unit row of a window with no constant
@@ -24,9 +27,9 @@ metric.angular_distances, whose chord form keeps near-copies of a series,
 |rho| near 1, as accurate as any other pair. ``validate`` still scans every
 window, since the margins are its output, and checks nothing else: the same
 construction makes every stack exactly symmetric, with a +0.0 diagonal and
-entries in [0, pi]. cli.cmd_validate takes the engine's chunks at its own
-size, at least cli.VALIDATE_BATCH windows, turns each chunk into its
-spherical and projective distances and scans them in one stack. The scan
+entries in [0, pi]. cli.cmd_validate asks the engine for both kinds of
+distances, spherical and projective, in chunks of at least
+cli.VALIDATE_BATCH windows, and scans each chunk's stack at once. The scan
 finds only each matrix's minimum margin, never its n^3 margins: it works on
 a copy of the stack with the stack axis innermost, in blocks of about
 metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
@@ -114,21 +117,24 @@ def _windows_per_chunk(n: int, window: int) -> int:
 
 
 def correlation_chunks(
-    ts_set: TimeSeriesSet, window: int, stride: int = 1, at_least: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ts_set: TimeSeriesSet, window: int, kinds: Sequence[str], stride: int = 1, at_least: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one window engine of every command. For each chunk of consecutive
-    windows: the indices m of its windows with no constant series (window m
-    starts at sample m * stride), their correlation matrices (len(m), n, n)
-    and their unit rows (len(m), n, K), which metric.angular_distances needs
-    where |rho| is near 1. A chunk spans max(at_least, _windows_per_chunk(n,
-    K)) windows, the last one fewer; validate asks for at_least
-    cli.VALIDATE_BATCH, since its scan is faster on taller stacks.
+    windows, (ms, dist): the indices ms of its windows with no constant
+    series (window m starts at sample m * stride), and their angular
+    distances of each of ``kinds`` (metric.SPHERICAL, metric.PROJECTIVE) as
+    one (len(ms) * len(kinds), n, n) stack, in which matrix len(kinds) * w + k
+    is window ms[w]'s kinds[k]. A chunk spans max(at_least,
+    _windows_per_chunk(n, K)) windows, the last one fewer; validate asks for
+    at_least cli.VALIDATE_BATCH, since its scan is faster on taller stacks.
 
     A chunk is a (windows, n, K) stack scaled, centred and normalised in one
     array pass by series._window_units, whose proof covers every finite row,
-    so no chunk raises. A window longer than the series raises
+    so no chunk raises. Its unit rows and correlations stay inside the
+    engine, freed before the chunk is yielded, and only the caller holds the
+    chunk after that. A window longer than the series raises
     WindowTooLongError, and a window below 2 or a stride below 1 ValueError,
-    here, before any chunk. Only the caller holds a chunk once it is yielded.
+    here, before any chunk.
     """
     if window > ts_set.length:
         raise WindowTooLongError(f"window {window} exceeds series length {ts_set.length}")
@@ -138,18 +144,21 @@ def correlation_chunks(
         raise ValueError(f"stride must be >= 1, got {stride}")
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
     size = max(at_least, _windows_per_chunk(len(ts_set), window))
-    return (_chunk(view[:, lo : lo + size], lo) for lo in range(0, view.shape[1], size))
+    return (_chunk(view[:, lo : lo + size], lo, kinds) for lo in range(0, view.shape[1], size))
 
 
-def _chunk(rows: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chunk(rows: np.ndarray, lo: int, kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """correlation_chunks' chunk of the (n, windows, K) window rows whose
-    first window is window lo."""
+    first window is window lo. The chord rule of metric.angular_distances
+    reads the unit rows where |rho| is near 1."""
     units, norms = _window_units(rows.transpose(1, 0, 2).copy())
     good = norms.all(axis=-1)
     ms = good.nonzero()[0] + lo
     if ms.size < len(units):
         units = units[good]
-    return ms, correlation_from_units(units), units
+    rho = correlation_from_units(units)
+    dist = np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1)
+    return ms, dist.reshape(-1, len(rows), len(rows))
 
 
 def sliding_measures(
@@ -167,20 +176,21 @@ def sliding_measures(
     then correlation_chunks raises WindowTooLongError for a window longer
     than the series, and ValueError for a window below 2 or a stride below 1.
 
-    No window's distances are checked, because every window's distances are
-    a metric to within rounding that is proven small, and the measures need
-    nothing more. metric.angular_distances gives each chunk an exactly
-    symmetric stack with a zero diagonal, finite since the unit rows are
-    (series._window_units), with entries in [0, pi/2], whose triangle
-    margins are all >= -B(K), with B(K) proven there: 3.55e-13 at K = 21 and
-    1.55e-12 at K = 101, below TRIANGLE_TOL up to K near 67,100. So every
-    triple has sides a <= b <= c that measures._validate_sides accepts in
-    that range: a >= 0, a + b - c is one of those margins bit for bit (the
-    stack is exactly symmetric and IEEE addition commutes), and
-    a + b + c <= 3 pi/2 < 2 pi. Beyond that K
-    no measure needs the margins within the tolerance: the diameter is a
-    maximum, and measures._triangle_areas gives area 0 to any triple whose
-    margin is <= TRIANGLE_TOL.
+    The measures read the projective distances that correlation_chunks hands
+    out for each chunk. No window's distances are checked, because every
+    window's distances are a metric to within rounding that is proven small,
+    and the measures need nothing more. metric.angular_distances, in the
+    engine, gives each chunk an exactly symmetric stack with a zero diagonal,
+    finite since the unit rows are (series._window_units), with entries in
+    [0, pi/2], whose triangle margins are all >= -B(K), with B(K) proven
+    there: 3.55e-13 at K = 21 and 1.55e-12 at K = 101, below TRIANGLE_TOL up
+    to K near 67,100. So every triple has sides a <= b <= c that
+    measures._validate_sides accepts in that range: a >= 0, a + b - c is one
+    of those margins bit for bit (the stack is exactly symmetric and IEEE
+    addition commutes), and a + b + c <= 3 pi/2 < 2 pi. Beyond that K no
+    measure needs the margins within the tolerance: the diameter is a maximum,
+    and measures._triangle_areas gives area 0 to any triple whose margin is
+    <= TRIANGLE_TOL.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -197,7 +207,7 @@ def sliding_measures(
     if n < 3 and triangles:
         raise TooFewPointsError("the triangle measure needs at least 3 series")
 
-    chunks = correlation_chunks(ts_set, window, stride)
+    chunks = correlation_chunks(ts_set, window, (PROJECTIVE,), stride)
     count = (ts_set.length - window) // stride + 1
     # The hop between windows can exceed int64, so it is taken modulo 2^64, as
     # int64 arithmetic wraps; every tick fits int64 (TimeSeries checks it), so
@@ -207,8 +217,7 @@ def sliding_measures(
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = np.ones(count, dtype=bool)  # until evaluated, for every kind
 
-    for ms, rho, units in chunks:
-        dist = angular_distances(rho, units, PROJECTIVE)
+    for ms, dist in chunks:
         gaps[ms] = False
         if KIND_DIAMETER in kinds:
             values[KIND_DIAMETER][ms] = _diameters(dist)[0]

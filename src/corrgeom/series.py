@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -282,11 +283,8 @@ def _parse_tick_column(cells: list[str]) -> tuple[int, int]:
     dates = []
     for i, c in enumerate(cells):
         text = c.strip()
-        digits = text[:4] + text[5:7] + text[8:]
         try:
-            if len(text) != 10 or text[4] + text[7] != "--" or not (
-                digits.isascii() and digits.isdigit()
-            ):
+            if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", text, re.ASCII):
                 raise ValueError(text)
             dates.append(datetime.date.fromisoformat(text))
         except ValueError:

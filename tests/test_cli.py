@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ def arccos_distances(rho, units, kind):
 
 
 def test_validate_reports_metric_violations(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "angular_distances", arccos_distances)
+    monkeypatch.setattr(events, "angular_distances", arccos_distances)
     path = near_copies_csv(tmp_path)
     assert cli.main(["validate", "--input", path, "--window", "21"]) == 1
     out, err = capsys.readouterr()
@@ -95,7 +96,7 @@ def test_a_nan_distance_fails_its_matrix_and_is_never_the_worst(tmp_path, capsys
             entries[0, 0, 1] = entries[0, 1, 0] = np.nan
         return entries
 
-    monkeypatch.setattr(cli, "angular_distances", nan_distances)
+    monkeypatch.setattr(events, "angular_distances", nan_distances)
     assert cli.main(["validate", "--input", benchmark_csv(tmp_path), "--window", "21"]) == 1
     out, err = capsys.readouterr()
     assert [line.split(":")[0] for line in err.splitlines()] == [
@@ -116,7 +117,7 @@ def test_validate_matches_the_golden_files(tmp_path, capsys, monkeypatch, name, 
     # The near-copies golden holds the report of arccos-only distances, which
     # fail; the engine's own distances pass on that input.
     if name == "near_copies":
-        monkeypatch.setattr(cli, "angular_distances", arccos_distances)
+        monkeypatch.setattr(events, "angular_distances", arccos_distances)
     argv = ["validate", "--input", write_input(tmp_path), "--window", "21"]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
@@ -935,22 +936,44 @@ def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
     if not fresh:
         assert cli.main(argv) == 0
     before = tree(tmp_path)
-    write_text, written = Path.write_text, []
+    written = []
     disk_full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    def disk_full_on_second_file(path, text, *args, **kwargs):
-        written.append(path)
-        if len(written) < 2:
-            return write_text(path, text, *args, **kwargs)
-        write_text(path, text[:10], *args, **kwargs)
-        raise disk_full
+    def disk_full_on_second_file(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if mode == "w":  # an output file; the manifest reads --input with "rb"
+            written.append(path)
+            if len(written) == 2:
+                write = fh.write
 
-    monkeypatch.setattr(Path, "write_text", disk_full_on_second_file)
+                def write_10_characters(text):
+                    write(text[:10])
+                    raise disk_full
+
+                fh.write = write_10_characters
+        return fh
+
+    monkeypatch.setattr(cli, "open", disk_full_on_second_file, raising=False)
     capsys.readouterr()
     assert cli.main([*argv, *OTHER_BYTES[command]]) == 2
     assert capsys.readouterr().err == f"error: {disk_full}\n"
     assert len(written) == 2
     assert tree(tmp_path) == before  # no .tmp file or new directory left
+
+
+def test_a_text_is_written_without_an_encoded_copy_of_it_whole(tmp_path, capsys):
+    # 16 MiB of ASCII: encoded in one piece it raised the traced peak by as much.
+    text = "0123456789abcde\n" * (1 << 20)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert cli._write_outputs(tmp_path, {"big.txt": text}) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 4 << 20
+    assert (tmp_path / "big.txt").read_bytes() == text.encode()
+    assert capsys.readouterr().out == f"{tmp_path / 'big.txt'}\n"
 
 
 @WRITER_CASES
@@ -1124,7 +1147,7 @@ def test_validate_across_chunks_matches_a_per_window_reference(
     size = _windows_per_chunk(8, window)
     assert count > 2 * size
 
-    monkeypatch.setattr(cli, "angular_distances", arccos_distances)
+    monkeypatch.setattr(events, "angular_distances", arccos_distances)
     margins, worst_margin, worst, violations = validate_reference(data, window)
     failing = {(m // size, kind) for m, kind, _ in violations}
     assert failing == {(c, k) for c in (0, 2) for k in (SPHERICAL, PROJECTIVE)}
@@ -1160,7 +1183,7 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
     batch = max(cli.VALIDATE_BATCH, size)  # windows per validate chunk
     assert size < cli.VALIDATE_BATCH and count % batch != 0
 
-    monkeypatch.setattr(cli, "angular_distances", arccos_distances)
+    monkeypatch.setattr(events, "angular_distances", arccos_distances)
     margins, worst_margin, worst, violations = validate_reference(data, window, stride)
     tied = [m for m in range(count) if margins[m, SPHERICAL] == worst_margin]
     assert len({m // batch for m in tied}) > 1 and worst[0] == data.tick(tied[0] * stride)
@@ -1200,7 +1223,7 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     monkeypatch.setattr(metric, "_first_min_triple", locate)
     monkeypatch.setattr(cli, "_first_min_triple", locate)
     monkeypatch.setattr(oracles, "_triangle_margins", counted("margins", oracles._triangle_margins))
-    monkeypatch.setattr(cli, "angular_distances", counted("distances", cli.angular_distances))
+    monkeypatch.setattr(events, "angular_distances", counted("distances", events.angular_distances))
     monkeypatch.setattr(events, "_window_units", counted("units", events._window_units))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
@@ -1233,7 +1256,7 @@ def test_validate_output_does_not_depend_on_the_batching(
     argv = ["validate", "--input", write_csv(tmp_path, columns), "--window", str(window),
             "--stride", str(stride)]
     if distances is not None:
-        monkeypatch.setattr(cli, "angular_distances", distances)
+        monkeypatch.setattr(events, "angular_distances", distances)
     code = cli.main(argv)
     want = capsys.readouterr()
     count = (length - window) // stride + 1

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
@@ -25,12 +26,15 @@ from corrgeom import (
     sliding_measures,
 )
 from corrgeom import metric
+from corrgeom.correlation import correlation_from_units
 from corrgeom.events import (
     CHUNK_ELEMENTS,
     _prominent_peaks,
     _windows_per_chunk,
     correlation_chunks,
 )
+from corrgeom.metric import NEAR_ONE, PROJECTIVE, SPHERICAL, angular_distances
+from corrgeom.series import _window_units
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,
     BENCHMARK_MIN_SEPARATION,
@@ -81,7 +85,8 @@ def test_chunks_span_the_larger_of_at_least_and_the_element_target(
     set_chunk_elements(monkeypatch, chunk_elements)
     data = simulate(coupling_benchmark(0))
     size = max(at_least, _windows_per_chunk(len(data), BENCHMARK_WINDOW))
-    chunks = [ms for ms, _, _ in correlation_chunks(data, BENCHMARK_WINDOW, 1, at_least)]
+    chunks = correlation_chunks(data, BENCHMARK_WINDOW, (PROJECTIVE,), 1, at_least)
+    chunks = [ms for ms, _ in chunks]
     assert [len(ms) for ms in chunks[:-1]] == [size] * (len(chunks) - 1)
     assert 0 < len(chunks[-1]) <= size
     assert np.array_equal(np.concatenate(chunks), np.arange(data.length - BENCHMARK_WINDOW + 1))
@@ -90,15 +95,69 @@ def test_chunks_span_the_larger_of_at_least_and_the_element_target(
 @pytest.mark.parametrize(
     "data", [simulate(coupling_benchmark(0)), held_input()], ids=["benchmark0", "held"]
 )
-def test_a_dropped_chunk_is_freed_before_the_next(data):
-    # Only the caller holds a yielded chunk, so a caller that drops it frees
-    # its unit rows before the next one is built. The held input's first
-    # chunk has gapped windows, whose unit rows the engine filters out.
-    chunks = correlation_chunks(data, BENCHMARK_WINDOW, 1, 3)
-    ms, rho, units = next(chunks)
-    freed = weakref.ref(units)
-    del ms, rho, units
-    assert freed() is None
+def test_a_chunks_unit_rows_are_freed_before_it_is_yielded(monkeypatch, data):
+    # The engine yields only a chunk's distances, so once next() returns no
+    # array holds its unit rows or correlations. The held input's first chunk
+    # has gapped windows, whose unit rows the engine filters out into a copy.
+    held = []
+
+    def window_units(seg):
+        units, norms = _window_units(seg)
+        held.append(weakref.ref(units))
+        return units, norms
+
+    def correlations(units):
+        rho = correlation_from_units(units)
+        held.extend([weakref.ref(units), weakref.ref(rho)])
+        return rho
+
+    monkeypatch.setattr("corrgeom.events._window_units", window_units)
+    monkeypatch.setattr("corrgeom.events.correlation_from_units", correlations)
+    chunk = next(correlation_chunks(data, BENCHMARK_WINDOW, (SPHERICAL, PROJECTIVE), 1, 3))
+    assert len(chunk[0]) > 0 and len(held) == 3
+    assert [ref() for ref in held] == [None] * 3
+
+
+# Inputs of the engine-contract test: the CI near-copies (simulate --episodes
+# 100:300:1 --noise-sigma 1e-9), whose correlations near +-1 take the chord,
+# and the held input, whose gapped windows are dropped.
+ENGINE_INPUTS = {
+    "near": simulate(SyntheticSpec(4, 500, ((100, 300, 1.0),), 1e-9, 0)),
+    "held": held_input(),
+}
+
+
+@pytest.mark.parametrize("kinds", [(PROJECTIVE,), (SPHERICAL, PROJECTIVE)],
+                         ids=["projective", "both"])
+@pytest.mark.parametrize(
+    "stride, chunk_elements, at_least",
+    [(1, None, 1), (3, None, 1), (1, 1, 1), (1, None, 40)],
+    ids=["default", "stride3", "chunk1", "at_least40"],
+)
+@pytest.mark.parametrize("name", ENGINE_INPUTS)
+def test_the_engine_hands_out_each_windows_distances_of_each_kind(
+    monkeypatch, name, stride, chunk_elements, at_least, kinds
+):
+    # Matrix len(kinds) * w + k of a chunk is window ms[w]'s kinds[k], bit for
+    # bit what angular_distances gives from that window's own unit rows.
+    set_chunk_elements(monkeypatch, chunk_elements)
+    data = ENGINE_INPUTS[name]
+    view = sliding_window_view(data.matrix(), BENCHMARK_WINDOW, axis=1)[:, ::stride]
+    seen, chord = [], False
+    for ms, dist in correlation_chunks(data, BENCHMARK_WINDOW, kinds, stride, at_least):
+        assert dist.shape == (len(ms) * len(kinds), len(data), len(data))
+        for w, m in enumerate(ms.tolist()):
+            units, norms = _window_units(view[:, m].copy())
+            assert norms.all()
+            rho = correlation_from_units(units)
+            chord |= bool((np.abs(np.triu(rho, 1)) > 1.0 - NEAR_ONE).any())
+            for k, kind in enumerate(kinds):
+                want = angular_distances(rho, units, kind)
+                assert np.array_equal(dist[len(kinds) * w + k], want)
+        seen.extend(ms.tolist())
+    gapped = [m for m in range(view.shape[1]) if not _window_units(view[:, m].copy())[1].all()]
+    assert sorted(seen + gapped) == list(range(view.shape[1]))
+    assert chord == (name == "near") and bool(gapped) == (name == "held")
 
 
 @pytest.mark.parametrize(
@@ -107,7 +166,7 @@ def test_a_dropped_chunk_is_freed_before_the_next(data):
 )
 def test_the_engine_rejects_a_window_below_2_or_a_stride_below_1(window, stride, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        next(correlation_chunks(held_input(), window, stride))
+        next(correlation_chunks(held_input(), window, (PROJECTIVE,), stride))
 
 
 def set_chunk_elements(monkeypatch, chunk_elements):

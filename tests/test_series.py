@@ -404,6 +404,16 @@ def test_what_the_loadtxt_parse_accepts_float_reads_the_same(tokens):
         pytest.param("tick,a\n0,1\n\u0661,2\n",
                      "mixed tick column: invalid literal for int() with base 10: '\u0661'",
                      id="tick-arabic-indic"),
+        # Week dates, short fields, non-ASCII digits and times: only YYYY-MM-DD
+        # is a date, on 3.10 and 3.11 alike.
+        *[
+            pytest.param(f"tick,a\n{tick},1\n2020-01-02,2\n",
+                         "first column must be all integers or all ISO dates; got "
+                         f"{tick!r} at data row 1", id=f"tick-{name}")
+            for tick, name in (("2020-W01-1", "week-date"), ("2020-1-01", "short-month"),
+                               ("\uff12020-01-01", "fullwidth-digit"),
+                               ("2020-01-01T00", "time"))
+        ],
     ],
 )
 def test_a_file_reads_the_same_on_both_paths(text, want, monkeypatch):
