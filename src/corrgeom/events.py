@@ -415,18 +415,18 @@ def compare_event_sets(a: EventList, b: EventList, match_window: int) -> Compari
 
     Candidate pairs within ``match_window`` ticks are taken greedily by
     increasing timestamp gap (earlier pairs first on ties); every event
-    matches at most once.
+    matches at most once. Both lists are strictly increasing, so each
+    event's candidates are one run of the other list, found by bisection.
     """
     if match_window < 0:
         raise ValueError("match_window must be >= 0")
     ta = a.timestamps()
     tb = b.timestamps()
-    pairs = [
-        (abs(x - y), x, y, i, j)
-        for i, x in enumerate(ta)
-        for j, y in enumerate(tb)
-        if abs(x - y) <= match_window
-    ]
+    pairs = []
+    for i, x in enumerate(ta):
+        lo = bisect.bisect_left(tb, x - match_window)
+        hi = bisect.bisect_right(tb, x + match_window)
+        pairs += [(abs(x - tb[j]), x, tb[j], i, j) for j in range(lo, hi)]
     pairs.sort()
     used_a: set[int] = set()
     used_b: set[int] = set()

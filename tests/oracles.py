@@ -16,7 +16,9 @@ commands run. Each oracle cross-checks the engine by another route:
   areas against measures.spherical_triangle_area's L'Huilier route;
 * all triangles at once: verify_metric_axioms, the metric axioms of any
   square matrix from all n^3 of its triangle margins, the reference for
-  validate's scan and its triple locator.
+  validate's scan and its triple locator;
+* all event pairs at once: compare_all_pairs, events.compare_event_sets from
+  every pair of the two lists, the reference for its bisection.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from corrgeom.correlation import correlation_from_units
 from corrgeom.errors import CorrGeomError
-from corrgeom.events import KIND_DIAMETER, KIND_MAX_TRIANGLE
+from corrgeom.events import KIND_DIAMETER, KIND_MAX_TRIANGLE, ComparisonReport, EventList
 from corrgeom.measures import _validate_sides, spherical_triangle_area
 from corrgeom.metric import PROJECTIVE, TRIANGLE_TOL, angular_distances
 from corrgeom.series import (
@@ -280,4 +282,40 @@ def verify_metric_axioms(matrix) -> MetricReport:
         min_triangle_margin=min_margin,
         worst_triple=worst,
         violations=violations,
+    )
+
+
+def compare_all_pairs(a: EventList, b: EventList, match_window: int) -> ComparisonReport:
+    """events.compare_event_sets with its candidate pairs taken from all
+    len(a) * len(b) pairs of the two lists."""
+    if match_window < 0:
+        raise ValueError("match_window must be >= 0")
+    ta = a.timestamps()
+    tb = b.timestamps()
+    pairs = [
+        (abs(x - y), x, y, i, j)
+        for i, x in enumerate(ta)
+        for j, y in enumerate(tb)
+        if abs(x - y) <= match_window
+    ]
+    pairs.sort()
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+    matched = []
+    for _, x, y, i, j in pairs:
+        if i in used_a or j in used_b:
+            continue
+        used_a.add(i)
+        used_b.add(j)
+        matched.append((x, y))
+    matched.sort()
+    a_only = tuple(x for i, x in enumerate(ta) if i not in used_a)
+    b_only = tuple(y for j, y in enumerate(tb) if j not in used_b)
+    return ComparisonReport(
+        kind_a=a.measure_kind,
+        kind_b=b.measure_kind,
+        match_window=match_window,
+        matched=tuple(matched),
+        a_only=a_only,
+        b_only=b_only,
     )

@@ -1,8 +1,10 @@
-"""The command-line entry point, called through cli.main(argv)."""
+"""The command-line entry point, called through cli.main(argv), and the
+process entry cli.entry()."""
 
 import argparse
 import csv
 import errno
+import gc
 import hashlib
 import inspect
 import json
@@ -87,15 +89,18 @@ def test_validate_reports_metric_violations(tmp_path, capsys, monkeypatch):
     assert out.startswith("FAIL: checked 80 distance matrices over 40 windows")
 
 
+def nan_distances(rho, units, kind):
+    """angular_distances with a NaN distance in the spherical matrix of each
+    engine chunk's first window."""
+    entries = metric.angular_distances(rho, units, kind)
+    if kind == SPHERICAL:
+        entries[0, 0, 1] = entries[0, 1, 0] = np.nan
+    return entries
+
+
 def test_a_nan_distance_fails_its_matrix_and_is_never_the_worst(tmp_path, capsys, monkeypatch):
     # The spherical matrix of each chunk's first window (windows 0 and 390)
     # gets a NaN distance: a NaN margin, which fails but is never the worst.
-    def nan_distances(rho, units, kind):
-        entries = metric.angular_distances(rho, units, kind)
-        if kind == SPHERICAL:
-            entries[0, 0, 1] = entries[0, 1, 0] = np.nan
-        return entries
-
     monkeypatch.setattr(events, "angular_distances", nan_distances)
     assert cli.main(["validate", "--input", benchmark_csv(tmp_path), "--window", "21"]) == 1
     out, err = capsys.readouterr()
@@ -847,6 +852,77 @@ def test_validate_loads_no_logging_hashlib_or_json(tmp_path):
         f"print(rc, sorted({START_UP_FREE} & set(sys.modules)))\n"
     )
     assert run_python(code).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_entry_freezes_before_main_and_exits_with_its_code(monkeypatch, code):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(sys, "exit", lambda status: calls.append(("exit", status)))
+    cli.entry()
+    assert calls == ["freeze", "main", ("exit", code)]
+
+
+def test_main_and_the_import_freeze_nothing(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    argv = ["events", "--input", benchmark_csv(tmp_path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    code = "import gc; n = gc.get_freeze_count(); import corrgeom.cli; print(gc.get_freeze_count() - n)"
+    assert run_python(code) == "0\n"
+
+
+def test_python_m_runs_entry():
+    # The freeze count, read at exit, of `python -m corrgeom.cli --version`.
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['corrgeom', '--version']\n"
+        "runpy.run_module('corrgeom.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    assert run_python(code) == f"corrgeom {corrgeom.__version__}\nTrue\n"
+
+
+def test_entry_in_a_child_prints_and_exits_as_main_does(tmp_path, capsys, monkeypatch):
+    argv = ["validate", "--input", benchmark_csv(tmp_path), "--window", "21"]
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from corrgeom import cli, events, metric\n"
+        "from corrgeom.metric import SPHERICAL\n"
+        f"{inspect.getsource(nan_distances)}\n"
+        "events.angular_distances = nan_distances\n"
+        f"sys.argv = ['corrgeom', *{argv!r}]\n"
+        "cli.entry()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    monkeypatch.setattr(events, "angular_distances", nan_distances)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "VIOLATION window@" in err
+    assert (done.returncode, done.stdout, done.stderr) == (1, out, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_that_fails_its_last_flush_exits_120(tmp_path):
+    # stdout is block-buffered, so validate's one line is first written by
+    # the flush of the interpreter's finalization, which entry leaves in place.
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "corrgeom.cli", "validate", "--input", benchmark_csv(tmp_path)]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 120
+    assert done.stderr.endswith("OSError: [Errno 28] No space left on device\n")
+
+
+def test_the_installed_command_runs_entry():
+    # A text check: Python 3.10 has no tomllib.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'corrgeom = "corrgeom.cli:entry"'
 
 
 def test_failed_run_removes_its_partial_output(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """The events layer: sliding_measures against a per-window reference on the
 scalar route and under permuting and negating series, detect_minima and its
 prominence routine against scipy.signal.find_peaks and its separation rule
-against a brute-force one, and compare_event_sets."""
+against a brute-force one, and compare_event_sets against its all-pairs
+reference."""
 
 import tracemalloc
 import weakref
@@ -43,7 +44,7 @@ from corrgeom.testkit import (
     coupling_benchmark,
     simulate,
 )
-from oracles import window_measures
+from oracles import compare_all_pairs, window_measures
 
 
 def held_input():
@@ -520,3 +521,27 @@ def test_compare_takes_the_earlier_pair_on_ties_and_matches_each_event_once():
 def test_compare_rejects_a_negative_match_window():
     with pytest.raises(ValueError, match="match_window must be >= 0"):
         compare_event_sets(events("a", 100), events("b", 100), -1)
+
+
+# Ticks in three bands, around 0 and at either end of the int64 tick range,
+# each a few match windows wide, so that ties at exactly +-match_window occur.
+TICKS = st.one_of(
+    st.integers(-40, 40), st.integers(2**63 - 40, 2**63 - 1), st.integers(-2**63, -2**63 + 40)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ta=st.sets(TICKS, max_size=12),
+    tb=st.sets(TICKS, max_size=12),
+    match_window=st.one_of(st.integers(0, 10), st.integers(0, 2**65)),
+)
+@example(ta={0}, tb={-5, 5}, match_window=5)
+@example(ta={-5, 5}, tb={0}, match_window=5)
+@example(ta={0, 3}, tb={0, 3}, match_window=0)
+@example(ta=set(), tb={0}, match_window=0)
+@example(ta={2**63 - 1}, tb={-2**63}, match_window=2**64 - 1)
+def test_compare_equals_its_all_pairs_reference(ta, tb, match_window):
+    a, b = events("a", *sorted(ta)), events("b", *sorted(tb))
+    assert (compare_event_sets(a, b, match_window).to_dict()
+            == compare_all_pairs(a, b, match_window).to_dict())
