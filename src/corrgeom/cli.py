@@ -7,13 +7,14 @@ CORRGEOM_LOG_LEVEL environment variable; everything else is flags or the
 --config file. Each setting is one flag, which holds its default, and the
 parsed namespace is the run's settings. A flag's type is the one check on
 its value: a number is read by series.parse_number and held to the flag's
-lower bound, and a bad value exits 2 through argparse, naming the flag,
-before any input is read. (sliding_measures checks the measure kinds, and
-SyntheticSpec simulate's ranges.) The manifest.json of analyze and events
-records the subcommand's settings as its config block. A config key is a
-setting the subcommand has a flag for, and its value is read as the text of
-that flag (a list joined with commas), by the same parser and its types; a
-null value leaves the setting unset, and flags given on the command line win.
+lower bound and below +inf, and a bad value exits 2 through argparse,
+naming the flag, before any input is read. (sliding_measures checks the
+measure kinds, and SyntheticSpec simulate's ranges.) The manifest.json of
+analyze and events records the subcommand's settings as its config block. A
+config key is a setting the subcommand has a flag for, and its value is read
+as the text of that flag (a list joined with commas), by the same parser and
+its types; a null value leaves the setting unset, and flags given on the
+command line win.
 
 CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
 WARNING (the default), INFO, DEBUG or NOTSET; any other value exits 2 with
@@ -355,14 +356,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _number(kind: type, low: int | None = None):
     """A numeric flag's type: parse_number's ``kind`` of the text, which must
-    be at least ``low`` when that is given (a NaN is not). It carries the
-    kind's ``__name__``, which argparse's message for text that does not
-    parse names: ``argument --window: invalid int value: '2_1'``."""
+    be at least ``low`` and finite when ``low`` is given (a NaN is not at
+    least ``low``; +inf, which would be written to JSON as the non-token
+    Infinity, is not finite). It carries the kind's ``__name__``, which
+    argparse's message for text that does not parse names: ``argument
+    --window: invalid int value: '2_1'``."""
 
     def parse(text: str) -> int | float:
         value = parse_number(text, kind)
         if low is not None and not value >= low:
             raise argparse.ArgumentTypeError(f"must be >= {low}")
+        if low is not None and value == float("inf"):
+            raise argparse.ArgumentTypeError("must be finite")
         return value
 
     parse.__name__ = kind.__name__

@@ -37,8 +37,9 @@ tall. Which triple holds a minimum is located one matrix at a time, by
 metric._first_min_triple in n^2 memory, only where it is reported.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
-markers, never fabricated values, and minima are only detected within
-gap-free segments.
+markers, never fabricated values. Minima are detected in one pass over the
+whole series, in which every gap is a wall that no basin crosses, not by
+scanning each gap-free segment apart: no minimum lies at or across a gap.
 """
 
 from __future__ import annotations
@@ -286,6 +287,35 @@ class EventList(Frozen):
         }
 
 
+def _bases(x: list[float]) -> list[int]:
+    """For each index i of ``x``, the lowest point of ``x`` from i leftward up
+    to, not including, the nearest point strictly higher than x[i]: the base
+    that scipy's walk from i to the left reaches. Among equal lows it is the
+    one closest to i.
+
+    One left-to-right pass over a stack of (value, base) entries, one for
+    each index not yet passed by a point at least as high, whose values
+    strictly decrease from bottom to top. An entry stands for the stretch
+    from the entry below it to its own index, with that stretch's base. Index
+    i pops every entry no higher than x[i], whose stretches join its own, so
+    the entry left below it is the nearest strictly higher point. The popped
+    stretches lie ever farther from i, so a popped base replaces i's only if
+    strictly lower, which keeps the closest of equal lows. Each index is
+    pushed once and popped at most once, so the pass is O(L).
+    """
+    bases = []
+    stack: list[tuple[float, int]] = []
+    for i, value in enumerate(x):
+        base = i
+        while stack and stack[-1][0] <= value:
+            below = stack.pop()[1]
+            if x[below] < x[base]:
+                base = below
+        stack.append((value, base))
+        bases.append(base)
+    return bases
+
+
 def _prominent_peaks(
     x: np.ndarray, min_prominence: float
 ) -> list[tuple[int, int, float, int, int]]:
@@ -298,27 +328,27 @@ def _prominent_peaks(
     run at either end of ``x`` is none. The run's midpoint is the peak. From
     it each side is walked while ``x <= x[peak]``; the side's base is the
     lowest point reached, the one closest to the peak among equal lows.
+
+    A run of +inf is a wall: it is never a peak, and no walk crosses it, so
+    each finite stretch between walls gives what find_peaks gives on it
+    alone. The bases come from two passes of _bases, one on the reversed
+    ``x``, so the whole is O(L).
     """
     if x.size < 3:
         return []
     starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # first index of each run
     ends = np.r_[starts[1:], x.size] - 1
     run = x[starts]
-    tops = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
-    out = []
-    for left_edge, right_edge in zip(starts[tops].tolist(), ends[tops].tolist()):
-        peak = (left_edge + right_edge) // 2
-        height = x[peak]
-        higher = np.flatnonzero(x[:peak] > height)
-        lo = int(higher[-1]) + 1 if higher.size else 0
-        higher = np.flatnonzero(x[peak:] > height)
-        hi = peak + int(higher[0]) if higher.size else x.size
-        left_base = peak - int(np.argmin(x[lo : peak + 1][::-1]))
-        right_base = peak + int(np.argmin(x[peak:hi]))
-        prominence = float(height - max(x[left_base], x[right_base]))
-        if prominence >= min_prominence:
-            out.append((peak, left_edge, prominence, left_base, right_base))
-    return out
+    top = run[1:-1]
+    tops = np.flatnonzero((top > run[:-2]) & (top > run[2:]) & (top < np.inf)) + 1
+    left_edges = starts[tops]
+    peaks = (left_edges + ends[tops]) // 2
+    values = x.tolist()
+    left = np.array(_bases(values))[peaks]
+    right = x.size - 1 - np.array(_bases(values[::-1]))[x.size - 1 - peaks]
+    prominences = x[peaks] - np.maximum(x[left], x[right])
+    keep = prominences >= min_prominence
+    return list(zip(*(a[keep].tolist() for a in (peaks, left_edges, prominences, left, right))))
 
 
 def detect_minima(
@@ -331,42 +361,35 @@ def detect_minima(
     candidates closer than ``min_separation`` ticks, the deeper one survives,
     ties going to the earlier timestamp. Gaps split the series; no candidate
     is ever detected across or at a gap boundary. An empty result is valid.
+
+    The series is searched in one pass of _prominent_peaks on its negated
+    values, with every gap a +inf wall.
     """
     if not min_prominence >= 0.0:  # also rejects NaN
         raise ValueError("min_prominence must be >= 0")
     if min_separation < 0:
         raise ValueError("min_separation must be >= 0")
 
-    candidates = []
-    for lo, hi in series.segments():
-        vals = series.values[lo:hi]
-        ts = series.timestamps[lo:hi]
-        for _, i, prom, lb, rb in _prominent_peaks(-vals, min_prominence):
-            # i is the leftmost point of a plateau; its midpoint gave the bases
-            candidates.append(
-                Event(
-                    timestamp=int(ts[i]),
-                    value=float(vals[i]),
-                    prominence=prom,
-                    left_base=int(ts[lb]),
-                    right_base=int(ts[rb]),
-                )
-            )
+    ts = series.timestamps
+    x = np.where(series.gaps, np.inf, -series.values)
+    # i is the leftmost point of a plateau; its midpoint gave the bases
+    candidates = [
+        Event(int(ts[i]), float(series.values[i]), prom, int(ts[lb]), int(ts[rb]))
+        for _, i, prom, lb, rb in _prominent_peaks(x, min_prominence)
+    ]
 
     # Deeper minima claim their neighborhood first; earlier timestamp wins ties.
-    # Kept timestamps stay sorted, so only the two neighbours of a candidate
-    # can be too close.
+    # Kept events stay sorted by timestamp, so only the two neighbours of a
+    # candidate can be too close.
     candidates.sort(key=lambda e: (e.value, e.timestamp))
-    kept_ts: list[int] = []
     kept: list[Event] = []
     for cand in candidates:
         t = cand.timestamp
-        i = bisect.bisect_left(kept_ts, t)
-        if i > 0 and t - kept_ts[i - 1] < min_separation:
+        i = bisect.bisect_left(kept, t, key=lambda e: e.timestamp)
+        if i > 0 and t - kept[i - 1].timestamp < min_separation:
             continue
-        if i < len(kept_ts) and kept_ts[i] - t < min_separation:
+        if i < len(kept) and kept[i].timestamp - t < min_separation:
             continue
-        kept_ts.insert(i, t)
         kept.insert(i, cand)
     return EventList(
         measure_kind=series.kind,

@@ -3,7 +3,7 @@
 Dependency-free on purpose: results only need to be displayed, not explored.
 Each measure series is min-max normalized onto a shared canvas (the measures
 carry different units), polylines break at gaps, and events are marked with
-circles at their timestamps.
+circles at their timestamps and values.
 """
 
 from __future__ import annotations
@@ -74,14 +74,12 @@ def render_measures_svg(
         )
         ev = events.get(s.kind)
         if ev is not None:
-            ts_to_val = dict(zip(s.timestamps.tolist(), s.values.tolist()))
             for e in ev.events:
-                if e.timestamp in ts_to_val:
-                    x = _scale_x(float(e.timestamp), t0, t1)
-                    y = _scale_y(float(ts_to_val[e.timestamp]), lo, hi)
-                    parts.append(
-                        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="none" '
-                        f'stroke="{color}" stroke-width="1.5"/>'
-                    )
+                x = _scale_x(float(e.timestamp), t0, t1)
+                y = _scale_y(e.value, lo, hi)
+                parts.append(
+                    f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="none" '
+                    f'stroke="{color}" stroke-width="1.5"/>'
+                )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

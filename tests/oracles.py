@@ -18,20 +18,32 @@ commands run. Each oracle cross-checks the engine by another route:
   square matrix from all n^3 of its triangle margins, the reference for
   validate's scan and its triple locator;
 * all event pairs at once: compare_all_pairs, events.compare_event_sets from
-  every pair of the two lists, the reference for its bisection.
+  every pair of the two lists, the reference for its bisection;
+* one gap-free segment at a time: detect_minima_by_segments,
+  events.detect_minima from scipy.signal.find_peaks on each segment, the
+  reference for its one pass with gaps as walls.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.signal import find_peaks
 
 from corrgeom.correlation import correlation_from_units
 from corrgeom.errors import CorrGeomError
-from corrgeom.events import KIND_DIAMETER, KIND_MAX_TRIANGLE, ComparisonReport, EventList
+from corrgeom.events import (
+    KIND_DIAMETER,
+    KIND_MAX_TRIANGLE,
+    ComparisonReport,
+    Event,
+    EventList,
+    MeasureSeries,
+)
 from corrgeom.measures import _validate_sides, spherical_triangle_area
 from corrgeom.metric import PROJECTIVE, TRIANGLE_TOL, angular_distances
 from corrgeom.series import (
@@ -319,3 +331,35 @@ def compare_all_pairs(a: EventList, b: EventList, match_window: int) -> Comparis
         a_only=a_only,
         b_only=b_only,
     )
+
+
+def detect_minima_by_segments(
+    series: MeasureSeries, min_prominence: float, min_separation: int
+) -> EventList:
+    """events.detect_minima with each gap-free segment of ``series`` searched
+    apart, by scipy.signal.find_peaks on its negated values, and the same
+    separation rule, kept timestamps in a list of their own."""
+    candidates = []
+    for lo, hi in series.segments():
+        vals = series.values[lo:hi]
+        ts = series.timestamps[lo:hi]
+        _, props = find_peaks(-vals, prominence=min_prominence, plateau_size=(None, None))
+        for i, prom, lb, rb in zip(props["left_edges"], props["prominences"],
+                                   props["left_bases"], props["right_bases"]):
+            candidates.append(
+                Event(int(ts[i]), float(vals[i]), float(prom), int(ts[lb]), int(ts[rb]))
+            )
+    candidates.sort(key=lambda e: (e.value, e.timestamp))
+    kept_ts: list[int] = []
+    kept: list[Event] = []
+    for cand in candidates:
+        t = cand.timestamp
+        i = bisect.bisect_left(kept_ts, t)
+        if i > 0 and t - kept_ts[i - 1] < min_separation:
+            continue
+        if i < len(kept_ts) and kept_ts[i] - t < min_separation:
+            continue
+        kept_ts.insert(i, t)
+        kept.insert(i, cand)
+    return EventList(series.kind, series.window, series.stride, min_prominence,
+                     min_separation, tuple(kept))

@@ -400,12 +400,13 @@ def test_a_config_value_its_flag_rejects_exits_2(tmp_path, capsys, settings, fla
 
 
 def numeric_flags():
-    """(command, flag, dest, low, has_config) for each flag of each subcommand
-    of build_parser() whose type argparse names int or float; ``low`` is the
-    bound that cli._number's type closes over, None where it has none."""
+    """(command, flag, dest, kind, low, has_config) for each flag of each
+    subcommand of build_parser() whose type argparse names int or float;
+    ``kind`` is that name and ``low`` the bound that cli._number's type closes
+    over, None where it has none."""
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return [
-        (command, action.option_strings[0], action.dest,
+        (command, action.option_strings[0], action.dest, action.type.__name__,
          inspect.getclosurevars(action.type).nonlocals["low"],
          "config" in {a.dest for a in parser._actions})
         for command, parser in sub.choices.items()
@@ -418,11 +419,11 @@ NUMERIC_FLAGS = numeric_flags()
 
 
 def test_each_numeric_flag_takes_its_bound():
-    bounds = {flag: low for _, flag, _, low, _ in NUMERIC_FLAGS}
+    bounds = {flag: low for _, flag, _, _, low, _ in NUMERIC_FLAGS}
     assert {"--window", "--seed", "--min-prominence", "--noise-sigma"} <= bounds.keys()
     assert [bounds[flag] for flag in ("--window", "--stride", "--min-separation")] == [2, 1, 0]
     parser = cli.build_parser()
-    for command, flag, dest, low, _ in NUMERIC_FLAGS:
+    for command, flag, dest, _, low, _ in NUMERIC_FLAGS:
         if low is not None:
             args = parser.parse_args([command, f"{flag}={low}", "--out", "x"])
             assert getattr(args, dest) == low
@@ -432,8 +433,9 @@ def test_each_numeric_flag_takes_its_bound():
     "command, flag, dest, value, source",
     [
         (command, flag, dest, value, source)
-        for command, flag, dest, low, has_config in NUMERIC_FLAGS
-        for value in ["2_1", "٢١", *([] if low is None else [str(low - 1)])]
+        for command, flag, dest, kind, low, has_config in NUMERIC_FLAGS
+        for value in ["2_1", "٢١", *([] if low is None else [str(low - 1)]),
+                      *(["inf", "1e999"] if low is not None and kind == "float" else [])]
         for source in (["flag", "config"] if has_config else ["flag"])
     ],
 )
@@ -441,6 +443,8 @@ def test_a_bad_numeric_flag_value_exits_2_before_any_input_is_read(
     tmp_path, capsys, monkeypatch, command, flag, dest, value, source
 ):
     # 2_1 and the Arabic-Indic digits 21 are what int() and float() read as 21.
+    # inf and 1e999 are +inf, which a bounded float flag rejects: JSON has no
+    # token for it.
     def fail(*args):
         raise AssertionError("input read")
 
@@ -452,14 +456,18 @@ def test_a_bad_numeric_flag_value_exits_2_before_any_input_is_read(
         argv = [command, "--input", str(tmp_path / "input.csv"), "--out", str(out)]
     if source == "config":
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({dest: value}))
+        # 1e999 goes in as a JSON number, which json.loads reads as +inf.
+        config.write_text(f'{{"{dest}": 1e999}}' if value == "1e999" else json.dumps({dest: value}))
         argv += ["--config", str(config)]
     else:
         argv.append(f"{flag}={value}")  # the = form reads "-1" as a value
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
     assert exit_info.value.code == 2
-    assert f"error: argument {flag}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err
+    if value in ("inf", "1e999"):
+        assert err.endswith(f"error: argument {flag}: must be finite\n")
     assert not out.exists()
 
 

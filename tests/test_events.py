@@ -1,8 +1,9 @@
 """The events layer: sliding_measures against a per-window reference on the
 scalar route and under permuting and negating series, detect_minima and its
-prominence routine against scipy.signal.find_peaks and its separation rule
-against a brute-force one, and compare_event_sets against its all-pairs
-reference."""
+prominence routine against scipy.signal.find_peaks (on long series and
+between +inf walls too), its gaps against a per-segment reference and its
+separation rule against a brute-force one, and compare_event_sets against its
+all-pairs reference."""
 
 import tracemalloc
 import weakref
@@ -44,7 +45,7 @@ from corrgeom.testkit import (
     coupling_benchmark,
     simulate,
 )
-from oracles import compare_all_pairs, window_measures
+from oracles import compare_all_pairs, detect_minima_by_segments, window_measures
 
 
 def held_input():
@@ -492,6 +493,105 @@ def test_prominent_peaks_equal_find_peaks_on_floats(x, min_prominence):
 )
 def test_prominent_peaks_equal_find_peaks_on_plateaus_and_ties(x, min_prominence):
     assert_same_as_find_peaks(x, min_prominence)
+
+
+@pytest.mark.parametrize("min_prominence", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_prominent_peaks_equal_find_peaks_on_long_series(seed, min_prominence):
+    rng = np.random.default_rng(seed)
+    assert_same_as_find_peaks(rng.normal(size=5000), min_prominence)
+    assert_same_as_find_peaks(rng.integers(-3, 4, size=5000), min_prominence)
+    found = _prominent_peaks(rng.normal(size=5000), min_prominence)
+    assert [tuple(map(type, peak)) for peak in found] == [(int, int, float, int, int)] * len(found)
+
+
+def test_prominent_peaks_equal_find_peaks_on_a_long_staircase():
+    # Peaks L / 2, L / 2 - 1, ..., 1 at the odd indices: every right walk
+    # reaches the end, and every left walk the start.
+    x = np.zeros(100_000)
+    x[1::2] = np.arange(x.size // 2, 0, -1)
+    assert_same_as_find_peaks(x, 0.0)
+
+
+def find_peaks_between_walls(x, min_prominence):
+    """_prominent_peaks' tuples from find_peaks on each stretch of ``x``
+    between its +inf entries, shifted to indices of ``x``."""
+    out = []
+    walls = np.flatnonzero(x == np.inf).tolist()
+    for lo, hi in zip([0] + [w + 1 for w in walls], walls + [len(x)]):
+        peaks, props = find_peaks(x[lo:hi], prominence=min_prominence, plateau_size=(None, None))
+        out += [
+            (lo + int(p), lo + int(e), float(pr), lo + int(lb), lo + int(rb))
+            for p, e, pr, lb, rb in zip(peaks, props["left_edges"], props["prominences"],
+                                        props["left_bases"], props["right_bases"])
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [0, 3, 1, np.inf, 0, 2, 1],
+        [0, 3, 1, np.inf, np.inf, 0, 2, 1],
+        [np.inf, 1, 3, 1, np.inf],
+        [np.inf, 3, 1, 3, np.inf],
+        [2, 2, np.inf, 2, 3, 3, 1, np.inf, 0, 5, 5, 5, 0],
+        [1, 5, 5, np.inf, 5, 5, 1],
+        [np.inf, np.inf, np.inf],
+        [0, np.inf, 0, np.inf, 0],
+    ],
+)
+def test_a_wall_is_never_a_peak_and_no_walk_crosses_it(x):
+    x = np.array(x, dtype=float)
+    found = _prominent_peaks(x, 0.0)
+    walls = np.flatnonzero(x == np.inf)
+    for peak, _, _, left_base, right_base in found:
+        assert x[peak] < np.inf
+        # The bases lie between the walls on either side of the peak.
+        side = np.searchsorted(walls, peak)
+        assert np.searchsorted(walls, left_base) == np.searchsorted(walls, right_base) == side
+    assert found == find_peaks_between_walls(x, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.integers(-3, 3) | st.just(np.inf), max_size=60)
+    | st.lists(st.floats(-1e6, 1e6) | st.just(np.inf), max_size=60),
+    min_prominence=st.sampled_from([0.0, 1.0, 2.5]),
+)
+def test_prominent_peaks_equal_find_peaks_between_walls(x, min_prominence):
+    x = np.array(x, dtype=float)
+    assert _prominent_peaks(x, min_prominence) == find_peaks_between_walls(x, min_prominence)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 3) | st.floats(0, 10), st.booleans()), max_size=80),
+    ends=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    min_prominence=st.sampled_from([0.0, 0.5, 1.0]),
+    min_separation=st.integers(0, 8),
+)
+@example(cells=[(1, True)] * 9, ends=(0, 0), min_prominence=0.0, min_separation=0)
+@example(cells=[(v, False) for v in [3, 1, 3, 0, 0, 2]], ends=(0, 0), min_prominence=0.0,
+         min_separation=0)
+@example(cells=[(v, False) for v in [3, 0, 0, 2, 1, 1]], ends=(2, 2), min_prominence=0.0,
+         min_separation=0)
+@example(cells=[(3, False), (1, False), (1, False), (0, True), (1, False), (1, False), (3, False)],
+         ends=(1, 1), min_prominence=0.0, min_separation=0)
+def test_detect_minima_equals_its_per_segment_reference(
+    cells, ends, min_prominence, min_separation
+):
+    # Random masks, adjacent gaps, gaps at both ends, all-gap and no-gap
+    # series, and plateaus that touch a gap.
+    values = [v for v, _ in cells]
+    gaps = [g or i < ends[0] or i >= len(cells) - ends[1] for i, (_, g) in enumerate(cells)]
+    series = MeasureSeries(
+        KIND_DIAMETER, 21, 1, 5 + 3 * np.arange(len(values)),
+        [0.0 if g else v for v, g in zip(values, gaps)], gaps,
+    )
+    got = detect_minima(series, min_prominence, min_separation)
+    want = detect_minima_by_segments(series, min_prominence, min_separation)
+    assert got.to_dict() == want.to_dict()
 
 
 def events(kind, *timestamps):

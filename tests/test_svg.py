@@ -1,5 +1,5 @@
 """The SVG overlay parses, with one polyline per gap-free segment and one
-circle per event."""
+circle per event, on a vertex of its series' polyline."""
 
 import xml.etree.ElementTree as ET
 
@@ -36,6 +36,11 @@ def test_svg_has_a_polyline_per_segment_and_a_circle_per_event():
     n_events = sum(len(ev) for ev in events.values())
     assert n_events > 0
     assert len(root.findall(f"{SVG}circle")) == n_events
+    vertices = {}
     for line in root.findall(f"{SVG}polyline"):
         points = np.array([p.split(",") for p in line.get("points").split()], dtype=float)
         assert np.isfinite(points).all()
+        vertices.setdefault(line.get("stroke"), set()).update(line.get("points").split())
+    # Each event is marked on its own series' line, at one of its vertices.
+    for circle in root.findall(f"{SVG}circle"):
+        assert f"{circle.get('cx')},{circle.get('cy')}" in vertices[circle.get("stroke")]
