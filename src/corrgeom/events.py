@@ -211,8 +211,8 @@ def sliding_measures(
     chunks = correlation_chunks(ts_set, window, (PROJECTIVE,), stride)
     count = (ts_set.length - window) // stride + 1
     # The hop between windows can exceed int64, so it is taken modulo 2^64, as
-    # int64 arithmetic wraps; every tick fits int64 (TimeSeries checks it), so
-    # each timestamp comes out exact.
+    # int64 arithmetic wraps; every tick fits int64 (TimeSeriesSet.from_matrix
+    # checks it), so each timestamp comes out exact.
     hop = (ts_set.step * stride + 2**63) % 2**64 - 2**63
     timestamps = ts_set.start + hop * np.arange(count)
     values = {kind: np.zeros(count) for kind in kinds}

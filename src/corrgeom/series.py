@@ -29,12 +29,6 @@ import numpy as np
 from .errors import DuplicateIdError, IngestError
 
 
-def _as_readonly_floats(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 class Frozen:
     """Base of the package's value classes, read-only once built: __init__
     sets the fields through _set, and assigning or deleting an attribute
@@ -59,31 +53,19 @@ class Frozen:
 
 
 class TimeSeries(Frozen):
-    """A uniformly sampled, finite-valued series on an integer tick grid.
+    """The one series of a set: a uniformly sampled, finite-valued series on
+    an integer tick grid.
 
     ``start`` is the tick of the first sample and ``step`` the sampling
-    period in ticks; sample i sits at tick ``start + i * step``. Every tick
-    lies in the signed 64-bit range [-2^63, 2^63), so numpy's int64 holds it.
+    period in ticks; sample i sits at tick ``start + i * step``. It is built
+    as the one-series set TimeSeriesSet.from_matrix((id,), start, step,
+    [values]), which makes every check, and ``values`` is that set's
+    read-only matrix row.
     """
 
     def __init__(self, id: str, start: int, step: int, values):
-        if not id:
-            raise ValueError("series id must be a nonempty string")
-        if int(step) != step or step <= 0:
-            raise ValueError(f"step must be a positive integer, got {step!r}")
-        arr = _as_readonly_floats(values)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("values must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"series {id!r} contains NaN or Inf")
-        start, step = int(start), int(step)
-        last = start + step * (arr.size - 1)
-        if not (-(2**63) <= start and last < 2**63):
-            raise ValueError(
-                f"series {id!r} has ticks from {start} to {last}, outside the "
-                "signed 64-bit range [-2^63, 2^63)"
-            )
-        self._set(id=id, start=start, step=step, values=arr)
+        data = TimeSeriesSet.from_matrix((id,), start, step, [values])
+        self._set(id=id, start=data.start, step=data.step, values=data.matrix()[0])
 
     def __len__(self) -> int:
         return self.values.size
@@ -95,34 +77,75 @@ class TimeSeries(Frozen):
 class TimeSeriesSet(Frozen):
     """Several series sharing start, step, and length, with unique ids.
 
-    The set holds its ``ids``, ``start`` and ``step`` and one read-only
-    (n_series, length) matrix, and nothing else: the series it was built
-    from are not kept, so their values are held once, in the matrix, and
-    its repr shows ids, start and step. ``series`` is rebuilt from the
-    matrix rows on each access, at O(n_series * length) cost, as new
-    TimeSeries objects with equal values; since equality is identity, two
-    accesses give series that are not equal."""
+    The set holds its ``ids``, ``start`` and ``step`` and one read-only,
+    C-contiguous (n_series, length) matrix, and nothing else; its repr shows
+    ids, start and step. from_matrix builds it and is the one place that
+    checks a series. ``TimeSeriesSet(series)`` checks that the series are
+    aligned and passes their ids and values to from_matrix, so they are not
+    kept. ``series`` is rebuilt from the matrix rows on each access, at
+    O(n_series * length) cost, as new TimeSeries objects with equal values;
+    since equality is identity, two accesses give series that are not
+    equal."""
 
     def __init__(self, series: tuple[TimeSeries, ...]):
         series = tuple(series)
-        if not series:
-            raise ValueError("a TimeSeriesSet needs at least one series")
-        ids = tuple(s.id for s in series)
-        seen = set()
-        for sid in ids:
-            if sid in seen:
-                raise DuplicateIdError(f"duplicate series id {sid!r}")
-            seen.add(sid)
-        first = series[0]
+        # An empty tuple has no grid; from_matrix rejects it by its ids.
+        first = (series[0].start, series[0].step, len(series[0])) if series else (0, 1, 1)
         for s in series[1:]:
-            if (s.start, s.step, len(s)) != (first.start, first.step, len(first)):
+            if (s.start, s.step, len(s)) != first:
                 raise ValueError(
-                    f"series {s.id!r} is not aligned with {first.id!r}: "
-                    f"start/step/length {(s.start, s.step, len(s))} vs "
-                    f"{(first.start, first.step, len(first))}"
+                    f"series {s.id!r} is not aligned with {series[0].id!r}: "
+                    f"start/step/length {(s.start, s.step, len(s))} vs {first}"
                 )
-        self._set(ids=ids, start=first.start, step=first.step,
-                  _matrix=_as_readonly_floats([s.values for s in series]))
+        data = TimeSeriesSet.from_matrix(
+            tuple(s.id for s in series), first[0], first[1], [s.values for s in series]
+        )
+        self._set(**vars(data))
+
+    @classmethod
+    def from_matrix(cls, ids, start: int, step: int, values) -> TimeSeriesSet:
+        """The set whose series ``ids[i]`` has the samples ``values[i]``, the
+        first at tick ``start``, one every ``step`` ticks.
+
+        ``values`` is copied once, into the set's read-only C-contiguous
+        float matrix; a later write to it does not reach the set. Checks, in
+        this order: at least one id; every id nonempty; no id twice; ``step``
+        a positive integer; an (len(ids), L) matrix with L >= 1; every value
+        finite, else the error names the first row that is not; and every
+        tick within the signed 64-bit range [-2^63, 2^63), so numpy's int64
+        holds it. A repeated id raises DuplicateIdError, any other fault
+        ValueError. Besides the copy, the check holds one boolean mask of
+        the matrix.
+        """
+        ids = tuple(ids)
+        if not ids:
+            raise ValueError("a TimeSeriesSet needs at least one series")
+        if not all(ids):
+            raise ValueError("series id must be a nonempty string")
+        if len(set(ids)) < len(ids):
+            again = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
+            raise DuplicateIdError(f"duplicate series id {again!r}")
+        if int(step) != step or step <= 0:
+            raise ValueError(f"step must be a positive integer, got {step!r}")
+        matrix = np.array(values, dtype=float, order="C")
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValueError("values must be a nonempty 1-d sequence")
+        if matrix.shape[0] != len(ids):
+            raise ValueError(f"{len(ids)} series ids for {matrix.shape[0]} rows of values")
+        bad = ~np.isfinite(matrix).all(axis=1)
+        if bad.any():
+            raise ValueError(f"series {ids[np.argmax(bad)]!r} contains NaN or Inf")
+        start, step = int(start), int(step)
+        last = start + step * (matrix.shape[1] - 1)
+        if not (-(2**63) <= start and last < 2**63):
+            raise ValueError(
+                f"series {ids[0]!r} has ticks from {start} to {last}, outside the "
+                "signed 64-bit range [-2^63, 2^63)"
+            )
+        matrix.setflags(write=False)
+        data = cls.__new__(cls)
+        data._set(ids=ids, start=start, step=step, _matrix=matrix)
+        return data
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -157,9 +180,10 @@ def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled value and every intermediate of the kernel without this step is,
     the unit rows are bit for bit what that kernel gives, in any units.
 
-    A proof that for any finite row (TimeSeries rejects NaN and inf) with
-    K < 2^25 no operation overflows, the norm is 0 exactly when the row is
-    constant, and every other unit row v has |||v|| - 1| <= eta(K). Here
+    A proof that for any finite row (TimeSeriesSet.from_matrix, which builds
+    every set, rejects NaN and inf) with K < 2^25 no operation overflows,
+    the norm is 0 exactly when the row is constant, and every other unit row
+    v has |||v|| - 1| <= eta(K). Here
     u = 2^-53, gamma_k = k u / (1 - k u), and a sum of k terms, in any order,
     is within gamma_(k-1) times the sum of their magnitudes of the exact sum
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).
@@ -338,8 +362,9 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
 
     While the body is parsed, the file's lines are held once, beside the
     parsed values and the tick cells. The lines are dropped before the set
-    is built, which briefly holds the parsed values, a copy per series and
-    the set's matrix. After the read only the matrix is held."""
+    is built by TimeSeriesSet.from_matrix, which briefly holds the parsed
+    values, the set's matrix and its finite mask. After the read only the
+    matrix is held."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_timeseries_csv(fh)
@@ -362,11 +387,9 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
             raise DuplicateIdError(f"duplicate column name {name!r}")
         seen.add(name)
     tick_cells, columns = _loadtxt_body(lines, len(header)) or _read_rows(reader, header, names)
-    del lines, reader  # the file's text: free it before the series and matrix are built
+    del lines, reader  # the file's text: free it before the matrix is built
     start, step = _parse_tick_column(tick_cells)
-    return TimeSeriesSet(
-        tuple(TimeSeries(name, start, step, col) for name, col in zip(names, columns))
-    )
+    return TimeSeriesSet.from_matrix(names, start, step, columns)
 
 
 def _read_rows(reader, header: list[str], names: list[str]) -> tuple[list[str], np.ndarray]:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .series import Frozen, TimeSeries, TimeSeriesSet
+from .series import Frozen, TimeSeriesSet
 
 # The shared driver's period, and the range each series' own period is drawn
 # from, in samples: the driver cycles three to six times faster than any
@@ -80,14 +80,15 @@ def simulate(spec: SyntheticSpec) -> TimeSeriesSet:
     phases = rng.uniform(0.0, 2 * math.pi, spec.n_series)
     noise = rng.normal(0.0, spec.noise_sigma, (spec.n_series, spec.length))
 
-    series = []
-    for i in range(spec.n_series):
-        own = np.sin(2 * math.pi * t / periods[i] + phases[i])
-        x = own + noise[i]
+    # Row i of the noise becomes series i in place: the noise plus the
+    # series' own sinusoid, blended with the driver over each episode. IEEE
+    # addition commutes, so noise + signal has the bits of signal + noise.
+    for i, x in enumerate(noise):
+        signal = np.sin(2 * math.pi * t / periods[i] + phases[i])
         for s, e, lam in spec.episodes:
-            x[s:e] = lam * driver[s:e] + (1.0 - lam) * own[s:e] + noise[i, s:e]
-        series.append(TimeSeries(f"s{i + 1}", 0, 1, x))
-    return TimeSeriesSet(tuple(series))
+            signal[s:e] = lam * driver[s:e] + (1.0 - lam) * signal[s:e]
+        x += signal
+    return TimeSeriesSet.from_matrix([f"s{i + 1}" for i in range(len(noise))], 0, 1, noise)
 
 
 BENCHMARK_WINDOW = 21

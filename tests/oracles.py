@@ -21,7 +21,9 @@ commands run. Each oracle cross-checks the engine by another route:
   every pair of the two lists, the reference for its bisection;
 * one gap-free segment at a time: detect_minima_by_segments,
   events.detect_minima from scipy.signal.find_peaks on each segment, the
-  reference for its one pass with gaps as walls.
+  reference for its one pass with gaps as walls;
+* one series at a time: simulate_by_series, testkit.simulate as a loop that
+  builds one TimeSeries per series, the reference for its in-place rows.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from corrgeom.series import (
     Frozen,
     TimeSeries,
     TimeSeriesSet,
-    _as_readonly_floats,
     _window_units,
 )
+from corrgeom.testkit import DRIVER_PERIOD, OWN_PERIOD_RANGE, SyntheticSpec
 
 # CenteredUnitVector's invariants, |sum(components)| <= SUM_TOL * K and
 # | ||v|| - 1 | <= NORM_TOL: a reference the tests hold window_vector to. The
@@ -147,7 +149,8 @@ class CenteredUnitVector(Frozen):
     tick of the first sample in the window."""
 
     def __init__(self, components: np.ndarray, source_id: str, window_start: int):
-        arr = _as_readonly_floats(components)
+        arr = np.array(components, dtype=float)
+        arr.setflags(write=False)
         if not abs(arr.sum()) <= SUM_TOL * arr.size:  # also rejects NaN
             raise ValueError(f"components of {source_id!r} do not sum to zero within {SUM_TOL}*K")
         norm = np.linalg.norm(arr)
@@ -363,3 +366,26 @@ def detect_minima_by_segments(
         kept.insert(i, cand)
     return EventList(series.kind, series.window, series.stride, min_prominence,
                      min_separation, tuple(kept))
+
+
+def simulate_by_series(spec: SyntheticSpec) -> TimeSeriesSet:
+    """testkit.simulate one series at a time: each series is built as its
+    own TimeSeries from its sinusoid plus its noise row, and each episode's
+    range is rewritten as the blend plus the noise, then the series are
+    stacked into a set. The same draws in the same order as simulate."""
+    rng = np.random.default_rng(spec.rng_seed)
+    t = np.arange(spec.length, dtype=float)
+    driver = np.sin(2 * math.pi * t / DRIVER_PERIOD + rng.uniform(0.0, 2 * math.pi))
+    lo, hi = OWN_PERIOD_RANGE
+    periods = rng.uniform(lo, hi, spec.n_series)
+    phases = rng.uniform(0.0, 2 * math.pi, spec.n_series)
+    noise = rng.normal(0.0, spec.noise_sigma, (spec.n_series, spec.length))
+
+    series = []
+    for i in range(spec.n_series):
+        own = np.sin(2 * math.pi * t / periods[i] + phases[i])
+        x = own + noise[i]
+        for s, e, lam in spec.episodes:
+            x[s:e] = lam * driver[s:e] + (1.0 - lam) * own[s:e] + noise[i, s:e]
+        series.append(TimeSeries(f"s{i + 1}", 0, 1, x))
+    return TimeSeriesSet(tuple(series))

@@ -105,6 +105,115 @@ def test_a_set_rebuilds_its_series_from_its_matrix_rows():
     assert repr(data) == "TimeSeriesSet(ids=('a', 'b'), start=5, step=3)"
 
 
+# Each single fault of a series set, as (ids, start, step, rows), with the
+# class and text every route raises. The per-series faults are raised by the
+# TimeSeries of the faulty series, the rest by the set.
+ROWS = [[1.0, 2.0, 4.0, 3.0], [0.5, 0.0, -1.0, 2.0], [3.0, 1.0, 1.0, 0.0]]
+NAN, INF = float("nan"), float("inf")
+SET_FAULTS = {
+    "no-series": ((), 0, 1, np.empty((0, 4)), ValueError,
+                  "a TimeSeriesSet needs at least one series"),
+    "repeated-id": (("a", "b", "a"), 0, 1, ROWS, DuplicateIdError, "duplicate series id 'a'"),
+}
+SERIES_FAULTS = {
+    "empty-id": (("a", "", "c"), 0, 1, ROWS, ValueError, "series id must be a nonempty string"),
+    "step-0": (("a", "b", "c"), 0, 0, ROWS, ValueError, "step must be a positive integer, got 0"),
+    "step-1.5": (("a", "b", "c"), 0, 1.5, ROWS, ValueError,
+                 "step must be a positive integer, got 1.5"),
+    "no-values": (("a", "b", "c"), 0, 1, [[], [], []], ValueError,
+                  "values must be a nonempty 1-d sequence"),
+    **{
+        f"{name}-in-row-{j}": (
+            ("a", "b", "c"), 0, 1, [[bad, *r[1:]] if i == j else r for i, r in enumerate(ROWS)],
+            ValueError, f"series {'abc'[j]!r} contains NaN or Inf",
+        )
+        for name, bad in (("nan", NAN), ("inf", INF)) for j in range(3)
+    },
+    "ticks-past-2^63": (("a", "b", "c"), 2**63 - 3, 1, ROWS, ValueError,
+                        "series 'a' has ticks from 9223372036854775805 to 9223372036854775808, "
+                        "outside the signed 64-bit range [-2^63, 2^63)"),
+    "ticks-below-minus-2^63": (("a", "b", "c"), -(2**63) - 1, 1, ROWS, ValueError,
+                               "series 'a' has ticks from -9223372036854775809 to "
+                               "-9223372036854775806, outside the signed 64-bit range "
+                               "[-2^63, 2^63)"),
+}
+ROUTES = {
+    "TimeSeries": lambda ids, start, step, rows: [
+        TimeSeries(sid, start, step, row) for sid, row in zip(ids, rows)
+    ],
+    "TimeSeriesSet(series)": lambda ids, start, step, rows: TimeSeriesSet(
+        tuple(TimeSeries(sid, start, step, row) for sid, row in zip(ids, rows))
+    ),
+    "from_matrix": lambda ids, start, step, rows: TimeSeriesSet.from_matrix(
+        ids, start, step, np.array(rows, dtype=float)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fault, route",
+    [(fault, route) for fault in SERIES_FAULTS for route in ROUTES]
+    + [(fault, route) for fault in SET_FAULTS for route in ROUTES if route != "TimeSeries"],
+)
+def test_every_route_raises_a_fault_in_the_same_words(fault, route):
+    ids, start, step, rows, kind, text = {**SERIES_FAULTS, **SET_FAULTS}[fault]
+    with pytest.raises(Exception) as info:
+        ROUTES[route](ids, start, step, rows)
+    assert (type(info.value), str(info.value)) == (kind, text)
+
+
+def test_from_matrix_rejects_a_row_count_that_is_not_the_id_count():
+    with pytest.raises(ValueError, match=r"^2 series ids for 3 rows of values$"):
+        TimeSeriesSet.from_matrix(("a", "b"), 0, 1, np.ones((3, 4)))
+
+
+def test_from_matrix_holds_a_readonly_c_contiguous_copy():
+    values = np.arange(12.0).reshape(3, 4)
+    data = TimeSeriesSet.from_matrix(["a", "b", "c"], 5, 3, values)
+    transposed = TimeSeriesSet.from_matrix(["a", "b", "c", "d"], 0, 1, values.T)
+    values[0, 0] = -1.0  # a later write by the caller does not reach the set
+    assert data.matrix()[0, 0] == 0.0
+    assert np.array_equal(transposed.matrix(), np.arange(12.0).reshape(3, 4).T)
+    for m in (data.matrix(), transposed.matrix()):
+        assert m.flags.c_contiguous and not m.flags.writeable and m.dtype == float
+    assert (data.ids, len(data), data.length, data.tick(2)) == (("a", "b", "c"), 3, 4, 11)
+    assert repr(data) == "TimeSeriesSet(ids=('a', 'b', 'c'), start=5, step=3)"
+    one = TimeSeries("a", 0, 1, [1.0, 2.0])
+    assert repr(one) == "TimeSeries(id='a', start=0, step=1, values=array([1., 2.]))"
+    assert not one.values.flags.writeable
+
+
+def test_the_read_and_generate_paths_build_no_per_series_object(monkeypatch, tmp_path):
+    from corrgeom.testkit import coupling_benchmark, simulate
+
+    plain = tmp_path / "plain.csv"
+    write_timeseries_csv(simulate(coupling_benchmark(0)), plain)
+    lines = plain.read_text().splitlines(keepends=True)
+    quoted = tmp_path / "quoted.csv"  # quotes send the body through the row loop
+    quoted.write_text(lines[0].replace("s2", '"s2"') + "".join(lines[1:]))
+
+    def refuse(self, *args):
+        raise AssertionError("a TimeSeries was built")
+
+    monkeypatch.setattr(series.TimeSeries, "__init__", refuse)
+    for path in (plain, quoted):
+        assert read_timeseries_csv(path).ids == ("s1", "s2", "s3", "s4")
+    assert simulate(coupling_benchmark(0)).matrix().shape == (4, 500)
+
+
+def test_from_matrix_makes_one_copy():
+    # One (16, 20,000) copy, 2.56 MB, plus its 0.32 MB finite mask.
+    values = np.random.default_rng(0).normal(size=(16, 20_000))
+    tracemalloc.start()
+    try:
+        data = TimeSeriesSet.from_matrix([f"s{i}" for i in range(16)], 0, 1, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.matrix(), values)
+    assert peak < 1.3 * values.nbytes
+
+
 class TestWindowSpec:
     def test_rejects_short_window(self):
         with pytest.raises(ValueError):

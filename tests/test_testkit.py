@@ -10,6 +10,7 @@ import pytest
 
 from corrgeom import testkit
 from corrgeom.testkit import SyntheticSpec, coupling_benchmark, simulate
+from oracles import simulate_by_series
 
 RECIPE = dict(n_series=4, length=100, episodes=((10, 40, 0.9),), noise_sigma=0.1, rng_seed=0)
 
@@ -27,6 +28,27 @@ def test_zero_strength_episodes_reproduce_the_unperturbed_output_bit_for_bit(see
     episodes = ((0, 40, 0.0), (100, 220, 0.0), (250, 300, 0.0))
     zero = simulate(SyntheticSpec(5, 300, episodes, 0.1, seed))
     assert zero.matrix().tobytes() == plain.matrix().tobytes()
+
+
+# The specs simulate is held to its per-series reference on: the benchmark's
+# seeds 0-29, the four benchmark workloads' shapes at seed 950, near-copies at
+# strength 1 with 1e-9 noise, and zero-strength episodes.
+PARITY_SPECS = [
+    *(coupling_benchmark(seed) for seed in range(30)),
+    coupling_benchmark(950 * 4),
+    *(SyntheticSpec(n, length, ((length // 4, length // 2, 0.9),), 0.1, 950)
+      for n, length in ((16, 600), (64, 300), (32, 800))),
+    *(SyntheticSpec(2 + seed, 500, ((100, 300, 1.0),), 1e-9, seed) for seed in range(7)),
+    *(SyntheticSpec(5, 300, ((0, 40, 0.0), (100, 220, 0.0), (250, 300, 0.0)), 0.1, seed)
+      for seed in range(6)),
+]
+
+
+@pytest.mark.parametrize("spec", PARITY_SPECS, ids=range(len(PARITY_SPECS)))
+def test_simulate_equals_its_per_series_reference_bit_for_bit(spec):
+    made, want = simulate(spec), simulate_by_series(spec)
+    assert (made.ids, made.start, made.step) == (want.ids, want.start, want.step)
+    assert made.matrix().tobytes() == want.matrix().tobytes()
 
 
 @pytest.mark.parametrize(
