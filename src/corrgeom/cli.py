@@ -80,10 +80,12 @@ FORMATS = ("svg",)
 # many windows, so a chunk is one stack of 2 * VALIDATE_BATCH matrices. The
 # scan's numpy loops are as long as the stack is tall. On the validate_n32
 # benchmark input (n = 32, K = 101, 700 windows, 10 to a chunk by
-# CHUNK_ELEMENTS; 2-vCPU Xeon, one BLAS thread, medians of 21, four runs) a
-# run without its CSV read took 128-138 ms in chunks of 10 windows, 84-97 at
-# 20, 70-77 at 40 and 65-68 at 80; 80 raised the run's own peak RSS from 34.0
-# to 37.7 MB.
+# CHUNK_ELEMENTS; 2-vCPU Xeon, one BLAS thread), with each next chunk built
+# in the read-ahead worker, an in-process validate call, its CSV read
+# included, took 76 ms in chunks of 20 windows, 61 at 40 and 64 at 80
+# (medians of 10 alternating rounds, each the median of 7 calls); 80 was
+# faster than 40 in 5 of the 10 rounds, and it raised the process's own peak
+# RSS from 35.9 to 40.9 MB (33.4 at 20).
 VALIDATE_BATCH = 40
 
 # The level names CORRGEOM_LOG_LEVEL accepts, with their logging values. A
@@ -263,12 +265,56 @@ def cmd_events(args: argparse.Namespace) -> int:
     return _write_outputs(args.out, files)
 
 
+def _read_ahead(chunks):
+    """Yield the items of the iterator ``chunks`` in order, each one built by
+    one worker thread while the caller holds the item before it.
+
+    The worker takes the next item only when asked, and it is asked when
+    the caller receives an item, so at most one item is built ahead of the
+    one the caller holds. An exception raised by ``chunks`` is raised here,
+    the same object. However the caller stops, at the end, on an exception
+    or by closing this generator, the worker is stopped and joined before
+    control returns, so no thread outlives the loop. numpy releases the GIL
+    inside its array loops and BLAS calls, so the two threads overlap where
+    a second CPU is free; on one CPU they take turns."""
+    import queue
+    import threading
+
+    asks, items = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def work():
+        while asks.get():
+            try:
+                items.put((next(chunks), None))
+            except BaseException as exc:  # StopIteration too; the caller raises the rest
+                items.put((None, exc))
+
+    # A daemon, so that a generator never closed cannot hold up the exit.
+    worker = threading.Thread(target=work, name="corrgeom-read-ahead", daemon=True)
+    worker.start()
+    try:
+        asks.put(True)
+        while True:
+            item, exc = items.get()
+            if isinstance(exc, StopIteration):
+                return
+            if exc is not None:
+                raise exc
+            asks.put(True)
+            yield item
+    finally:
+        asks.put(False)
+        worker.join()
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     """Check the triangle inequality once per kind (spherical, projective) on
     every window that has no constant series, through analyze's window
     engine, which hands out chunks (ms, dist) of at least VALIDATE_BATCH
     windows: dist is the chunk's (2M, n, n) stack of distances, spherical then
-    projective per window. One scan, metric._min_triangle_margins, reduces
+    projective per window. The next chunk is built in one worker thread,
+    through _read_ahead, while this thread scans the current one, so one
+    extra chunk is held. One scan, metric._min_triangle_margins, reduces
     each matrix's triangle margins to their minimum. A matrix fails when that
     minimum is below -TRIANGLE_TOL or NaN. Symmetry, the diagonal and the
     sign of the entries are not rechecked, because they cannot fail:
@@ -295,7 +341,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     worst = worst_matrix = None
     failures = checked = 0
     chunks = correlation_chunks(data, args.window, kinds, args.stride, VALIDATE_BATCH)
-    for ms, dist in chunks:  # matrix 2w + k is window ms[w]'s kinds[k]
+    for ms, dist in _read_ahead(chunks):  # matrix 2w + k is window ms[w]'s kinds[k]
         lows = _min_triangle_margins(dist)
         checked += len(dist)
         failed = ~(lows >= -TRIANGLE_TOL)  # a NaN fails

@@ -29,12 +29,15 @@ window, since the margins are its output, and checks nothing else: the same
 construction makes every stack exactly symmetric, with a +0.0 diagonal and
 entries in [0, pi]. cli.cmd_validate asks the engine for both kinds of
 distances, spherical and projective, in chunks of at least
-cli.VALIDATE_BATCH windows, and scans each chunk's stack at once. The scan
-finds only each matrix's minimum margin, never its n^3 margins: it works on
-a copy of the stack with the stack axis innermost, in blocks of about
-metric.SCAN_ELEMENTS floats, so its numpy loops are as long as the stack is
-tall. Which triple holds a minimum is located one matrix at a time, by
-metric._first_min_triple in n^2 memory, only where it is reported.
+cli.VALIDATE_BATCH windows, and scans each chunk's stack at once. The next
+chunk is built in one worker thread while the current one is scanned, so
+validate holds one extra chunk; analyze and events walk their chunks in one
+thread. The scan finds only each matrix's minimum margin, never its n^3
+margins: it works on a copy of the stack with the stack axis innermost, in
+blocks of about metric.SCAN_ELEMENTS floats, so its numpy loops are as long
+as the stack is tall. Which triple holds a minimum is located one matrix at
+a time, by metric._first_min_triple in n^2 memory, only where it is
+reported.
 
 Windows that cannot be evaluated (a constant series) become explicit gap
 markers, never fabricated values. Minima are detected in one pass over the

@@ -12,6 +12,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -111,13 +113,23 @@ def test_a_nan_distance_fails_its_matrix_and_is_never_the_worst(tmp_path, capsys
     assert out == golden.replace("pass:", "FAIL:")
 
 
-@pytest.mark.parametrize(
+# The validate goldens: (name, input writer, exit code).
+VALIDATE_GOLDENS = pytest.mark.parametrize(
     "name, write_input, code",
     [
         pytest.param("benchmark", benchmark_csv, 0, id="benchmark"),
         pytest.param("near_copies", near_copies_csv, 1, id="near_copies"),
     ],
 )
+
+
+def golden_violations(name):
+    """The VIOLATION prefixes of validate's golden stderr for ``name``."""
+    violations = GOLDEN / "validate" / f"{name}.violations"
+    return violations.read_text().splitlines() if violations.exists() else []
+
+
+@VALIDATE_GOLDENS
 def test_validate_matches_the_golden_files(tmp_path, capsys, monkeypatch, name, write_input, code):
     # The near-copies golden holds the report of arccos-only distances, which
     # fail; the engine's own distances pass on that input.
@@ -127,9 +139,120 @@ def test_validate_matches_the_golden_files(tmp_path, capsys, monkeypatch, name, 
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert out == (GOLDEN / "validate" / f"{name}.stdout").read_text()
-    violations = GOLDEN / "validate" / f"{name}.violations"
-    want = violations.read_text().splitlines() if violations.exists() else []
-    assert [line.split(":")[0] for line in err.splitlines()] == want
+    assert [line.split(":")[0] for line in err.splitlines()] == golden_violations(name)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@VALIDATE_GOLDENS
+def test_validate_on_one_cpu_matches_the_golden_files(tmp_path, name, write_input, code):
+    # The worker thread and the scan take turns on one CPU: the same bytes.
+    patch = (
+        "import numpy as np\nfrom corrgeom.metric import SPHERICAL\n"
+        + inspect.getsource(arccos_distances)
+        + "events.angular_distances = arccos_distances\n"
+        if name == "near_copies" else ""
+    )
+    script = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "assert len(os.sched_getaffinity(0)) == 1\n"
+        "from corrgeom import cli, events\n"
+        + patch
+        + f"sys.exit(cli.main(['validate', '--input', {write_input(tmp_path)!r}, '--window', '21']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert done.stdout == (GOLDEN / "validate" / f"{name}.stdout").read_text()
+    assert [line.split(":")[0] for line in done.stderr.splitlines()] == golden_violations(name)
+
+
+def test_read_ahead_yields_every_item_in_order():
+    assert list(cli._read_ahead(iter(range(50)))) == list(range(50))
+    assert list(cli._read_ahead(iter(()))) == []
+
+
+def test_read_ahead_builds_the_next_item_while_the_caller_holds_one_and_no_more():
+    made = []
+    second_made = threading.Event()
+
+    def counting():
+        for i in range(8):
+            made.append(i)
+            if i == 1:
+                second_made.set()
+            yield i
+
+    for taken, item in enumerate(cli._read_ahead(counting()), 1):
+        if item == 0:
+            assert second_made.wait(10)  # item 1 is built while the caller holds item 0
+        time.sleep(0.01)  # time for the worker to run further ahead, were it free to
+        assert len(made) - taken <= 1
+    assert made == list(range(8))
+
+
+def test_read_ahead_raises_the_sources_exception_unchanged():
+    raised = []
+
+    def third_fails():
+        yield 0
+        yield 1
+        raised.append(RuntimeError("the third item"))
+        raise raised[0]
+
+    got = []
+    with pytest.raises(RuntimeError, match="^the third item$") as info:
+        for item in cli._read_ahead(third_fails()):
+            got.append(item)
+    assert info.value is raised[0]
+    assert got == [0, 1]
+
+
+@pytest.mark.parametrize("stop", ["end", "close", "consumer_raises"])
+def test_read_ahead_joins_its_worker_however_the_caller_stops(stop):
+    before = set(threading.enumerate())
+    if stop == "end":
+        assert sum(cli._read_ahead(iter(range(5)))) == 10
+    elif stop == "close":
+        items = cli._read_ahead(iter(range(5)))
+        assert next(items) == 0
+        items.close()
+    else:
+        with pytest.raises(KeyError):
+            for item in cli._read_ahead(iter(range(5))):
+                raise KeyError(item)
+    assert set(threading.enumerate()) == before
+
+
+def failing_on_call(function, call, exc):
+    """``function``, but raising ``exc`` on its ``call``-th call."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise exc
+        return function(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "module, name, call",
+    [(events, "_window_units", 2), (cli, "_min_triangle_margins", 1)],
+    ids=["second_build", "first_scan"],
+)
+def test_validate_raises_what_a_chunk_raises_and_leaves_no_thread(
+    tmp_path, monkeypatch, module, name, call
+):
+    # The benchmark input has two chunks at K = 21: the worker builds the
+    # second while the first is scanned, so either failure meets the worker.
+    path = benchmark_csv(tmp_path)
+    before = set(threading.enumerate())
+    monkeypatch.setattr(module, name, failing_on_call(getattr(module, name), call, MemoryError()))
+    with pytest.raises(MemoryError):
+        cli.main(["validate", "--input", path, "--window", "21"])
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("negate", [(), (1,)], ids=["copies", "negated"])
