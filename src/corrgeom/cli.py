@@ -28,8 +28,10 @@ That is the line and the level rule of the standard logging module under
 logging.basicConfig, which the CLI does not import, to keep start-up short.
 
 analyze, events and simulate write their files all or none, through
-_write_outputs: a failed run removes every temporary file, every file it
-added and every directory it made.
+_write_outputs: a failed run, an interrupted one included, removes every
+temporary file, every file it added and every directory it made. A file
+is handed to it as its text or, for simulate's CSV, as a function that
+writes the file to its open handle, so that CSV is never held as one text.
 
 A process runs the CLI through entry(), the ``corrgeom`` command and
 ``python -m corrgeom.cli`` alike: it freezes every object the garbage
@@ -45,11 +47,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import os
 import sys
 from itertools import combinations
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -189,16 +191,17 @@ def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int) -> 
     }
 
 
-def _write_outputs(out: str | Path, files: dict[str, str]) -> int:
-    """Write ``files`` ({name: text}) into the directory ``out``, all or none,
-    in their order, then log and print each path. ``out`` and any missing
-    parents are made; each text is written as UTF-8, in slices of
-    2^20 characters so that no encoded copy of a whole text is made, to a
-    temporary ``.<name>.<pid>.tmp`` beside its file, and the temporary files
-    are renamed into place only once all are written. On any error every
-    temporary file, every file this call renamed to a path that did not exist
-    before it, and every directory it made (deepest first, if empty) is
-    removed and the error raised again, so a failed write leaves the
+def _write_outputs(out: str | Path, files: dict[str, str | Callable[[TextIO], object]]) -> int:
+    """Write ``files`` into the directory ``out``, all or none, in their
+    order, then log and print each path. ``files`` maps each name to its
+    text, or to a function that writes the file to the open text handle it
+    is given. ``out`` and any missing parents are made; each file is written
+    as UTF-8 to a temporary ``.<name>.<pid>.tmp`` beside it, and the
+    temporary files are renamed into place only once all are written. On any
+    exception, a KeyboardInterrupt or a MemoryError included, every
+    temporary file, every file this call renamed to a path that did not
+    exist before it, and every directory it made (deepest first, if empty)
+    is removed and the exception raised again, so a failed write leaves the
     directory's earlier files as they were and a fresh ``out`` not there at
     all. A rename that fails leaves each earlier file replaced before it with
     this call's bytes, and the rest with the earlier run's."""
@@ -210,13 +213,12 @@ def _write_outputs(out: str | Path, files: dict[str, str]) -> int:
     temporary = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for tmp, text in zip(temporary, files.values()):
+        for tmp, content in zip(temporary, files.values()):
             with open(tmp, "w", encoding="utf-8") as fh:
-                for at in range(0, len(text), 1 << 20):
-                    fh.write(text[at : at + (1 << 20)])
+                fh.write(content) if isinstance(content, str) else content(fh)
         for tmp, path in zip(temporary, paths):
             tmp.replace(path)
-    except Exception:
+    except BaseException:
         for undo in [*(tmp.unlink for tmp in temporary), *(path.unlink for path in new),
                      *(d.rmdir for d in made)]:
             try:
@@ -382,7 +384,10 @@ def _parse_episodes(text: str) -> tuple[tuple[int, int, float], ...]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Write the series of the spec the flags give to the CSV --out, and the
-    spec to the .truth.json sidecar beside it, all or none."""
+    spec to the .truth.json sidecar beside it, all or none. The series are
+    generated before any path is touched, so a bad spec writes nothing.
+    write_timeseries_csv then writes the CSV row by row into _write_outputs'
+    temporary file, and no text of the whole CSV is made."""
     from .testkit import SyntheticSpec, simulate
 
     spec = SyntheticSpec(
@@ -392,10 +397,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         noise_sigma=args.noise_sigma,
         rng_seed=args.seed,
     )
+    data = simulate(spec)
     out = Path(args.out)
-    csv_text = io.StringIO()
-    write_timeseries_csv(simulate(spec), csv_text)
-    files = {out.name: csv_text.getvalue(),
+    files = {out.name: lambda fh: write_timeseries_csv(data, fh),
              out.with_suffix(".truth.json").name: _json_text(vars(spec))}
     return _write_outputs(out.parent, files)
 

@@ -1168,19 +1168,58 @@ def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
     assert tree(tmp_path) == before  # no .tmp file or new directory left
 
 
-def test_a_text_is_written_without_an_encoded_copy_of_it_whole(tmp_path, capsys):
-    # 16 MiB of ASCII: encoded in one piece it raised the traced peak by as much.
-    text = "0123456789abcde\n" * (1 << 20)
+def test_simulate_writes_its_csv_with_no_copy_of_its_text(tmp_path, capsys):
+    # A text of the whole CSV and a copy of it would take the traced peak to
+    # about 2.6 times the file's size; written row by row it is about 1.3.
+    out = tmp_path / "sim.csv"
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        assert cli._write_outputs(tmp_path, {"big.txt": text}) == 0
+        assert cli.main(["simulate", "--series", "8", "--length", "20000", "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - held < 4 << 20
-    assert (tmp_path / "big.txt").read_bytes() == text.encode()
-    assert capsys.readouterr().out == f"{tmp_path / 'big.txt'}\n"
+    assert peak - held < 1.5 * out.stat().st_size
+    write_timeseries_csv(simulate(SyntheticSpec(8, 20000, (), 0.1, 0)), tmp_path / "want.csv")
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert capsys.readouterr().out == f"{out}\n{out.with_suffix('.truth.json')}\n"
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["existing_out", "fresh_out"])
+@pytest.mark.parametrize(
+    "exc",
+    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), MemoryError(), KeyboardInterrupt()],
+    ids=["disk_full", "memory_error", "interrupt"],
+)
+def test_a_csv_writer_that_fails_partway_leaves_the_tree_as_it_was(
+    tmp_path, capsys, monkeypatch, exc, fresh
+):
+    out = tmp_path / "fresh" / "a" / "out" if fresh else tmp_path / "out"
+    argv = writer_argv(tmp_path, "simulate", out)
+    if not fresh:
+        assert cli.main(argv) == 0
+    before = tree(tmp_path)
+    partial = []
+
+    def write_some_rows_then_fail(data, fh):
+        head = TimeSeriesSet.from_matrix(data.ids, data.start, data.step, data.matrix()[:, :10])
+        write_timeseries_csv(head, fh)  # the header and 10 rows
+        fh.flush()
+        partial.append(Path(fh.name).read_text(encoding="utf-8"))
+        raise exc
+
+    monkeypatch.setattr(cli, "write_timeseries_csv", write_some_rows_then_fail)
+    capsys.readouterr()
+    if isinstance(exc, OSError):
+        assert cli.main([*argv, *OTHER_BYTES["simulate"]]) == 2
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
+    else:  # main catches neither, and the writer's cleanup still runs
+        with pytest.raises(type(exc)) as raised:
+            cli.main([*argv, *OTHER_BYTES["simulate"]])
+        assert raised.value is exc
+        assert capsys.readouterr() == ("", "")
+    assert partial[0].count("\n") == 11
+    assert tree(tmp_path) == before  # no .tmp file, sidecar or new directory left
 
 
 @WRITER_CASES
