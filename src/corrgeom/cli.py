@@ -10,7 +10,9 @@ its value: a number is read by series.parse_number and held to the flag's
 lower bound and below +inf, and a bad value exits 2 through argparse,
 naming the flag, before any input is read. (sliding_measures checks the
 measure kinds, and SyntheticSpec simulate's ranges.) The manifest.json of
-analyze and events records the subcommand's settings as its config block. A
+analyze and events records the subcommand's settings as its config block,
+and as input_sha256 the hash of the input's bytes, taken while the one read
+of --input parses them, so a pipe's bytes are hashed as well as a file's. A
 config key is a setting the subcommand has a flag for, and its value is read
 as the text of that flag (a list joined with commas), by the same parser and
 its types; a null value leaves the setting unset, and flags given on the
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 from itertools import combinations
@@ -140,10 +143,37 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     ]
 
 
-def _read_input(args: argparse.Namespace) -> TimeSeriesSet:
+class _HashedFile(io.FileIO):
+    """A file opened for reading that feeds each byte it reads to ``digest``,
+    once and in order. io.BufferedReader reads its raw file only through
+    readinto and readall."""
+
+    def __init__(self, path, digest):
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, buffer):
+        size = super().readinto(buffer)
+        self.digest.update(memoryview(buffer)[:size])
+        return size
+
+    def readall(self):
+        data = super().readall()
+        self.digest.update(data)
+        return data
+
+
+def _read_input(args: argparse.Namespace, digest=None) -> TimeSeriesSet:
+    """The --input CSV's series. With a hashlib ``digest``, the file is read
+    once, as UTF-8, and each byte the read takes is fed to the digest as it
+    is read, so the hash is of the bytes analysed, a pipe's too."""
     if not args.input:
         raise CorrGeomError("an --input CSV is required")
-    return read_timeseries_csv(args.input)
+    if digest is None:
+        return read_timeseries_csv(args.input)
+    with io.TextIOWrapper(io.BufferedReader(_HashedFile(args.input, digest)),
+                          encoding="utf-8", newline="") as fh:
+        return read_timeseries_csv(fh)
 
 
 def _csv_texts(series_list: list[MeasureSeries]) -> dict[str, str]:
@@ -174,13 +204,10 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int) -> dict:
-    import hashlib  # here, not at the top: validate writes no manifest
-
-    digest = hashlib.sha256()
-    with open(args.input, "rb") as fh:  # in blocks: the input is not read whole a second time
-        while block := fh.read(1 << 20):
-            digest.update(block)
+def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int, digest) -> dict:
+    """The run's manifest.json object. ``digest`` is the sha256 that
+    _read_input fed the input's bytes as it read them, so input_sha256 is
+    the hash of the bytes analysed; the input is not opened again."""
     return {
         "library_version": __version__,
         "config": {"schema_version": CONFIG_SCHEMA_VERSION, **_settings(args)},
@@ -235,17 +262,23 @@ def _write_outputs(out: str | Path, files: dict[str, str | Callable[[TextIO], ob
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    data = _read_input(args)
+    import hashlib  # here, not at the top: validate writes no manifest
+
+    digest = hashlib.sha256()
+    data = _read_input(args, digest)
     series_list = sliding_measures(data, args.window, args.stride, args.measures)
     files = _csv_texts(series_list)
     if "svg" in args.formats:
         files["overlay.svg"] = render_measures_svg(series_list)
-    files["manifest.json"] = _json_text(_manifest(args, data, len(series_list[0])))
+    files["manifest.json"] = _json_text(_manifest(args, data, len(series_list[0]), digest))
     return _write_outputs(args.out, files)
 
 
 def cmd_events(args: argparse.Namespace) -> int:
-    data = _read_input(args)
+    import hashlib  # here, not at the top: validate writes no manifest
+
+    digest = hashlib.sha256()
+    data = _read_input(args, digest)
     # Unset, both are one window: K samples, which span K * step ticks.
     if args.min_separation is None:
         args.min_separation = args.window * data.step
@@ -263,7 +296,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     files["comparison.json"] = _json_text({"comparisons": comparisons})
     if "svg" in args.formats:
         files["overlay.svg"] = render_measures_svg(series_list, event_lists)
-    files["manifest.json"] = _json_text(_manifest(args, data, len(series_list[0])))
+    files["manifest.json"] = _json_text(_manifest(args, data, len(series_list[0]), digest))
     return _write_outputs(args.out, files)
 
 

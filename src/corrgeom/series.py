@@ -160,7 +160,8 @@ class TimeSeriesSet(Frozen):
         return self._matrix.shape[1]
 
     def matrix(self) -> np.ndarray:
-        """Values stacked as a read-only (n_series, length) array, built once."""
+        """The set's read-only (n_series, length) matrix, stored at
+        construction; every call returns that one array."""
         return self._matrix
 
     def tick(self, index: int) -> int:
@@ -239,8 +240,8 @@ def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Format: header row mandatory; first column is an integer tick (constant
 # positive step) or an ISO date (strictly increasing, mapped to consecutive
 # ticks 0, 1, 2, ... in row order); remaining columns are one series each.
-# Missing cells are rejected, never imputed. Decimal point and ASCII digits
-# only, with no digit-group underscores.
+# Lines end in \n, \r\n or \r. Missing cells are rejected, never imputed.
+# Decimal point and ASCII digits only, with no digit-group underscores.
 # ---------------------------------------------------------------------------
 
 
@@ -330,18 +331,20 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
     ``lines[1:]``, parsed in one np.loadtxt call; None for a file that the
     row-at-a-time parse might read differently or reject.
 
-    Without quotes or carriage returns, each line is one record whose cells
-    are its comma-separated fields. np.loadtxt accepts a subset of what
-    float() accepts, with the same values, and neither the underscores nor
-    the non-ASCII digits that float() reads and _parse_value rejects, so a
-    body it parses to finite values with ncol cells per line and no blank
-    tick is one the row loop reads the same. Any other file goes through the
-    row loop, which raises its first error. Each line is checked on its
-    own, so no copy of the whole file is made."""
+    Quotes are looked for in the body only: csv.reader has read the header
+    already, quoted or not, and a quoted newline in it leaves a quote in the
+    body. Without a quote, each body line is one record whose cells are its
+    comma-separated fields. np.loadtxt strips a line's \\n, \\r\\n or \\r
+    ending, as csv.reader does, and raises ValueError at a carriage return
+    anywhere else in a line, where csv.reader raises too. It accepts a
+    subset of what float() accepts, with the same values, and neither the
+    underscores nor the non-ASCII digits that float() reads and _parse_value
+    rejects, so a body it parses to finite values with ncol cells per line
+    and no blank tick is one the row loop reads the same. Any other file
+    goes through the row loop, which raises its first error. Each line is
+    checked on its own, so no copy of the whole file is made."""
     body = lines[1:]
-    if not body or any('"' in line or "\r" in line for line in lines):
-        return None
-    if any(line.count(",") != ncol - 1 for line in body):
+    if not body or any('"' in line or line.count(",") != ncol - 1 for line in body):
         return None
     ticks = [line[: line.index(",")] for line in body]
     if not all(tick.strip() for tick in ticks):
@@ -360,11 +363,15 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
 def read_timeseries_csv(source) -> TimeSeriesSet:
     """Read a TimeSeriesSet from a CSV path, read as UTF-8, or open text file.
 
-    While the body is parsed, the file's lines are held once, beside the
-    parsed values and the tick cells. The lines are dropped before the set
-    is built by TimeSeriesSet.from_matrix, which briefly holds the parsed
-    values, the set's matrix and its finite mask. After the read only the
-    matrix is held."""
+    A body with no quote is parsed by _loadtxt_body, whatever its line
+    endings: while it is parsed, the file's lines are held once, beside the
+    parsed values and the tick cells. A body with a quoted cell, or one that
+    _loadtxt_body rejects, goes through the row loop, _read_rows, which also
+    holds a list of floats per row, about twice the memory; it raises the
+    file's first error. The lines are dropped before the set is built by
+    TimeSeriesSet.from_matrix, which briefly holds the parsed values, the
+    set's matrix and its finite mask. After the read only the matrix is
+    held."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_timeseries_csv(fh)

@@ -865,8 +865,8 @@ def test_help_shows_each_default(capsys, command, defaults):
 def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, command):
     # Each command's own settings, with events' separation and match window
     # resolved to ticks; analyze has no detector settings, and rejects them
-    # as flags. The input's hash is taken in 1 MiB blocks: the second input,
-    # 1.3 MB, takes two.
+    # as flags. The input is hashed as the read takes its bytes: the second
+    # input, 1.3 MB, over many of the read's chunks.
     big = tmp_path / "big.csv"
     write_timeseries_csv(simulate(SyntheticSpec(4, 16_000, (), 0.1, 0)), big)
     assert big.stat().st_size > 1 << 20
@@ -880,6 +880,34 @@ def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, c
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"] == want
         assert manifest["input_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("command", ["analyze", "events"])
+def test_the_manifest_hashes_the_bytes_read_from_a_pipe(tmp_path, command):
+    # A named pipe yields its bytes once. A manifest that opened --input again
+    # after the read would wait for a second writer, so the run has a timeout.
+    data = Path(benchmark_csv(tmp_path)).read_bytes()
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "corrgeom.cli", command, "--input", str(fifo), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    writer.join(timeout=30)  # the run read the pipe to its end, so the writer is done
+    assert not writer.is_alive()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 # Event keys that hold ticks, or lists or pairs of ticks.
@@ -1148,7 +1176,7 @@ def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
 
     def disk_full_on_second_file(path, mode="r", **kwargs):
         fh = open(path, mode, **kwargs)
-        if mode == "w":  # an output file; the manifest reads --input with "rb"
+        if mode == "w":  # an output file; --input is read through io.FileIO, not open
             written.append(path)
             if len(written) == 2:
                 write = fh.write
