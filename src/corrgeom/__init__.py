@@ -6,7 +6,6 @@ cloud (diameter, best triangle area) measures how phase-locked the set is,
 with minima over time marking locked states.
 """
 
-from .correlation import correlation_from_units
 from .errors import (
     CorrGeomError,
     DuplicateIdError,
@@ -28,7 +27,7 @@ from .events import (
     sliding_measures,
 )
 from .measures import spherical_triangle_area
-from .metric import PROJECTIVE, SPHERICAL
+from .metric import PROJECTIVE, SPHERICAL, correlation_from_units
 from .series import (
     TimeSeries,
     TimeSeriesSet,

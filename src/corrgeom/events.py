@@ -14,9 +14,11 @@ vectors, correlations, angular distances, the measures) runs once per chunk
 on the whole stack. No per-window object is built. The engine hands out
 only distances, of the kinds its caller asks for: a chunk's unit rows and
 correlations are built, turned into distances and freed inside it, in the
-package's one call of metric.angular_distances. The triangle measure
-walks the triples one first index at a time, so no array holds more than
-about n^2 / 2 of them per window. No unit row is checked:
+package's one call of metric.angular_distances. The diameter is the
+largest entry of each window's matrix, read in one reduction over the stack.
+The triangle measure builds the pairs j < k once and walks the triples one
+first index at a time, so no array holds more than about n^2 / 2 of them per
+window. No unit row is checked:
 series._window_units proves every unit row of a window with no constant
 series finite and within eta(K) of unit norm, for a series in any units, so
 no window's values make the engine raise.
@@ -53,10 +55,9 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import correlation_from_units
 from .errors import TooFewPointsError, WindowTooLongError
-from .measures import _diameters, _max_triangle_areas
-from .metric import PROJECTIVE, angular_distances
+from .measures import _max_triangle_areas
+from .metric import PROJECTIVE, angular_distances, correlation_from_units
 from .series import Frozen, TimeSeriesSet, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
@@ -195,6 +196,13 @@ def sliding_measures(
     measure needs the margins within the tolerance: the diameter is a maximum,
     and measures._triangle_areas gives area 0 to any triple whose margin is
     <= TRIANGLE_TOL.
+
+    The diameter of a window is the largest entry of its whole matrix,
+    dist.max(axis=(1, 2)) over a chunk. That is the largest entry above the
+    diagonal bit for bit: the lower triangle mirrors the upper one exactly,
+    and the +0.0 diagonal is no larger than any entry, all of them in
+    [0, pi/2] and none -0.0 (angular_distances writes none), so even a
+    window of coincident points gives the same +0.0.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -224,7 +232,7 @@ def sliding_measures(
     for ms, dist in chunks:
         gaps[ms] = False
         if KIND_DIAMETER in kinds:
-            values[KIND_DIAMETER][ms] = _diameters(dist)[0]
+            values[KIND_DIAMETER][ms] = dist.max(axis=(1, 2))
         if triangles:
             values[KIND_MAX_TRIANGLE][ms] = _max_triangle_areas(dist)
 

@@ -8,9 +8,10 @@ angular distance, the paper's M_1 and M_2:
   with vertices in the set.
 
 Small values of either mean the underlying series are jointly highly
-correlated. The engine computes both on stacks of windows, with _diameters
-and _max_triangle_areas; spherical_triangle_area is one triangle's area as a
-scalar, the reference that the stack kernels are checked against.
+correlated. The engine computes both on stacks of windows: the diameter is
+the largest entry of each distance matrix (events.sliding_measures), and the
+triangle is _max_triangle_areas; spherical_triangle_area is one triangle's
+area as a scalar, the reference that the stack kernel is checked against.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ def spherical_triangle_area(a: float, b: float, c: float) -> float:
     return 4 * math.atan(math.sqrt(max(prod, 0.0)))
 
 
-def _diameters(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest entry above the diagonal of each matrix of an (M, n, n) stack,
-    and its first flat index in row-major, i.e. lexicographic, order."""
-    count, n = m.shape[0], m.shape[-1]
-    upper = np.where(np.tri(n, dtype=bool), -np.inf, m).reshape(count, n * n)  # i < j only
-    flat = upper.argmax(axis=1)
-    return upper[np.arange(count), flat], flat
-
-
 def _triangle_sides(m: np.ndarray, i, j, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sides (a, b, c) of the triples (i, j, k) in each matrix of an
     (M, n, n) stack, sorted ascending, each (M, T).
@@ -106,10 +98,16 @@ def _triangle_sides(m: np.ndarray, i, j, k) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """spherical_triangle_area of sorted valid sides a <= b <= c, elementwise."""
+    """spherical_triangle_area of sorted valid sides a <= b <= c, elementwise.
+
+    The scalar's 2 pi branch for an infinite L'Huilier product has no
+    counterpart: np.tan of a finite float is finite, below about 1.6e16 in
+    magnitude (at the float nearest pi/2), so a product of four is below
+    1e65, and finite sides give a finite product.
+    """
     s = (a + b + c) / 2
     prod = np.tan(s / 2) * np.tan((s - a) / 2) * np.tan((s - b) / 2) * np.tan((s - c) / 2)
-    area = np.where(np.isfinite(prod), 4 * np.arctan(np.sqrt(prod.clip(0.0))), 2 * math.pi)
+    area = 4 * np.arctan(np.sqrt(prod.clip(0.0)))
     area[a + b - c <= TRIANGLE_TOL] = 0.0
     return area
 
@@ -118,17 +116,20 @@ def _max_triangle_areas(m: np.ndarray) -> np.ndarray:
     """Largest triangle area of each matrix of an (M, n, n) stack whose
     triples all have valid sides, n >= 3.
 
-    The triples i < j < k are taken one first index i at a time, so each
-    array holds M * C(n - i - 1, 2) entries rather than M * C(n, 3). The
-    areas are those of the all-triples form,
-    _triangle_areas(*_triangle_sides(m, *triples)) over every i < j < k, by
-    the same arithmetic on the same sides.
+    The pairs j < k are built once, in row-major order, and the triples
+    i < j < k are taken one first index i at a time, with the pairs whose
+    j > i, a contiguous suffix of them. So each array holds
+    M * C(n - i - 1, 2) entries rather than M * C(n, 3). The areas are those
+    of the all-triples form, _triangle_areas(*_triangle_sides(m, *triples))
+    over every i < j < k, by the same arithmetic on the same sides.
     """
     n = m.shape[-1]
     best = np.zeros(m.shape[0])
+    j, k = np.triu_indices(n, 1)
+    lo = 0
     for i in range(n - 2):
-        j, k = np.triu_indices(n - i - 1, 1)
-        area = _triangle_areas(*_triangle_sides(m, i, j + i + 1, k + i + 1))
+        lo += n - 1 - i  # the pairs (j, k) with j <= i come first
+        area = _triangle_areas(*_triangle_sides(m, i, j[lo:], k[lo:]))
         np.maximum(best, area.max(axis=1), out=best)
     return best
 

@@ -1,11 +1,13 @@
-"""Correlation angles and angular distance matrices.
+"""Correlations, correlation angles and angular distance matrices.
 
-The correlation angle between two series is arccos(rho): the great-circle
-distance between their centered unit vectors on the sphere. The projective
-variant arccos(|rho|) identifies a series with its negation (a line through
-the origin rather than a direction) and is the distance used for
-phase-locking analysis, where maximal correlation of either sign counts as
-"close". Where |rho| is near 1, angular_distances takes both from the unit
+correlation_from_units gives the Pearson correlations of a window as the
+Gram matrix of its centred unit vectors, mirrored from its upper triangle in
+place. The correlation angle between two series is arccos(rho): the
+great-circle distance between their centered unit vectors on the sphere. The
+projective variant arccos(|rho|) identifies a series with its negation (a
+line through the origin rather than a direction) and is the distance used
+for phase-locking analysis, where maximal correlation of either sign counts
+as "close". Where |rho| is near 1, angular_distances takes both from the unit
 vectors' chord instead, since arccos loses half the digits there. Both are
 metrics. `validate` checks that claim numerically, asking one question of
 each window's matrices, their minimum triangle margin, which
@@ -113,6 +115,34 @@ def _first_min_triple(matrix: np.ndarray, margin: float) -> tuple[int, int, int]
             j, k = divmod(int(hits[0]), n - i)
             return tuple(sorted((i, j, i + k)))
     raise ValueError(f"no triangle margin equals {margin!r}")
+
+
+def correlation_from_units(units: np.ndarray) -> np.ndarray:
+    """Correlation matrices (..., n, n) from stacked centered unit vectors
+    (..., n, K), one per window of a stack.
+
+    The windowed covariance of two series over a window of K samples is
+
+        cov(a, b) = (1/K) * sum_l (a(l) - mean_a) * (b(l) - mean_b),
+
+    an inner product on the centred windows. Scaled to unit norm, the windows
+    become points on a sphere, and their correlation is the covariance inner
+    product of those unit vectors: the cosine of the angle between them. So
+    the correlations are the Gram matrix of one centred unit vector per
+    (series, window), shared across all pairs.
+
+    The upper triangle is mirrored in place, so the result is exactly
+    symmetric regardless of BLAS evaluation order, and adding +0.0 turns
+    every -0.0 into +0.0. Entries are clamped to [-1, 1], and the diagonal
+    is exactly 1.
+    """
+    rho = units @ units.swapaxes(-1, -2)
+    np.copyto(rho, rho.swapaxes(-1, -2), where=np.tri(rho.shape[-1], k=-1, dtype=bool))
+    rho += 0.0
+    np.clip(rho, -1.0, 1.0, out=rho)
+    idx = np.arange(rho.shape[-1])
+    rho[..., idx, idx] = 1.0
+    return rho
 
 
 def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:

@@ -176,10 +176,12 @@ def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     left unscaled, and its norm is 0 exactly when the row is constant.
 
     The first step multiplies each row x by 2^-e, e the np.frexp exponent of
-    its largest |value| (0 for a zero row). Rounding commutes with a
-    power-of-two scaling wherever a result is zero or normal, so where every
-    scaled value and every intermediate of the kernel without this step is,
-    the unit rows are bit for bit what that kernel gives, in any units.
+    its largest |value| (0 for a zero row), taken as the larger of the row's
+    maximum and negated minimum, so no |x| copy of the stack is made.
+    Rounding commutes with a power-of-two scaling wherever a result is zero or
+    normal, so where every scaled value and every intermediate of the kernel
+    without this step is, the unit rows are bit for bit what that kernel
+    gives, in any units.
 
     A proof that for any finite row (TimeSeriesSet.from_matrix, which builds
     every set, rejects NaN and inf) with K < 2^25 no operation overflows,
@@ -226,7 +228,7 @@ def _window_units(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     metric.angular_distances builds its error bound on eta(K).
     """
-    np.ldexp(seg, -np.frexp(np.abs(seg).max(axis=-1))[1][..., None], out=seg)
+    np.ldexp(seg, -np.frexp(np.maximum(seg.max(-1), -seg.min(-1)))[1][..., None], out=seg)
     seg -= seg.mean(axis=-1, keepdims=True)
     seg -= seg.mean(axis=-1, keepdims=True)
     norms = np.linalg.norm(seg, axis=-1)

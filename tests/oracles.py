@@ -36,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from corrgeom.correlation import correlation_from_units
 from corrgeom.errors import CorrGeomError
 from corrgeom.events import (
     KIND_DIAMETER,
@@ -47,7 +46,7 @@ from corrgeom.events import (
     MeasureSeries,
 )
 from corrgeom.measures import _validate_sides, spherical_triangle_area
-from corrgeom.metric import PROJECTIVE, TRIANGLE_TOL, angular_distances
+from corrgeom.metric import PROJECTIVE, TRIANGLE_TOL, angular_distances, correlation_from_units
 from corrgeom.series import (
     Frozen,
     TimeSeries,

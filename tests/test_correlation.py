@@ -1,12 +1,7 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from corrgeom import TimeSeries, TimeSeriesSet
-from corrgeom.correlation import _mirror_upper
 from oracles import WindowSpec, ZeroVarianceError, pearson_rho, window_correlations
 
 
@@ -106,17 +101,3 @@ class TestCorrelationMatrix:
         corr = window_correlations(random_set(rng, 6, 9), WindowSpec(0, 9))
         assert np.array_equal(corr, corr.T)
         assert np.abs(corr).max() <= 1.0
-
-
-SPECIAL_VALUES = [0.0, -0.0, 1.5, -2.0, math.nan, math.inf, -math.inf, 1e308]
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), count=st.integers(0, 4), n=st.integers(0, 9))
-def test_mirror_upper_equals_the_sum_of_two_triangles_byte_for_byte(data, count, n):
-    entries = data.draw(st.lists(st.sampled_from(SPECIAL_VALUES), min_size=count * n * n,
-                                 max_size=count * n * n))
-    m = np.array(entries, dtype=float).reshape(count, n, n)
-    want = np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)
-    got = _mirror_upper(m)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -28,14 +28,19 @@ from corrgeom import (
     sliding_measures,
 )
 from corrgeom import metric
-from corrgeom.correlation import correlation_from_units
 from corrgeom.events import (
     CHUNK_ELEMENTS,
     _prominent_peaks,
     _windows_per_chunk,
     correlation_chunks,
 )
-from corrgeom.metric import NEAR_ONE, PROJECTIVE, SPHERICAL, angular_distances
+from corrgeom.metric import (
+    NEAR_ONE,
+    PROJECTIVE,
+    SPHERICAL,
+    angular_distances,
+    correlation_from_units,
+)
 from corrgeom.series import _window_units
 from corrgeom.testkit import (
     BENCHMARK_MIN_PROMINENCE,

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrgeom import (
+    KIND_DIAMETER,
     KIND_MAX_TRIANGLE,
     InvalidTriangleError,
     TimeSeries,
@@ -15,14 +16,10 @@ from corrgeom import (
     sliding_measures,
     spherical_triangle_area,
 )
-from corrgeom.correlation import correlation_from_units
-from corrgeom.measures import (
-    _diameters,
-    _max_triangle_areas,
-    _triangle_areas,
-    _triangle_sides,
-)
-from corrgeom.metric import PROJECTIVE, angular_distances
+from corrgeom.events import correlation_chunks
+from corrgeom.measures import _max_triangle_areas, _triangle_areas, _triangle_sides
+from corrgeom.metric import PROJECTIVE, angular_distances, correlation_from_units
+from corrgeom.series import _window_units
 from oracles import girard_area, max_triangle_area
 
 # Frozen oracle values (independently computed; see matching oracle tests).
@@ -62,12 +59,6 @@ def angles_of(points):
     return ang
 
 
-def diameter_of(m):
-    """_diameters on one matrix: its value and its pair (i, j)."""
-    value, flat = _diameters(m[None])
-    return float(value[0]), divmod(int(flat[0]), m.shape[0])
-
-
 def max_triangle_of(m):
     """_max_triangle_areas on one matrix."""
     return float(_max_triangle_areas(m[None])[0])
@@ -78,29 +69,73 @@ def series_set(n, length=30):
     return TimeSeriesSet(tuple(TimeSeries(f"s{i}", 0, 1, rng.normal(size=length)) for i in range(n)))
 
 
+def upper_diameters(m):
+    """The largest entry above the diagonal of each matrix of an (M, n, n)
+    stack, at its first flat index: the rule the engine's diameter followed
+    before it took the largest entry of the whole matrix."""
+    count, n = m.shape[0], m.shape[-1]
+    upper = np.where(np.tri(n, dtype=bool), -np.inf, m).reshape(count, n * n)
+    return upper[np.arange(count), upper.argmax(axis=1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    window=st.integers(3, 30),
+    copies=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.integers(0, 7),
+            st.sampled_from([0.0, 1e-12, 1e-9, 1e-2]),
+            st.sampled_from([1.0, -1.0, -3.0]),
+        ),
+        max_size=4,
+    ),
+    held=st.booleans(),
+)
+@example(seed=0, n=2, window=3, copies=[(0, 1, 0.0, -1.0)], held=True)
+@example(seed=1, n=8, window=21, copies=[(0, 1, 1e-9, 1.0), (0, 2, 0.0, -3.0)], held=True)
+def test_engine_stacks_hold_what_the_measures_rely_on(seed, n, window, copies, held):
+    # Series with near-copies and negations (chord entries) and, if ``held``,
+    # the first one constant for window + 5 samples (gapped windows).
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 60))
+    for src, dst, eps, scale in copies:
+        values[dst % n] = scale * values[src % n] + eps * rng.normal(size=60)
+    if held:
+        values[0, 10 : 15 + window] = values[0, 10]
+    data = TimeSeriesSet.from_matrix(tuple(f"s{i}" for i in range(n)), 0, 1, values)
+
+    # The correlations are exactly symmetric, hold no -0.0 and equal the
+    # clipped sum of the Gram's two triangles byte for byte.
+    rows = np.lib.stride_tricks.sliding_window_view(data.matrix(), window, axis=1)
+    units, norms = _window_units(rows.transpose(1, 0, 2).copy())
+    units = units[norms.all(axis=-1)]
+    rho = correlation_from_units(units)
+    gram = units @ units.swapaxes(-1, -2)
+    want = np.clip(np.triu(gram) + np.triu(gram, 1).swapaxes(-1, -2), -1.0, 1.0)
+    want[..., range(n), range(n)] = 1.0
+    assert rho.tobytes() == want.tobytes()
+    assert rho.tobytes() == rho.swapaxes(-1, -2).copy().tobytes()
+    assert not np.signbit(rho[rho == 0.0]).any()
+
+    # The diameter, the largest entry of each matrix, is the largest entry
+    # above the diagonal bit for bit.
+    dist = np.concatenate([d for _, d in correlation_chunks(data, window, (PROJECTIVE,))])
+    (diameter,) = sliding_measures(data, window, kinds=(KIND_DIAMETER,))
+    assert diameter.values[~diameter.gaps].tobytes() == upper_diameters(dist).tobytes()
+
+    # Every L'Huilier product of every triple is finite.
+    if n >= 3:
+        upper = ~np.tri(n, dtype=bool)
+        a, b, c = _triangle_sides(dist, *np.nonzero(upper[:, :, None] & upper[None, :, :]))
+        s = (a + b + c) / 2
+        prod = np.tan(s / 2) * np.tan((s - a) / 2) * np.tan((s - b) / 2) * np.tan((s - c) / 2)
+        assert np.isfinite(prod).all()
+
+
 class TestDiameter:
-    def test_zero_matrix(self):
-        assert diameter_of(np.zeros((3, 3))) == (0.0, (0, 1))
-
-    def test_equal_entries(self):
-        m = np.full((4, 4), math.pi / 2)
-        np.fill_diagonal(m, 0.0)
-        # lexicographically smallest pair on ties
-        assert diameter_of(m) == (math.pi / 2, (0, 1))
-
-    def test_tie_away_from_first_pair_takes_smallest(self):
-        m = np.full((4, 4), 0.25)
-        m[1, 3] = m[3, 1] = m[2, 3] = m[3, 2] = 1.0
-        np.fill_diagonal(m, 0.0)
-        assert diameter_of(m)[1] == (1, 3)
-
-    def test_listed_entries(self):
-        m = np.zeros((3, 3))
-        m[0, 1] = m[1, 0] = math.pi / 6
-        m[0, 2] = m[2, 0] = math.pi / 4
-        m[1, 2] = m[2, 1] = math.pi / 3
-        assert diameter_of(m) == (math.pi / 3, (1, 2))
-
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError, match="at least 2 series"):
             sliding_measures(series_set(1), 21)
@@ -161,6 +196,34 @@ class TestSphericalTriangleArea:
             count += 1
 
 
+@pytest.mark.parametrize(
+    "sides",
+    [
+        (2 * math.pi / 3,) * 3,
+        (math.pi / 2, 3 * math.pi / 4, 3 * math.pi / 4),
+        (0.2, math.pi - 0.1, math.pi - 0.1),
+    ],
+    ids=["equilateral", "right", "thin"],
+)
+def test_a_hemisphere_triangle_needs_no_infinite_product_branch(sides):
+    # A perimeter of 2 pi, the largest valid: np.tan of s / 2 = pi / 2 is
+    # finite in floating point, so the stack kernel evaluates L'Huilier and
+    # gives the scalar's area, close to 2 pi (the tangent near pi / 2 and the
+    # square root amplify the rounding).
+    a, b, c = (np.array([[x]]) for x in sorted(sides))
+    area = _triangle_areas(a, b, c)[0, 0]
+    assert area == spherical_triangle_area(*sides)
+    assert area == pytest.approx(2 * math.pi, abs=1e-6)
+
+
+def test_correlation_from_units_is_exported_and_bound_in_events():
+    import corrgeom
+    from corrgeom import events, metric
+
+    assert corrgeom.correlation_from_units is metric.correlation_from_units
+    assert events.correlation_from_units is metric.correlation_from_units
+
+
 class TestMaxSimplexVolume:
     def test_single_triangle(self):
         d = angles_of(np.eye(3))
@@ -199,8 +262,8 @@ class TestMaxSimplexVolume:
             pts = cap_points(rng, 6, math.radians(40.0))
             extra = cap_points(rng, 1, math.radians(40.0))
             bigger = np.vstack([pts, extra])
-            d_small = diameter_of(angles_of(pts))[0]
-            d_big = diameter_of(angles_of(bigger))[0]
+            d_small = angles_of(pts).max()
+            d_big = angles_of(bigger).max()
             assert d_big >= d_small - 1e-12
             m_small = max_triangle_of(angles_of(pts))
             m_big = max_triangle_of(angles_of(bigger))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from corrgeom import TimeSeries, TimeSeriesSet
 from corrgeom import metric
-from corrgeom.correlation import correlation_from_units
 from corrgeom.metric import (
     NEAR_ONE,
     PROJECTIVE,
@@ -18,6 +17,7 @@ from corrgeom.metric import (
     _first_min_triple,
     _min_triangle_margins,
     angular_distances,
+    correlation_from_units,
 )
 from corrgeom.series import _window_units
 from oracles import WindowSpec, _one_window_units, max_triangle_area, verify_metric_axioms

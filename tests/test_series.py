@@ -294,6 +294,33 @@ def unscaled_window_units(seg):
     return seg, norms
 
 
+def abs_exponent_window_units(seg):
+    """series._window_units with the scale exponent taken from the largest
+    entry of np.abs(seg), the stack-sized temporary it no longer makes."""
+    np.ldexp(seg, -np.frexp(np.abs(seg).max(axis=-1))[1][..., None], out=seg)
+    return unscaled_window_units(seg)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308, 1.0, -3.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), window=st.integers(2, 6))
+def test_the_scale_exponent_from_the_row_extremes_is_that_of_the_largest_magnitude(
+    data, n, window
+):
+    # Rows of signed zeros, subnormals and +-1e308: the larger of a row's
+    # maximum and negated minimum has the frexp exponent of its largest |x|,
+    # so the unit rows and norms are byte for byte those of the abs form.
+    entries = data.draw(st.lists(st.sampled_from(EXTREMES), min_size=n * window,
+                                 max_size=n * window))
+    rows = np.array(entries).reshape(n, window)
+    want, want_norms = abs_exponent_window_units(rows.copy())
+    got, norms = _window_units(rows.copy())
+    assert got.tobytes() == want.tobytes()
+    assert norms.tobytes() == want_norms.tobytes()
+
+
 class TestWindowedUnitMatrix:
     def test_rows_match_window_vector(self):
         rng = np.random.default_rng(17)
