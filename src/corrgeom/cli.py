@@ -11,12 +11,13 @@ lower bound and below +inf, and a bad value exits 2 through argparse,
 naming the flag, before any input is read. (sliding_measures checks the
 measure kinds, and SyntheticSpec simulate's ranges.) The manifest.json of
 analyze and events records the subcommand's settings as its config block,
-and as input_sha256 the hash of the input's bytes, taken while the one read
-of --input parses them, so a pipe's bytes are hashed as well as a file's. A
-config key is a setting the subcommand has a flag for, and its value is read
-as the text of that flag (a list joined with commas), by the same parser and
-its types; a null value leaves the setting unset, and flags given on the
-command line win.
+and as input_sha256 the hash of the input's bytes. Every command opens
+--input once, in _read_input, as UTF-8 with newline=""; analyze and events
+feed each line's bytes to the hash as the CSV reader takes the line, so a
+pipe's bytes are hashed as well as a file's. A config key is a setting the
+subcommand has a flag for, and its value is read as the text of that flag
+(a list joined with commas), by the same parser and its types; a null value
+leaves the setting unset, and flags given on the command line win.
 
 CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
 WARNING (the default), INFO, DEBUG or NOTSET; any other value exits 2 with
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import os
 import sys
 from itertools import combinations
@@ -143,37 +143,24 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     ]
 
 
-class _HashedFile(io.FileIO):
-    """A file opened for reading that feeds each byte it reads to ``digest``,
-    once and in order. io.BufferedReader reads its raw file only through
-    readinto and readall."""
-
-    def __init__(self, path, digest):
-        super().__init__(path)
-        self.digest = digest
-
-    def readinto(self, buffer):
-        size = super().readinto(buffer)
-        self.digest.update(memoryview(buffer)[:size])
-        return size
-
-    def readall(self):
-        data = super().readall()
-        self.digest.update(data)
-        return data
+def _hashed(lines, digest):
+    """Yield ``lines``, feeding each one's UTF-8 bytes to ``digest`` as it is
+    taken. A line of a UTF-8 file opened with newline="" encodes back to
+    exactly its own bytes, so the digest is fed the bytes the reader took."""
+    for line in lines:
+        digest.update(line.encode())
+        yield line
 
 
 def _read_input(args: argparse.Namespace, digest=None) -> TimeSeriesSet:
-    """The --input CSV's series. With a hashlib ``digest``, the file is read
-    once, as UTF-8, and each byte the read takes is fed to the digest as it
-    is read, so the hash is of the bytes analysed, a pipe's too."""
+    """The --input CSV's series, read once, as UTF-8 with newline="", for
+    every command. With a hashlib ``digest``, each line the read takes is fed
+    to the digest as it is taken, so the hash is of the bytes analysed, a
+    pipe's too."""
     if not args.input:
         raise CorrGeomError("an --input CSV is required")
-    if digest is None:
-        return read_timeseries_csv(args.input)
-    with io.TextIOWrapper(io.BufferedReader(_HashedFile(args.input, digest)),
-                          encoding="utf-8", newline="") as fh:
-        return read_timeseries_csv(fh)
+    with open(args.input, encoding="utf-8", newline="") as fh:
+        return read_timeseries_csv(fh if digest is None else _hashed(fh, digest))
 
 
 def _csv_texts(series_list: list[MeasureSeries]) -> dict[str, str]:
@@ -206,8 +193,9 @@ def _json_text(payload: dict) -> str:
 
 def _manifest(args: argparse.Namespace, data: TimeSeriesSet, n_windows: int, digest) -> dict:
     """The run's manifest.json object. ``digest`` is the sha256 that
-    _read_input fed the input's bytes as it read them, so input_sha256 is
-    the hash of the bytes analysed; the input is not opened again."""
+    _read_input fed each input line's bytes as the reader took it, so
+    input_sha256 is the hash of the bytes analysed; the input is not opened
+    again."""
     return {
         "library_version": __version__,
         "config": {"schema_version": CONFIG_SCHEMA_VERSION, **_settings(args)},

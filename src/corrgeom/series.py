@@ -363,7 +363,7 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
 
 
 def read_timeseries_csv(source) -> TimeSeriesSet:
-    """Read a TimeSeriesSet from a CSV path, read as UTF-8, or open text file.
+    """Read a TimeSeriesSet from a CSV path, read as UTF-8, or an iterable of its lines.
 
     A body with no quote is parsed by _loadtxt_body, whatever its line
     endings: while it is parsed, the file's lines are held once, beside the

@@ -728,6 +728,22 @@ def test_ticks_past_2_63_exit_2_and_write_nothing(tmp_path, capsys, command, fir
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "events", "validate"])
+def test_a_byte_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # 0xff starts no UTF-8 sequence; it replaces the first byte of data row 5.
+    lines = Path(benchmark_csv(tmp_path)).read_bytes().split(b"\n")
+    lines[5] = b"\xff" + lines[5][1:]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", str(path), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+    assert err.endswith(": invalid start byte\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "events"])
 def test_a_repeated_measure_kind_exits_2_and_writes_nothing(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -861,16 +877,37 @@ def test_help_shows_each_default(capsys, command, defaults):
     assert text.count("(default:") == len(defaults)
 
 
+# Copies of an LF CSV, by name, whose every byte the manifest's hash must take
+# as it is: other line endings, a byte-order mark, a header that is not ASCII
+# and a last line with no newline.
+INPUT_COPIES = {
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "cr": lambda data: data.replace(b"\n", b"\r"),
+    "bom": lambda data: b"\xef\xbb\xbf" + data,
+    "zurich": lambda data: data.replace(b"s1", "Zürich".encode(), 1),
+    "no_final_newline": lambda data: data.removesuffix(b"\n"),
+}
+
+
+def input_copy(path, name):
+    """The path of the INPUT_COPIES ``name`` copy of the CSV ``path``, beside it."""
+    copy = Path(path).with_name(f"{name}.csv")
+    copy.write_bytes(INPUT_COPIES[name](Path(path).read_bytes()))
+    return str(copy)
+
+
 @pytest.mark.parametrize("command", ["analyze", "events"])
 def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, command):
     # Each command's own settings, with events' separation and match window
     # resolved to ticks; analyze has no detector settings, and rejects them
-    # as flags. The input is hashed as the read takes its bytes: the second
-    # input, 1.3 MB, over many of the read's chunks.
+    # as flags. The input is hashed as the read takes its lines: the second
+    # input, 1.3 MB, over many of the reader's chunks, and the copies each
+    # line of which must encode back to its own bytes.
     big = tmp_path / "big.csv"
     write_timeseries_csv(simulate(SyntheticSpec(4, 16_000, (), 0.1, 0)), big)
     assert big.stat().st_size > 1 << 20
-    for path in (benchmark_csv(tmp_path), str(big)):
+    plain = benchmark_csv(tmp_path)
+    for path in (plain, str(big), *(input_copy(plain, name) for name in INPUT_COPIES)):
         out = tmp_path / f"out_{Path(path).stem}"
         assert cli.main([command, "--input", path, "--out", str(out)]) == 0
         want = {"schema_version": 1, "input": path, "window": 21, "stride": 1,
@@ -887,27 +924,30 @@ def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, c
 def test_the_manifest_hashes_the_bytes_read_from_a_pipe(tmp_path, command):
     # A named pipe yields its bytes once. A manifest that opened --input again
     # after the read would wait for a second writer, so the run has a timeout.
-    data = Path(benchmark_csv(tmp_path)).read_bytes()
-    fifo = tmp_path / "input.fifo"
-    os.mkfifo(fifo)
-
-    def feed():
+    # The plain input and its CRLF copy.
+    def feed(fifo, data):
         with open(fifo, "wb") as fh:
             fh.write(data)
 
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
+    plain = benchmark_csv(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
-    out = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, "-m", "corrgeom.cli", command, "--input", str(fifo), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
-    assert done.returncode == 0, done.stderr
-    writer.join(timeout=30)  # the run read the pipe to its end, so the writer is done
-    assert not writer.is_alive()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
+    for path in (plain, input_copy(plain, "crlf")):
+        data = Path(path).read_bytes()
+        fifo = tmp_path / f"{Path(path).stem}.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=feed, args=(fifo, data), daemon=True)
+        writer.start()
+        out = tmp_path / f"out_{Path(path).stem}"
+        done = subprocess.run(
+            [sys.executable, "-m", "corrgeom.cli", command, "--input", str(fifo),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        writer.join(timeout=30)  # the run read the pipe to its end, so the writer is done
+        assert not writer.is_alive()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 # Event keys that hold ticks, or lists or pairs of ticks.
@@ -1176,7 +1216,7 @@ def test_a_write_that_fails_partway_keeps_the_earlier_runs_files(
 
     def disk_full_on_second_file(path, mode="r", **kwargs):
         fh = open(path, mode, **kwargs)
-        if mode == "w":  # an output file; --input is read through io.FileIO, not open
+        if mode == "w":  # an output file; --input is opened with mode "r"
             written.append(path)
             if len(written) == 2:
                 write = fh.write
