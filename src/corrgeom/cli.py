@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error.
 Outputs are deterministic: the same input and configuration produce
-byte-identical CSV and JSON files. The log level comes from the
+byte-identical CSV and JSON files on one BLAS kernel. The Gram's GEMM
+sums in the kernel's own order, so two kernels can differ in a value's
+last bit: the goldens under tests/golden hold the bits of OpenBLAS's
+Haswell, Zen and SkylakeX kernels, and older kernels (Sandybridge,
+Prescott) change last bits. The log level comes from the
 CORRGEOM_LOG_LEVEL environment variable; everything else is flags or the
 --config file. Each setting is one flag, which holds its default, and the
 parsed namespace is the run's settings. A flag's type is the one check on

@@ -255,9 +255,6 @@ class Event(NamedTuple):
     left_base: int
     right_base: int
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class EventList(Frozen):
     """Detected minima of one measure series, ordered by timestamp, with the
@@ -288,14 +285,7 @@ class EventList(Frozen):
         return [e.timestamp for e in self.events]
 
     def to_dict(self) -> dict:
-        return {
-            "measure_kind": self.measure_kind,
-            "window": self.window,
-            "stride": self.stride,
-            "min_prominence": self.min_prominence,
-            "min_separation": self.min_separation,
-            "events": [e.to_dict() for e in self.events],
-        }
+        return {**vars(self), "events": [e._asdict() for e in self.events]}
 
 
 def _bases(x: list[float]) -> list[int]:
@@ -432,9 +422,7 @@ class ComparisonReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "kind_a": self.kind_a,
-            "kind_b": self.kind_b,
-            "match_window": self.match_window,
+            **self._asdict(),
             "matched": [list(p) for p in self.matched],
             "a_only": list(self.a_only),
             "b_only": list(self.b_only),

@@ -281,19 +281,16 @@ def _parse_value(cell: str, row: int, col: str) -> float:
 
 def _parse_tick_column(cells: list[str]) -> tuple[int, int]:
     """Return (start, step) for the first column; validates uniform spacing."""
-    is_int = True
     try:
         parse_number(cells[0], int)
     except ValueError:
-        is_int = False
-    if is_int:
+        pass
+    else:
         try:
             ticks = [parse_number(c, int) for c in cells]
         except ValueError as exc:
             raise IngestError(f"mixed tick column: {exc}") from None
-        if len(ticks) == 1:
-            return ticks[0], 1
-        step = ticks[1] - ticks[0]
+        step = ticks[1] - ticks[0] if len(ticks) > 1 else 1
         if step <= 0:
             raise IngestError("tick column must be strictly increasing")
         for i in range(1, len(ticks)):

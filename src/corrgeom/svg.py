@@ -63,11 +63,10 @@ def render_measures_svg(
                 f"{_scale_y(float(s.values[i]), lo, hi):.2f}"
                 for i in range(seg_lo, seg_hi)
             )
-            if pts:
-                parts.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                    f'stroke-width="1.2"/>'
-                )
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="1.2"/>'
+            )
         parts.append(
             f'<text x="{MARGIN + 6}" y="{MARGIN - 8 + 14 * idx}" font-size="12" '
             f'fill="{color}">{s.kind} (normalized)</text>'

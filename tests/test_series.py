@@ -569,6 +569,19 @@ def test_a_file_reads_the_same_on_both_paths(text, want, ending, monkeypatch):
     assert read() == want
 
 
+@pytest.mark.parametrize("tick, want", [("5", (5, 1)), ("2020-01-02", (0, 1))],
+                         ids=["int", "date"])
+def test_one_data_row_reads_at_step_one_on_both_paths(tick, want, monkeypatch):
+    # An integer tick is the start; a date, like every date column, starts at 0.
+    def read():
+        data = read_timeseries_csv(io.StringIO(f"tick,a\n{tick},1.5\n", newline=""))
+        return data.start, data.step, data.matrix().tolist()
+
+    assert read() == (*want, [[1.5]])
+    read_by_rows(monkeypatch)
+    assert read() == (*want, [[1.5]])
+
+
 def generated_csv(length):
     """The CSV text of 16 generated series of ``length`` samples, LF endings."""
     from corrgeom.testkit import SyntheticSpec, simulate
