@@ -16,12 +16,14 @@ naming the flag, before any input is read. (sliding_measures checks the
 measure kinds, and SyntheticSpec simulate's ranges.) The manifest.json of
 analyze and events records the subcommand's settings as its config block,
 and as input_sha256 the hash of the input's bytes. Every command opens
---input once, in _read_input, as UTF-8 with newline=""; analyze and events
-feed each line's bytes to the hash as the CSV reader takes the line, so a
-pipe's bytes are hashed as well as a file's. A config key is a setting the
-subcommand has a flag for, and its value is read as the text of that flag
-(a list joined with commas), by the same parser and its types; a null value
-leaves the setting unset, and flags given on the command line win.
+--input once, in _read_input, as UTF-8 with newline="", and the CSV reader
+takes its lines through _utf8_lines, which names the first line that is not
+UTF-8; analyze and events feed each line's bytes to the hash as the reader
+takes the line, so a pipe's bytes are hashed as well as a file's. A config
+key is a setting the subcommand has a flag for, and its value is read as the
+text of that flag (a list joined with commas), by the same parser and its
+types; a null value leaves the setting unset, and flags given on the command
+line win.
 
 CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
 WARNING (the default), INFO, DEBUG or NOTSET; any other value exits 2 with
@@ -63,7 +65,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import __version__
-from .errors import CorrGeomError, TooFewPointsError
+from .errors import CorrGeomError, IngestError, TooFewPointsError
 from .events import (
     MEASURE_KINDS,
     MeasureSeries,
@@ -147,24 +149,36 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     ]
 
 
-def _hashed(lines, digest):
-    """Yield ``lines``, feeding each one's UTF-8 bytes to ``digest`` as it is
-    taken. A line of a UTF-8 file opened with newline="" encodes back to
-    exactly its own bytes, so the digest is fed the bytes the reader took."""
-    for line in lines:
-        digest.update(line.encode())
+def _utf8_lines(lines, digest=None):
+    """Yield ``lines``, each encoded back to its UTF-8 bytes as it is taken
+    and fed to ``digest`` when there is one. The lines come from a file
+    opened with errors="surrogateescape" and newline="", so a valid line
+    encodes back to exactly its own bytes, and the digest is fed the bytes
+    the reader took. A byte that is not UTF-8 was decoded to a lone
+    surrogate, which the strict encode rejects: the first line that holds
+    one raises IngestError naming the line (the header is line 1) and the
+    byte. The decoder's own error, which read_timeseries_csv(path) still
+    raises, names a position in its current chunk, not in the file."""
+    for number, line in enumerate(lines, start=1):
+        try:
+            data = line.encode()
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's U+DC80..U+DCFF
+            raise IngestError(f"input line {number} is not UTF-8 (byte {byte:#04x})") from None
+        if digest is not None:
+            digest.update(data)
         yield line
 
 
 def _read_input(args: argparse.Namespace, digest=None) -> TimeSeriesSet:
     """The --input CSV's series, read once, as UTF-8 with newline="", for
-    every command. With a hashlib ``digest``, each line the read takes is fed
-    to the digest as it is taken, so the hash is of the bytes analysed, a
-    pipe's too."""
+    every command, through _utf8_lines. With a hashlib ``digest``, each line
+    the read takes is fed to the digest as it is taken, so the hash is of
+    the bytes analysed, a pipe's too."""
     if not args.input:
         raise CorrGeomError("an --input CSV is required")
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        return read_timeseries_csv(fh if digest is None else _hashed(fh, digest))
+    with open(args.input, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        return read_timeseries_csv(_utf8_lines(fh, digest))
 
 
 def _csv_texts(series_list: list[MeasureSeries]) -> dict[str, str]:

@@ -728,29 +728,44 @@ def test_ticks_past_2_63_exit_2_and_write_nothing(tmp_path, capsys, command, fir
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "row, past_first_chunk", [(5, False), (480, True)], ids=["row5", "row480"]
+)
 @pytest.mark.parametrize("command", ["analyze", "events", "validate"])
-def test_a_byte_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys, command):
-    # 0xff starts no UTF-8 sequence; it replaces the first byte of data row 5.
+def test_a_byte_that_is_not_utf8_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, row, past_first_chunk
+):
+    # 0xff starts no UTF-8 sequence; it replaces the first byte of data row
+    # ``row``, which is line row + 1 of the file. Row 480 starts past the
+    # text decoder's first 8,192-byte chunk, where the decoder's own error
+    # would name a position in its chunk, not in the file.
     lines = Path(benchmark_csv(tmp_path)).read_bytes().split(b"\n")
-    lines[5] = b"\xff" + lines[5][1:]
+    lines[row] = b"\xff" + lines[row][1:]
+    assert (len(b"\n".join(lines[:row])) > 8192) == past_first_chunk
     path = tmp_path / "bad.csv"
     path.write_bytes(b"\n".join(lines))
     out = tmp_path / "out"
     assert cli.main([command, "--input", str(path), "--out", str(out)]) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == ""
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
-    assert err.endswith(": invalid start byte\n")
+    assert capsys.readouterr() == ("", f"error: input line {row + 1} is not UTF-8 (byte 0xff)\n")
     assert not out.exists()
 
 
+@pytest.mark.parametrize("repeated", ["measure", "column"])
 @pytest.mark.parametrize("command", ["analyze", "events"])
-def test_a_repeated_measure_kind_exits_2_and_writes_nothing(tmp_path, capsys, command):
+def test_a_repeated_name_exits_2_and_writes_nothing(tmp_path, capsys, command, repeated):
+    # A measure kind given twice, or a header that names s1 twice, which the
+    # reader rejects in its own words before the series set would.
+    path = Path(benchmark_csv(tmp_path))
     out = tmp_path / "out"
-    argv = [command, "--input", benchmark_csv(tmp_path), "--measures", "diameter,diameter",
-            "--out", str(out)]
+    argv = [command, "--input", str(path), "--out", str(out)]
+    if repeated == "measure":
+        argv += ["--measures", "diameter,diameter"]
+        message = "measure kind 'diameter' is given more than once"
+    else:
+        path.write_bytes(path.read_bytes().replace(b",s2,", b",s1,", 1))
+        message = "duplicate column name 's1'"
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: measure kind 'diameter' is given more than once\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -771,6 +786,30 @@ def test_validate_checks_no_matrix_where_a_series_is_constant(tmp_path, capsys):
         "pass: checked 0 distance matrices over 40 windows; worst triangle margin inf at None\n",
         "",
     )
+
+
+def test_a_held_series_gaps_its_windows_in_the_csv_and_holds_no_event(tmp_path, capsys):
+    # s2 held at its sample-200 value through sample 259: with K = 21 the 40
+    # windows 200..239 hold a constant series. analyze writes each as an empty
+    # value with gap 1, and no event or base of either measure lies in them.
+    data = simulate(SyntheticSpec(4, 500, (), 0.1, 0))
+    matrix = data.matrix().copy()
+    matrix[1, 201:260] = matrix[1, 200]
+    path = tmp_path / "held.csv"
+    write_timeseries_csv(TimeSeriesSet.from_matrix(data.ids, 0, 1, matrix), path)
+    out = tmp_path / "out"
+    for command in ("analyze", "events"):
+        assert cli.main([command, "--input", str(path), "--out", str(out)]) == 0
+    for kind in MEASURE_KINDS:
+        rows = list(csv.reader((out / f"measure_{kind}.csv").read_text().splitlines()))[1:]
+        assert [(i, value) for i, (_, value, gap) in enumerate(rows) if gap == "1"] == [
+            (i, "") for i in range(200, 240)
+        ]
+        found = json.loads((out / f"events_{kind}.json").read_text())["events"]
+        assert found
+        for event in found:
+            ticks = (event["timestamp"], event["left_base"], event["right_base"])
+            assert not any(200 <= tick < 240 for tick in ticks)
 
 
 @pytest.mark.parametrize("length", [21, 22], ids=["1-window", "2-windows"])
@@ -924,14 +963,14 @@ def test_the_manifest_config_holds_the_commands_own_settings(tmp_path, capsys, c
 def test_the_manifest_hashes_the_bytes_read_from_a_pipe(tmp_path, command):
     # A named pipe yields its bytes once. A manifest that opened --input again
     # after the read would wait for a second writer, so the run has a timeout.
-    # The plain input and its CRLF copy.
+    # The plain input and its CRLF and CR-only copies.
     def feed(fifo, data):
         with open(fifo, "wb") as fh:
             fh.write(data)
 
     plain = benchmark_csv(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
-    for path in (plain, input_copy(plain, "crlf")):
+    for path in (plain, input_copy(plain, "crlf"), input_copy(plain, "cr")):
         data = Path(path).read_bytes()
         fifo = tmp_path / f"{Path(path).stem}.fifo"
         os.mkfifo(fifo)
@@ -1510,17 +1549,27 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
     assert out == validate_fail_stdout(count, worst_margin, worst)
 
 
-def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkeypatch):
-    # n = 32, K = 101: the engine's chunks hold 10 windows, and validate's
-    # VALIDATE_BATCH = 40, so 200 windows are 5 chunks, one unit-row pass, one
-    # scan and one distance call per kind each. The worst matrix's triple is
-    # located once, and no n^3 margins are built.
-    n, window, length = 32, 101, 300
+@pytest.mark.parametrize(
+    "n, length, per_chunk, chunks", [(32, 300, 10, 5), (128, 150, 2, 2)], ids=["n32", "n128"]
+)
+def test_validate_scans_once_per_batch_and_locates_once(
+    tmp_path, capsys, monkeypatch, n, length, per_chunk, chunks
+):
+    # K = 101 and validate's VALIDATE_BATCH = 40. At n = 32 the engine's
+    # chunks would hold 10 windows, so 200 windows are 5 chunks of 40; at
+    # n = 128 they would hold 2, so 50 windows are 2 chunks, of 40 and 10.
+    # Each chunk takes one unit-row pass, one scan and one distance call per
+    # kind. The worst matrix's triple is located once, at n = 128 too, and
+    # no n^3 margins are built.
+    window = 101
     path = tmp_path / "input.csv"
     write_timeseries_csv(simulate(SyntheticSpec(n, length, (), 0.1, 11)), path)
     argv = ["validate", "--input", str(path), "--window", str(window)]
     assert cli.main(argv) == 0
     want = capsys.readouterr()
+    count = length - window + 1
+    assert want.out.startswith(f"pass: checked {2 * count} distance matrices over {count} windows")
+    assert want.err == ""
 
     calls = {"scan": 0, "locate": 0, "margins": 0, "distances": 0, "units": 0}
 
@@ -1541,8 +1590,9 @@ def test_validate_scans_once_per_batch_and_locates_once(tmp_path, capsys, monkey
     monkeypatch.setattr(events, "_window_units", counted("units", events._window_units))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
-    assert _windows_per_chunk(n, window) == 10 and cli.VALIDATE_BATCH == 40
-    assert calls == {"scan": 5, "locate": 1, "margins": 0, "distances": 10, "units": 5}
+    assert _windows_per_chunk(n, window) == per_chunk and cli.VALIDATE_BATCH == 40
+    assert calls == {"scan": chunks, "locate": 1, "margins": 0, "distances": 2 * chunks,
+                     "units": chunks}
 
 
 @pytest.mark.parametrize(

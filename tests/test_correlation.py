@@ -61,7 +61,7 @@ class TestPearsonRho:
         assert pearson_rho(ts("a", -a.values), b, w) == -rho
 
 
-class TestCorrelationMatrix:
+class TestWindowCorrelations:
     def test_identical_series_all_ones(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=12)

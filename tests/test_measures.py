@@ -224,7 +224,7 @@ def test_correlation_from_units_is_exported_and_bound_in_events():
     assert events.correlation_from_units is metric.correlation_from_units
 
 
-class TestMaxSimplexVolume:
+class TestMaxTriangle:
     def test_single_triangle(self):
         d = angles_of(np.eye(3))
         assert max_triangle_of(d) == spherical_triangle_area(d[0, 1], d[0, 2], d[1, 2])
@@ -319,7 +319,7 @@ class TestMaxTriangleMatchesScalar:
     copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
 )
 @example(seed=5, count=1, n=12, copies=[(0, 1), (0, 8)])
-def test_the_slab_kernel_equals_max_simplex_volume_byte_for_byte(seed, count, n, copies):
+def test_the_slab_kernel_equals_the_all_triples_form_byte_for_byte(seed, count, n, copies):
     # Projective distances as the engine computes them, exactly symmetric,
     # from random unit vectors with some rows repeated verbatim. The kernel
     # equals the all-triples form bit for bit and the scalar loop within 1e-12.

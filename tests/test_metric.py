@@ -66,7 +66,7 @@ class TestAngles:
             assert pair_distance(float(rho), PROJECTIVE) == pair_distance(float(-rho), PROJECTIVE)
 
 
-class TestDistanceMatrix:
+class TestAngularDistances:
     def test_identity_correlations_projective(self):
         dm = angular_distances(np.eye(3), np.eye(3), PROJECTIVE)
         off = dm[~np.eye(3, dtype=bool)]
@@ -170,7 +170,7 @@ class TestVerifyMetricAxioms:
                 assert report.passed, report.summary()
 
 
-def reference_axiom_stats(m, tolerance=TRIANGLE_TOL):
+def n3_axiom_figures(m, tolerance=TRIANGLE_TOL):
     """The axiom figures of each matrix of an (M, n, n) stack from every
     triangle margin in one (M, n, n, n) array. Returns (passed, symmetry,
     diagonal, min_entry, min_margin) per matrix, the first flat argmin of
@@ -199,7 +199,7 @@ def reference_axiom_stats(m, tolerance=TRIANGLE_TOL):
 
 def reference_report(m, tolerance=TRIANGLE_TOL):
     """(summary, worst triple, violations) of one matrix from the n^3 margins."""
-    (passed, symmetry, diagonal, min_entry, min_margin), worst, margins = reference_axiom_stats(
+    (passed, symmetry, diagonal, min_entry, min_margin), worst, margins = n3_axiom_figures(
         m[None], tolerance
     )
     triple, found = None, {}
@@ -282,7 +282,7 @@ def test_the_scan_equals_the_n3_minimum_margins_bit_for_bit(name, monkeypatch):
     def check(seed, count, n, scan):
         monkeypatch.setattr(metric, "SCAN_ELEMENTS", scan)
         m = STACKS[name](np.random.default_rng(seed), count, n)
-        (*_, want), _, _ = reference_axiom_stats(m)
+        (*_, want), _, _ = n3_axiom_figures(m)
         got = _min_triangle_margins(m)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -323,7 +323,7 @@ def test_the_locator_finds_the_n3_worst_triple(name, nan):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
 @pytest.mark.parametrize("name", list(STACKS))
-def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name):
+def test_verify_metric_axioms_equals_the_n3_margins_bit_for_bit(name):
     # verify_metric_axioms' figures for every matrix, symmetric or not, NaN or
     # not: its verdict and entry figures, the first smallest margin in flat
     # order, NaN first, its triple and every violation.
@@ -331,7 +331,7 @@ def test_axiom_stats_equal_the_n3_margins_bit_for_bit(name):
     @given(seed=st.integers(0, 2**32 - 1), count=COUNTS, n=st.integers(0, 9))
     def check(seed, count, n):
         m = STACKS[name](np.random.default_rng(seed), count, n)
-        want, _, _ = reference_axiom_stats(m)
+        want, _, _ = n3_axiom_figures(m)
         for matrix, *figures in zip(m, *want):
             report = verify_metric_axioms(matrix)
             got = (report.passed, report.max_symmetry_error, report.max_diagonal_error,

@@ -1,4 +1,5 @@
 import csv
+import datetime
 import io
 import math
 import re
@@ -596,12 +597,23 @@ def quote_header(text):
     return ",".join(f'"{name}"' for name in header.split(",")) + "\n" + body
 
 
+def iso_dates(text):
+    """The ticks 0, 1, ... of a generated CSV as the days from 2000-01-01."""
+    header, *rows = text.splitlines(keepends=True)
+    first = datetime.date(2000, 1, 1)
+    return header + "".join(
+        (first + datetime.timedelta(days=i)).isoformat() + row[row.index(","):]
+        for i, row in enumerate(rows)
+    )
+
+
 # Copies of a generated LF CSV that np.loadtxt parses as it is: every line in
-# CRLF or CR, or the header alone quoted.
+# CRLF or CR, the header alone quoted, or ISO dates in place of the ticks.
 UNQUOTED_BODIES = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "cr": lambda text: text.replace("\n", "\r"),
     "quoted-header": quote_header,
+    "iso-dates": iso_dates,
 }
 
 
