@@ -17,13 +17,13 @@ measure kinds, and SyntheticSpec simulate's ranges.) The manifest.json of
 analyze and events records the subcommand's settings as its config block,
 and as input_sha256 the hash of the input's bytes. Every command opens
 --input once, in _read_input, as UTF-8 with newline="", and the CSV reader
-takes its lines through _utf8_lines, which names the first line that is not
-UTF-8; analyze and events feed each line's bytes to the hash as the reader
-takes the line, so a pipe's bytes are hashed as well as a file's. A config
-key is a setting the subcommand has a flag for, and its value is read as the
-text of that flag (a list joined with commas), by the same parser and its
-types; a null value leaves the setting unset, and flags given on the command
-line win.
+takes its lines through series._utf8_lines, which names the first line that
+is not UTF-8; analyze and events feed each line's bytes to the hash as the
+reader takes the line, so a pipe's bytes are hashed as well as a file's. A
+config key is a setting the subcommand has a flag for, and its value is read
+as the text of that flag (a list joined with commas), by the same parser and
+its types; a null value leaves the setting unset, and flags given on the
+command line win.
 
 CORRGEOM_LOG_LEVEL takes one of the names CRITICAL, FATAL, ERROR, WARN,
 WARNING (the default), INFO, DEBUG or NOTSET; any other value exits 2 with
@@ -58,14 +58,14 @@ import argparse
 import gc
 import os
 import sys
-from itertools import combinations
+from itertools import combinations, starmap
 from pathlib import Path
 from typing import Callable, TextIO
 
 import numpy as np
 
 from . import __version__
-from .errors import CorrGeomError, IngestError, TooFewPointsError
+from .errors import CorrGeomError, TooFewPointsError
 from .events import (
     MEASURE_KINDS,
     MeasureSeries,
@@ -80,16 +80,23 @@ from .metric import (
     TRIANGLE_TOL,
     _first_min_triple,
     _min_triangle_margins,
+    spherical_distances,
 )
-from .series import TimeSeriesSet, parse_number, read_timeseries_csv, write_timeseries_csv
+from .series import (
+    TimeSeriesSet,
+    _utf8_lines,
+    parse_number,
+    read_timeseries_csv,
+    write_timeseries_csv,
+)
 from .svg import render_measures_svg
 
 CONFIG_SCHEMA_VERSION = 1
 FORMATS = ("svg",)
 # The fewest windows per triangle-margin scan of validate: validate asks
-# correlation_chunks for both kinds of distances in chunks of at least this
-# many windows, so a chunk is one stack of 2 * VALIDATE_BATCH matrices. The
-# scan's numpy loops are as long as the stack is tall. On the validate_n32
+# correlation_chunks for chunks of at least this many windows and scans both
+# kinds of distances of a chunk as one stack of 2 * VALIDATE_BATCH matrices.
+# The scan's numpy loops are as long as the stack is tall. On the validate_n32
 # benchmark input (n = 32, K = 101, 700 windows, 10 to a chunk by
 # CHUNK_ELEMENTS; 2-vCPU Xeon, one BLAS thread), with each next chunk built
 # in the read-ahead worker, an in-process validate call, its CSV read
@@ -149,36 +156,15 @@ def _config_flags(path: str, known: set[str]) -> list[str]:
     ]
 
 
-def _utf8_lines(lines, digest=None):
-    """Yield ``lines``, each encoded back to its UTF-8 bytes as it is taken
-    and fed to ``digest`` when there is one. The lines come from a file
-    opened with errors="surrogateescape" and newline="", so a valid line
-    encodes back to exactly its own bytes, and the digest is fed the bytes
-    the reader took. A byte that is not UTF-8 was decoded to a lone
-    surrogate, which the strict encode rejects: the first line that holds
-    one raises IngestError naming the line (the header is line 1) and the
-    byte. The decoder's own error, which read_timeseries_csv(path) still
-    raises, names a position in its current chunk, not in the file."""
-    for number, line in enumerate(lines, start=1):
-        try:
-            data = line.encode()
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's U+DC80..U+DCFF
-            raise IngestError(f"input line {number} is not UTF-8 (byte {byte:#04x})") from None
-        if digest is not None:
-            digest.update(data)
-        yield line
-
-
 def _read_input(args: argparse.Namespace, digest=None) -> TimeSeriesSet:
     """The --input CSV's series, read once, as UTF-8 with newline="", for
-    every command, through _utf8_lines. With a hashlib ``digest``, each line
-    the read takes is fed to the digest as it is taken, so the hash is of
-    the bytes analysed, a pipe's too."""
+    every command, through series._utf8_lines, as read_timeseries_csv reads
+    a path. With a hashlib ``digest``, each line the read takes is fed to
+    the digest as it is taken, so the hash is of the bytes analysed, a
+    pipe's too."""
     if not args.input:
         raise CorrGeomError("an --input CSV is required")
-    with open(args.input, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        return read_timeseries_csv(_utf8_lines(fh, digest))
+    return read_timeseries_csv(_utf8_lines(args.input, digest))
 
 
 def _csv_texts(series_list: list[MeasureSeries]) -> dict[str, str]:
@@ -351,15 +337,18 @@ def _read_ahead(chunks):
 def cmd_validate(args: argparse.Namespace) -> int:
     """Check the triangle inequality once per kind (spherical, projective) on
     every window that has no constant series, through analyze's window
-    engine, which hands out chunks (ms, dist) of at least VALIDATE_BATCH
-    windows: dist is the chunk's (2M, n, n) stack of distances, spherical then
-    projective per window. The next chunk is built in one worker thread,
-    through _read_ahead, while this thread scans the current one, so one
-    extra chunk is held. One scan, metric._min_triangle_margins, reduces
-    each matrix's triangle margins to their minimum. A matrix fails when that
-    minimum is below -TRIANGLE_TOL or NaN. Symmetry, the diagonal and the
-    sign of the entries are not rechecked, because they cannot fail:
-    metric.angular_distances, in the engine, makes every stack exactly
+    engine, which hands out chunks (ms, rho, dist) of at least VALIDATE_BATCH
+    windows: their correlations and projective distances. Each chunk's
+    (2M, n, n) stack, spherical then projective per window, is built from
+    them with metric.spherical_distances, which takes the chord angles of
+    near-copies from dist, so no chord is computed twice. The next chunk and
+    its stack are built in one worker thread, through _read_ahead, while this
+    thread scans the current one, so one extra chunk is held. One scan,
+    metric._min_triangle_margins, reduces each matrix's triangle margins to
+    their minimum. A matrix fails when that minimum is below -TRIANGLE_TOL or
+    NaN. Symmetry, the diagonal and the sign of the entries are not
+    rechecked, because they cannot fail: metric.angular_distances, in the
+    engine, and metric.spherical_distances make every stack exactly
     symmetric and finite, with a +0.0 diagonal and entries in [0, pi], by
     construction, and that is the scan's precondition.
 
@@ -375,14 +364,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     no triangle to check, and exit 2; correlation_chunks rejects a window
     longer than the series."""
     data = _read_input(args)
-    if len(data) < 3:
+    n = len(data)
+    if n < 3:
         raise TooFewPointsError("validate needs at least 3 series")
     kinds = (SPHERICAL, PROJECTIVE)
+
+    def both_kinds(ms, rho, dist):  # matrix 2w + k is window ms[w]'s kinds[k]
+        return ms, np.stack((spherical_distances(rho, dist), dist), axis=1).reshape(-1, n, n)
+
     worst_margin = float("inf")
     worst = worst_matrix = None
     failures = checked = 0
-    chunks = correlation_chunks(data, args.window, kinds, args.stride, VALIDATE_BATCH)
-    for ms, dist in _read_ahead(chunks):  # matrix 2w + k is window ms[w]'s kinds[k]
+    chunks = correlation_chunks(data, args.window, args.stride, VALIDATE_BATCH)
+    for ms, dist in _read_ahead(starmap(both_kinds, chunks)):
         lows = _min_triangle_margins(dist)
         checked += len(dist)
         failed = ~(lows >= -TRIANGLE_TOL)  # a NaN fails

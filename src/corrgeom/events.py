@@ -11,10 +11,10 @@ It takes consecutive windows as (windows, n, K) stacks of a sliding-window
 view of the series matrix, in chunks whose largest array holds about
 CHUNK_ELEMENTS floats (validate asks for taller ones), and each layer (unit
 vectors, correlations, angular distances, the measures) runs once per chunk
-on the whole stack. No per-window object is built. The engine hands out
-only distances, of the kinds its caller asks for: a chunk's unit rows and
-correlations are built, turned into distances and freed inside it, in the
-package's one call of metric.angular_distances. The diameter is the
+on the whole stack. No per-window object is built. The engine hands out each
+chunk's correlations and their projective distances, from the package's one
+call of metric.angular_distances; a chunk's unit rows are built, read by
+that call where |rho| is near 1, and freed inside it. The diameter is the
 largest entry of each window's matrix, read in one reduction over the stack.
 The triangle measure builds the pairs j < k once and walks the triples one
 first index at a time, so no array holds more than about n^2 / 2 of them per
@@ -29,12 +29,13 @@ metric.angular_distances, whose chord form keeps near-copies of a series,
 |rho| near 1, as accurate as any other pair. ``validate`` still scans every
 window, since the margins are its output, and checks nothing else: the same
 construction makes every stack exactly symmetric, with a +0.0 diagonal and
-entries in [0, pi]. cli.cmd_validate asks the engine for both kinds of
-distances, spherical and projective, in chunks of at least
-cli.VALIDATE_BATCH windows, and scans each chunk's stack at once. The next
-chunk is built in one worker thread while the current one is scanned, so
-validate holds one extra chunk; analyze and events walk their chunks in one
-thread. The scan finds only each matrix's minimum margin, never its n^3
+entries in [0, pi]. cli.cmd_validate takes the engine's chunks of at least
+cli.VALIDATE_BATCH windows, derives each chunk's spherical distances from
+its correlations and projective distances by metric.spherical_distances,
+with no second chord, and scans both kinds as one stack. The next chunk and
+its stack are built in one worker thread while the current one is scanned,
+so validate holds one extra chunk; analyze and events walk their chunks in
+one thread. The scan finds only each matrix's minimum margin, never its n^3
 margins: it works on a copy of the stack with the stack axis innermost, in
 blocks of about metric.SCAN_ELEMENTS floats, so its numpy loops are as long
 as the stack is tall. Which triple holds a minimum is located one matrix at
@@ -57,7 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TooFewPointsError, WindowTooLongError
 from .measures import _max_triangle_areas
-from .metric import PROJECTIVE, angular_distances, correlation_from_units
+from .metric import angular_distances, correlation_from_units
 from .series import Frozen, TimeSeriesSet, _window_units
 
 # Target size, in float64 elements, of the largest array of a chunk of
@@ -67,7 +68,7 @@ from .series import Frozen, TimeSeriesSet, _window_units
 # at least one window, so where one window's rows or matrices pass 2^15
 # (n * K or n^2 above it) the chunk exceeds the target. validate asks
 # correlation_chunks for chunks of at least cli.VALIDATE_BATCH windows, whose
-# unit rows and both kinds of distances are larger. For analyze and events,
+# unit rows, correlations and distances are larger. For analyze and events,
 # larger chunks were measured slower, and at 2^17 they raised peak RSS by more
 # than the benchmark's 5% bound.
 CHUNK_ELEMENTS = 2**15
@@ -122,24 +123,24 @@ def _windows_per_chunk(n: int, window: int) -> int:
 
 
 def correlation_chunks(
-    ts_set: TimeSeriesSet, window: int, kinds: Sequence[str], stride: int = 1, at_least: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ts_set: TimeSeriesSet, window: int, stride: int = 1, at_least: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The one window engine of every command. For each chunk of consecutive
-    windows, (ms, dist): the indices ms of its windows with no constant
-    series (window m starts at sample m * stride), and their angular
-    distances of each of ``kinds`` (metric.SPHERICAL, metric.PROJECTIVE) as
-    one (len(ms) * len(kinds), n, n) stack, in which matrix len(kinds) * w + k
-    is window ms[w]'s kinds[k]. A chunk spans max(at_least,
-    _windows_per_chunk(n, K)) windows, the last one fewer; validate asks for
-    at_least cli.VALIDATE_BATCH, since its scan is faster on taller stacks.
+    windows, (ms, rho, dist): the indices ms of its windows with no constant
+    series (window m starts at sample m * stride), their correlations rho as
+    one exactly symmetric (len(ms), n, n) stack with a unit diagonal, from
+    metric.correlation_from_units, and their projective distances dist, from
+    metric.angular_distances, a stack of the same shape; matrix w of each is
+    window ms[w]'s. A chunk spans max(at_least, _windows_per_chunk(n, K))
+    windows, the last one fewer; validate asks for at_least
+    cli.VALIDATE_BATCH, since its scan is faster on taller stacks.
 
     A chunk is a (windows, n, K) stack scaled, centred and normalised in one
     array pass by series._window_units, whose proof covers every finite row,
-    so no chunk raises. Its unit rows and correlations stay inside the
-    engine, freed before the chunk is yielded, and only the caller holds the
-    chunk after that. A window longer than the series raises
-    WindowTooLongError, and a window below 2 or a stride below 1 ValueError,
-    here, before any chunk.
+    so no chunk raises. Its unit rows stay inside the engine, freed before
+    the chunk is yielded, and only the caller holds the chunk after that. A
+    window longer than the series raises WindowTooLongError, and a window
+    below 2 or a stride below 1 ValueError, here, before any chunk.
     """
     if window > ts_set.length:
         raise WindowTooLongError(f"window {window} exceeds series length {ts_set.length}")
@@ -149,21 +150,21 @@ def correlation_chunks(
         raise ValueError(f"stride must be >= 1, got {stride}")
     view = sliding_window_view(ts_set.matrix(), window, axis=1)[:, ::stride]
     size = max(at_least, _windows_per_chunk(len(ts_set), window))
-    return (_chunk(view[:, lo : lo + size], lo, kinds) for lo in range(0, view.shape[1], size))
+    return (_chunk(view[:, lo : lo + size], lo) for lo in range(0, view.shape[1], size))
 
 
-def _chunk(rows: np.ndarray, lo: int, kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """correlation_chunks' chunk of the (n, windows, K) window rows whose
-    first window is window lo. The chord rule of metric.angular_distances
-    reads the unit rows where |rho| is near 1."""
+def _chunk(rows: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """correlation_chunks' chunk (ms, rho, dist) of the (n, windows, K)
+    window rows whose first window is window lo. The chord rule of
+    metric.angular_distances reads the unit rows where |rho| is near 1; they
+    are dropped on return."""
     units, norms = _window_units(rows.transpose(1, 0, 2).copy())
     good = norms.all(axis=-1)
     ms = good.nonzero()[0] + lo
     if ms.size < len(units):
         units = units[good]
     rho = correlation_from_units(units)
-    dist = np.stack([angular_distances(rho, units, kind) for kind in kinds], axis=1)
-    return ms, dist.reshape(-1, len(rows), len(rows))
+    return ms, rho, angular_distances(rho, units)
 
 
 def sliding_measures(
@@ -181,21 +182,22 @@ def sliding_measures(
     then correlation_chunks raises WindowTooLongError for a window longer
     than the series, and ValueError for a window below 2 or a stride below 1.
 
-    The measures read the projective distances that correlation_chunks hands
-    out for each chunk. No window's distances are checked, because every
-    window's distances are a metric to within rounding that is proven small,
-    and the measures need nothing more. metric.angular_distances, in the
-    engine, gives each chunk an exactly symmetric stack with a zero diagonal,
-    finite since the unit rows are (series._window_units), with entries in
-    [0, pi/2], whose triangle margins are all >= -B(K), with B(K) proven
-    there: 3.55e-13 at K = 21 and 1.55e-12 at K = 101, below TRIANGLE_TOL up
-    to K near 67,100. So every triple has sides a <= b <= c that
-    measures._validate_sides accepts in that range: a >= 0, a + b - c is one
-    of those margins bit for bit (the stack is exactly symmetric and IEEE
-    addition commutes), and a + b + c <= 3 pi/2 < 2 pi. Beyond that K no
-    measure needs the margins within the tolerance: the diameter is a maximum,
-    and measures._triangle_areas gives area 0 to any triple whose margin is
-    <= TRIANGLE_TOL.
+    The measures read the projective distances dist that correlation_chunks
+    hands out for each chunk, and not its correlations. No window's distances
+    are checked, because every window's distances are a metric to within
+    rounding that is proven small, and the measures need nothing more.
+    metric.angular_distances, in the engine, gives each chunk an exactly
+    symmetric stack with a zero diagonal, finite since the unit rows are
+    (series._window_units), with entries in [0, pi/2], whose triangle margins
+    are all >= -B(K), with B(K) proven there: 3.55e-13 at K = 21 and 1.55e-12
+    at K = 101, below TRIANGLE_TOL up to K near 67,100. So every triple has
+    sides a <= b <= c that measures._validate_sides accepts in that range:
+    a >= 0, a + b - c is one of those margins bit for bit (the stack is
+    exactly symmetric and IEEE addition commutes), and a + b + c <= 3 pi/2 <
+    2 pi.
+    Beyond that K no measure needs the margins within the tolerance: the
+    diameter is a maximum, and measures._triangle_areas gives area 0 to any
+    triple whose margin is <= TRIANGLE_TOL.
 
     The diameter of a window is the largest entry of its whole matrix,
     dist.max(axis=(1, 2)) over a chunk. That is the largest entry above the
@@ -219,7 +221,7 @@ def sliding_measures(
     if n < 3 and triangles:
         raise TooFewPointsError("the triangle measure needs at least 3 series")
 
-    chunks = correlation_chunks(ts_set, window, (PROJECTIVE,), stride)
+    chunks = correlation_chunks(ts_set, window, stride)
     count = (ts_set.length - window) // stride + 1
     # The hop between windows can exceed int64, so it is taken modulo 2^64, as
     # int64 arithmetic wraps; every tick fits int64 (TimeSeriesSet.from_matrix
@@ -229,7 +231,7 @@ def sliding_measures(
     values = {kind: np.zeros(count) for kind in kinds}
     gaps = np.ones(count, dtype=bool)  # until evaluated, for every kind
 
-    for ms, dist in chunks:
+    for ms, _, dist in chunks:
         gaps[ms] = False
         if KIND_DIAMETER in kinds:
             values[KIND_DIAMETER][ms] = dist.max(axis=(1, 2))

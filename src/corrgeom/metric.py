@@ -7,15 +7,18 @@ great-circle distance between their centered unit vectors on the sphere. The
 projective variant arccos(|rho|) identifies a series with its negation (a
 line through the origin rather than a direction) and is the distance used
 for phase-locking analysis, where maximal correlation of either sign counts
-as "close". Where |rho| is near 1, angular_distances takes both from the unit
-vectors' chord instead, since arccos loses half the digits there. Both are
-metrics. `validate` checks that claim numerically, asking one question of
-each window's matrices, their minimum triangle margin, which
+as "close". angular_distances gives the projective distances; where |rho| is
+near 1 it takes them from the unit vectors' chord instead, since arccos
+loses half the digits there. spherical_distances derives the spherical ones
+from rho and those projective distances, reusing the chord angle where
+|rho| is near 1, so the chord is computed once. Both are metrics.
+`validate` checks that claim numerically, asking one question of each
+window's matrices, their minimum triangle margin, which
 `_min_triangle_margins` finds for a whole stack without building the
 margins, and `_first_min_triple` names the triple that holds a reported
 minimum, one matrix at a time. No function here builds the n^3 margins of a
-matrix. validate checks nothing else, since angular_distances makes every
-stack exactly symmetric with a +0.0 diagonal and entries in [0, pi].
+matrix. validate checks nothing else, since both functions make every stack
+exactly symmetric with a +0.0 diagonal and entries in [0, pi].
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import numpy as np
 TRIANGLE_TOL = 1e-9
 
 # angular_distances takes each entry with |rho| > 1 - NEAR_ONE from the chord
-# between the unit vectors, every other entry from arccos. The largest
-# off-diagonal |rho| of the benchmark's inputs for seeds 900-1009 is 0.9973,
-# so none of them takes a chord.
+# between the unit vectors, and spherical_distances from that chord angle,
+# every other entry from arccos. The largest off-diagonal |rho| of the
+# benchmark's inputs for seeds 900-1009 is 0.9973, so none of them takes a
+# chord.
 NEAR_ONE = 1e-3
 
 # Float64 elements per block of _min_triangle_margins' sums, (k rows, n, M):
@@ -56,7 +60,7 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
     Precondition: the stack is exactly symmetric and finite. Nothing checks
     it here: angular_distances gives every stack it makes both properties by
     construction, mirroring each entry i < j to j, i and computing it from
-    finite unit rows.
+    finite unit rows, and spherical_distances keeps them.
 
     The scan works on one copy of the stack with the stack axis innermost,
     s[k, j, r] = m[r, k, j], so every numpy loop runs over all M matrices and
@@ -73,7 +77,7 @@ def _min_triangle_margins(m: np.ndarray) -> np.ndarray:
       stay +inf after the subtraction: those triples are left out.
 
     A zero minimum may differ in its sign where entries are -0.0, which
-    angular_distances never writes.
+    neither angular_distances nor spherical_distances writes.
     """
     count, n = m.shape[0], m.shape[-1]
     s = m.transpose(1, 2, 0).copy()
@@ -145,18 +149,18 @@ def correlation_from_units(units: np.ndarray) -> np.ndarray:
     return rho
 
 
-def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE) -> np.ndarray:
-    """Angular distances (..., n, n) between the unit rows ``units`` (..., n, K)
-    whose correlations are ``rho``, with exactly zero diagonals.
+def angular_distances(rho: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Projective angular distances (..., n, n) between the unit rows
+    ``units`` (..., n, K) whose correlations are ``rho``, with exactly zero
+    diagonals.
 
-    An entry i < j with |rho| <= 1 - NEAR_ONE is arccos(rho) for spherical and
-    arccos(|rho|) for projective. Any other is taken from the chord: with
-    s = sign(rho), phi = 2 asin(||x_i - s x_j|| / 2) is the projective
-    distance, and the spherical one is phi where rho > 0, else pi - phi. Each
-    is mirrored to j, i, so a stack mirrored from its upper triangle, as
+    An entry i < j with |rho| <= 1 - NEAR_ONE is arccos(|rho|). Any other is
+    taken from the chord: with s = sign(rho), phi = 2 asin(||x_i - s x_j|| / 2).
+    Each is mirrored to j, i, so a stack mirrored from its upper triangle, as
     correlation_from_units makes it, gives an exactly symmetric one. arccos
     has slope 1 / sqrt(1 - rho^2), so near |rho| = 1 it turns the rounding of
     rho into errors near sqrt(u) (u = 2^-53); the chord has no such factor.
+    spherical_distances derives the spherical distances from these.
 
     A proof that every triangle margin d_ij + d_jk - d_ik of such a stack is
     >= -B(K), from the unit rows of length K that series._window_units gives
@@ -182,17 +186,16 @@ def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE
        entry is within eps_a = eps_rho / sqrt(1 - r^2) + E of the exact
        angle, arccos c or arccos|c|.
     4. Chord entries. Here |rho| > 1 - delta > eps_rho, so c has the sign s,
-       and with a, b the rows scaled to unit length the exact angles are
-       theta = 2 asin(||a - s b|| / 2) (projective), and theta or pi - theta
-       (spherical, as s is 1 or -1). ||x_i - s x_j|| is within 2 eta of
+       and with a, b the rows scaled to unit length the exact angle is
+       theta = 2 asin(||a - s b|| / 2). ||x_i - s x_j|| is within 2 eta of
        ||a - s b|| <= sqrt(2 (delta + eps_rho)), so at most t = sqrt(2 (delta +
        eps_rho)) + 2 eta; the subtraction and the norm add a relative error of
        at most gamma_(K+2), and squares below the normal range an absolute
        one of at most v = sqrt(K) 2^-537. 2 asin(y / 2) has slope at most
        1 / sqrt(1 - t'^2 / 4) for y <= t' = t (1 + gamma_(K+2)) + v. So each
        entry is within eps_c = (2 eta + gamma_(K+2) t + v) / sqrt(1 - t'^2 / 4)
-       + E of the exact angle; E also covers np.arcsin, the error of np.pi and
-       the rounding of pi - phi.
+       + E of the exact angle; E also covers np.arcsin. spherical_distances
+       proves the same bound for its own entries.
     5. Margins. The exact angles are metrics (between directions; between
        lines, minimised over the sign), so their margins are >= 0, and each
        computed entry is within eps_d = max(eps_a, eps_c) of its exact angle.
@@ -201,16 +204,10 @@ def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE
 
     B(K) is 3.55e-13 at K = 21 and 1.55e-12 at K = 101, eps_a dominating,
     and reaches TRIANGLE_TOL near K = 67,100. The entries are finite, since
-    the unit rows are, and lie in [0, pi/2] for projective and [0, pi] for
-    spherical.
+    the unit rows are, and lie in [0, pi/2].
     """
     magnitude = np.abs(rho)
-    if kind == SPHERICAL:
-        entries = np.arccos(rho)
-    elif kind == PROJECTIVE:
-        entries = np.arccos(magnitude)
-    else:
-        raise ValueError(f"kind must be {SPHERICAL!r} or {PROJECTIVE!r}")
+    entries = np.arccos(magnitude)
     near = magnitude > 1.0 - NEAR_ONE
     idx = np.arange(entries.shape[-1])
     near[..., idx, idx] = False
@@ -218,9 +215,28 @@ def angular_distances(rho: np.ndarray, units: np.ndarray, kind: str = PROJECTIVE
         *lead, i, j = np.nonzero(np.triu(near))
         sign = np.sign(rho[(*lead, i, j)])
         chord = np.linalg.norm(units[(*lead, i)] - sign[:, None] * units[(*lead, j)], axis=-1)
-        phi = 2.0 * np.arcsin(chord / 2.0)
-        if kind == SPHERICAL:
-            phi = np.where(sign > 0.0, phi, math.pi - phi)
-        entries[(*lead, i, j)] = entries[(*lead, j, i)] = phi
+        entries[(*lead, i, j)] = entries[(*lead, j, i)] = 2.0 * np.arcsin(chord / 2.0)
     entries[..., idx, idx] = 0.0
+    return entries
+
+
+def spherical_distances(rho: np.ndarray, projective: np.ndarray) -> np.ndarray:
+    """Spherical angular distances (..., n, n) between unit rows whose
+    correlations are ``rho``, with a diagonal of exactly 1, and whose
+    projective distances angular_distances gave as ``projective``.
+
+    An entry with |rho| <= 1 - NEAR_ONE is arccos(rho), within eps_a of the
+    exact angle arccos c by step 3 of angular_distances' proof. Any other is
+    taken from the chord angle phi that angular_distances computed for it:
+    phi where rho > 0, else pi - phi, as the exact angle is theta or
+    pi - theta where s is 1 or -1. By step 4 that is within eps_c of the
+    exact angle, E also covering the error of np.pi and the rounding of
+    pi - phi, so step 5 bounds every margin by -B(K) here too. The diagonal,
+    where rho is 1, takes the projective 0.0. Stacks exactly symmetric in
+    both arguments give an exactly symmetric one, with finite entries in
+    [0, pi].
+    """
+    entries = np.arccos(rho)
+    near = np.abs(rho) > 1.0 - NEAR_ONE
+    entries[near] = np.where(rho[near] > 0.0, projective[near], math.pi - projective[near])
     return entries

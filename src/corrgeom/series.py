@@ -52,6 +52,15 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _is_integral(value) -> bool:
+    """Whether ``value`` equals its int(): true of Python and numpy ints and
+    of integral floats, false of a fraction, a text, NaN and inf."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 class TimeSeries(Frozen):
     """The one series of a set: a uniformly sampled, finite-valued series on
     an integer tick grid.
@@ -109,13 +118,14 @@ class TimeSeriesSet(Frozen):
 
         ``values`` is copied once, into the set's read-only C-contiguous
         float matrix; a later write to it does not reach the set. Checks, in
-        this order: at least one id; every id nonempty; no id twice; ``step``
-        a positive integer; an (len(ids), L) matrix with L >= 1; every value
-        finite, else the error names the first row that is not; and every
-        tick within the signed 64-bit range [-2^63, 2^63), so numpy's int64
-        holds it. A repeated id raises DuplicateIdError, any other fault
-        ValueError. Besides the copy, the check holds one boolean mask of
-        the matrix.
+        this order: at least one id; every id nonempty; no id twice; ``start``
+        an integer and ``step`` a positive one, each a Python or numpy int or
+        an integral float, else the error names the value; an (len(ids), L)
+        matrix with L >= 1; every value finite, else the error names the
+        first row that is not; and every tick within the signed 64-bit range
+        [-2^63, 2^63), so numpy's int64 holds it. A repeated id raises
+        DuplicateIdError, any other fault ValueError. Besides the copy, the
+        check holds one boolean mask of the matrix.
         """
         ids = tuple(ids)
         if not ids:
@@ -125,7 +135,9 @@ class TimeSeriesSet(Frozen):
         if len(set(ids)) < len(ids):
             again = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
             raise DuplicateIdError(f"duplicate series id {again!r}")
-        if int(step) != step or step <= 0:
+        if not _is_integral(start):
+            raise ValueError(f"start must be an integer, got {start!r}")
+        if not _is_integral(step) or step <= 0:
             raise ValueError(f"step must be a positive integer, got {step!r}")
         matrix = np.array(values, dtype=float, order="C")
         if matrix.ndim != 2 or matrix.shape[1] < 1:
@@ -359,8 +371,32 @@ def _loadtxt_body(lines: list[str], ncol: int) -> tuple[list[str], np.ndarray] |
     return ticks, values.T
 
 
+def _utf8_lines(path, digest=None):
+    """Yield the lines of the file at ``path``, opened as UTF-8 with
+    errors="surrogateescape" and newline="", each encoded back to its UTF-8
+    bytes as it is taken and fed to ``digest`` when there is one. A valid
+    line encodes back to exactly its own bytes, so the digest is fed the
+    bytes the reader took, a pipe's too. A byte that is not UTF-8 was
+    decoded to a lone surrogate, which the strict encode rejects: the first
+    line that holds one raises IngestError naming the line (the header is
+    line 1) and the byte. A strict decoder's own error names a position in
+    its current chunk, not in the file. The file is closed once the lines
+    are all taken or one raises."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                data = line.encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's U+DC80..U+DCFF
+                raise IngestError(f"input line {number} is not UTF-8 (byte {byte:#04x})") from None
+            if digest is not None:
+                digest.update(data)
+            yield line
+
+
 def read_timeseries_csv(source) -> TimeSeriesSet:
-    """Read a TimeSeriesSet from a CSV path, read as UTF-8, or an iterable of its lines.
+    """Read a TimeSeriesSet from a CSV path, read as UTF-8 through
+    _utf8_lines, or an iterable of its lines.
 
     A body with no quote is parsed by _loadtxt_body, whatever its line
     endings: while it is parsed, the file's lines are held once, beside the
@@ -372,8 +408,7 @@ def read_timeseries_csv(source) -> TimeSeriesSet:
     set's matrix and its finite mask. After the read only the matrix is
     held."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_timeseries_csv(fh)
+        source = _utf8_lines(source)
     lines = list(source)
     reader = csv.reader(lines)
     try:

@@ -51,6 +51,8 @@ class SyntheticSpec(Frozen):
             raise ValueError("length must be positive")
         if not 0.0 < noise_sigma < math.inf:  # also rejects NaN
             raise ValueError(f"noise_sigma must be finite and > 0, got {noise_sigma}")
+        if rng_seed < 0:  # numpy's own error names neither the field nor a flag
+            raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
         eps = tuple((int(s), int(e), float(lam)) for s, e, lam in episodes)
         prev_end = 0
         for s, e, lam in eps:

@@ -11,6 +11,9 @@ commands run. Each oracle cross-checks the engine by another route:
 * one series or one pair at a time: window_vector, a CenteredUnitVector
   that checks its own sum and norm, and pearson_rho, the dot product of
   two of them;
+* one kind at a time: distances_of_kind, each kind of angular distance by
+  its own chord pass, the reference for metric.spherical_distances, which
+  reuses the projective chord angle;
 * one triangle at a time: max_triangle_area, the brute-force reference for
   measures._max_triangle_areas, and girard_area, vertex-angle triangle
   areas against measures.spherical_triangle_area's L'Huilier route;
@@ -46,7 +49,13 @@ from corrgeom.events import (
     MeasureSeries,
 )
 from corrgeom.measures import _validate_sides, spherical_triangle_area
-from corrgeom.metric import PROJECTIVE, TRIANGLE_TOL, angular_distances, correlation_from_units
+from corrgeom.metric import (
+    NEAR_ONE,
+    SPHERICAL,
+    TRIANGLE_TOL,
+    angular_distances,
+    correlation_from_units,
+)
 from corrgeom.series import (
     Frozen,
     TimeSeries,
@@ -105,6 +114,32 @@ def window_correlations(ts_set: TimeSeriesSet, w: WindowSpec) -> np.ndarray:
     return correlation_from_units(_one_window_units(ts_set.matrix(), ts_set.ids, w))
 
 
+def distances_of_kind(rho: np.ndarray, units: np.ndarray, kind: str) -> np.ndarray:
+    """Angular distances of ``kind`` (metric.SPHERICAL or metric.PROJECTIVE)
+    between the unit rows ``units`` (..., n, K) whose correlations are
+    ``rho``, each kind by its own chord pass. An entry i < j with
+    |rho| <= 1 - NEAR_ONE is arccos(rho) for spherical and arccos(|rho|)
+    for projective. Any other is taken from the chord: with s = sign(rho),
+    phi = 2 asin(||x_i - s x_j|| / 2) is the projective distance, and the
+    spherical one is phi where rho > 0, else pi - phi. Each is mirrored to
+    j, i, and the diagonal is exactly zero."""
+    magnitude = np.abs(rho)
+    entries = np.arccos(rho if kind == SPHERICAL else magnitude)
+    near = magnitude > 1.0 - NEAR_ONE
+    idx = np.arange(entries.shape[-1])
+    near[..., idx, idx] = False
+    if near.any():
+        *lead, i, j = np.nonzero(np.triu(near))
+        sign = np.sign(rho[(*lead, i, j)])
+        chord = np.linalg.norm(units[(*lead, i)] - sign[:, None] * units[(*lead, j)], axis=-1)
+        phi = 2.0 * np.arcsin(chord / 2.0)
+        if kind == SPHERICAL:
+            phi = np.where(sign > 0.0, phi, math.pi - phi)
+        entries[(*lead, i, j)] = entries[(*lead, j, i)] = phi
+    entries[..., idx, idx] = 0.0
+    return entries
+
+
 def max_triangle_area(d: np.ndarray) -> float:
     """Largest spherical_triangle_area over the triples of an (n, n) distance
     matrix, n >= 3, one triple at a time. Raises InvalidTriangleError for the
@@ -136,7 +171,7 @@ def window_measures(ts_set: TimeSeriesSet, window: int) -> tuple[np.ndarray, dic
         rho = np.eye(n)
         for i, j in itertools.combinations(range(n), 2):
             rho[i, j] = rho[j, i] = min(1.0, max(-1.0, float(units[i] @ units[j])))
-        d = angular_distances(rho, units, PROJECTIVE)
+        d = angular_distances(rho, units)
         diameters[m] = max(d[i, j] for i, j in itertools.combinations(range(n), 2))
         triangles[m] = max_triangle_area(d)
     return gaps, {KIND_DIAMETER: diameters, KIND_MAX_TRIANGLE: triangles}

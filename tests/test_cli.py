@@ -22,6 +22,7 @@ import pytest
 
 import corrgeom
 from corrgeom import (
+    IngestError,
     TimeSeries,
     TimeSeriesSet,
     cli,
@@ -35,7 +36,7 @@ import oracles
 from oracles import WindowSpec, verify_metric_axioms, window_correlations, window_measures
 
 # Stored analyze and events outputs on benchmark_csv, default settings, and
-# validate outputs on benchmark_csv and, with arccos_distances, near_copies_csv
+# validate outputs on benchmark_csv and, with use_arccos, near_copies_csv
 # at K=21.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_TOL = 1e-12
@@ -71,19 +72,42 @@ def near_copies_csv(tmp_path, eps=1e-8, length=60, negate=()):
     return write_csv(tmp_path, [-c if i in negate else c for i, c in enumerate(columns)])
 
 
-def arccos_distances(rho, units, kind):
-    """Angular distances from arccos alone, as angular_distances computed them
-    before it took entries near |rho| = 1 from the chord. On near-copies
-    their rounding breaks the triangle inequality by more than TRIANGLE_TOL,
-    so validate run with them has failing windows to report."""
-    entries = np.arccos(rho if kind == SPHERICAL else np.abs(rho))
+def arccos_entries(x):
+    """arccos of ``x`` with exactly zero diagonals."""
+    entries = np.arccos(x)
     idx = np.arange(entries.shape[-1])
     entries[..., idx, idx] = 0.0
     return entries
 
 
-def test_validate_reports_metric_violations(tmp_path, capsys, monkeypatch):
+def arccos_distances(rho, units):
+    """Projective distances from arccos alone, as angular_distances computed
+    them before it took entries near |rho| = 1 from the chord. On near-copies
+    their rounding breaks the triangle inequality by more than TRIANGLE_TOL,
+    so validate run with them has failing windows to report."""
+    return arccos_entries(np.abs(rho))
+
+
+def arccos_spherical(rho, projective):
+    """Spherical distances from arccos alone, in place of spherical_distances,
+    which would take near-copies' entries from the projective ones."""
+    return arccos_entries(rho)
+
+
+# The helpers that use_arccos installs, as source for a child process.
+ARCCOS_SOURCE = "".join(
+    inspect.getsource(f) for f in (arccos_entries, arccos_distances, arccos_spherical)
+)
+
+
+def use_arccos(monkeypatch):
+    """Run the engine on arccos_distances and validate on arccos_spherical."""
     monkeypatch.setattr(events, "angular_distances", arccos_distances)
+    monkeypatch.setattr(cli, "spherical_distances", arccos_spherical)
+
+
+def test_validate_reports_metric_violations(tmp_path, capsys, monkeypatch):
+    use_arccos(monkeypatch)
     path = near_copies_csv(tmp_path)
     assert cli.main(["validate", "--input", path, "--window", "21"]) == 1
     out, err = capsys.readouterr()
@@ -91,19 +115,18 @@ def test_validate_reports_metric_violations(tmp_path, capsys, monkeypatch):
     assert out.startswith("FAIL: checked 80 distance matrices over 40 windows")
 
 
-def nan_distances(rho, units, kind):
-    """angular_distances with a NaN distance in the spherical matrix of each
+def nan_distances(rho, projective):
+    """spherical_distances with a NaN distance in the spherical matrix of each
     engine chunk's first window."""
-    entries = metric.angular_distances(rho, units, kind)
-    if kind == SPHERICAL:
-        entries[0, 0, 1] = entries[0, 1, 0] = np.nan
+    entries = metric.spherical_distances(rho, projective)
+    entries[0, 0, 1] = entries[0, 1, 0] = np.nan
     return entries
 
 
 def test_a_nan_distance_fails_its_matrix_and_is_never_the_worst(tmp_path, capsys, monkeypatch):
     # The spherical matrix of each chunk's first window (windows 0 and 390)
     # gets a NaN distance: a NaN margin, which fails but is never the worst.
-    monkeypatch.setattr(events, "angular_distances", nan_distances)
+    monkeypatch.setattr(cli, "spherical_distances", nan_distances)
     assert cli.main(["validate", "--input", benchmark_csv(tmp_path), "--window", "21"]) == 1
     out, err = capsys.readouterr()
     assert [line.split(":")[0] for line in err.splitlines()] == [
@@ -134,7 +157,7 @@ def test_validate_matches_the_golden_files(tmp_path, capsys, monkeypatch, name, 
     # The near-copies golden holds the report of arccos-only distances, which
     # fail; the engine's own distances pass on that input.
     if name == "near_copies":
-        monkeypatch.setattr(events, "angular_distances", arccos_distances)
+        use_arccos(monkeypatch)
     argv = ["validate", "--input", write_input(tmp_path), "--window", "21"]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
@@ -147,9 +170,10 @@ def test_validate_matches_the_golden_files(tmp_path, capsys, monkeypatch, name, 
 def test_validate_on_one_cpu_matches_the_golden_files(tmp_path, name, write_input, code):
     # The worker thread and the scan take turns on one CPU: the same bytes.
     patch = (
-        "import numpy as np\nfrom corrgeom.metric import SPHERICAL\n"
-        + inspect.getsource(arccos_distances)
+        "import numpy as np\n"
+        + ARCCOS_SOURCE
         + "events.angular_distances = arccos_distances\n"
+        + "cli.spherical_distances = arccos_spherical\n"
         if name == "near_copies" else ""
     )
     script = (
@@ -707,6 +731,13 @@ def test_simulate_rejects_a_noise_sigma_that_is_not_finite_and_positive(tmp_path
     assert not out.exists()
 
 
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: rng_seed must be >= 0, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("first", [9_200_000_000_000_000_000, 10**19])
 @pytest.mark.parametrize("command", ["analyze", "events", "validate"])
 def test_ticks_past_2_63_exit_2_and_write_nothing(tmp_path, capsys, command, first):
@@ -728,26 +759,45 @@ def test_ticks_past_2_63_exit_2_and_write_nothing(tmp_path, capsys, command, fir
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+# Data rows whose first byte becomes 0xff, which starts no UTF-8 sequence,
+# and whether the row starts past the text decoder's first 8,192-byte chunk,
+# where the decoder's own error would name a position in its chunk, not in
+# the file.
+NOT_UTF8_ROWS = pytest.mark.parametrize(
     "row, past_first_chunk", [(5, False), (480, True)], ids=["row5", "row480"]
 )
-@pytest.mark.parametrize("command", ["analyze", "events", "validate"])
-def test_a_byte_that_is_not_utf8_exits_2_and_writes_nothing(
-    tmp_path, capsys, command, row, past_first_chunk
-):
-    # 0xff starts no UTF-8 sequence; it replaces the first byte of data row
-    # ``row``, which is line row + 1 of the file. Row 480 starts past the
-    # text decoder's first 8,192-byte chunk, where the decoder's own error
-    # would name a position in its chunk, not in the file.
+
+
+def not_utf8_csv(tmp_path, row, past_first_chunk):
+    """benchmark_csv with 0xff for the first byte of data row ``row``, which
+    is line row + 1 of the file."""
     lines = Path(benchmark_csv(tmp_path)).read_bytes().split(b"\n")
     lines[row] = b"\xff" + lines[row][1:]
     assert (len(b"\n".join(lines[:row])) > 8192) == past_first_chunk
     path = tmp_path / "bad.csv"
     path.write_bytes(b"\n".join(lines))
+    return path
+
+
+@NOT_UTF8_ROWS
+@pytest.mark.parametrize("command", ["analyze", "events", "validate"])
+def test_a_byte_that_is_not_utf8_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, row, past_first_chunk
+):
+    path = not_utf8_csv(tmp_path, row, past_first_chunk)
     out = tmp_path / "out"
     assert cli.main([command, "--input", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: input line {row + 1} is not UTF-8 (byte 0xff)\n")
     assert not out.exists()
+
+
+@NOT_UTF8_ROWS
+def test_the_library_read_names_the_line_that_is_not_utf8(tmp_path, row, past_first_chunk):
+    path = not_utf8_csv(tmp_path, row, past_first_chunk)
+    for source in (path, str(path)):
+        with pytest.raises(IngestError) as info:
+            corrgeom.read_timeseries_csv(source)
+        assert str(info.value) == f"input line {row + 1} is not UTF-8 (byte 0xff)"
 
 
 @pytest.mark.parametrize("repeated", ["measure", "column"])
@@ -1127,16 +1177,15 @@ def test_entry_in_a_child_prints_and_exits_as_main_does(tmp_path, capsys, monkey
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from corrgeom import cli, events, metric\n"
-        "from corrgeom.metric import SPHERICAL\n"
+        "from corrgeom import cli, metric\n"
         f"{inspect.getsource(nan_distances)}\n"
-        "events.angular_distances = nan_distances\n"
+        "cli.spherical_distances = nan_distances\n"
         f"sys.argv = ['corrgeom', *{argv!r}]\n"
         "cli.entry()\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(corrgeom.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    monkeypatch.setattr(events, "angular_distances", nan_distances)
+    monkeypatch.setattr(cli, "spherical_distances", nan_distances)
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert "VIOLATION window@" in err
@@ -1449,16 +1498,17 @@ def test_outputs_match_the_golden_files(tmp_path, capsys, command):
 
 def validate_reference(data, window, stride=1):
     """validate's outcome window by window through verify_metric_axioms on
-    arccos_distances: the min margin of each (window, kind), the worst
-    margin, its (tick, kind, triple) and (window, kind, VIOLATION line) of
-    each failing matrix, all from the single-window route."""
+    arccos_spherical and arccos_distances: the min margin of each (window,
+    kind), the worst margin, its (tick, kind, triple) and (window, kind,
+    VIOLATION line) of each failing matrix, all from the single-window
+    route."""
     count = (data.length - window) // stride + 1
     margins, worst_margin, worst, violations = {}, math.inf, None, []
     for m in range(count):
         rho = window_correlations(data, WindowSpec(m * stride, window))
         tick = data.tick(m * stride)
-        for kind in (SPHERICAL, PROJECTIVE):
-            report = verify_metric_axioms(arccos_distances(rho, None, kind))
+        for kind, arccos in ((SPHERICAL, arccos_spherical), (PROJECTIVE, arccos_distances)):
+            report = verify_metric_axioms(arccos(rho, None))
             margins[m, kind] = report.min_triangle_margin
             if report.min_triangle_margin < worst_margin:
                 worst_margin, worst = report.min_triangle_margin, (tick, kind, report.worst_triple)
@@ -1480,7 +1530,7 @@ def validate_fail_stdout(count, worst_margin, worst):
 def test_validate_across_chunks_matches_a_per_window_reference(
     tmp_path, capsys, monkeypatch, signs
 ):
-    # validate runs on arccos_distances, which fail on near-copies. Eight
+    # validate runs on use_arccos' distances, which fail on near-copies. Eight
     # series, four of them near-copies of one sine, times ``signs``, over
     # samples [40, 120) and [400, 480): their windows fail the triangle check
     # in both kinds, in the first and the last of three chunks. With no sign
@@ -1500,7 +1550,7 @@ def test_validate_across_chunks_matches_a_per_window_reference(
     size = _windows_per_chunk(8, window)
     assert count > 2 * size
 
-    monkeypatch.setattr(events, "angular_distances", arccos_distances)
+    use_arccos(monkeypatch)
     margins, worst_margin, worst, violations = validate_reference(data, window)
     failing = {(m // size, kind) for m, kind, _ in violations}
     assert failing == {(c, k) for c in (0, 2) for k in (SPHERICAL, PROJECTIVE)}
@@ -1518,7 +1568,7 @@ def test_validate_across_chunks_matches_a_per_window_reference(
 def test_validate_across_batches_reports_the_earliest_of_tied_windows(
     tmp_path, capsys, monkeypatch
 ):
-    # validate runs on arccos_distances, which fail on near-copies. Sixteen
+    # validate runs on use_arccos' distances, which fail on near-copies. Sixteen
     # series repeating every 135 samples, so at stride 3 window m + 45
     # is window m sample for sample, and its margins equal window m's. Four of
     # them are near-copies of one sine over the first 130 samples of each
@@ -1536,7 +1586,7 @@ def test_validate_across_batches_reports_the_earliest_of_tied_windows(
     batch = max(cli.VALIDATE_BATCH, size)  # windows per validate chunk
     assert size < cli.VALIDATE_BATCH and count % batch != 0
 
-    monkeypatch.setattr(events, "angular_distances", arccos_distances)
+    use_arccos(monkeypatch)
     margins, worst_margin, worst, violations = validate_reference(data, window, stride)
     tied = [m for m in range(count) if margins[m, SPHERICAL] == worst_margin]
     assert len({m // batch for m in tied}) > 1 and worst[0] == data.tick(tied[0] * stride)
@@ -1558,8 +1608,8 @@ def test_validate_scans_once_per_batch_and_locates_once(
     # K = 101 and validate's VALIDATE_BATCH = 40. At n = 32 the engine's
     # chunks would hold 10 windows, so 200 windows are 5 chunks of 40; at
     # n = 128 they would hold 2, so 50 windows are 2 chunks, of 40 and 10.
-    # Each chunk takes one unit-row pass, one scan and one distance call per
-    # kind. The worst matrix's triple is located once, at n = 128 too, and
+    # Each chunk takes one unit-row pass, one scan, one distance call, whose
+    # chord serves both kinds, and one spherical derivation. The worst matrix's triple is located once, at n = 128 too, and
     # no n^3 margins are built.
     window = 101
     path = tmp_path / "input.csv"
@@ -1571,7 +1621,7 @@ def test_validate_scans_once_per_batch_and_locates_once(
     assert want.out.startswith(f"pass: checked {2 * count} distance matrices over {count} windows")
     assert want.err == ""
 
-    calls = {"scan": 0, "locate": 0, "margins": 0, "distances": 0, "units": 0}
+    calls = {"scan": 0, "locate": 0, "margins": 0, "distances": 0, "spherical": 0, "units": 0}
 
     def counted(name, function):
         def call(*args, **kwargs):
@@ -1587,30 +1637,31 @@ def test_validate_scans_once_per_batch_and_locates_once(
     monkeypatch.setattr(cli, "_first_min_triple", locate)
     monkeypatch.setattr(oracles, "_triangle_margins", counted("margins", oracles._triangle_margins))
     monkeypatch.setattr(events, "angular_distances", counted("distances", events.angular_distances))
+    monkeypatch.setattr(cli, "spherical_distances", counted("spherical", cli.spherical_distances))
     monkeypatch.setattr(events, "_window_units", counted("units", events._window_units))
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
     assert _windows_per_chunk(n, window) == per_chunk and cli.VALIDATE_BATCH == 40
-    assert calls == {"scan": chunks, "locate": 1, "margins": 0, "distances": 2 * chunks,
-                     "units": chunks}
+    assert calls == {"scan": chunks, "locate": 1, "margins": 0, "distances": chunks,
+                     "spherical": chunks, "units": chunks}
 
 
 @pytest.mark.parametrize(
-    "distances, stride, batch, chunk_elements",
+    "arccos, stride, batch, chunk_elements",
     [
-        pytest.param(None, stride, batch, chunk, id=f"stride{stride}-batch{batch}-chunk{chunk}")
+        pytest.param(False, stride, batch, chunk, id=f"stride{stride}-batch{batch}-chunk{chunk}")
         for stride in (1, 3)
         for batch in (1, 3, 40, 10_000)
         for chunk in (1, CHUNK_ELEMENTS)
     ]
-    + [pytest.param(arccos_distances, 1, 3, 1, id="arccos-stride1-batch3-chunk1")],
+    + [pytest.param(True, 1, 3, 1, id="arccos-stride1-batch3-chunk1")],
 )
 def test_validate_output_does_not_depend_on_the_batching(
-    tmp_path, capsys, monkeypatch, distances, stride, batch, chunk_elements
+    tmp_path, capsys, monkeypatch, arccos, stride, batch, chunk_elements
 ):
     # Five series, four of them near-copies of one sine over samples [10, 60),
-    # which arccos_distances fail, and the fifth held over [70, 100), which
-    # gaps windows 70 to 79. Every batching of the windows, from one window
+    # which use_arccos' distances fail, and the fifth held over [70, 100),
+    # which gaps windows 70 to 79. Every batching of the windows, from one window
     # per chunk and per batch to one batch of the whole run, reports the same.
     length, window = 120, 21
     rng = np.random.default_rng(7)
@@ -1619,13 +1670,13 @@ def test_validate_output_does_not_depend_on_the_batching(
     columns[4, 70:100] = columns[4, 70]
     argv = ["validate", "--input", write_csv(tmp_path, columns), "--window", str(window),
             "--stride", str(stride)]
-    if distances is not None:
-        monkeypatch.setattr(events, "angular_distances", distances)
+    if arccos:
+        use_arccos(monkeypatch)
     code = cli.main(argv)
     want = capsys.readouterr()
     count = (length - window) // stride + 1
     assert f"checked {2 * count} distance" not in want.out  # some windows gap
-    assert ("VIOLATION window@" in want.err) == (distances is not None)
+    assert ("VIOLATION window@" in want.err) == arccos
 
     monkeypatch.setattr(cli, "VALIDATE_BATCH", batch)
     monkeypatch.setattr(events, "CHUNK_ELEMENTS", chunk_elements)

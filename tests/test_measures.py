@@ -18,7 +18,7 @@ from corrgeom import (
 )
 from corrgeom.events import correlation_chunks
 from corrgeom.measures import _max_triangle_areas, _triangle_areas, _triangle_sides
-from corrgeom.metric import PROJECTIVE, angular_distances, correlation_from_units
+from corrgeom.metric import angular_distances, correlation_from_units
 from corrgeom.series import _window_units
 from oracles import girard_area, max_triangle_area
 
@@ -122,7 +122,7 @@ def test_engine_stacks_hold_what_the_measures_rely_on(seed, n, window, copies, h
 
     # The diameter, the largest entry of each matrix, is the largest entry
     # above the diagonal bit for bit.
-    dist = np.concatenate([d for _, d in correlation_chunks(data, window, (PROJECTIVE,))])
+    dist = np.concatenate([d for _, _, d in correlation_chunks(data, window)])
     (diameter,) = sliding_measures(data, window, kinds=(KIND_DIAMETER,))
     assert diameter.values[~diameter.gaps].tobytes() == upper_diameters(dist).tobytes()
 
@@ -331,7 +331,7 @@ def test_the_slab_kernel_equals_the_all_triples_form_byte_for_byte(seed, count, 
     for src, dst in copies:
         units[:, dst % n] = units[:, src % n]
     units /= np.linalg.norm(units, axis=-1, keepdims=True)
-    dist = angular_distances(correlation_from_units(units), units, PROJECTIVE)
+    dist = angular_distances(correlation_from_units(units), units)
     got = _max_triangle_areas(dist)
     upper = ~np.tri(n, dtype=bool)
     all_triples = np.nonzero(upper[:, :, None] & upper[None, :, :])

@@ -18,28 +18,42 @@ from corrgeom.metric import (
     _min_triangle_margins,
     angular_distances,
     correlation_from_units,
+    spherical_distances,
 )
 from corrgeom.series import _window_units
-from oracles import WindowSpec, _one_window_units, max_triangle_area, verify_metric_axioms
+from oracles import (
+    WindowSpec,
+    _one_window_units,
+    distances_of_kind,
+    max_triangle_area,
+    verify_metric_axioms,
+)
+
+
+def distances(rho, units, kind):
+    """The package's distances of ``kind``: angular_distances, the
+    projective ones, and for SPHERICAL spherical_distances from them."""
+    projective = angular_distances(rho, units)
+    return spherical_distances(rho, projective) if kind == SPHERICAL else projective
 
 
 def random_distances(rng, n, kind, k=20):
-    """angular_distances of n random series over one window of k samples."""
+    """distances of n random series over one window of k samples."""
     s = TimeSeriesSet(tuple(TimeSeries(f"s{i}", 0, 1, rng.normal(size=k)) for i in range(n)))
     units = _one_window_units(s.matrix(), s.ids, WindowSpec(0, k))
-    return angular_distances(correlation_from_units(units), units, kind)
+    return distances(correlation_from_units(units), units, kind)
 
 
 def pair_distance(rho, kind):
-    """angular_distances' off-diagonal entry for the unit rows (1, 0) and
+    """distances' off-diagonal entry for the unit rows (1, 0) and
     (rho, sqrt(1 - rho^2)), whose correlation is rho exactly."""
     units = np.array([[1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)]])
-    return float(angular_distances(np.array([[1.0, rho], [rho, 1.0]]), units, kind)[0, 1])
+    return float(distances(np.array([[1.0, rho], [rho, 1.0]]), units, kind)[0, 1])
 
 
 class TestAngles:
     """The paper's anchors for the correlation angle arccos(rho) and the
-    projective angle arccos(|rho|), read from angular_distances."""
+    projective angle arccos(|rho|), read from distances."""
 
     def test_correlation_angle_endpoints(self):
         assert pair_distance(1.0, SPHERICAL) == 0.0
@@ -68,20 +82,20 @@ class TestAngles:
 
 class TestAngularDistances:
     def test_identity_correlations_projective(self):
-        dm = angular_distances(np.eye(3), np.eye(3), PROJECTIVE)
+        dm = angular_distances(np.eye(3), np.eye(3))
         off = dm[~np.eye(3, dtype=bool)]
         assert np.all(off == math.pi / 2)
         assert np.all(np.diagonal(dm) == 0.0)
 
     def test_all_ones_gives_zero_matrix(self):
         for kind in (SPHERICAL, PROJECTIVE):
-            assert np.all(angular_distances(np.ones((3, 3)), np.ones((3, 1)), kind) == 0.0)
+            assert np.all(distances(np.ones((3, 3)), np.ones((3, 1)), kind) == 0.0)
 
     def test_opposite_copies_are_pi_apart_on_the_sphere_and_0_as_lines(self):
         units = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         rho = units @ units.T
-        assert angular_distances(rho, units, SPHERICAL)[0, 1] == math.pi
-        assert angular_distances(rho, units, PROJECTIVE)[0, 1] == 0.0
+        assert distances(rho, units, SPHERICAL)[0, 1] == math.pi
+        assert angular_distances(rho, units)[0, 1] == 0.0
 
     def test_only_entries_near_one_take_the_chord(self):
         # Angles just inside and just outside the chord's range, |rho| on
@@ -92,13 +106,13 @@ class TestAngularDistances:
         units = np.vstack([units, -units])
         rho = np.clip(units @ units.T, -1.0, 1.0)
         for kind, arccos in ((SPHERICAL, np.arccos(rho)), (PROJECTIVE, np.arccos(np.abs(rho)))):
-            got = angular_distances(rho, units, kind)
+            got = distances(rho, units, kind)
             np.fill_diagonal(arccos, 0.0)
             far = np.abs(rho) <= 1.0 - NEAR_ONE
             assert got[far].tobytes() == arccos[far].tobytes()
             assert np.abs(got - arccos).max() < 1e-7  # arccos' error near |rho| = 1
             assert got.tobytes() == got.T.tobytes()
-        spherical = angular_distances(rho, units, SPHERICAL)
+        spherical = distances(rho, units, SPHERICAL)
         # arccos reads rho = 1.0 there as 0; the chord keeps the 1e-9 rad.
         assert spherical[0, 3] == pytest.approx(1e-9, rel=1e-12)
         assert spherical[0, 8] == pytest.approx(math.pi - 1e-9, rel=1e-15)
@@ -118,7 +132,7 @@ class TestAngularDistances:
         u2 = np.array([0.0, 1.0])
         assert float(u0 @ u1) == pytest.approx(math.cos(math.pi / 4), abs=1e-15)
         assert float(u0 @ u2) == 0.0
-        dm = angular_distances(rho, np.array([u0, u1, u2]), SPHERICAL)
+        dm = distances(rho, np.array([u0, u1, u2]), SPHERICAL)
         assert dm[0, 1] == pytest.approx(math.pi / 4, abs=1e-15)
         assert dm[0, 2] == pytest.approx(math.pi / 2, abs=1e-15)
         report = verify_metric_axioms(dm)
@@ -494,7 +508,7 @@ def test_a_cleared_window_passes_within_its_error_bound(
     rng = np.random.default_rng(seed)
     units = unit_rows(rng, n, window, 10.0**log_gap, min(on_circle, n), all_longer, copies)
     rho = correlation_from_units(units[None])
-    dist = angular_distances(rho, units[None], kind)
+    dist = distances(rho, units[None], kind)
     assert np.array_equal(dist, dist.transpose(0, 2, 1))
     assert not np.signbit(dist).any()  # no -0.0 either
     assert not dist.diagonal(0, 1, 2).any()
@@ -504,6 +518,40 @@ def test_a_cleared_window_passes_within_its_error_bound(
     bound = margin_bound(window)
     target(float(-margin / bound))
     assert margin >= -bound
+
+
+# Near-copies of one series: eps 0 gives |rho| that rounds to 1, and eps
+# 0.045 |rho| near the chord's edge, 1 - NEAR_ONE.
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3),
+    n=st.integers(3, 40),
+    window=st.integers(3, 400),
+    eps=st.sampled_from([0.0, 1e-10, 1e-8, 1e-4, 0.045]),
+    copies=st.integers(0, 39),
+)
+@example(seed=0, count=2, n=6, window=21, eps=1e-8, copies=5)
+def test_spherical_distances_equal_their_own_chord_pass_bit_for_bit(
+    seed, count, n, window, eps, copies
+):
+    # Up to ``copies`` rows are copies of row 0, each times a random sign and
+    # scale, plus eps times noise; the rest are independent. The spherical
+    # distances derived from the projective ones equal, -0.0 and all, those
+    # of a chord pass of their own (oracles.distances_of_kind), and the
+    # projective ones equal its projective pass.
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, n, window))
+    for dst in rng.permutation(np.arange(1, n))[:copies]:
+        scale = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        rows[:, dst] = scale * (rows[:, 0] + eps * rng.normal(size=(count, window)))
+    units, norms = _window_units(rows)
+    assert norms.all()
+    rho = correlation_from_units(units)
+    projective = angular_distances(rho, units)
+    for got, kind in ((spherical_distances(rho, projective), SPHERICAL), (projective, PROJECTIVE)):
+        want = distances_of_kind(rho, units, kind)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,6 +576,6 @@ def test_a_window_that_passes_the_engine_checks_has_valid_triangles(
         [unit_rows(rng, n, window, gap, min(on_circle, n), all_longer, copies)
          for _ in range(count)]
     )
-    dist = angular_distances(correlation_from_units(units), units, PROJECTIVE)
+    dist = angular_distances(correlation_from_units(units), units)
     for d in dist:
         max_triangle_area(d)  # raises InvalidTriangleError on invalid sides

@@ -122,6 +122,11 @@ SERIES_FAULTS = {
     "step-0": (("a", "b", "c"), 0, 0, ROWS, ValueError, "step must be a positive integer, got 0"),
     "step-1.5": (("a", "b", "c"), 0, 1.5, ROWS, ValueError,
                  "step must be a positive integer, got 1.5"),
+    "step-inf": (("a", "b", "c"), 0, INF, ROWS, ValueError,
+                 "step must be a positive integer, got inf"),
+    "start-1.5": (("a", "b", "c"), 1.5, 1, ROWS, ValueError, "start must be an integer, got 1.5"),
+    "start-inf": (("a", "b", "c"), INF, 1, ROWS, ValueError, "start must be an integer, got inf"),
+    "start-text": (("a", "b", "c"), "3", 1, ROWS, ValueError, "start must be an integer, got '3'"),
     "no-values": (("a", "b", "c"), 0, 1, [[], [], []], ValueError,
                   "values must be a nonempty 1-d sequence"),
     **{
@@ -162,6 +167,14 @@ def test_every_route_raises_a_fault_in_the_same_words(fault, route):
     with pytest.raises(Exception) as info:
         ROUTES[route](ids, start, step, rows)
     assert (type(info.value), str(info.value)) == (kind, text)
+
+
+@pytest.mark.parametrize(
+    "start, step", [(3, 2), (np.int64(3), np.int32(2)), (3.0, 2.0)], ids=["int", "numpy", "float"]
+)
+def test_from_matrix_takes_a_start_and_step_of_any_integral_type(start, step):
+    data = TimeSeriesSet.from_matrix(("a",), start, step, [[1.0, 2.0]])
+    assert (data.start, data.step, type(data.start), type(data.step)) == (3, 2, int, int)
 
 
 def test_from_matrix_rejects_a_row_count_that_is_not_the_id_count():

@@ -60,6 +60,7 @@ def test_simulate_equals_its_per_series_reference_bit_for_bit(spec):
         (dict(noise_sigma=-0.1), "noise_sigma must be finite and > 0, got -0.1"),
         (dict(noise_sigma=float("nan")), "noise_sigma must be finite and > 0, got nan"),
         (dict(noise_sigma=float("inf")), "noise_sigma must be finite and > 0, got inf"),
+        (dict(rng_seed=-1), "rng_seed must be >= 0, got -1"),
         (dict(episodes=((10, 101, 0.9),)), r"episode \(10, 101\) out of range"),
         (dict(episodes=((-1, 40, 0.9),)), r"episode \(-1, 40\) out of range"),
         (dict(episodes=((40, 40, 0.9),)), r"episode \(40, 40\) out of range"),
@@ -70,7 +71,7 @@ def test_simulate_equals_its_per_series_reference_bit_for_bit(spec):
     ],
     ids=[
         "no-series", "no-samples", "sigma-0", "sigma-negative", "sigma-nan", "sigma-inf",
-        "episode-past-end", "episode-before-start", "episode-empty", "episodes-unsorted",
+        "seed-negative", "episode-past-end", "episode-before-start", "episode-empty", "episodes-unsorted",
         "episodes-overlapping", "strength-above-1", "strength-below-0",
     ],
 )
